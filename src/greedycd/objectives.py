@@ -3,25 +3,31 @@
 Supported losses: squared residual (Lasso / elastic net), the negated SVM
 dual, and logistic. Regularizers: L1, unit box, elastic-net L1 (the quadratic
 part is folded into the smooth term), or none. The iterate carries the
-residual v = A alpha so coordinate gradients cost O(nnz(A_j)).
+residual v = A alpha so coordinate gradients cost O(nnz(A_j)), and, on
+request, the full gradient, updated after each step instead of recomputed.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sparse import SparseColMatrix, col_axpy, col_dot, shrink
+# col_dot stays importable from here: instrumentation wraps it by this name
+from .sparse import RowProduct, SparseColMatrix, col_axpy, col_dot, shrink
 
 __all__ = [
     "SquaredResidual", "DualSVM", "Logistic",
     "L1", "Box", "ElasticNetL1", "NoReg",
     "CompositeProblem", "IterateState",
-    "smoothness_L", "grad_l", "coord_grad", "full_grad", "subgrad_score",
+    "smoothness_L", "grad_l", "coord_grad", "full_grad", "current_grad",
+    "subgrad_score",
     "objective_value", "apply_coord_delta", "duality_gap", "rescale_columns",
     "make_lasso", "make_svm_dual", "make_logistic", "make_elastic_net",
 ]
 
 RESIDUAL_REFRESH_EVERY = 1000  # full recompute cadence, bounds fp drift
+# the Gram columns one state caches take at most this multiple of the bytes
+# A itself is stored in; further columns are recomputed on every use
+GRAM_CACHE_INPUT_MULTIPLE = 8
 
 
 @dataclass(frozen=True)
@@ -117,17 +123,39 @@ class CompositeProblem:
 
 @dataclass
 class IterateState:
-    """Single-owner mutable solver state: alpha, residual v = A alpha."""
+    """Single-owner mutable solver state: alpha, residual v = A alpha, and,
+    between track_gradient and untrack_gradient, the full gradient kept
+    current step by step.
+
+    The residual, and the gradient when kept, are recomputed from alpha every
+    RESIDUAL_REFRESH_EVERY steps; each gradient refresh counts in
+    grad_refreshes and its largest entrywise change in max_grad_drift.
+    """
     alpha: np.ndarray
     residual: np.ndarray
     nnz: int
     iter: int = 0
+    # maintained gradient, read-only to callers; set by track_gradient
+    grad: np.ndarray = field(default=None, init=False)
+    grad_refreshes: int = field(default=0, init=False)
+    max_grad_drift: float = field(default=0.0, init=False)
     _steps_since_refresh: int = field(default=0, repr=False)
+    _grad_updater: object = field(default=None, repr=False)
 
     @classmethod
     def zeros(cls, problem):
         return cls(alpha=np.zeros(problem.n), residual=np.zeros(problem.d),
                    nnz=0)
+
+    def track_gradient(self, problem):
+        """Compute the full gradient now and keep it current from here on."""
+        self.grad = full_grad(problem, self)
+        self._grad_updater = _GradientUpdater(problem)
+
+    def untrack_gradient(self):
+        """Stop keeping the gradient and free its Gram-column cache."""
+        self.grad = None
+        self._grad_updater = None
 
     def recompute_residual(self, problem):
         v = np.zeros(problem.d)
@@ -135,13 +163,62 @@ class IterateState:
             col_axpy(problem.matrix, j, self.alpha[j], v)
         self.residual = v
         self._steps_since_refresh = 0
+        if self.grad is not None:
+            fresh = full_grad(problem, self)
+            self.max_grad_drift = max(self.max_grad_drift,
+                                      float(np.abs(fresh - self.grad).max()))
+            self.grad_refreshes += 1
+            self.grad = fresh
 
 
-def grad_l(p, s):
-    """Gradient of the loss at the current residual (a d-vector)."""
-    v = s.residual
+class _GradientUpdater:
+    """The change of the full gradient g when alpha_j moves by delta.
+
+    Quadratic losses add delta * kappa * G_j, with kappa the loss curvature
+    and G_j = A^T A_j. Each Gram column is computed on first use and cached
+    while the cache stays within GRAM_CACHE_INPUT_MULTIPLE times the bytes A
+    is stored in; past that, a column is recomputed on every use. Logistic
+    adds A[S, :]^T (change of nabla l on S), S = supp(A_j), by a row product.
+    """
+
+    def __init__(self, p):
+        M = p.matrix
+        self.rows = RowProduct(M)
+        self.gram = {}
+        self.room = GRAM_CACHE_INPUT_MULTIPLE * (M.values.nbytes
+                                                 + M.row_indices.nbytes)
+        self.kappa = 1.0
+        if isinstance(p.loss, DualSVM):
+            self.kappa = 1.0 / (p.loss.svm_lambda * p.n * p.n)
+
+    def gram_column(self, ridx, vals, j):
+        col = self.gram.get(j)
+        if col is None:
+            col = self.rows(ridx, vals)
+            if col.nbytes <= self.room:
+                self.gram[j] = col
+                self.room -= col.nbytes
+        return col
+
+    def step(self, p, s, j, delta):
+        """Move the residual by delta * A_j and g to match."""
+        ridx, vals = p.matrix.col(j)
+        if isinstance(p.loss, Logistic):
+            before = _loss_grad(p, s.residual[ridx], ridx)
+            col_axpy(p.matrix, j, delta, s.residual)
+            after = _loss_grad(p, s.residual[ridx], ridx)
+            s.grad += self.rows(ridx, after - before)
+            return
+        col_axpy(p.matrix, j, delta, s.residual)
+        s.grad += (delta * self.kappa) * self.gram_column(ridx, vals, j)
+        if isinstance(p.reg, ElasticNetL1):
+            s.grad[j] += p.reg.lam2 * delta
+
+
+def _loss_grad(p, v, rows=None):
+    """nabla l at residual entries v: the whole residual, or its `rows`."""
     if isinstance(p.loss, SquaredResidual):
-        return v - p.loss.target
+        return v - (p.loss.target if rows is None else p.loss.target[rows])
     if isinstance(p.loss, DualSVM):
         n = p.n
         return v / (p.loss.svm_lambda * n * n)
@@ -151,9 +228,19 @@ def grad_l(p, s):
     raise TypeError("unknown loss kind: %r" % (p.loss,))
 
 
+def grad_l(p, s):
+    """Gradient of the loss at the current residual (a d-vector)."""
+    return _loss_grad(p, s.residual)
+
+
 def coord_grad(p, s, j):
-    """nabla_j f(alpha) = <A_j, grad_l(v)> + c_j (+ lam2*alpha_j)."""
-    g = col_dot(p.matrix, j, grad_l(p, s)) + p.linear_term[j]
+    """nabla_j f(alpha) = <A_j, grad_l(v)> + c_j (+ lam2*alpha_j).
+
+    nabla l is evaluated on supp(A_j) only.
+    """
+    ridx, vals = p.matrix.col(j)
+    g = float(vals @ _loss_grad(p, s.residual[ridx], ridx)) \
+        + p.linear_term[j]
     if isinstance(p.reg, ElasticNetL1):
         g += p.reg.lam2 * s.alpha[j]
     return g
@@ -167,6 +254,11 @@ def full_grad(p, s):
     return g
 
 
+def current_grad(p, s):
+    """The state's maintained gradient when it keeps one, else full_grad."""
+    return full_grad(p, s) if s.grad is None else s.grad
+
+
 def subgrad_score(p, s, grad=None):
     """The steepest-subgradient score vector for L1-type regularizers.
 
@@ -177,7 +269,7 @@ def subgrad_score(p, s, grad=None):
         raise TypeError("score vector needs an L1-type regularizer")
     lam = p.l1_lambda
     if grad is None:
-        grad = full_grad(p, s)
+        grad = current_grad(p, s)
     out = grad + np.sign(s.alpha) * lam
     at_zero = s.alpha == 0
     gz = grad[at_zero]
@@ -216,7 +308,8 @@ def objective_value(p, s):
 
 
 def apply_coord_delta(p, s, j, delta):
-    """alpha_j += delta, maintaining residual and nonzero count in O(nnz(A_j))."""
+    """alpha_j += delta, maintaining residual and nonzero count in O(nnz(A_j)),
+    and the gradient when the state keeps one."""
     if delta == 0.0:
         return
     was_zero = s.alpha[j] == 0.0
@@ -225,7 +318,10 @@ def apply_coord_delta(p, s, j, delta):
         s.nnz += 1
     elif not was_zero and s.alpha[j] == 0.0:
         s.nnz -= 1
-    col_axpy(p.matrix, j, delta, s.residual)
+    if s._grad_updater is None:
+        col_axpy(p.matrix, j, delta, s.residual)
+    else:
+        s._grad_updater.step(p, s, j, delta)
     s._steps_since_refresh += 1
     if s._steps_since_refresh >= RESIDUAL_REFRESH_EVERY:
         s.recompute_residual(p)
@@ -241,7 +337,8 @@ def duality_gap(p, s):
     # stationarity then puts support vectors exactly on the margin, so the
     # gap closes at the optimum
     w = s.residual / (lam * n)
-    margins = p.matrix.matvec_T(w)  # <b_i a_i, w> per example column
+    # <b_i a_i, w> per example column: A^T w = n (g - c), read off the gradient
+    margins = n * (current_grad(p, s) - p.linear_term)
     primal = float(np.maximum(1.0 - margins, 0.0).mean()) \
         + 0.5 * lam * float(w @ w)
     dual = float(s.alpha.mean()) - float(s.residual @ s.residual) \

@@ -2,8 +2,9 @@
 best-decrease, and uniform, plus the box active set and the measured
 approximation ratio of a non-exact selection.
 
-All exact rules recompute the needed score vectors from scratch each call;
-ties break to the lowest coordinate index everywhere.
+All exact rules recompute the needed score vectors each call, from the
+state's maintained gradient when it keeps one; ties break to the lowest
+coordinate index everywhere.
 """
 
 from dataclasses import dataclass
@@ -11,7 +12,9 @@ from enum import Enum
 
 import numpy as np
 
-from .objectives import Box, ElasticNetL1, L1, full_grad, subgrad_score
+# full_grad stays importable from here: instrumentation wraps it by this name
+from .objectives import (Box, ElasticNetL1, L1, current_grad, full_grad,
+                         subgrad_score)
 
 __all__ = [
     "Rule", "SelectionOutcome", "ActiveSet",
@@ -71,7 +74,7 @@ def select_gss_box(p, s, active=None, grad=None):
     if not isinstance(p.reg, Box):
         raise TypeError("box selection needs a box-constrained problem")
     if grad is None:
-        grad = full_grad(p, s)
+        grad = current_grad(p, s)
     if active is None:
         active = ActiveSet.from_state(s.alpha, grad)
     if active.empty:
@@ -84,7 +87,7 @@ def select_gss_box(p, s, active=None, grad=None):
 def prox_step_lengths(p, s, grad=None):
     """Closed-form proximal step length gamma_j for every coordinate."""
     if grad is None:
-        grad = full_grad(p, s)
+        grad = current_grad(p, s)
     L = p.smoothness
     target = s.alpha - grad / L
     if isinstance(p.reg, (L1, ElasticNetL1)):
@@ -106,7 +109,7 @@ def select_gsr(p, s, grad=None):
 def select_gsq(p, s, grad=None):
     """argmax_j |chi_j|, the coordinate with the best 1-d model decrease."""
     if grad is None:
-        grad = full_grad(p, s)
+        grad = current_grad(p, s)
     gamma = prox_step_lengths(p, s, grad=grad)
     L = p.smoothness
     chi = gamma * grad + 0.5 * L * gamma**2
@@ -133,7 +136,7 @@ def measure_theta(chosen, p, s):
         m = float(sv.max())
         return 1.0 if m == 0.0 else float(sv[chosen]) / m
     if isinstance(p.reg, Box):
-        grad = full_grad(p, s)
+        grad = current_grad(p, s)
         active = ActiveSet.from_state(s.alpha, grad)
         if active.empty:
             return 1.0

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import smips as sm
+# full_grad stays importable from here: instrumentation wraps it by this name
 from .objectives import (Box, DualSVM, ElasticNetL1, IterateState, L1,
                          Logistic, SquaredResidual, apply_coord_delta,
                          coord_grad, duality_gap, full_grad, grad_l,
@@ -53,7 +54,7 @@ class SolverConfig:
             raise ValueError("trace_every must be at least 1")
 
 
-@dataclass
+@dataclass(slots=True)  # no per-record __dict__: traces can be long
 class StepRecord:
     iter: int
     coord: int
@@ -68,6 +69,14 @@ class StepRecord:
 
 @dataclass
 class Trace:
+    """A solve's recorded steps and outcome.
+
+    Steps are recorded every cfg.trace_every iterations, and the last step
+    taken is always recorded. counters holds the good/bad/cross step counts,
+    LSH fallbacks, and, for loops that keep the full gradient current,
+    grad_refreshes and max_grad_drift (the largest entrywise change a
+    refresh made to the maintained gradient).
+    """
     f_initial: float
     records: list
     counters: dict
@@ -248,6 +257,9 @@ def _make_engine(p, cfg):
 
 
 def _finish(trace_kind, f0, records, counters, s, status):
+    counters["grad_refreshes"] = s.grad_refreshes
+    counters["max_grad_drift"] = s.max_grad_drift
+    s.untrack_gradient()  # a trace keeps its final state, not the caches
     return Trace(f_initial=f0, records=records, counters=counters,
                  final_state=s, status=status, problem_kind=trace_kind)
 
@@ -271,11 +283,15 @@ def solve_l1(p, cfg):
     f0 = f_cur
     L = p.smoothness
     records = []
+    pending = None  # the last step, while it is not recorded
     counters = {GOOD: 0, BAD: 0, CROSS: 0, "fallback": 0}
     # cheap rules can't afford an exact score evaluation every iteration
     check_every = 1
     if cfg.rule is Rule.UNIFORM or (engine is not None and not engine.is_exact):
         check_every = max(1, p.n)
+    if engine is None and check_every == 1:
+        # the stop check and the exact rules read every score every step
+        s.track_gradient(p)
     status = "max_iters"
 
     for t in range(cfg.max_iters):
@@ -334,12 +350,14 @@ def solve_l1(p, cfg):
         counters[kind] += 1
         counters["fallback"] += int(fell_back)
         f_cur = objective_value(p, s)
-        if t % cfg.trace_every == 0 or t == cfg.max_iters - 1:
-            records.append(StepRecord(iter=t, coord=j, step_kind=kind,
-                                      f_value=f_cur, theta=theta,
-                                      fell_back=fell_back,
-                                      wall_ns=time.perf_counter_ns() - t0,
-                                      nnz=s.nnz))
+        pending = StepRecord(iter=t, coord=j, step_kind=kind, f_value=f_cur,
+                             theta=theta, fell_back=fell_back,
+                             wall_ns=time.perf_counter_ns() - t0, nnz=s.nnz)
+        if t % cfg.trace_every == 0:
+            records.append(pending)
+            pending = None
+    if pending is not None:
+        records.append(pending)
     return _finish("l1", f0, records, counters, s, status)
 
 
@@ -358,12 +376,20 @@ def solve_box(p, cfg):
     s = IterateState.zeros(p)
     if engine is not None:
         engine.reset_mask(s.alpha)
+    # the active set and the SVM gap read every gradient entry every step
+    s.track_gradient(p)
     f0 = objective_value(p, s)
     L = p.smoothness
     records = []
+    pending = None  # the last step, while it is not recorded
     counters = {GOOD: 0, BAD: 0, CROSS: 0, "fallback": 0}
     check_gap = isinstance(p.loss, DualSVM) and cfg.tol > 0
     status = "max_iters"
+
+    def record(rec):
+        if cfg.record_gap and isinstance(p.loss, DualSVM):
+            rec.gap = duality_gap(p, s)
+        records.append(rec)
 
     for t in range(cfg.max_iters):
         t0 = time.perf_counter_ns()
@@ -381,7 +407,7 @@ def solve_box(p, cfg):
                 status = "optimal" if out.score <= 0.0 else "tol"
                 break
             if not engine.is_exact and t % max(1, p.n) == 0:
-                grad = full_grad(p, s)
+                grad = s.grad
                 active = ActiveSet.from_state(s.alpha, grad)
                 if active.empty:
                     status = "optimal"
@@ -391,7 +417,7 @@ def solve_box(p, cfg):
                     break
             j = out.coord
         else:
-            grad = full_grad(p, s)
+            grad = s.grad
             active = ActiveSet.from_state(s.alpha, grad)
             if active.empty:
                 status = "optimal"
@@ -432,14 +458,15 @@ def solve_box(p, cfg):
         counters[kind] += 1
         counters["fallback"] += int(fell_back)
         f_cur = objective_value(p, s)
-        if t % cfg.trace_every == 0 or t == cfg.max_iters - 1:
-            gap = duality_gap(p, s) if (cfg.record_gap
-                                        and isinstance(p.loss, DualSVM)) else None
-            records.append(StepRecord(iter=t, coord=j, step_kind=kind,
-                                      f_value=f_cur, theta=theta,
-                                      fell_back=fell_back,
-                                      wall_ns=time.perf_counter_ns() - t0,
-                                      nnz=s.nnz, gap=gap))
+        pending = StepRecord(iter=t, coord=j, step_kind=kind, f_value=f_cur,
+                             theta=theta, fell_back=fell_back,
+                             wall_ns=time.perf_counter_ns() - t0, nnz=s.nnz)
+        if t % cfg.trace_every == 0:
+            record(pending)
+            pending = None
+    if pending is not None:
+        # nothing moved the iterate since this step, so its gap is current
+        record(pending)
     return _finish("box", f0, records, counters, s, status)
 
 

@@ -1,13 +1,19 @@
 """Column-compressed sparse matrix kernels and the scalar shrinkage operator.
 
 Everything downstream (coordinate gradients, residual maintenance, point-set
-extraction) is a column access, so only column-major storage is provided.
-Matrices are immutable after construction.
+extraction) is a column access, so the matrix is stored column-major. A
+row-major copy is built on request for products over a few rows
+(`RowProduct`). Matrices are immutable after construction.
 """
 
 import numpy as np
+import scipy.sparse as sps
 
-__all__ = ["SparseColMatrix", "shrink", "col_dot", "col_axpy"]
+__all__ = ["SparseColMatrix", "RowProduct", "shrink", "col_dot", "col_axpy"]
+
+# a row product over more than this fraction of the rows runs as one
+# transposed product over the whole matrix instead of a gather
+GATHER_MAX_ROW_FRACTION = 0.1
 
 
 def shrink(x, lam):
@@ -47,9 +53,15 @@ class SparseColMatrix:
             raise ValueError("col_starts[-1] must equal the number of stored values")
         if len(row_indices) and (row_indices.min() < 0 or row_indices.max() >= n_rows):
             raise ValueError("row index out of range")
-        for j in range(len(col_starts) - 1):
-            lo, hi = col_starts[j], col_starts[j + 1]
-            if hi - lo > 1 and np.any(np.diff(row_indices[lo:hi]) <= 0):
+        nnz = len(row_indices)
+        if nnz > 1:
+            # entry k+1 continues entry k's column unless a column starts there
+            same_col = np.ones(nnz - 1, dtype=bool)
+            starts = col_starts[(col_starts > 0) & (col_starts < nnz)]
+            same_col[starts - 1] = False
+            bad = np.flatnonzero(same_col & (np.diff(row_indices) <= 0))
+            if len(bad):
+                j = int(np.searchsorted(col_starts, bad[0], side="right")) - 1
                 raise ValueError("row indices in column %d not strictly increasing" % j)
 
         self.n_rows = int(n_rows)
@@ -67,6 +79,7 @@ class SparseColMatrix:
         for arr in (self.col_starts, self.row_indices, self.values,
                     self.col_sq_norms):
             arr.setflags(write=False)
+        self._scipy_T = None  # built on the first transposed product
 
     @property
     def n_cols(self):
@@ -125,35 +138,73 @@ class SparseColMatrix:
         return SparseColMatrix(self.n_rows, self.col_starts.copy(),
                                self.row_indices.copy(), new_vals)
 
+    def row_major(self):
+        """(row_starts, col_indices, values) of the row-compressed copy.
+
+        Column ids increase within each row. The arrays are new, so the copy
+        costs O(nnz) time and memory on every call.
+        """
+        csr = self._scipy(sps.csc_matrix, (self.n_rows, self.n_cols)).tocsr()
+        return csr.indptr.astype(np.int64), csr.indices.astype(np.int64), \
+            csr.data
+
     def transpose(self):
         """Row-compressed view of self, returned as a new column matrix."""
-        cols = [[] for _ in range(self.n_rows)]
-        for j in range(self.n_cols):
-            ridx, v = self.col(j)
-            for i, x in zip(ridx, v):
-                cols[i].append((j, x))
-        built = []
-        for entries in cols:
-            if entries:
-                idx, vv = zip(*entries)
-            else:
-                idx, vv = (), ()
-            built.append((np.array(idx, dtype=np.int64), np.array(vv)))
-        return SparseColMatrix.from_columns(self.n_cols, built)
+        return SparseColMatrix(self.n_cols, *self.row_major())
+
+    def _scipy(self, kind, shape):
+        # scipy's constructor would copy the row ids down to int32; assigned
+        # arrays are shared as they are
+        m = kind(shape)
+        m.indptr, m.indices, m.data = (self.col_starts, self.row_indices,
+                                       self.values)
+        m.check_format()
+        return m
 
     def matvec_T(self, v):
         """A^T v, vectorized over all columns."""
         v = np.asarray(v, dtype=np.float64)
         if len(v) != self.n_rows:
             raise ValueError("length mismatch in matvec_T")
-        if self.nnz == 0:
-            return np.zeros(self.n_cols)
-        prod = np.append(self.values * v[self.row_indices], 0.0)
-        out = np.add.reduceat(prod, self.col_starts[:-1])
-        empty = np.diff(self.col_starts) == 0
-        if empty.any():
-            out[empty] = 0.0
-        return out
+        return self._product_T(v)
+
+    def _product_T(self, v):
+        # the column-major arrays of A are the row-major arrays of A^T
+        if self._scipy_T is None:
+            self._scipy_T = self._scipy(sps.csr_matrix,
+                                        (self.n_cols, self.n_rows))
+        return self._scipy_T @ v
+
+
+class RowProduct:
+    """u = sum_k weights[k] * A[rows[k], :] for a fixed matrix A.
+
+    The result is a dense n_cols-vector. A few rows are gathered from a
+    row-major copy of A, built on the first such call and owned by this
+    object; rows covering more than GATHER_MAX_ROW_FRACTION of A take one
+    transposed product over all of A instead, which is cheaper there.
+    """
+
+    def __init__(self, M):
+        self.matrix = M
+        self._rows = None
+
+    def __call__(self, rows, weights):
+        M = self.matrix
+        if len(rows) > GATHER_MAX_ROW_FRACTION * M.n_rows:
+            v = np.zeros(M.n_rows)
+            v[rows] = weights
+            return M._product_T(v)
+        if self._rows is None:
+            self._rows = M.row_major()
+        starts, cols, vals = self._rows
+        lo = starts[rows]
+        counts = starts[rows + 1] - lo
+        # positions of the chosen rows' entries, row after row
+        pos = np.repeat(lo - (np.cumsum(counts) - counts), counts) \
+            + np.arange(counts.sum())
+        scaled = vals[pos] * np.repeat(weights, counts)
+        return np.bincount(cols[pos], weights=scaled, minlength=M.n_cols)
 
 
 def col_dot(M, j, v):

@@ -9,7 +9,7 @@ from greedycd.objectives import (Box, CompositeProblem, DualSVM, IterateState,
                                  objective_value, rescale_columns,
                                  smoothness_L, subgrad_score)
 from greedycd.solver import SolverConfig, solve_box
-from greedycd.sparse import SparseColMatrix
+from greedycd.sparse import SparseColMatrix, col_dot
 
 
 class TestSmoothness:
@@ -67,6 +67,20 @@ class TestValuesAndGradients:
             g = full_grad(p, s)
             for j in range(p.n):
                 assert g[j] == pytest.approx(coord_grad(p, s, j), abs=1e-12)
+
+    def test_coord_grad_bitwise_against_full_loss_gradient(self, rng):
+        # nabla l on supp(A_j) only is the same elementwise arithmetic as
+        # reading those entries off the full d-vector
+        for kind in ("lasso", "elasticnet", "svm", "logistic"):
+            p = random_problem(kind, rng, n=20, d=30)
+            for _ in range(20):
+                s = random_state(p, rng, box=(kind == "svm"))
+                for j in range(p.n):
+                    expect = col_dot(p.matrix, j, grad_l(p, s)) \
+                        + p.linear_term[j]
+                    if kind == "elasticnet":
+                        expect += p.reg.lam2 * s.alpha[j]
+                    assert coord_grad(p, s, j) == expect
 
     def test_logistic_gradient_at_zero(self, rng):
         p = random_problem("logistic", rng)

@@ -121,6 +121,35 @@ class TestSolveL1:
         assert len(calls) == 10
 
 
+class TestTraceThinning:
+    def test_tol_stop_records_last_step_l1(self, rng):
+        p = random_problem("lasso", rng, n=8, d=10)
+        tr = solve_l1(p, SolverConfig(max_iters=5000, tol=1e-9,
+                                      trace_every=7))
+        assert tr.status == "tol"
+        assert tr.f_values[-1] == objective_value(p, tr.final_state)
+        steps = sum(tr.counters[k] for k in ("good", "bad", "cross"))
+        assert steps % 7 != 1  # the stop did not fall on a recorded step
+        assert tr.records[-1].iter == steps - 1
+        assert [r.iter for r in tr.records[:-1]] == \
+            list(range(0, steps - 1, 7))
+
+    def test_tol_stop_records_last_step_box(self, rng):
+        p = random_problem("svm", rng, n=10, d=6)
+        tr = solve_box(p, SolverConfig(max_iters=5000, tol=1e-9,
+                                       trace_every=7, record_gap=True))
+        assert tr.status in ("tol", "optimal")
+        assert tr.f_values[-1] == objective_value(p, tr.final_state)
+        from greedycd.objectives import duality_gap
+        assert tr.records[-1].gap == pytest.approx(
+            duality_gap(p, tr.final_state), rel=1e-9, abs=1e-12)
+
+    def test_max_iters_stop_records_last_step(self, rng):
+        p = random_problem("lasso", rng)
+        tr = solve_l1(p, SolverConfig(max_iters=20, tol=0.0, trace_every=7))
+        assert [r.iter for r in tr.records] == [0, 7, 14, 19]
+
+
 class TestSolveBox:
     def test_immediate_optimality_certificate(self):
         # positive linear term makes every gradient at alpha = 0 positive

@@ -2,7 +2,39 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from greedycd.sparse import SparseColMatrix, col_axpy, col_dot, shrink
+from greedycd.sparse import (RowProduct, SparseColMatrix, col_axpy, col_dot,
+                             shrink)
+
+
+def loop_row_order_error(col_starts, row_indices):
+    """The per-column loop SparseColMatrix once ran: its message, or None."""
+    for j in range(len(col_starts) - 1):
+        lo, hi = col_starts[j], col_starts[j + 1]
+        if hi - lo > 1 and np.any(np.diff(row_indices[lo:hi]) <= 0):
+            return "row indices in column %d not strictly increasing" % j
+    return None
+
+
+def loop_transpose(M):
+    """The double loop transpose() once ran."""
+    cols = [[] for _ in range(M.n_rows)]
+    for j in range(M.n_cols):
+        ridx, v = M.col(j)
+        for i, x in zip(ridx, v):
+            cols[i].append((j, x))
+    built = []
+    for entries in cols:
+        if entries:
+            idx, vv = zip(*entries)
+        else:
+            idx, vv = (), ()
+        built.append((np.array(idx, dtype=np.int64), np.array(vv)))
+    return SparseColMatrix.from_columns(M.n_cols, built)
+
+
+def random_sparse(rng, d, n, density):
+    A = rng.standard_normal((d, n)) * (rng.random((d, n)) < density)
+    return SparseColMatrix.from_dense(A), A
 
 
 class TestShrink:
@@ -111,3 +143,39 @@ class TestMatrix:
         M = SparseColMatrix.from_dense(np.eye(2))
         with pytest.raises(IndexError):
             M.col(2)
+
+
+class TestVectorizedAgainstLoops:
+    SHAPES = [(5, 7, 0.4), (1, 1, 1.0), (6, 4, 0.0), (0, 3, 0.5), (4, 0, 0.5),
+              (30, 20, 0.1), (3, 9, 0.9)]
+
+    @pytest.mark.parametrize("d,n,density", SHAPES)
+    def test_transpose_identical_arrays(self, rng, d, n, density):
+        M, _ = random_sparse(rng, d, n, density)
+        got, ref = M.transpose(), loop_transpose(M)
+        assert got.n_rows == ref.n_rows
+        for name in ("col_starts", "row_indices", "values", "col_sq_norms"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+    @given(st.lists(st.lists(st.integers(0, 5), max_size=5), max_size=6))
+    def test_row_order_check_matches_loop(self, columns):
+        starts = np.cumsum([0] + [len(c) for c in columns])
+        rows = np.array([i for c in columns for i in c], dtype=np.int64)
+        expect = loop_row_order_error(starts, rows)
+        if expect is None:
+            SparseColMatrix(6, starts, rows, np.ones(len(rows)))
+        else:
+            with pytest.raises(ValueError) as err:
+                SparseColMatrix(6, starts, rows, np.ones(len(rows)))
+            assert str(err.value) == expect
+
+    @pytest.mark.parametrize("n_rows", [1, 3, 40])
+    def test_row_product_matches_dense(self, rng, n_rows):
+        # few rows gather from the row-major copy; many take a full product
+        M, A = random_sparse(rng, 40, 25, 0.3)
+        rows = np.sort(rng.choice(40, n_rows, replace=False))
+        w = rng.standard_normal(n_rows)
+        np.testing.assert_allclose(RowProduct(M)(rows, w), A[rows].T @ w,
+                                   rtol=0, atol=1e-12)
