@@ -4,7 +4,8 @@ Supported losses: squared residual (Lasso / elastic net), the negated SVM
 dual, and logistic. Regularizers: L1, unit box, elastic-net L1 (the quadratic
 part is folded into the smooth term), or none. The iterate carries the
 residual v = A alpha so coordinate gradients cost O(nnz(A_j)), and, on
-request, the full gradient, updated after each step instead of recomputed.
+request, the full gradient and the objective value, updated after each step
+instead of recomputed.
 """
 
 from dataclasses import dataclass, field
@@ -124,12 +125,14 @@ class CompositeProblem:
 @dataclass
 class IterateState:
     """Single-owner mutable solver state: alpha, residual v = A alpha, and,
-    between track_gradient and untrack_gradient, the full gradient kept
-    current step by step.
+    on request, the full gradient (track_gradient) and the objective value
+    (track_objective) kept current step by step until untrack.
 
-    The residual, and the gradient when kept, are recomputed from alpha every
-    RESIDUAL_REFRESH_EVERY steps; each gradient refresh counts in
-    grad_refreshes and its largest entrywise change in max_grad_drift.
+    The residual, and the gradient and objective when kept, are recomputed
+    from alpha every RESIDUAL_REFRESH_EVERY steps; each gradient refresh
+    counts in grad_refreshes and its largest entrywise change in
+    max_grad_drift, and the largest change a refresh made to the objective
+    is max_f_drift.
     """
     alpha: np.ndarray
     residual: np.ndarray
@@ -139,6 +142,11 @@ class IterateState:
     grad: np.ndarray = field(default=None, init=False)
     grad_refreshes: int = field(default=0, init=False)
     max_grad_drift: float = field(default=0.0, init=False)
+    max_f_drift: float = field(default=0.0, init=False)
+    # maintained objective: F at the last refresh plus the sum of the step
+    # changes since, kept apart so rounding stays at the size of the changes
+    _f_refreshed: float = field(default=None, init=False, repr=False)
+    _f_since: float = field(default=0.0, init=False, repr=False)
     _steps_since_refresh: int = field(default=0, repr=False)
     _grad_updater: object = field(default=None, repr=False)
 
@@ -147,15 +155,30 @@ class IterateState:
         return cls(alpha=np.zeros(problem.n), residual=np.zeros(problem.d),
                    nnz=0)
 
+    @property
+    def objective(self):
+        """The maintained F(alpha), or None when the state keeps none."""
+        if self._f_refreshed is None:
+            return None
+        return self._f_refreshed + self._f_since
+
     def track_gradient(self, problem):
         """Compute the full gradient now and keep it current from here on."""
         self.grad = full_grad(problem, self)
         self._grad_updater = _GradientUpdater(problem)
 
-    def untrack_gradient(self):
-        """Stop keeping the gradient and free its Gram-column cache."""
+    def track_objective(self, problem):
+        """Compute F(alpha) now and keep it current from here on."""
+        self._f_refreshed = objective_value(problem, self)
+        self._f_since = 0.0
+
+    def untrack(self):
+        """Stop keeping the gradient and the objective; frees the
+        Gram-column cache."""
         self.grad = None
         self._grad_updater = None
+        self._f_refreshed = None
+        self._f_since = 0.0
 
     def recompute_residual(self, problem):
         v = np.zeros(problem.d)
@@ -169,6 +192,11 @@ class IterateState:
                                       float(np.abs(fresh - self.grad).max()))
             self.grad_refreshes += 1
             self.grad = fresh
+        if self._f_refreshed is not None:
+            fresh = objective_value(problem, self)
+            self.max_f_drift = max(self.max_f_drift,
+                                   abs(fresh - self.objective))
+            self._f_refreshed, self._f_since = fresh, 0.0
 
 
 class _GradientUpdater:
@@ -187,9 +215,7 @@ class _GradientUpdater:
         self.gram = {}
         self.room = GRAM_CACHE_INPUT_MULTIPLE * (M.values.nbytes
                                                  + M.row_indices.nbytes)
-        self.kappa = 1.0
-        if isinstance(p.loss, DualSVM):
-            self.kappa = 1.0 / (p.loss.svm_lambda * p.n * p.n)
+        self.kappa = _loss_curvature(p)
 
     def gram_column(self, ridx, vals, j):
         col = self.gram.get(j)
@@ -213,6 +239,13 @@ class _GradientUpdater:
         s.grad += (delta * self.kappa) * self.gram_column(ridx, vals, j)
         if isinstance(p.reg, ElasticNetL1):
             s.grad[j] += p.reg.lam2 * delta
+
+
+def _loss_curvature(p):
+    """kappa, with nabla^2 l = kappa I, for the quadratic losses."""
+    if isinstance(p.loss, DualSVM):
+        return 1.0 / (p.loss.svm_lambda * p.n * p.n)
+    return 1.0
 
 
 def _loss_grad(p, v, rows=None):
@@ -307,11 +340,43 @@ def objective_value(p, s):
     raise TypeError("unknown regularizer kind: %r" % (reg,))
 
 
+def _objective_change(p, s, j, delta):
+    """F(alpha + delta e_j) - F(alpha) from supp(A_j), read before the move.
+
+    Raises the unit-box error when the move leaves the box.
+    """
+    a = float(s.alpha[j])
+    new = a + delta  # the value alpha_j takes, rounded the same way
+    ridx, vals = p.matrix.col(j)
+    if isinstance(p.loss, Logistic):
+        z = -s.residual[ridx]  # the new residual negates to z - delta*vals
+        change = float(np.sum(np.logaddexp(0.0, z - delta * vals)
+                              - np.logaddexp(0.0, z)))
+    else:
+        # quadratic: delta <A_j, nabla l(v)> + kappa delta^2 ||A_j||^2 / 2
+        change = delta * float(vals @ _loss_grad(p, s.residual[ridx], ridx)) \
+            + 0.5 * _loss_curvature(p) * delta * delta \
+            * float(p.matrix.col_sq_norms[j])
+    change += p.linear_term[j] * delta
+    reg = p.reg
+    if isinstance(reg, L1):
+        change += reg.lam * (abs(new) - abs(a))
+    elif isinstance(reg, ElasticNetL1):
+        change += reg.lam1 * (abs(new) - abs(a)) \
+            + 0.5 * reg.lam2 * delta * (a + new)
+    elif isinstance(reg, Box):
+        if new < -1e-12 or new > 1 + 1e-12:
+            raise ValueError("iterate outside the unit box")
+    return change
+
+
 def apply_coord_delta(p, s, j, delta):
     """alpha_j += delta, maintaining residual and nonzero count in O(nnz(A_j)),
-    and the gradient when the state keeps one."""
+    and the gradient and objective when the state keeps them."""
     if delta == 0.0:
         return
+    if s._f_refreshed is not None:
+        s._f_since += _objective_change(p, s, j, delta)
     was_zero = s.alpha[j] == 0.0
     s.alpha[j] += delta
     if was_zero and s.alpha[j] != 0.0:
@@ -328,7 +393,11 @@ def apply_coord_delta(p, s, j, delta):
 
 
 def duality_gap(p, s):
-    """Hinge-loss primal value at w(alpha) minus the dual value at alpha."""
+    """Hinge-loss primal value at w(alpha) minus the dual value at alpha.
+
+    The dual value is -F(alpha) (c = -(1/n) 1), read off the state when it
+    keeps F.
+    """
     if not isinstance(p.loss, DualSVM):
         raise TypeError("duality gap is defined for the SVM dual only")
     n = p.n
@@ -341,8 +410,11 @@ def duality_gap(p, s):
     margins = n * (current_grad(p, s) - p.linear_term)
     primal = float(np.maximum(1.0 - margins, 0.0).mean()) \
         + 0.5 * lam * float(w @ w)
-    dual = float(s.alpha.mean()) - float(s.residual @ s.residual) \
-        / (2.0 * lam * n * n)
+    if s.objective is None:
+        dual = float(s.alpha.mean()) - float(s.residual @ s.residual) \
+            / (2.0 * lam * n * n)
+    else:
+        dual = -s.objective
     return primal - dual
 
 

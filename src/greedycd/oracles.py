@@ -156,12 +156,14 @@ def brute_force_rule(p, s, rule):
 def envelope_check(trace, env, kind):
     """Validate a trace against a convergence envelope.
 
-    kind "linear_l1": suboptimality at step t must stay below
-    (1 - theta^2 mu1/L)^ceil(t/2) times the initial suboptimality.
+    kind "linear_l1": suboptimality after t steps must stay below
+    (1 - theta^2 mu1/L)^ceil(t/2) times the initial suboptimality; t is
+    read off each record, so a thinned trace is checked at its own steps.
     kind "per_step_box": per-step contraction by step kind (good steps
     contract by 1 - theta^2 mu1/L, cross steps by 1 - theta/(2n), bad
-    steps may not increase). Returns (passed, worst_margin) with margin
-    defined as suboptimality minus its allowed bound (max over steps).
+    steps may not increase); it needs every step recorded and raises
+    ValueError on a thinned trace. Returns (passed, worst_margin) with
+    margin defined as suboptimality minus its allowed bound (max over steps).
     """
     f_vals = trace.f_values
     if env.f_star > f_vals.min() + 1e-9:
@@ -170,11 +172,14 @@ def envelope_check(trace, env, kind):
     sub = f_vals - env.f_star
     rate = 1.0 - env.theta**2 * env.mu1 / env.L
     if kind == "linear_l1":
-        t = np.arange(len(sub))
+        t = np.array([0] + [rec.iter + 1 for rec in trace.records])
         bound = rate ** np.ceil(t / 2.0) * sub[0] * slack
         margins = sub - bound
         return bool(np.all(margins <= 0)), float(margins.max())
     if kind == "per_step_box":
+        if any(rec.iter != k for k, rec in enumerate(trace.records)):
+            raise ValueError("per-step envelope needs consecutive steps; "
+                             "the trace is thinned")
         n = len(trace.final_state.alpha)
         worst = -np.inf
         ok = True

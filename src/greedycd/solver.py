@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import smips as sm
-# full_grad stays importable from here: instrumentation wraps it by this name
+# full_grad and select_uniform stay importable from here: instrumentation
+# wraps them by these names
 from .objectives import (Box, DualSVM, ElasticNetL1, IterateState, L1,
                          Logistic, SquaredResidual, apply_coord_delta,
                          coord_grad, duality_gap, full_grad, grad_l,
@@ -28,6 +29,9 @@ __all__ = [
 ]
 
 GOOD, BAD, CROSS = "good", "bad", "cross"
+# L1 uniform draws its coordinates this many at a time; numpy's bounded
+# integer stream is the same drawn in blocks or one by one
+UNIFORM_BLOCK = 4096
 
 
 @dataclass
@@ -62,7 +66,7 @@ class StepRecord:
     f_value: float
     theta: float
     fell_back: bool
-    wall_ns: int
+    wall_ns: int  # time since the previous record, or since the solve began
     nnz: int = 0
     gap: float = None  # SVM duality gap, recorded on request only
 
@@ -72,10 +76,14 @@ class Trace:
     """A solve's recorded steps and outcome.
 
     Steps are recorded every cfg.trace_every iterations, and the last step
-    taken is always recorded. counters holds the good/bad/cross step counts,
-    LSH fallbacks, and, for loops that keep the full gradient current,
-    grad_refreshes and max_grad_drift (the largest entrywise change a
-    refresh made to the maintained gradient).
+    taken is always recorded. A record's f_value is the objective the solver
+    keeps current step by step; the last record's is recomputed exactly. The
+    records' wall_ns add up to the solve's elapsed time, from after any
+    index build to the stop. counters holds the good/bad/cross step counts,
+    LSH fallbacks, max_f_drift (the largest change a recompute made to the
+    kept objective, at a refresh or at the last record) and, for loops that
+    keep the full gradient current, grad_refreshes and max_grad_drift (the
+    largest entrywise change a refresh made to the maintained gradient).
     """
     f_initial: float
     records: list
@@ -256,10 +264,27 @@ def _make_engine(p, cfg):
     raise ValueError("engine must be 'exact', 'smips', or a prebuilt engine")
 
 
-def _finish(trace_kind, f0, records, counters, s, status):
+def _stamp(rec, t_last):
+    """Charge rec with the time since t_last; returns the new stamp."""
+    now = time.perf_counter_ns()
+    rec.wall_ns += now - t_last
+    return now
+
+
+def _finish(trace_kind, p, f0, records, counters, s, status, t_last):
+    """Recompute the last record's objective exactly, charge it with the
+    time since the previous record (the stop check included) and build the
+    trace."""
+    f_drift = s.max_f_drift
+    if records:
+        last = records[-1]
+        last.f_value = objective_value(p, s)
+        f_drift = max(f_drift, abs(last.f_value - s.objective))
+        _stamp(last, t_last)
     counters["grad_refreshes"] = s.grad_refreshes
     counters["max_grad_drift"] = s.max_grad_drift
-    s.untrack_gradient()  # a trace keeps its final state, not the caches
+    counters["max_f_drift"] = f_drift
+    s.untrack()  # a trace keeps its final state, not the caches
     return Trace(f_initial=f0, records=records, counters=counters,
                  final_state=s, status=status, problem_kind=trace_kind)
 
@@ -276,11 +301,12 @@ def solve_l1(p, cfg):
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     engine = _make_engine(p, cfg)
+    t_last = time.perf_counter_ns()  # an index build is reported apart
     s = IterateState.zeros(p)
     if engine is not None:
         engine.reset_mask(s.alpha)
-    f_cur = objective_value(p, s)
-    f0 = f_cur
+    s.track_objective(p)
+    f0 = s.objective
     L = p.smoothness
     records = []
     pending = None  # the last step, while it is not recorded
@@ -292,10 +318,10 @@ def solve_l1(p, cfg):
     if engine is None and check_every == 1:
         # the stop check and the exact rules read every score every step
         s.track_gradient(p)
+    draws, drawn = [], 0  # the current block of uniform coordinates
     status = "max_iters"
 
     for t in range(cfg.max_iters):
-        t0 = time.perf_counter_ns()
         fell_back = False
         theta = 1.0
 
@@ -328,7 +354,11 @@ def solve_l1(p, cfg):
             elif cfg.rule is Rule.GSQ:
                 j = select_gsq(p, s).coord
             elif cfg.rule is Rule.UNIFORM:
-                j = select_uniform(p.n, rng).coord
+                if drawn == len(draws):
+                    draws = rng.integers(p.n, size=UNIFORM_BLOCK).tolist()
+                    drawn = 0
+                j = draws[drawn]
+                drawn += 1
             else:
                 raise ValueError("unknown rule: %r" % (cfg.rule,))
 
@@ -349,16 +379,16 @@ def solve_l1(p, cfg):
 
         counters[kind] += 1
         counters["fallback"] += int(fell_back)
-        f_cur = objective_value(p, s)
-        pending = StepRecord(iter=t, coord=j, step_kind=kind, f_value=f_cur,
-                             theta=theta, fell_back=fell_back,
-                             wall_ns=time.perf_counter_ns() - t0, nnz=s.nnz)
+        pending = StepRecord(iter=t, coord=j, step_kind=kind,
+                             f_value=s.objective, theta=theta,
+                             fell_back=fell_back, wall_ns=0, nnz=s.nnz)
         if t % cfg.trace_every == 0:
+            t_last = _stamp(pending, t_last)
             records.append(pending)
             pending = None
     if pending is not None:
         records.append(pending)
-    return _finish("l1", f0, records, counters, s, status)
+    return _finish("l1", p, f0, records, counters, s, status, t_last)
 
 
 def solve_box(p, cfg):
@@ -373,12 +403,14 @@ def solve_box(p, cfg):
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     engine = _make_engine(p, cfg)
+    t_last = time.perf_counter_ns()  # an index build is reported apart
     s = IterateState.zeros(p)
     if engine is not None:
         engine.reset_mask(s.alpha)
     # the active set and the SVM gap read every gradient entry every step
     s.track_gradient(p)
-    f0 = objective_value(p, s)
+    s.track_objective(p)
+    f0 = s.objective
     L = p.smoothness
     records = []
     pending = None  # the last step, while it is not recorded
@@ -392,7 +424,6 @@ def solve_box(p, cfg):
         records.append(rec)
 
     for t in range(cfg.max_iters):
-        t0 = time.perf_counter_ns()
         fell_back = False
         theta = 1.0
 
@@ -457,17 +488,17 @@ def solve_box(p, cfg):
 
         counters[kind] += 1
         counters["fallback"] += int(fell_back)
-        f_cur = objective_value(p, s)
-        pending = StepRecord(iter=t, coord=j, step_kind=kind, f_value=f_cur,
-                             theta=theta, fell_back=fell_back,
-                             wall_ns=time.perf_counter_ns() - t0, nnz=s.nnz)
+        pending = StepRecord(iter=t, coord=j, step_kind=kind,
+                             f_value=s.objective, theta=theta,
+                             fell_back=fell_back, wall_ns=0, nnz=s.nnz)
         if t % cfg.trace_every == 0:
             record(pending)
+            t_last = _stamp(pending, t_last)
             pending = None
     if pending is not None:
         # nothing moved the iterate since this step, so its gap is current
         record(pending)
-    return _finish("box", f0, records, counters, s, status)
+    return _finish("box", p, f0, records, counters, s, status, t_last)
 
 
 def run_counters(trace):

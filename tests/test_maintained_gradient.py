@@ -195,7 +195,9 @@ def test_duality_gap_from_gradient_matches_matvec(rng):
             / (2.0 * lam * n * n)
         untracked = duality_gap(p, s)
         s.track_gradient(p)
-        for gap in (untracked, duality_gap(p, s)):
+        from_grad = duality_gap(p, s)
+        s.track_objective(p)  # the dual value is then read off as -F
+        for gap in (untracked, from_grad, duality_gap(p, s)):
             assert gap == pytest.approx(primal - dual, rel=1e-12, abs=1e-12)
 
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import random_problem, random_state
+from conftest import random_matrix, random_problem, random_state
 from greedycd.objectives import (IterateState, full_grad, make_lasso,
-                                 objective_value)
+                                 make_svm_dual, objective_value)
 from greedycd.oracles import (RateEnvelope, brute_force_rule, envelope_check,
                               fd_gradient)
 from greedycd.selection import Rule, select_gss_l1
-from greedycd.solver import SolverConfig, solve_l1
+from greedycd.solver import SolverConfig, solve_box, solve_l1
 from greedycd.sparse import SparseColMatrix
 
 
@@ -85,6 +85,39 @@ class TestEnvelope:
         env = RateEnvelope(mu1=meta["L"], L=meta["L"], f_star=f_star)
         ok, _ = envelope_check(tr, env, "linear_l1")
         assert not ok
+
+    def test_thinned_trace_checked_at_its_own_steps(self, rng):
+        p = random_problem("lasso", rng, n=8, d=10)
+        ref = solve_l1(p, SolverConfig(max_iters=20000, tol=1e-14))
+        f_star = objective_value(p, ref.final_state)
+        full = solve_l1(p, SolverConfig(max_iters=60, tol=0.0))
+        thinned = solve_l1(p, SolverConfig(max_iters=60, tol=0.0,
+                                           trace_every=2))
+        kept = [0] + [r.iter + 1 for r in thinned.records]
+        np.testing.assert_array_equal(thinned.f_values, full.f_values[kept])
+        # too fast a rate for this instance: the worst margin falls on a
+        # step that the thinned trace keeps and does not number by index
+        env = RateEnvelope(mu1=p.smoothness / 2, L=p.smoothness,
+                           f_star=f_star)
+        # the full trace's margins after t steps, at the steps kept
+        sub = full.f_values - f_star
+        t = np.arange(len(sub))
+        margins = sub - (1.0 - env.mu1 / env.L) ** np.ceil(t / 2.0) \
+            * sub[0] * (1.0 + 1e-9)
+        ok, worst = envelope_check(thinned, env, "linear_l1")
+        assert not ok and int(np.argmax(margins[kept])) > 1
+        assert worst == pytest.approx(float(margins[kept].max()), rel=1e-12)
+
+    def test_per_step_box_rejects_thinned_trace(self):
+        rng = np.random.default_rng(0)
+        labels = rng.choice([-1.0, 1.0], 30)
+        p = make_svm_dual(random_matrix(rng, 5, 30).scale_columns(labels),
+                          0.1)
+        tr = solve_box(p, SolverConfig(max_iters=40, tol=0.0,
+                                       trace_every=4))
+        env = RateEnvelope(mu1=0.5, L=1.0, f_star=float(tr.f_values.min()))
+        with pytest.raises(ValueError, match="consecutive"):
+            envelope_check(tr, env, "per_step_box")
 
     def test_stale_f_star_rejected(self):
         p, tr, f_star, meta = self._solved_instance()

@@ -1,10 +1,13 @@
 import dataclasses
+import time
+import types
 
 import numpy as np
 import pytest
 
 from conftest import random_problem, random_state
 from greedycd import smips as sm
+from greedycd import solver
 from greedycd.objectives import (IterateState, make_lasso, make_svm_dual,
                                  objective_value, subgrad_score)
 from greedycd.selection import Rule
@@ -148,6 +151,69 @@ class TestTraceThinning:
         p = random_problem("lasso", rng)
         tr = solve_l1(p, SolverConfig(max_iters=20, tol=0.0, trace_every=7))
         assert [r.iter for r in tr.records] == [0, 7, 14, 19]
+
+
+class TestUniformDraws:
+    def test_block_draws_equal_single_draws(self):
+        # the stream the solver's block draws rely on
+        for seed in (0, 1, 2026):
+            for n in (1, 2, 7, 1000, 2**31 - 1, 2**32 + 5):
+                block = np.random.default_rng(seed).integers(n, size=300)
+                rng = np.random.default_rng(seed)
+                assert block.tolist() == [int(rng.integers(n))
+                                          for _ in range(300)]
+
+    def test_solver_coordinates_equal_single_draws(self, rng):
+        p = random_problem("lasso", rng, n=9)
+        steps = solver.UNIFORM_BLOCK + 500  # crosses a refill
+        tr = solve_l1(p, SolverConfig(rule=Rule.UNIFORM, max_iters=steps,
+                                      tol=0.0, seed=11))
+        ref = np.random.default_rng(11)
+        assert [r.coord for r in tr.records] == \
+            [int(ref.integers(p.n)) for _ in range(steps)]
+
+
+class TestWallTime:
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        """A perf_counter_ns for the solver that counts its own calls."""
+        stamps = []
+
+        def tick():
+            stamps.append(len(stamps) * 1000 + 7)
+            return stamps[-1]
+
+        monkeypatch.setattr(solver, "time", types.SimpleNamespace(
+            perf_counter_ns=tick, perf_counter=time.perf_counter))
+        return stamps
+
+    @pytest.mark.parametrize("every", [1, 7])
+    def test_records_add_up_to_the_solve_l1(self, clock, rng, every,
+                                            monkeypatch):
+        checks = []  # clock readings taken before each stop check
+
+        def score(p, s, grad=None):
+            checks.append(len(clock))
+            return subgrad_score(p, s, grad)
+
+        monkeypatch.setattr(solver, "subgrad_score", score)
+        p = random_problem("lasso", rng, n=8, d=10)
+        tr = solve_l1(p, SolverConfig(max_iters=5000, tol=1e-9,
+                                      trace_every=every))
+        assert tr.status == "tol" and tr.n_steps > 2
+        walls = [r.wall_ns for r in tr.records]
+        assert min(walls) > 0
+        assert sum(walls) == clock[-1] - clock[0]
+        # the last reading follows the stop check that ended the solve
+        assert len(clock) == checks[-1] + 1
+
+    @pytest.mark.parametrize("every", [1, 7])
+    def test_records_add_up_to_the_solve_box(self, clock, rng, every):
+        p = random_problem("svm", rng, n=10, d=6)
+        tr = solve_box(p, SolverConfig(max_iters=40, tol=0.0,
+                                       trace_every=every))
+        assert tr.n_steps > 2
+        assert sum(r.wall_ns for r in tr.records) == clock[-1] - clock[0]
 
 
 class TestSolveBox:
