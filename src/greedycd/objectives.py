@@ -181,10 +181,10 @@ class IterateState:
         self._f_since = 0.0
 
     def recompute_residual(self, problem):
-        v = np.zeros(problem.d)
-        for j in np.nonzero(self.alpha)[0]:
-            col_axpy(problem.matrix, j, self.alpha[j], v)
-        self.residual = v
+        # one product over all columns: a zero alpha_j adds exact zeros, so
+        # each entry sums the nonzero columns' terms in column order, as a
+        # loop of col_axpy over them would
+        self.residual = problem.matrix.matvec(self.alpha)
         self._steps_since_refresh = 0
         if self.grad is not None:
             fresh = full_grad(problem, self)

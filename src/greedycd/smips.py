@@ -6,6 +6,10 @@ hyperplane-LSH query backends.
 Point layout is fixed so queries are O(dim) regardless of mapping:
 L1 points are (s*beta, beta*c_j, A_j) with the two augmented slots first,
 box points are (beta, A_j), and the L2 mapping prepends beta*e_j.
+
+Every L1 or box inner product with its query is a signed entry of the full
+gradient g = A^T grad_l + c (plus or minus lam for L1), so `exact_from_grad`
+answers an exact query in O(n) from g; `smips_query` scans the points.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +22,8 @@ __all__ = [
     "build_l1_points", "build_l1_query", "build_l1_mask",
     "build_box_points", "build_box_query", "build_box_mask",
     "build_l2_points", "build_l2_query",
-    "update_mask_after_step", "smips_query", "point_to_coordinate",
+    "update_mask_after_step", "smips_query", "exact_from_grad",
+    "point_to_coordinate",
     "require_uniform_linear_term",
 ]
 
@@ -66,10 +71,9 @@ class Exact:
 
 
 def _dense_cols(M):
+    """Row j is column j of M."""
     out = np.zeros((M.n_cols, M.n_rows))
-    for j in range(M.n_cols):
-        ridx, vals = M.col(j)
-        out[j, ridx] = vals
+    out[M.col_ids(), M.row_indices] = M.values
     return out
 
 
@@ -93,7 +97,7 @@ def build_l1_points(A, c, beta):
     pts[2::4] = base                       # +A~-
     pts[3::4] = -base                      # -A~-
     coord_of = np.repeat(np.arange(n), 4)
-    tag_of = tuple(L1_TAGS[i % 4] for i in range(4 * n))
+    tag_of = L1_TAGS * n
     return AugmentedPointSet(pts, coord_of, tag_of, beta, "l1")
 
 
@@ -138,7 +142,7 @@ def build_box_points(A, c, beta):
     pts[0::2] = base
     pts[1::2] = -base
     coord_of = np.repeat(np.arange(n), 2)
-    tag_of = tuple(BOX_TAGS[i % 2] for i in range(2 * n))
+    tag_of = BOX_TAGS * n
     return AugmentedPointSet(pts, coord_of, tag_of, beta, "box")
 
 
@@ -184,7 +188,7 @@ def build_l2_points(A, beta):
         vals.extend([-beta] + list(-v))
     pts = sp.csr_matrix((vals, (rows, cols)), shape=(2 * n, n + d))
     coord_of = np.repeat(np.arange(n), 2)
-    tag_of = tuple(BOX_TAGS[i % 2] for i in range(2 * n))
+    tag_of = BOX_TAGS * n
     return AugmentedPointSet(pts, coord_of, tag_of, beta, "l2")
 
 
@@ -216,6 +220,25 @@ def _pack_bits(bits):
     return np.packbits(bits, axis=-1).tobytes()
 
 
+def _buckets(keys):
+    """{key bytes: ascending point ids} from one row of packed bits per point.
+
+    A stable sort on the key bytes keeps the ids ascending within each run
+    of equal keys; each run is a bucket, keyed as _pack_bits keys that
+    point's bits.
+    """
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    width = keys.shape[1]
+    packed = ranked[starts].tobytes()  # the buckets' keys, back to back
+    bounds = np.append(starts, len(order)).tolist()
+    return {packed[width * b:width * (b + 1)]: order[bounds[b]:bounds[b + 1]]
+            for b in range(len(starts))}
+
+
 @dataclass
 class HyperplaneLsh:
     """Sign-random-projection hashing: n_tables tables of bits_per_table bits.
@@ -244,16 +267,9 @@ class HyperplaneLsh:
         self._planes, self._tables = [], []
         for _ in range(self.n_tables):
             planes = rng.standard_normal((self.bits_per_table, ps.dim))
-            if sp.issparse(ps.points):
-                sigs = np.asarray((ps.points @ planes.T)) >= 0
-            else:
-                sigs = (ps.points @ planes.T) >= 0
-            buckets = {}
-            for pid in range(ps.n_points):
-                key = _pack_bits(sigs[pid])
-                buckets.setdefault(key, []).append(pid)
+            sigs = np.asarray(ps.points @ planes.T) >= 0
             self._planes.append(planes)
-            self._tables.append({k: np.array(v) for k, v in buckets.items()})
+            self._tables.append(_buckets(np.packbits(sigs, axis=-1)))
         self._fitted_for = ps
         self._rng = np.random.default_rng(self.seed + 1)
 
@@ -274,6 +290,36 @@ def _exact_query(ps, q, m):
     vals = ps.dots(ids, q)
     k = int(np.argmax(vals))
     return int(ids[k]), float(vals[k])
+
+
+def exact_from_grad(m, g, lam=0.0):
+    """The exact backend's answer, read off the full gradient g.
+
+    With its query, an L1 point +-(s*beta, beta*c_j, A_j) has inner product
+    +-(g_j + s*lam) and a box point +-(beta, A_j) has +-g_j, so the answer
+    costs O(n) instead of a scan of the points. Returns (point id, value);
+    ties go to the first point id, as in the scan.
+    """
+    if m.kind == "l1":
+        vals = np.empty((len(g), 4))
+        vals[:, 0] = g + lam        # +A~+
+        vals[:, 1] = -vals[:, 0]    # -A~+
+        vals[:, 2] = g - lam        # +A~-
+        vals[:, 3] = -vals[:, 2]    # -A~-
+    elif m.kind == "box":
+        vals = np.empty((len(g), 2))
+        vals[:, 0] = g
+        vals[:, 1] = -g
+    else:
+        raise ValueError("no gradient reading for kind %r" % m.kind)
+    vals = vals.ravel()
+    if len(vals) != len(m.included):
+        raise ValueError("gradient length %d does not fit a mask of %d points"
+                         % (len(g), len(m.included)))
+    pid = int(np.argmax(np.where(m.included, vals, -np.inf)))
+    if not m.included[pid]:
+        raise ValueError("empty candidate mask")
+    return pid, float(vals[pid])
 
 
 def smips_query(ps, q, m, backend):

@@ -16,8 +16,8 @@ from . import smips as sm
 # wraps them by these names
 from .objectives import (Box, DualSVM, ElasticNetL1, IterateState, L1,
                          Logistic, SquaredResidual, apply_coord_delta,
-                         coord_grad, duality_gap, full_grad, grad_l,
-                         objective_value, subgrad_score)
+                         coord_grad, current_grad, duality_gap, full_grad,
+                         grad_l, objective_value, subgrad_score)
 from .selection import (ActiveSet, Rule, SelectionOutcome, measure_theta,
                         select_gsq, select_gsr, select_uniform)
 from .sparse import shrink
@@ -207,6 +207,9 @@ class SmipsEngine:
 
     Implements the steepest-subgradient rule only; the candidate mask tracks
     the iterate's sign/feasibility cases and is repaired after every step.
+    The exact backend reads every point's inner product off the full
+    gradient in O(n); the hashing backend queries its tables with the
+    augmented query vector.
     """
 
     def __init__(self, p, backend=None, beta=None):
@@ -241,12 +244,19 @@ class SmipsEngine:
         return isinstance(self.backend, sm.Exact)
 
     def select(self, p, s):
-        gl = grad_l(p, s)
-        if self.kind == "l1":
-            q = sm.build_l1_query(gl, p.l1_lambda, self.beta)
+        lam = p.l1_lambda if self.kind == "l1" else 0.0
+        if self.is_exact:
+            # the state's maintained gradient when it keeps one
+            pid, val = sm.exact_from_grad(self.mask, current_grad(p, s), lam)
+            fb = False
         else:
-            q = sm.build_box_query(gl, self.c_value, self.beta)
-        pid, val, fb = sm.smips_query(self.points, q, self.mask, self.backend)
+            gl = grad_l(p, s)
+            if self.kind == "l1":
+                q = sm.build_l1_query(gl, lam, self.beta)
+            else:
+                q = sm.build_box_query(gl, self.c_value, self.beta)
+            pid, val, fb = sm.smips_query(self.points, q, self.mask,
+                                          self.backend)
         j, _ = sm.point_to_coordinate(self.points, pid)
         return SelectionOutcome(coord=j, score=val, fell_back=fb)
 
@@ -315,8 +325,9 @@ def solve_l1(p, cfg):
     check_every = 1
     if cfg.rule is Rule.UNIFORM or (engine is not None and not engine.is_exact):
         check_every = max(1, p.n)
-    if engine is None and check_every == 1:
-        # the stop check and the exact rules read every score every step
+    if check_every == 1:
+        # the stop check, the exact rules and the exact engine read every
+        # score every step
         s.track_gradient(p)
     draws, drawn = [], 0  # the current block of uniform coordinates
     status = "max_iters"

@@ -79,7 +79,9 @@ class SparseColMatrix:
         for arr in (self.col_starts, self.row_indices, self.values,
                     self.col_sq_norms):
             arr.setflags(write=False)
-        self._scipy_T = None  # built on the first transposed product
+        # scipy views of the storage, built on the first product that needs one
+        self._scipy_csc = None
+        self._scipy_T = None
 
     @property
     def n_cols(self):
@@ -115,17 +117,19 @@ class SparseColMatrix:
     @classmethod
     def from_dense(cls, arr):
         arr = np.asarray(arr, dtype=np.float64)
-        cols = []
-        for j in range(arr.shape[1]):
-            (ridx,) = np.nonzero(arr[:, j])
-            cols.append((ridx, arr[ridx, j]))
-        return cls.from_columns(arr.shape[0], cols)
+        # the transpose's nonzeros come column by column, rows ascending
+        cols, rows = np.nonzero(arr.T)
+        starts = np.zeros(arr.shape[1] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=arr.shape[1]), out=starts[1:])
+        return cls(arr.shape[0], starts, rows, arr[rows, cols])
+
+    def col_ids(self):
+        """The column of every stored entry, in storage order."""
+        return np.repeat(np.arange(self.n_cols), np.diff(self.col_starts))
 
     def to_dense(self):
         out = np.zeros((self.n_rows, self.n_cols))
-        for j in range(self.n_cols):
-            ridx, v = self.col(j)
-            out[ridx, j] = v
+        out[self.row_indices, self.col_ids()] = self.values
         return out
 
     def scale_columns(self, scales):
@@ -160,6 +164,16 @@ class SparseColMatrix:
                                        self.values)
         m.check_format()
         return m
+
+    def matvec(self, x):
+        """A x, as one scipy CSC product over A's own arrays."""
+        x = np.asarray(x, dtype=np.float64)
+        if len(x) != self.n_cols:
+            raise ValueError("length mismatch in matvec")
+        if self._scipy_csc is None:
+            self._scipy_csc = self._scipy(sps.csc_matrix,
+                                          (self.n_rows, self.n_cols))
+        return self._scipy_csc @ x
 
     def matvec_T(self, v):
         """A^T v, vectorized over all columns."""

@@ -8,8 +8,12 @@ from greedycd.objectives import (Box, CompositeProblem, DualSVM, IterateState,
                                  full_grad, grad_l, make_lasso, make_svm_dual,
                                  objective_value, rescale_columns,
                                  smoothness_L, subgrad_score)
-from greedycd.solver import SolverConfig, solve_box
+from greedycd.data_io import (CorrelatedLasso, RandomSvm, SynthSpec,
+                              fold_labels, gen_synthetic)
+from greedycd.selection import Rule
+from greedycd.solver import SolverConfig, solve_box, solve_l1
 from greedycd.sparse import SparseColMatrix, col_dot
+from test_sparse import loop_product
 
 
 class TestSmoothness:
@@ -124,6 +128,25 @@ class TestStateUpdates:
             apply_coord_delta(p, s, j, delta)
         np.testing.assert_allclose(s.residual, A @ s.alpha, atol=1e-10)
         assert s.nnz == np.count_nonzero(s.alpha)
+
+    @pytest.mark.parametrize("kind", ["lasso", "svm"])
+    def test_residual_refresh_bitwise_equals_column_loop(self, kind):
+        # the final uniform states of the two synthetic problem kinds
+        if kind == "lasso":
+            ds = gen_synthetic(SynthSpec(CorrelatedLasso(n=300, d=40), 3))
+            p = make_lasso(ds.matrix, ds.labels, 0.05)
+            trace = solve_l1(p, SolverConfig(rule=Rule.UNIFORM,
+                                             max_iters=5000, tol=0.0))
+        else:
+            ds = gen_synthetic(SynthSpec(RandomSvm(n=300, d=30), 3))
+            p = make_svm_dual(fold_labels(ds), 0.05)
+            trace = solve_box(p, SolverConfig(rule=Rule.UNIFORM,
+                                              max_iters=5000, tol=0.0))
+        s = trace.final_state
+        assert 20 < s.nnz < p.n
+        s.recompute_residual(p)
+        np.testing.assert_array_equal(s.residual,
+                                      loop_product(p.matrix, s.alpha))
 
     def test_periodic_refresh_counter_resets(self, rng):
         p = random_problem("lasso", rng, n=3)

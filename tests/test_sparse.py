@@ -32,6 +32,42 @@ def loop_transpose(M):
     return SparseColMatrix.from_columns(M.n_cols, built)
 
 
+def loop_from_dense(arr):
+    """The per-column loop from_dense once ran."""
+    arr = np.asarray(arr, dtype=np.float64)
+    cols = []
+    for j in range(arr.shape[1]):
+        (ridx,) = np.nonzero(arr[:, j])
+        cols.append((ridx, arr[ridx, j]))
+    return SparseColMatrix.from_columns(arr.shape[0], cols)
+
+
+def loop_to_dense(M):
+    """The per-column loop to_dense once ran."""
+    out = np.zeros((M.n_rows, M.n_cols))
+    for j in range(M.n_cols):
+        ridx, v = M.col(j)
+        out[ridx, j] = v
+    return out
+
+
+def loop_product(M, x):
+    """A x as a loop of col_axpy over the nonzero x_j, as the residual
+    refresh once computed it."""
+    v = np.zeros(M.n_rows)
+    for j in np.nonzero(x)[0]:
+        col_axpy(M, j, x[j], v)
+    return v
+
+
+def assert_same_arrays(got, ref):
+    assert got.n_rows == ref.n_rows
+    for name in ("col_starts", "row_indices", "values", "col_sq_norms"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
 def random_sparse(rng, d, n, density):
     A = rng.standard_normal((d, n)) * (rng.random((d, n)) < density)
     return SparseColMatrix.from_dense(A), A
@@ -152,12 +188,35 @@ class TestVectorizedAgainstLoops:
     @pytest.mark.parametrize("d,n,density", SHAPES)
     def test_transpose_identical_arrays(self, rng, d, n, density):
         M, _ = random_sparse(rng, d, n, density)
-        got, ref = M.transpose(), loop_transpose(M)
-        assert got.n_rows == ref.n_rows
-        for name in ("col_starts", "row_indices", "values", "col_sq_norms"):
-            a, b = getattr(got, name), getattr(ref, name)
-            assert a.dtype == b.dtype, name
-            np.testing.assert_array_equal(a, b, err_msg=name)
+        assert_same_arrays(M.transpose(), loop_transpose(M))
+
+    @pytest.mark.parametrize("d,n,density", SHAPES)
+    def test_dense_conversions_identical_arrays(self, rng, d, n, density):
+        A = rng.standard_normal((d, n)) * (rng.random((d, n)) < density)
+        if n > 2:
+            A[:, 1] = 0.0   # an all-zero column between stored ones
+            A[:, -1] = 0.0  # and a trailing one
+        M = SparseColMatrix.from_dense(A)
+        assert_same_arrays(M, loop_from_dense(A))
+        dense = M.to_dense()
+        assert dense.dtype == np.float64
+        np.testing.assert_array_equal(dense, loop_to_dense(M))
+        np.testing.assert_array_equal(dense, A)
+
+    @pytest.mark.parametrize("d,n,density", SHAPES)
+    def test_matvec_bitwise_equals_column_loop(self, rng, d, n, density):
+        M, _ = random_sparse(rng, d, n, density)
+        for zero_frac in (0.0, 0.5, 0.95, 1.0):
+            x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+            x[rng.random(n) < zero_frac] = 0.0
+            got = M.matvec(x)
+            ref = loop_product(M, x)
+            np.testing.assert_array_equal(got, ref)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+    def test_matvec_length_checked(self):
+        with pytest.raises(ValueError):
+            SparseColMatrix.from_dense(np.eye(3)).matvec(np.ones(2))
 
     @given(st.lists(st.lists(st.integers(0, 5), max_size=5), max_size=6))
     def test_row_order_check_matches_loop(self, columns):
