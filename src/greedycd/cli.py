@@ -15,7 +15,6 @@ Synthetic data specs (--synthetic):
 """
 
 import argparse
-import math
 import sys
 
 from .data_io import CorrelatedLasso, DiagQuadratic, RandomSvm, SynthSpec

@@ -9,7 +9,6 @@ columns as the SVM/logistic objectives expect.
 """
 
 import gzip
-import io
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # col_dot stays importable from here: instrumentation wraps it by this name
-from .sparse import RowProduct, SparseColMatrix, col_axpy, col_dot, shrink
+from .sparse import RowProduct, col_axpy, col_dot
 
 __all__ = [
     "SquaredResidual", "DualSVM", "Logistic",

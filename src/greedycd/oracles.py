@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .objectives import (Box, DualSVM, ElasticNetL1, L1, Logistic, NoReg,
+from .objectives import (Box, DualSVM, ElasticNetL1, L1, Logistic,
                          SquaredResidual)
 from .selection import Rule
 

@@ -77,10 +77,12 @@ def select_gss_box(p, s, active=None, grad=None):
         grad = current_grad(p, s)
     if active is None:
         active = ActiveSet.from_state(s.alpha, grad)
-    if active.empty:
-        return None
+    # outside the active set a coordinate scores -1, so a negative best
+    # means the set is empty
     masked = np.where(active.membership, np.abs(grad), -1.0)
-    j = int(np.argmax(masked))
+    j = int(masked.argmax())
+    if masked[j] < 0.0:
+        return None
     return SelectionOutcome(coord=j, score=float(masked[j]))
 
 

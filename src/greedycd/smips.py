@@ -5,7 +5,7 @@ hyperplane-LSH query backends.
 
 Point layout is fixed so queries are O(dim) regardless of mapping:
 L1 points are (s*beta, beta*c_j, A_j) with the two augmented slots first,
-box points are (beta, A_j), and the L2 mapping prepends beta*e_j.
+and box points are (beta, A_j).
 
 Every L1 or box inner product with its query is a signed entry of the full
 gradient g = A^T grad_l + c (plus or minus lam for L1), so `exact_from_grad`
@@ -15,13 +15,11 @@ answers an exact query in O(n) from g; `smips_query` scans the points.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "AugmentedPointSet", "SubsetMask", "Exact", "HyperplaneLsh",
     "build_l1_points", "build_l1_query", "build_l1_mask",
     "build_box_points", "build_box_query", "build_box_mask",
-    "build_l2_points", "build_l2_query",
     "update_mask_after_step", "smips_query", "exact_from_grad",
     "point_to_coordinate",
     "require_uniform_linear_term",
@@ -34,11 +32,11 @@ BOX_TAGS = ("+A", "-A")
 
 @dataclass
 class AugmentedPointSet:
-    points: object            # (m, dim) ndarray, or CSR matrix for "l2"
+    points: np.ndarray        # (m, dim)
     coord_of: np.ndarray      # point id -> data column
     tag_of: tuple             # point id -> construction tag
     beta: float
-    mapping_kind: str         # "l1" | "box" | "l2"
+    mapping_kind: str         # "l1" | "box"
 
     @property
     def n_points(self):
@@ -50,8 +48,6 @@ class AugmentedPointSet:
 
     def dots(self, ids, q):
         """Inner products of the selected points with q."""
-        if sp.issparse(self.points):
-            return np.asarray(self.points[ids] @ q).ravel()
         return self.points[ids] @ q
 
 
@@ -171,34 +167,6 @@ def build_box_mask(alpha):
     return SubsetMask(included=inc, kind="box")
 
 
-def build_l2_points(A, beta):
-    """2n sparse points +-(beta*e_j, A_j) of dimension n+d."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    n, d = A.n_cols, A.n_rows
-    rows, cols, vals = [], [], []
-    for j in range(n):
-        ridx, v = A.col(j)
-        pid = 2 * j
-        rows.extend([pid] * (1 + len(ridx)))
-        cols.extend([j] + list(n + ridx))
-        vals.extend([beta] + list(v))
-        rows.extend([pid + 1] * (1 + len(ridx)))
-        cols.extend([j] + list(n + ridx))
-        vals.extend([-beta] + list(-v))
-    pts = sp.csr_matrix((vals, (rows, cols)), shape=(2 * n, n + d))
-    coord_of = np.repeat(np.arange(n), 2)
-    tag_of = BOX_TAGS * n
-    return AugmentedPointSet(pts, coord_of, tag_of, beta, "l2")
-
-
-def build_l2_query(alpha, gl, lam, beta):
-    """q = ((lam/beta)*alpha, grad_l); <A~_j, q> = <A_j, grad_l> + lam*alpha_j."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    return np.concatenate((lam / beta * np.asarray(alpha), gl))
-
-
 def update_mask_after_step(m, j, old_val, new_val):
     """Refresh the (at most 4) mask bits of coordinate j after a step."""
     if m.kind == "l1":
@@ -267,7 +235,7 @@ class HyperplaneLsh:
         self._planes, self._tables = [], []
         for _ in range(self.n_tables):
             planes = rng.standard_normal((self.bits_per_table, ps.dim))
-            sigs = np.asarray(ps.points @ planes.T) >= 0
+            sigs = ps.points @ planes.T >= 0
             self._planes.append(planes)
             self._tables.append(_buckets(np.packbits(sigs, axis=-1)))
         self._fitted_for = ps
@@ -352,30 +320,3 @@ def smips_query(ps, q, m, backend):
         k = int(np.argmax(vals))
         return int(cand[k]), float(vals[k]), False
     raise TypeError("unknown backend: %r" % (backend,))
-
-
-class L2QueryHasher:
-    """Incremental per-plane partial sums for the L2 mapping's query hashes.
-
-    The first n query slots are (lam/beta)*alpha, which changes in a single
-    entry per step; the cached plane dot products are updated in O(1) per
-    plane and only the loss-gradient part is recomputed per query.
-    """
-
-    def __init__(self, backend, ps, n, lam):
-        if backend._fitted_for is not ps:
-            backend.fit(ps)
-        self.n = n
-        self.scale = lam / ps.beta
-        self.planes = backend._planes
-        self.partials = [np.zeros(p.shape[0]) for p in self.planes]
-
-    def note_step(self, j, old_val, new_val):
-        for planes, part in zip(self.planes, self.partials):
-            part += planes[:, j] * (self.scale * (new_val - old_val))
-
-    def keys(self, gl):
-        out = []
-        for planes, part in zip(self.planes, self.partials):
-            out.append(_pack_bits(part + planes[:, self.n:] @ gl >= 0))
-        return out

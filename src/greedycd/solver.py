@@ -1,25 +1,28 @@
-"""The two coordinate-descent loops: steepest descent on L1-regularized
-problems with a sign-preserving post-processed update, and steepest descent
-over the active set of box-constrained problems. Both classify every step
-(good / bad / cross), record a full trace, and support exact rules, a custom
-selector hook, and the inner-product-search engine with either backend.
+"""Coordinate descent for composite problems: steepest descent on
+L1-regularized problems with a sign-preserving post-processed update, and
+steepest descent over the active set of box-constrained problems. Both run
+one step loop that classifies every step (good / bad / cross), records a
+trace, and supports the exact rules, a custom selector hook, and the
+inner-product-search engine with either backend; the regularizer supplies
+only its steepest score, stop check, uniform draw and step.
 """
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import smips as sm
-# full_grad and select_uniform stay importable from here: instrumentation
-# wraps them by these names
+# full_grad, subgrad_score and select_uniform stay importable from here:
+# instrumentation wraps them by these names
 from .objectives import (Box, DualSVM, ElasticNetL1, IterateState, L1,
                          Logistic, SquaredResidual, apply_coord_delta,
                          coord_grad, current_grad, duality_gap, full_grad,
                          grad_l, objective_value, subgrad_score)
 from .selection import (ActiveSet, Rule, SelectionOutcome, measure_theta,
-                        select_gsq, select_gsr, select_uniform)
+                        select_gsq, select_gsr, select_gss_box,
+                        select_gss_l1, select_uniform)
 from .sparse import shrink
 
 __all__ = [
@@ -56,6 +59,10 @@ class SolverConfig:
             raise ValueError("max_iters must be at least 1")
         if self.trace_every < 1:
             raise ValueError("trace_every must be at least 1")
+        if self.engine != "exact" and (self.rule is not Rule.GSS
+                                       or self.selector is not None):
+            raise ValueError("an inner-product engine selects by gs-s only; "
+                             "it takes no other rule and no selector")
 
 
 @dataclass(slots=True)  # no per-record __dict__: traces can be long
@@ -215,7 +222,6 @@ class SmipsEngine:
     def __init__(self, p, backend=None, beta=None):
         self.backend = backend if backend is not None else sm.Exact()
         self.beta = beta if beta is not None else 50.0 / math.sqrt(p.n)
-        self.build_seconds = 0.0
         t0 = time.perf_counter()
         if isinstance(p.reg, L1):
             self.kind = "l1"
@@ -264,6 +270,102 @@ class SmipsEngine:
         sm.update_mask_after_step(self.mask, j, None, new_val)
 
 
+class _Steps:
+    """What one regularizer's loop does differently: its steepest score and
+    stop check, its uniform draw and its step. `check_every` and `checks`
+    set the stop-check cadence; `keeps_grad` says whether the loop keeps
+    the full gradient current."""
+
+    check_gap = record_gap = False
+
+    def __init__(self, p, cfg):
+        self.L = p.smoothness
+        self.line_search = cfg.use_line_search
+        self.rng = np.random.default_rng(cfg.seed)
+
+
+class _L1Steps(_Steps):
+    """L1-type: the steepest-subgradient score, the prox step (or line
+    search) truncated at zero, and uniform draws in blocks over all n."""
+
+    kind = "l1"
+
+    def __init__(self, p, cfg, engine=None):
+        super().__init__(p, cfg)
+        lsh = engine is not None and not engine.is_exact
+        # cheap rules can't afford an exact score evaluation every iteration
+        cheap = cfg.rule is Rule.UNIFORM or lsh
+        self.check_every = max(1, p.n) if cheap else 1
+        # the exact engine's own score is its stop check
+        self.checks = cfg.tol > 0 and (engine is None or lsh)
+        # the stop check, the exact rules and the exact engine read every
+        # score every step
+        self.keeps_grad = self.check_every == 1
+        self.lam_step = p.l1_lambda / self.L
+        self.draws, self.drawn = [], 0  # the current block of coordinates
+
+    def steepest(self, p, s):
+        return select_gss_l1(p, s)
+
+    def uniform(self, p):
+        if self.drawn == len(self.draws):
+            self.draws = self.rng.integers(p.n, size=UNIFORM_BLOCK).tolist()
+            self.drawn = 0
+        self.drawn += 1
+        return self.draws[self.drawn - 1]
+
+    def step(self, p, s, j, aj):
+        """(class, new alpha_j), classified against the pre-truncation value."""
+        if self.line_search:
+            a_plus = line_search_1d(p, s, j)
+        else:
+            a_plus = shrink(aj - coord_grad(p, s, j) / self.L, self.lam_step)
+        return classify_step_l1(aj, a_plus), \
+            (a_plus if aj * a_plus >= 0.0 else 0.0)
+
+
+class _BoxSteps(_Steps):
+    """Unit box: the steepest gradient over the active set (None when it is
+    empty), the clipped step (or line search), and uniform draws from the
+    active set of the last check. SVM duals also stop on the duality gap."""
+
+    kind = "box"
+    keeps_grad = True  # the active set and the SVM gap read every entry
+
+    def __init__(self, p, cfg, engine=None):
+        super().__init__(p, cfg)
+        lsh = engine is not None and not engine.is_exact
+        self.check_every = max(1, p.n) if lsh else 1
+        self.checks = engine is None or lsh
+        svm = isinstance(p.loss, DualSVM)
+        self.check_gap = svm and cfg.tol > 0
+        self.record_gap = svm and cfg.record_gap
+        self.active = None
+
+    def steepest(self, p, s):
+        self.active = ActiveSet.from_state(s.alpha, s.grad)
+        return select_gss_box(p, s, active=self.active, grad=s.grad)
+
+    def uniform(self, p):
+        ids = np.nonzero(self.active.membership)[0]
+        return int(ids[self.rng.integers(len(ids))])
+
+    def step(self, p, s, j, aj):
+        """(class, new alpha_j), classified against the pre-clip target."""
+        raw = aj - coord_grad(p, s, j) / self.L
+        new = line_search_1d(p, s, j) if self.line_search \
+            else min(1.0, max(0.0, raw))
+        return classify_step_box(aj, raw), new
+
+
+def _steps_for(p, cfg, engine=None):
+    if isinstance(p.reg, (L1, ElasticNetL1)):
+        return _L1Steps(p, cfg, engine)
+    if isinstance(p.reg, Box):
+        return _BoxSteps(p, cfg, engine)
+    raise TypeError("no coordinate steps for regularizer %r" % (p.reg,))
+
+
 def _make_engine(p, cfg):
     if isinstance(cfg.engine, SmipsEngine):
         return cfg.engine
@@ -279,6 +381,91 @@ def _stamp(rec, t_last):
     now = time.perf_counter_ns()
     rec.wall_ns += now - t_last
     return now
+
+
+def _descend(p, s, steps, cfg, engine=None, records=None, t_last=0):
+    """The step loop of both solvers and the harness polish.
+
+    Takes at most cfg.max_iters steps from s by the engine, cfg.selector or
+    cfg.rule, with the stop checks and steps of `steps`. When records is a
+    list, appends a StepRecord every cfg.trace_every steps and for the last
+    step. Returns (status, counters, time of the last record).
+    """
+    counters = {GOOD: 0, BAD: 0, CROSS: 0, "fallback": 0}
+    # loop-invariant lookups, hoisted: uniform steps cost a few microseconds
+    tol, rule, selector = cfg.tol, cfg.rule, cfg.selector
+    record_theta, trace_every = cfg.record_theta, cfg.trace_every
+    steepest, step, uniform = steps.steepest, steps.step, steps.uniform
+    checks, check_every = steps.checks, steps.check_every
+    check_gap, record_gap = steps.check_gap, steps.record_gap
+    exact = engine is not None and engine.is_exact
+    status = "max_iters"
+    pending = None  # the last step, while it is not recorded
+
+    def record(rec):
+        if record_gap:
+            rec.gap = duality_gap(p, s)
+        records.append(rec)
+
+    for t in range(cfg.max_iters):
+        if check_gap and duality_gap(p, s) <= tol:
+            status = "tol"
+            break
+        fell_back = False
+        if engine is not None:
+            found = engine.select(p, s)
+            fell_back = found.fell_back
+            if exact and found.score <= tol:
+                # no live box point with a positive score: optimal
+                status = "optimal" if steps.kind == "box" \
+                    and found.score <= 0.0 else "tol"
+                break
+        out = None
+        if checks and t % check_every == 0:
+            out = steepest(p, s)
+            if out is None:
+                status = "optimal"
+                break
+            if out.score <= tol:
+                status = "tol"
+                break
+        if engine is not None:
+            j = found.coord
+        elif selector is not None:
+            j = int(selector(p, s))
+        elif rule is Rule.GSS:
+            j = (steepest(p, s) if out is None else out).coord
+        elif rule is Rule.GSR:
+            j = select_gsr(p, s).coord
+        elif rule is Rule.GSQ:
+            j = select_gsq(p, s).coord
+        elif rule is Rule.UNIFORM:
+            j = uniform(p)
+        else:
+            raise ValueError("unknown rule: %r" % (rule,))
+
+        theta = measure_theta(j, p, s) if record_theta else 1.0
+        aj = float(s.alpha[j])
+        kind, new = step(p, s, j, aj)
+        apply_coord_delta(p, s, j, new - aj)
+        if engine is not None:
+            engine.note_step(j, new)
+
+        counters[kind] += 1
+        counters["fallback"] += int(fell_back)
+        if records is None:
+            continue
+        pending = StepRecord(iter=t, coord=j, step_kind=kind,
+                             f_value=s.objective, theta=theta,
+                             fell_back=fell_back, wall_ns=0, nnz=s.nnz)
+        if t % trace_every == 0:
+            record(pending)
+            t_last = _stamp(pending, t_last)
+            pending = None
+    if pending is not None:
+        # nothing moved the iterate since this step, so its gap is current
+        record(pending)
+    return status, counters, t_last
 
 
 def _finish(trace_kind, p, f0, records, counters, s, status, t_last):
@@ -299,6 +486,24 @@ def _finish(trace_kind, p, f0, records, counters, s, status, t_last):
                  final_state=s, status=status, problem_kind=trace_kind)
 
 
+def _solve(p, cfg):
+    cfg.validate()
+    engine = _make_engine(p, cfg)
+    t_last = time.perf_counter_ns()  # an index build is reported apart
+    s = IterateState.zeros(p)
+    if engine is not None:
+        engine.reset_mask(s.alpha)
+    steps = _steps_for(p, cfg, engine)
+    if steps.keeps_grad:
+        s.track_gradient(p)
+    s.track_objective(p)
+    f0 = s.objective
+    records = []
+    status, counters, t_last = _descend(p, s, steps, cfg, engine, records,
+                                        t_last)
+    return _finish(steps.kind, p, f0, records, counters, s, status, t_last)
+
+
 def solve_l1(p, cfg):
     """Steepest coordinate descent for L1-regularized composites from alpha=0.
 
@@ -308,98 +513,7 @@ def solve_l1(p, cfg):
     """
     if not isinstance(p.reg, (L1, ElasticNetL1)):
         raise TypeError("solve_l1 needs an L1-type regularizer")
-    cfg.validate()
-    rng = np.random.default_rng(cfg.seed)
-    engine = _make_engine(p, cfg)
-    t_last = time.perf_counter_ns()  # an index build is reported apart
-    s = IterateState.zeros(p)
-    if engine is not None:
-        engine.reset_mask(s.alpha)
-    s.track_objective(p)
-    f0 = s.objective
-    L = p.smoothness
-    records = []
-    pending = None  # the last step, while it is not recorded
-    counters = {GOOD: 0, BAD: 0, CROSS: 0, "fallback": 0}
-    # cheap rules can't afford an exact score evaluation every iteration
-    check_every = 1
-    if cfg.rule is Rule.UNIFORM or (engine is not None and not engine.is_exact):
-        check_every = max(1, p.n)
-    if check_every == 1:
-        # the stop check, the exact rules and the exact engine read every
-        # score every step
-        s.track_gradient(p)
-    draws, drawn = [], 0  # the current block of uniform coordinates
-    status = "max_iters"
-
-    for t in range(cfg.max_iters):
-        fell_back = False
-        theta = 1.0
-
-        if engine is not None:
-            out = engine.select(p, s)
-            fell_back = out.fell_back
-            if engine.is_exact and out.score <= cfg.tol:
-                status = "tol"
-                break
-            if not engine.is_exact and cfg.tol > 0 and t % check_every == 0:
-                if np.abs(subgrad_score(p, s)).max() <= cfg.tol:
-                    status = "tol"
-                    break
-            j = out.coord
-        else:
-            sv = None
-            if cfg.tol > 0 and t % check_every == 0:
-                sv = subgrad_score(p, s)
-                if np.abs(sv).max() <= cfg.tol:
-                    status = "tol"
-                    break
-            if cfg.selector is not None:
-                j = int(cfg.selector(p, s))
-            elif cfg.rule is Rule.GSS:
-                if sv is None:
-                    sv = subgrad_score(p, s)
-                j = int(np.argmax(np.abs(sv)))
-            elif cfg.rule is Rule.GSR:
-                j = select_gsr(p, s).coord
-            elif cfg.rule is Rule.GSQ:
-                j = select_gsq(p, s).coord
-            elif cfg.rule is Rule.UNIFORM:
-                if drawn == len(draws):
-                    draws = rng.integers(p.n, size=UNIFORM_BLOCK).tolist()
-                    drawn = 0
-                j = draws[drawn]
-                drawn += 1
-            else:
-                raise ValueError("unknown rule: %r" % (cfg.rule,))
-
-        if cfg.record_theta:
-            theta = measure_theta(j, p, s)
-
-        aj = float(s.alpha[j])
-        if cfg.use_line_search:
-            a_plus = line_search_1d(p, s, j)
-        else:
-            g = coord_grad(p, s, j)
-            a_plus = shrink(aj - g / L, p.l1_lambda / L)
-        kind = classify_step_l1(aj, a_plus)
-        new = a_plus if aj * a_plus >= 0.0 else 0.0
-        apply_coord_delta(p, s, j, new - aj)
-        if engine is not None:
-            engine.note_step(j, new)
-
-        counters[kind] += 1
-        counters["fallback"] += int(fell_back)
-        pending = StepRecord(iter=t, coord=j, step_kind=kind,
-                             f_value=s.objective, theta=theta,
-                             fell_back=fell_back, wall_ns=0, nnz=s.nnz)
-        if t % cfg.trace_every == 0:
-            t_last = _stamp(pending, t_last)
-            records.append(pending)
-            pending = None
-    if pending is not None:
-        records.append(pending)
-    return _finish("l1", p, f0, records, counters, s, status, t_last)
+    return _solve(p, cfg)
 
 
 def solve_box(p, cfg):
@@ -411,105 +525,7 @@ def solve_box(p, cfg):
     """
     if not isinstance(p.reg, Box):
         raise TypeError("solve_box needs a box regularizer")
-    cfg.validate()
-    rng = np.random.default_rng(cfg.seed)
-    engine = _make_engine(p, cfg)
-    t_last = time.perf_counter_ns()  # an index build is reported apart
-    s = IterateState.zeros(p)
-    if engine is not None:
-        engine.reset_mask(s.alpha)
-    # the active set and the SVM gap read every gradient entry every step
-    s.track_gradient(p)
-    s.track_objective(p)
-    f0 = s.objective
-    L = p.smoothness
-    records = []
-    pending = None  # the last step, while it is not recorded
-    counters = {GOOD: 0, BAD: 0, CROSS: 0, "fallback": 0}
-    check_gap = isinstance(p.loss, DualSVM) and cfg.tol > 0
-    status = "max_iters"
-
-    def record(rec):
-        if cfg.record_gap and isinstance(p.loss, DualSVM):
-            rec.gap = duality_gap(p, s)
-        records.append(rec)
-
-    for t in range(cfg.max_iters):
-        fell_back = False
-        theta = 1.0
-
-        if check_gap and duality_gap(p, s) <= cfg.tol:
-            status = "tol"
-            break
-
-        if engine is not None:
-            out = engine.select(p, s)
-            fell_back = out.fell_back
-            if engine.is_exact and out.score <= cfg.tol:
-                status = "optimal" if out.score <= 0.0 else "tol"
-                break
-            if not engine.is_exact and t % max(1, p.n) == 0:
-                grad = s.grad
-                active = ActiveSet.from_state(s.alpha, grad)
-                if active.empty:
-                    status = "optimal"
-                    break
-                if np.abs(grad[active.membership]).max() <= cfg.tol:
-                    status = "tol"
-                    break
-            j = out.coord
-        else:
-            grad = s.grad
-            active = ActiveSet.from_state(s.alpha, grad)
-            if active.empty:
-                status = "optimal"
-                break
-            masked = np.where(active.membership, np.abs(grad), -1.0)
-            if masked.max() <= cfg.tol:
-                status = "tol"
-                break
-            if cfg.selector is not None:
-                j = int(cfg.selector(p, s))
-            elif cfg.rule is Rule.GSS:
-                j = int(np.argmax(masked))
-            elif cfg.rule is Rule.GSR:
-                j = select_gsr(p, s, grad=grad).coord
-            elif cfg.rule is Rule.GSQ:
-                j = select_gsq(p, s, grad=grad).coord
-            elif cfg.rule is Rule.UNIFORM:
-                ids = np.nonzero(active.membership)[0]
-                j = int(ids[rng.integers(len(ids))])
-            else:
-                raise ValueError("unknown rule: %r" % (cfg.rule,))
-
-        if cfg.record_theta:
-            theta = measure_theta(j, p, s)
-
-        aj = float(s.alpha[j])
-        g = coord_grad(p, s, j)
-        raw = aj - g / L
-        kind = classify_step_box(aj, raw)
-        if cfg.use_line_search:
-            new = line_search_1d(p, s, j)
-        else:
-            new = min(1.0, max(0.0, raw))
-        apply_coord_delta(p, s, j, new - aj)
-        if engine is not None:
-            engine.note_step(j, new)
-
-        counters[kind] += 1
-        counters["fallback"] += int(fell_back)
-        pending = StepRecord(iter=t, coord=j, step_kind=kind,
-                             f_value=s.objective, theta=theta,
-                             fell_back=fell_back, wall_ns=0, nnz=s.nnz)
-        if t % cfg.trace_every == 0:
-            record(pending)
-            t_last = _stamp(pending, t_last)
-            pending = None
-    if pending is not None:
-        # nothing moved the iterate since this step, so its gap is current
-        record(pending)
-    return _finish("box", p, f0, records, counters, s, status, t_last)
+    return _solve(p, cfg)
 
 
 def run_counters(trace):

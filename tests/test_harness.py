@@ -172,6 +172,18 @@ class TestCli:
                      "--out", str(tmp_path / "fail")])
         assert code == 2
 
+    def test_engine_with_another_rule_fails_that_run(self, tmp_path,
+                                                     capsys):
+        out = str(tmp_path / "mixed")
+        code = main(["--problem", "lasso", "--synthetic", "diag:4,2,1",
+                     "--engine", "smips", "--rule", "gs-s,uniform",
+                     "--max-iters", "50", "--out", out])
+        assert code == 2
+        assert "run failure in uniform" in capsys.readouterr().err
+        summary = json.load(open(out + ".json"))
+        assert list(summary["runs"]) == ["gs-s"]
+        assert "gs-s only" in summary["errors"]["uniform"]
+
     def test_config_file_with_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("problem = lasso\n"

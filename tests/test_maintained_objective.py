@@ -6,6 +6,8 @@ RESIDUAL_REFRESH_EVERY steps. Each case runs past four refreshes against a
 reference loop that steps like the solver but recomputes F after every step:
 the coordinates must be the same, every recorded value must agree with the
 recomputed one to 1e-12 (1 + |F|), and so must every refresh (max_f_drift).
+The cases cover every rule on each regularizer kind, and line search on
+both, since the two solvers share one step loop.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from greedycd import objectives
 from greedycd.objectives import (IterateState, apply_coord_delta, coord_grad,
                                  make_svm_dual, objective_value,
                                  subgrad_score)
-from greedycd.selection import ActiveSet, Rule
+from greedycd.selection import ActiveSet, Rule, select_gsq, select_gsr
 from greedycd.solver import (SolverConfig, line_search_1d, solve_box,
                              solve_l1)
 from greedycd.sparse import shrink
@@ -28,12 +30,13 @@ def reference(p, steps, box=False, line_search=False, rule=Rule.GSS,
               seed=0):
     """The solver's steps with F recomputed by objective_value after each.
 
-    GS-s reads the maintained gradient as the solver does; uniform draws one
-    coordinate at a time. Returns the coordinates and the objective values.
+    The exact rules and the box active set read the maintained gradient as
+    the solver does; uniform draws one coordinate at a time, from the active
+    set on a box. Returns the coordinates and the objective values.
     """
     s = IterateState.zeros(p)
     rng = np.random.default_rng(seed)
-    if rule is Rule.GSS:
+    if box or rule is not Rule.UNIFORM:
         s.track_gradient(p)
     L = p.smoothness
     coords, f_values = [], []
@@ -43,12 +46,23 @@ def reference(p, steps, box=False, line_search=False, rule=Rule.GSS,
             masked = np.where(active.membership, np.abs(s.grad), -1.0)
             if masked.max() <= 0.0:
                 break
-            j = int(np.argmax(masked))
+            if rule is Rule.GSS:
+                j = int(np.argmax(masked))
+            elif rule is Rule.GSQ:
+                j = select_gsq(p, s).coord
+            else:
+                ids = np.nonzero(active.membership)[0]
+                j = int(ids[rng.integers(len(ids))])
             aj = float(s.alpha[j])
-            new = min(1.0, max(0.0, aj - coord_grad(p, s, j) / L))
+            if line_search:
+                new = line_search_1d(p, s, j)
+            else:
+                new = min(1.0, max(0.0, aj - coord_grad(p, s, j) / L))
         else:
             if rule is Rule.GSS:
                 j = int(np.argmax(np.abs(subgrad_score(p, s))))
+            elif rule is Rule.GSR:
+                j = select_gsr(p, s).coord
             else:
                 j = int(rng.integers(p.n))
             aj = float(s.alpha[j])
@@ -101,14 +115,38 @@ def test_uniform_objective_matches_recomputed():
                                               seed=3))
 
 
-def test_svm_dual_objective_matches_recomputed():
-    rng = np.random.default_rng(7)
+def svm_problem(seed):
+    rng = np.random.default_rng(seed)
     labels = rng.choice([-1.0, 1.0], 200)
-    p = make_svm_dual(random_matrix(rng, 20, 200).scale_columns(labels),
-                      0.01)
+    return make_svm_dual(random_matrix(rng, 20, 200).scale_columns(labels),
+                         0.01)
+
+
+def test_svm_dual_objective_matches_recomputed():
+    p = svm_problem(7)
     trace = solve_box(p, SolverConfig(max_iters=STEPS, tol=0.0))
     assert trace.counters["grad_refreshes"] > 3
     assert_tracks_objective(trace, *reference(p, STEPS, box=True))
+
+
+@pytest.mark.parametrize("rule,line_search", [
+    (Rule.UNIFORM, False), (Rule.GSQ, False), (Rule.GSS, True)])
+def test_box_rules_objective_matches_recomputed(rule, line_search):
+    p = svm_problem(8)
+    trace = solve_box(p, SolverConfig(rule=rule, use_line_search=line_search,
+                                      max_iters=STEPS, tol=0.0, seed=4))
+    assert trace.n_steps == STEPS  # no early stop: all four refreshes run
+    assert trace.counters["grad_refreshes"] > 3
+    assert_tracks_objective(trace, *reference(
+        p, STEPS, box=True, line_search=line_search, rule=rule, seed=4))
+
+
+def test_gsr_objective_matches_recomputed():
+    p = l1_problem("lasso", 9)
+    trace = solve_l1(p, SolverConfig(rule=Rule.GSR, max_iters=STEPS,
+                                     tol=0.0))
+    assert trace.counters["grad_refreshes"] > 3
+    assert_tracks_objective(trace, *reference(p, STEPS, rule=Rule.GSR))
 
 
 @pytest.mark.parametrize("kind", ["lasso", "elasticnet", "logistic", "svm"])

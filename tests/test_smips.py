@@ -28,12 +28,6 @@ class TestPointLayout:
         assert ps.dim == p.d + 1
         assert sm.point_to_coordinate(ps, 7) == (3, "-A")
 
-    def test_l2_sparse_points(self, rng):
-        p = random_problem("lasso", rng, n=5, d=4)
-        ps = sm.build_l2_points(p.matrix, 0.5)
-        assert ps.n_points == 2 * p.n
-        assert ps.dim == p.n + p.d
-
     def test_point_id_out_of_range(self, rng):
         p = random_problem("lasso", rng, n=3)
         ps = l1_setup(p)
@@ -74,19 +68,6 @@ class TestQueryIdentities:
         for j in range(p.n):
             vals = ps.dots(np.array([2 * j, 2 * j + 1]), q)
             np.testing.assert_allclose(vals, [g[j], -g[j]], atol=1e-12)
-
-    def test_l2_inner_products(self, rng):
-        p = random_problem("lasso", rng, n=6, d=5)
-        s = random_state(p, rng)
-        beta, lam = 0.4, 0.2
-        ps = sm.build_l2_points(p.matrix, beta)
-        gl = grad_l(p, s)
-        q = sm.build_l2_query(s.alpha, gl, lam, beta)
-        g_smooth = p.matrix.matvec_T(gl)
-        for j in range(p.n):
-            val = float(ps.dots(np.array([2 * j]), q)[0])
-            assert val == pytest.approx(g_smooth[j] + lam * s.alpha[j],
-                                        abs=1e-12)
 
     def test_non_uniform_linear_term_rejected(self):
         with pytest.raises(ValueError):
@@ -227,20 +208,3 @@ class TestHyperplaneLsh:
             sm.HyperplaneLsh(0, 4)
         with pytest.raises(ValueError):
             sm.HyperplaneLsh(4, 4, fallback="retry")
-
-    def test_l2_incremental_hasher_matches_direct(self, rng):
-        p = random_problem("lasso", rng, n=8, d=5)
-        ps = sm.build_l2_points(p.matrix, 0.5)
-        lsh = sm.HyperplaneLsh(6, 3, seed=7)
-        hasher = sm.L2QueryHasher(lsh, ps, p.n, lam=0.3)
-        alpha = np.zeros(p.n)
-        for _ in range(40):
-            j = int(rng.integers(p.n))
-            new = float(rng.standard_normal())
-            hasher.note_step(j, alpha[j], new)
-            alpha[j] = new
-            gl = rng.standard_normal(p.d)
-            q = sm.build_l2_query(alpha, gl, 0.3, 0.5)
-            direct = [sm._pack_bits(planes @ q >= 0)
-                      for planes in lsh._planes]
-            assert hasher.keys(gl) == direct

@@ -119,18 +119,15 @@ def loop_tables(ps, bits, n_tables, seed):
     return all_planes, tables
 
 
-@pytest.mark.parametrize("mapping", ["l1", "box", "l2"])
+@pytest.mark.parametrize("mapping", ["l1", "box"])
 @pytest.mark.parametrize("bits", [3, 8, 11, 16])
 def test_lsh_tables_match_the_loop(mapping, bits, rng):
     if mapping == "l1":
         p = random_problem("lasso", rng, n=150, d=20)
         ps = sm.build_l1_points(p.matrix, p.linear_term, 0.5)
-    elif mapping == "box":
+    else:
         p = random_problem("svm", rng, n=150, d=20)
         ps = sm.build_box_points(p.matrix, p.linear_term, 0.5)
-    else:
-        p = random_problem("lasso", rng, n=150, d=20)
-        ps = sm.build_l2_points(p.matrix, 0.5)
     lsh = sm.HyperplaneLsh(bits, 3, seed=4)
     lsh.fit(ps)
     planes, tables = loop_tables(ps, bits, 3, seed=4)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_problem, random_state
+from greedycd import selection
 from greedycd import smips as sm
 from greedycd import solver
 from greedycd.objectives import (IterateState, make_lasso, make_svm_dual,
@@ -196,7 +197,8 @@ class TestWallTime:
             checks.append(len(clock))
             return subgrad_score(p, s, grad)
 
-        monkeypatch.setattr(solver, "subgrad_score", score)
+        # the stop check reads its scores through selection.select_gss_l1
+        monkeypatch.setattr(selection, "subgrad_score", score)
         p = random_problem("lasso", rng, n=8, d=10)
         tr = solve_l1(p, SolverConfig(max_iters=5000, tol=1e-9,
                                       trace_every=every))
@@ -366,3 +368,19 @@ class TestConfigValidation:
             solve_l1(p, SolverConfig(max_iters=0))
         with pytest.raises(ValueError):
             solve_l1(p, SolverConfig(engine="magic"))
+
+    def test_engine_takes_no_other_rule_or_selector(self, rng):
+        # the engine selects by gs-s; another rule or a selector would be
+        # ignored, so the config is refused
+        p = random_problem("lasso", rng)
+        for rule in (Rule.GSR, Rule.GSQ, Rule.UNIFORM):
+            with pytest.raises(ValueError, match="gs-s only"):
+                solve_l1(p, SolverConfig(engine="smips", rule=rule))
+        with pytest.raises(ValueError, match="gs-s only"):
+            solve_l1(p, SolverConfig(engine="smips",
+                                     selector=lambda p, s: 0))
+        q = random_problem("svm", rng)
+        engine = SmipsEngine(q)
+        with pytest.raises(ValueError, match="gs-s only"):
+            solve_box(q, SolverConfig(engine=engine, rule=Rule.UNIFORM))
+        assert solve_box(q, SolverConfig(engine=engine, max_iters=5)).n_steps
