@@ -60,6 +60,15 @@ class SynthSpec:
     seed: int = 0
 
 
+# lines parsed per block: bounds the tokens and arrays held at once
+BLOCK_LINES = 256
+
+# the ASCII characters str.split() and str.strip() treat as whitespace
+_ASCII_SPACE = np.zeros(256, dtype=bool)
+_ASCII_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_COLON, _NEWLINE = ord(":"), ord("\n")
+
+
 def _open_source(source):
     """Text lines from a path, bytes, or file-like; gzip by magic bytes."""
     if isinstance(source, str):
@@ -76,17 +85,12 @@ def _open_source(source):
     return raw.decode("utf-8").splitlines()
 
 
-def parse_libsvm(source, name=""):
-    """Parse "label idx:val ..." lines into an examples-as-columns dataset.
-
-    Indices are 1-based on disk and strictly increasing per line; in-memory
-    row ids are 0-based. Blank lines and '#' comments are skipped. Duplicate
-    or non-increasing indices are an error, not a silent accumulation.
-    """
-    labels, columns = [], []
-    max_row = 0
-    for lineno, line in enumerate(_open_source(source), start=1):
-        line = line.split("#", 1)[0].strip()
+def _read_lines(chunk, first_lineno):
+    """(labels, counts, rows, values) of a block of lines, one token at a
+    time; raises at the first malformed line and token, naming the line."""
+    labels, counts, rows, vals = [], [], [], []
+    for lineno, line in enumerate(chunk, start=first_lineno):
+        line = line.partition("#")[0].strip()
         if not line:
             continue
         parts = line.split()
@@ -95,7 +99,6 @@ def parse_libsvm(source, name=""):
         except ValueError:
             raise ValueError("line %d: non-numeric label %r"
                              % (lineno, parts[0]))
-        ridx, vals = [], []
         prev = 0
         for tok in parts[1:]:
             try:
@@ -111,15 +114,84 @@ def parse_libsvm(source, name=""):
                 raise ValueError("line %d: index %d not strictly increasing"
                                  % (lineno, idx))
             prev = idx
-            ridx.append(idx - 1)
+            rows.append(idx - 1)
             vals.append(val)
-        max_row = max(max_row, prev)
         labels.append(label)
-        columns.append((np.array(ridx, dtype=np.int64), np.array(vals)))
-    if not labels:
+        counts.append(len(parts) - 1)
+    return (np.array(labels, dtype=np.float64),
+            np.array(counts, dtype=np.int64),
+            np.array(rows, dtype=np.int64), np.array(vals, dtype=np.float64))
+
+
+def _split_block(kept):
+    """(labels, counts, rows, values) of stripped, nonempty example lines,
+    or None when the block is left to the one-token reader: a malformed
+    line, a character outside ASCII, or an index outside int64.
+
+    Each line gets a "0:" prefix, so every whitespace token of a valid block
+    reads "index:value" with the label in the value slot of index 0. That
+    is checked on the block's bytes; then one split yields the indices and
+    values as two strided slices, converted by Python's own int and float.
+    """
+    text = "0:" + "\n0:".join(kept)
+    if not text.isascii():
+        return None
+    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    space = _ASCII_SPACE[b]
+    starts = np.flatnonzero(space[:-1] & ~space[1:]) + 1
+    colons = np.flatnonzero(b == _COLON)
+    # one colon inside every token: token starts and colons strictly
+    # alternate from the colon at 1, and no colon ends its token
+    if (len(colons) != len(starts) + 1 or colons[-1] + 1 == len(b)
+            or not ((colons[:-1] < starts) & (starts < colons[1:])).all()
+            or space[colons + 1].any()):
+        return None
+    pieces = text.replace(":", " ").split()
+    try:
+        idx = np.array(pieces[0::2], dtype=np.int64)
+        num = np.array(pieces[1::2], dtype=np.float64)
+    except (ValueError, OverflowError):
+        return None
+    # token k is line i's label when colon k is its line's first
+    label_at = np.searchsorted(colons, np.flatnonzero(b == _NEWLINE))
+    label_at = np.concatenate(([0], label_at))
+    feat = np.ones(len(idx), dtype=bool)
+    feat[label_at] = False
+    # a line's first index follows its 0, so this is also the idx >= 1 check
+    if not (idx[1:] > idx[:-1])[feat[1:]].all():
+        return None
+    counts = np.diff(np.append(label_at, len(idx))) - 1
+    return num[label_at], counts, idx[feat] - 1, num[feat]
+
+
+def _read_block(chunk, first_lineno):
+    kept = [line.partition("#")[0].strip() for line in chunk]
+    kept = [line for line in kept if line]
+    block = _split_block(kept) if kept else None
+    # the one-token reader also names the first bad line and token
+    return block if block is not None else _read_lines(chunk, first_lineno)
+
+
+def parse_libsvm(source, name=""):
+    """Parse "label idx:val ..." lines into an examples-as-columns dataset.
+
+    Indices are 1-based on disk and strictly increasing per line; in-memory
+    row ids are 0-based. Blank lines and '#' comments are skipped. Duplicate
+    or non-increasing indices are an error, not a silent accumulation; every
+    error names its line. Lines are read BLOCK_LINES at a time, so the
+    tokens held at once stay bounded whatever the file size.
+    """
+    lines = _open_source(source)
+    blocks = [_read_block(lines[lo:lo + BLOCK_LINES], lo + 1)
+              for lo in range(0, len(lines), BLOCK_LINES)]
+    if not any(len(block[0]) for block in blocks):
         raise ValueError("empty dataset: no example lines found")
-    matrix = SparseColMatrix.from_columns(max_row, columns)
-    return Dataset(matrix=matrix, labels=np.array(labels), name=name)
+    labels, counts, rows, values = map(np.concatenate, zip(*blocks))
+    col_starts = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=col_starts[1:])
+    n_rows = int(rows.max()) + 1 if len(rows) else 0
+    matrix = SparseColMatrix(n_rows, col_starts, rows, values)
+    return Dataset(matrix=matrix, labels=labels, name=name)
 
 
 def write_libsvm(ds, stream):
@@ -161,11 +233,11 @@ def normalize_columns(ds):
     norms = np.sqrt(M.col_sq_norms)
     keep = np.nonzero(norms > 0)[0]
     dropped = np.nonzero(norms == 0)[0]
-    cols = []
-    for j in keep:
-        ridx, vals = M.col(j)
-        cols.append((ridx, vals / norms[j]))
-    matrix = SparseColMatrix.from_columns(M.n_rows, cols)
+    kept = M.take_columns(keep)
+    # a division per entry, as dividing each column by its norm would do
+    values = kept.values / np.repeat(norms[keep], np.diff(kept.col_starts))
+    matrix = SparseColMatrix(M.n_rows, kept.col_starts, kept.row_indices,
+                             values)
     labels = ds.labels
     if len(labels) == M.n_cols:
         labels = labels[keep]
@@ -183,9 +255,7 @@ def gen_synthetic(spec):
         if len(lam) < 1 or np.any(lam <= 0):
             raise ValueError("spectrum must be nonempty and positive")
         n = len(lam)
-        M = SparseColMatrix.from_columns(
-            n, [(np.array([j]), np.array([np.sqrt(lam[j])]))
-                for j in range(n)])
+        M = SparseColMatrix(n, np.arange(n + 1), np.arange(n), np.sqrt(lam))
         b = rng.standard_normal(n) * np.sqrt(lam)
         meta = {"mu1": float(1.0 / np.sum(1.0 / lam)), "L": float(lam.max())}
         return Dataset(M, b, name="diag-quadratic", meta=meta)
@@ -234,8 +304,6 @@ def train_test_split(ds, frac, seed=0):
     perm = np.random.default_rng(seed).permutation(n)
     parts = []
     for ids in (np.sort(perm[:n_train]), np.sort(perm[n_train:])):
-        cols = [ds.matrix.col(j) for j in ids]
-        parts.append(Dataset(
-            SparseColMatrix.from_columns(ds.matrix.n_rows, cols),
-            ds.labels[ids], name=ds.name, meta=dict(ds.meta)))
+        parts.append(Dataset(ds.matrix.take_columns(ids), ds.labels[ids],
+                             name=ds.name, meta=dict(ds.meta)))
     return parts[0], parts[1]

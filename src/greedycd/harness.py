@@ -131,6 +131,8 @@ def _solver_config(cfg, run):
 
 def _execute_run(p, cfg, run):
     scfg = _solver_config(cfg, run)
+    # a refused config must not pay for an index build first
+    scfg.validate()
     build_seconds = 0.0
     if run.engine == "smips":
         engine = SmipsEngine(p, backend=scfg.backend, beta=cfg.beta)

@@ -16,6 +16,16 @@ __all__ = ["SparseColMatrix", "RowProduct", "shrink", "col_dot", "col_axpy"]
 GATHER_MAX_ROW_FRACTION = 0.1
 
 
+def _ranges(starts, ids):
+    """(lengths, positions) of the storage ranges starts[i]:starts[i + 1]
+    for i in ids, one range after another."""
+    lo = starts[ids]
+    counts = starts[ids + 1] - lo
+    pos = np.repeat(lo - (np.cumsum(counts) - counts), counts) \
+        + np.arange(counts.sum())
+    return counts, pos
+
+
 def shrink(x, lam):
     """Soft-threshold x by lam: x - sign(x)*lam if |x| >= lam, else 0."""
     if lam < 0:
@@ -142,6 +152,15 @@ class SparseColMatrix:
         return SparseColMatrix(self.n_rows, self.col_starts.copy(),
                                self.row_indices.copy(), new_vals)
 
+    def take_columns(self, cols):
+        """New matrix of the given columns, in the given order."""
+        cols = np.asarray(cols, dtype=np.int64)
+        counts, pos = _ranges(self.col_starts, cols)
+        starts = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=starts[1:])
+        return SparseColMatrix(self.n_rows, starts, self.row_indices[pos],
+                               self.values[pos])
+
     def row_major(self):
         """(row_starts, col_indices, values) of the row-compressed copy.
 
@@ -212,11 +231,7 @@ class RowProduct:
         if self._rows is None:
             self._rows = M.row_major()
         starts, cols, vals = self._rows
-        lo = starts[rows]
-        counts = starts[rows + 1] - lo
-        # positions of the chosen rows' entries, row after row
-        pos = np.repeat(lo - (np.cumsum(counts) - counts), counts) \
-            + np.arange(counts.sum())
+        counts, pos = _ranges(starts, rows)
         scaled = vals[pos] * np.repeat(weights, counts)
         return np.bincount(cols[pos], weights=scaled, minlength=M.n_cols)
 

@@ -1,15 +1,197 @@
 import gzip
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from greedycd import data_io
 from greedycd.data_io import (CorrelatedLasso, Dataset, DiagQuadratic,
                               RandomSvm, SynthSpec, fold_labels,
                               gen_synthetic, normalize_columns, parse_libsvm,
                               regression_view, train_test_split, write_libsvm)
 from greedycd.objectives import make_lasso
 from greedycd.sparse import SparseColMatrix
+
+
+def loop_parse_libsvm(source):
+    """The per-token loop parse_libsvm once ran."""
+    labels, columns = [], []
+    max_row = 0
+    for lineno, line in enumerate(data_io._open_source(source), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        try:
+            label = float(parts[0])
+        except ValueError:
+            raise ValueError("line %d: non-numeric label %r"
+                             % (lineno, parts[0]))
+        ridx, vals = [], []
+        prev = 0
+        for tok in parts[1:]:
+            try:
+                idx_s, val_s = tok.split(":", 1)
+                idx, val = int(idx_s), float(val_s)
+            except ValueError:
+                raise ValueError("line %d: malformed feature %r"
+                                 % (lineno, tok))
+            if idx < 1:
+                raise ValueError("line %d: index %d below the 1-based minimum"
+                                 % (lineno, idx))
+            if idx <= prev:
+                raise ValueError("line %d: index %d not strictly increasing"
+                                 % (lineno, idx))
+            prev = idx
+            ridx.append(idx - 1)
+            vals.append(val)
+        max_row = max(max_row, prev)
+        labels.append(label)
+        columns.append((np.array(ridx, dtype=np.int64), np.array(vals)))
+    if not labels:
+        raise ValueError("empty dataset: no example lines found")
+    matrix = SparseColMatrix.from_columns(max_row, columns)
+    return Dataset(matrix=matrix, labels=np.array(labels))
+
+
+def loop_normalize_columns(ds):
+    """The per-column loop normalize_columns once ran."""
+    M = ds.matrix
+    norms = np.sqrt(M.col_sq_norms)
+    keep = np.nonzero(norms > 0)[0]
+    dropped = np.nonzero(norms == 0)[0]
+    cols = []
+    for j in keep:
+        ridx, vals = M.col(j)
+        cols.append((ridx, vals / norms[j]))
+    matrix = SparseColMatrix.from_columns(M.n_rows, cols)
+    labels = ds.labels
+    if len(labels) == M.n_cols:
+        labels = labels[keep]
+    out = Dataset(matrix=matrix, labels=labels, name=ds.name,
+                  meta=dict(ds.meta, dropped_columns=list(map(int, dropped))))
+    return out, norms[keep], dropped
+
+
+def loop_train_test_split(ds, frac, seed=0):
+    """The per-column loop train_test_split once ran (valid inputs)."""
+    n = ds.matrix.n_cols
+    n_train = int(round(frac * n))
+    perm = np.random.default_rng(seed).permutation(n)
+    parts = []
+    for ids in (np.sort(perm[:n_train]), np.sort(perm[n_train:])):
+        cols = [ds.matrix.col(j) for j in ids]
+        parts.append(Dataset(
+            SparseColMatrix.from_columns(ds.matrix.n_rows, cols),
+            ds.labels[ids], name=ds.name, meta=dict(ds.meta)))
+    return parts[0], parts[1]
+
+
+def assert_same_matrix(a, b):
+    assert a.n_rows == b.n_rows
+    for name in ("col_starts", "row_indices", "values"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert x.tobytes() == y.tobytes(), name
+
+
+def assert_same_dataset(a, b):
+    assert a.labels.dtype == b.labels.dtype
+    assert a.labels.tobytes() == b.labels.tobytes()
+    assert_same_matrix(a.matrix, b.matrix)
+
+
+def outcome(parse, source):
+    """The parsed dataset, or the text of the ValueError the parse raised."""
+    try:
+        return parse(source)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+def assert_parses_like_loop(source, block_read=False):
+    """Compare with the loop; with block_read, also require that no block
+    holding an example line was left to the one-token reader."""
+    slow, read_lines = [], data_io._read_lines
+
+    def spy(chunk, first_lineno):
+        slow.extend(line for line in chunk if line.partition("#")[0].strip())
+        return read_lines(chunk, first_lineno)
+
+    with mock.patch.object(data_io, "_read_lines", spy):
+        got = outcome(parse_libsvm, source)
+    want = outcome(loop_parse_libsvm, source)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert_same_dataset(got, want)
+        assert not (block_read and slow), slow[:3]
+    return got
+
+
+def benchmark_shaped_file(seed, n=1500, d=5000, k=20):
+    """Lines shaped like the benchmark's logistic file: a signed label and
+    k increasing "index:value" features with 12-decimal values."""
+    rng = np.random.default_rng(seed)
+    cols = np.sort(rng.integers(0, d - k + 1, size=(n, k)), axis=1) \
+        + np.arange(k) + 1
+    vals = 0.4 * rng.standard_normal((n, k))
+    labels = rng.choice([-1, 1], n)
+    return "".join(
+        "%+d %s\n" % (y, " ".join("%d:%.12f" % iv for iv in zip(c, v)))
+        for y, c, v in zip(labels, cols, vals)).encode()
+
+
+NUMBERS = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(-1e100, 1e100).map(repr),
+    st.sampled_from(["+1", "-1", "1e3", "-.5", "5.", "nan", "-inf", "1_0",
+                     "0", "-0.0", "007"]))
+SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t ", "\x1f"])
+
+
+@st.composite
+def example_lines(draw):
+    idx = sorted(draw(st.lists(st.integers(1, 40), unique=True, max_size=6)))
+    idx_text = [draw(st.sampled_from(["%d", "+%d", "0%d"])) % i for i in idx]
+    toks = [draw(NUMBERS)] + ["%s:%s" % (i, draw(NUMBERS)) for i in idx_text]
+    line = toks[0]
+    for tok in toks[1:]:
+        line += draw(SEPARATORS) + tok
+    lead, trail = draw(st.sampled_from(["", " ", "\t"])), \
+        draw(st.sampled_from(["", " ", "\t", " # note", "#x:y"]))
+    return lead + line + trail
+
+
+OTHER_LINES = st.sampled_from(["", "   ", "\t", "# comment", "  # 1 2:3",
+                               "#"])
+LINES = st.lists(st.one_of(example_lines(), OTHER_LINES), max_size=30)
+
+
+def encode_file(lines, newline, zipped):
+    raw = "".join(line + newline for line in lines).encode()
+    return gzip.compress(raw) if zipped else raw
+
+
+BAD_LINES = [
+    "x 1:1",            # non-numeric label
+    "1 a:b",
+    "1 3",
+    "1 3:",
+    "1 :3",
+    "1 3:4:5",
+    "1 3.0:1",
+    "1 0:2",            # index below 1
+    "1 3:1 2:1",        # non-increasing
+    "1 2:1 2:3",        # duplicate
+    "1 1:1 3:4:5 6",    # two faults: the first one is named
+    "1:2 3:4",          # colon in the label
+    "1 2: 3:4",         # empty value, then a whole token
+    "1 2:3\u00a04 5:6\u00a07",  # a no-break space separates tokens too
+]
 
 
 class TestParser:
@@ -72,7 +254,98 @@ class TestParser:
             ds.matrix.to_dense()[:back.matrix.n_rows])
 
 
+class TestBlockParser:
+    """parse_libsvm against the per-token loop it replaced: identical
+    arrays and dtypes on valid files, the same message on bad ones."""
+
+    def test_benchmark_shaped_file(self):
+        raw = benchmark_shaped_file(seed=3)
+        ds = assert_parses_like_loop(raw, block_read=True)
+        assert ds.matrix.n_cols == 1500
+        assert ds.matrix.n_cols > 5 * data_io.BLOCK_LINES
+
+    def test_gzip_and_crlf_over_several_blocks(self):
+        raw = benchmark_shaped_file(seed=4, n=700).replace(b"\n", b"\r\n")
+        assert_parses_like_loop(gzip.compress(raw), block_read=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(LINES, st.sampled_from(["\n", "\r\n"]), st.booleans(),
+           st.integers(1, 5))
+    def test_random_files(self, lines, newline, zipped, block):
+        with mock.patch.object(data_io, "BLOCK_LINES", block):
+            assert_parses_like_loop(encode_file(lines, newline, zipped),
+                                    block_read=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(LINES, st.sampled_from(BAD_LINES + ["1 2:1 1:1", "- 1:1"]),
+           st.integers(0, 30), st.integers(1, 5))
+    def test_random_files_with_a_bad_line(self, lines, bad, at, block):
+        lines = lines[:at] + [bad] + lines[at:]
+        with mock.patch.object(data_io, "BLOCK_LINES", block):
+            assert isinstance(
+                assert_parses_like_loop(encode_file(lines, "\n", False)),
+                str)
+
+    @pytest.mark.parametrize("bad", BAD_LINES)
+    def test_error_in_a_later_block(self, bad):
+        good = benchmark_shaped_file(seed=5, n=2 * data_io.BLOCK_LINES + 7)
+        lineno = 2 * data_io.BLOCK_LINES + 8
+        msg = assert_parses_like_loop(good + bad.encode() + b"\n1 1:1\n")
+        assert msg.startswith("ValueError: line %d: " % lineno)
+
+    def test_first_error_after_a_valid_block_read_slowly(self):
+        # a non-ASCII separator sends the first block to the one-token
+        # reader although it is valid; the error sits in the third block
+        block = data_io.BLOCK_LINES
+        lines = ["+1 1:0.5 3:1"] * (3 * block)
+        lines[5] = "-1\u00a02:0.25\u20033:1"
+        lines[2 * block + 9] = "1 4:1 4:2"
+        lines[2 * block + 20] = "x 1:1"
+        msg = assert_parses_like_loop("\n".join(lines).encode())
+        assert msg == ("ValueError: line %d: index 4 not strictly increasing"
+                       % (2 * block + 10))
+        del lines[2 * block:]
+        ds = assert_parses_like_loop("\n".join(lines).encode())
+        assert ds.matrix.col(5)[0].tolist() == [1, 2]
+
+    def test_first_error_in_file_order_within_a_block(self):
+        # the order-check fault comes first in the file; the conversion
+        # fault after it must not be reported instead
+        msg = assert_parses_like_loop(b"1 1:1\n1 5:1 2:1\n1 2:x\n")
+        assert msg == "ValueError: line 2: index 2 not strictly increasing"
+
+    def test_index_past_int64_parses_like_the_loop(self):
+        # overflows the block's int64 conversion, then fits as a row id
+        ds = assert_parses_like_loop(b"1 1:1\n-1 9223372036854775808:2\n")
+        assert ds.matrix.n_rows == 2**63
+
+
+def matrix_with_zero_and_empty_columns(rng, d=6, n=30):
+    """Random columns, some holding only stored zeros, some holding none."""
+    counts = rng.integers(0, d + 1, n)
+    counts[[0, 7, n - 1]] = 0
+    counts[[3, 11]] = [2, d]
+    rows = [np.sort(rng.choice(d, k, replace=False)) for k in counts]
+    vals = [rng.standard_normal(k) * rng.uniform(0.1, 100.0) for k in counts]
+    vals[3][:] = 0.0
+    vals[11][:] = 0.0
+    starts = np.concatenate(([0], np.cumsum([len(r) for r in rows])))
+    return SparseColMatrix(d, starts, np.concatenate(rows),
+                           np.concatenate(vals))
+
+
 class TestNormalize:
+    def test_matches_column_loop(self, rng):
+        M = matrix_with_zero_and_empty_columns(rng)
+        ds = Dataset(M, rng.choice([-1.0, 1.0], M.n_cols), name="m",
+                     meta={"k": 1})
+        got, want = normalize_columns(ds), loop_normalize_columns(ds)
+        assert_same_dataset(got[0], want[0])
+        assert got[0].meta == want[0].meta and got[0].name == "m"
+        for a, b in zip(got[1:], want[1:]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert set(got[2]) >= {0, 3, 7, 11, 29}
+
     def test_three_four_five(self):
         M = SparseColMatrix.from_dense(np.array([[3.0], [4.0]]))
         ds, scales, dropped = normalize_columns(Dataset(M, np.zeros(2)))
@@ -112,6 +385,14 @@ class TestSynthetic:
         ds = gen_synthetic(SynthSpec(DiagQuadratic((4.0, 1.0)), seed=0))
         assert ds.meta["mu1"] == pytest.approx(0.8)
         assert ds.meta["L"] == pytest.approx(4.0)
+
+    def test_diag_quadratic_matches_column_loop(self, rng):
+        lam = rng.uniform(0.01, 100.0, 9)
+        ds = gen_synthetic(SynthSpec(DiagQuadratic(tuple(lam)), seed=0))
+        want = SparseColMatrix.from_columns(
+            9, [(np.array([j]), np.array([np.sqrt(lam[j])]))
+                for j in range(9)])
+        assert_same_matrix(ds.matrix, want)
 
     def test_diag_quadratic_mu1_bounds(self, rng):
         for _ in range(10):
@@ -186,6 +467,16 @@ class TestSplit:
             np.sort(test.matrix.to_dense().sum(axis=0))])
         np.testing.assert_allclose(np.sort(combined),
                                    np.sort(ds.matrix.to_dense().sum(axis=0)))
+
+    def test_matches_column_loop(self, rng):
+        M = matrix_with_zero_and_empty_columns(rng)
+        ds = Dataset(M, rng.choice([-1.0, 1.0], M.n_cols), meta={"k": 1})
+        for frac, seed in ((0.75, 0), (0.5, 3), (0.1, 9)):
+            got = train_test_split(ds, frac, seed=seed)
+            want = loop_train_test_split(ds, frac, seed=seed)
+            for a, b in zip(got, want):
+                assert_same_dataset(a, b)
+                assert a.meta == b.meta
 
     def test_degenerate_rejected(self, rng):
         ds = self._dataset(rng, n=3)

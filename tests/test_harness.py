@@ -6,10 +6,16 @@ import numpy as np
 import pytest
 
 from greedycd.cli import main, parse_config_file, parse_synthetic
-from greedycd.data_io import DiagQuadratic, RandomSvm, SynthSpec
+from greedycd.data_io import (Dataset, DiagQuadratic, RandomSvm, SynthSpec,
+                              fold_labels, normalize_columns, regression_view,
+                              train_test_split, write_libsvm)
 from greedycd.harness import (CSV_HEADER, ExperimentConfig, RunSpec,
                               adaptivity_report, emit_plot_csv,
                               run_experiment)
+from greedycd.objectives import make_lasso, make_logistic
+from greedycd.selection import Rule
+from greedycd.solver import SmipsEngine, SolverConfig, solve_l1
+from greedycd.sparse import SparseColMatrix
 
 
 def small_lasso_cfg(tmp_path, runs=None, **kw):
@@ -89,6 +95,23 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             cfg.validate()
 
+    def test_refused_run_builds_no_engine(self, tmp_path, monkeypatch):
+        builds = []
+        init = SmipsEngine.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SmipsEngine, "__init__", counting_init)
+        runs = [RunSpec(rule, rule=rule, engine="smips", backend="lsh",
+                        lsh_bits=4, lsh_tables=4)
+                for rule in ("gs-s", "uniform")]
+        summary = run_experiment(small_lasso_cfg(tmp_path, runs=runs))
+        assert list(summary["runs"]) == ["gs-s"]
+        assert "gs-s only" in summary["errors"]["uniform"]
+        assert len(builds) == 1
+
     def test_test_split_accuracy_reported(self, tmp_path):
         cfg = ExperimentConfig(
             problem="svm", data=SynthSpec(RandomSvm(40, 5, 0.5), seed=4),
@@ -98,6 +121,69 @@ class TestRunExperiment:
         accs = [r["test_accuracy"] for r in summary["rows"]
                 if r["test_accuracy"] is not None]
         assert len(accs) == 1 and 0.5 <= accs[0] <= 1.0
+
+
+def examples_dataset(rng, labels, d=12, n=60):
+    """Examples as columns with every feature row used; column 5 is empty."""
+    A = rng.standard_normal((d, n)) * (rng.random((d, n)) < 0.4)
+    A[:, 5] = 0.0
+    A[d - 1, 0] = 1.5
+    return Dataset(SparseColMatrix.from_dense(A), labels)
+
+
+class TestLibsvmFile:
+    """run_experiment on a libsvm file path matches the same problem built
+    and solved from the in-memory dataset the file was written from."""
+
+    RULES = ("gs-s", "uniform")
+
+    def run_file(self, tmp_path, ds, **kw):
+        path = str(tmp_path / "data.svm")
+        write_libsvm(ds, path)
+        cfg = ExperimentConfig(
+            data=path, runs=[RunSpec(r, rule=r) for r in self.RULES],
+            max_iters=400, tol=1e-9, seed=3, out=str(tmp_path / "exp"), **kw)
+        return cfg, run_experiment(cfg)
+
+    def assert_runs_match(self, summary, p, cfg):
+        assert (summary["n"], summary["d"]) == (p.n, p.d)
+        traces = {}
+        for rule in self.RULES:
+            trace = solve_l1(p, SolverConfig(rule=Rule(rule),
+                                             max_iters=cfg.max_iters,
+                                             tol=cfg.tol, seed=cfg.seed))
+            got = summary["runs"][rule]
+            assert got["final_f"] == float(trace.f_values[-1])
+            assert got["steps"] == trace.n_steps
+            assert got["status"] == trace.status
+            traces[rule] = trace
+        return traces
+
+    def test_logistic_normalized_with_test_split(self, tmp_path, rng):
+        ds = examples_dataset(rng, rng.choice([-1.0, 1.0], 60))
+        cfg, summary = self.run_file(tmp_path, ds, problem="logistic",
+                                     lam=0.05, normalize=True,
+                                     test_split=0.25)
+        assert not summary["errors"]
+        kept, _, dropped = normalize_columns(ds)
+        assert list(dropped) == [5]
+        train, test = train_test_split(kept, 0.75, seed=cfg.seed)
+        p = make_logistic(fold_labels(train).transpose(), cfg.lam)
+        assert p.n == 12 and p.d == 44
+        traces = self.assert_runs_match(summary, p, cfg)
+        for rule, trace in traces.items():
+            acc = [r["test_accuracy"] for r in summary["rows"]
+                   if r["run"] == rule][-1]
+            margins = fold_labels(test).matvec_T(trace.final_state.alpha)
+            assert acc == float(np.mean(margins > 0))
+
+    def test_lasso_through_regression_view(self, tmp_path, rng):
+        ds = examples_dataset(rng, rng.standard_normal(60))
+        cfg, summary = self.run_file(tmp_path, ds, problem="lasso", lam=0.1)
+        assert not summary["errors"]
+        p = make_lasso(*regression_view(ds), cfg.lam)
+        assert p.n == 12 and p.d == 60
+        self.assert_runs_match(summary, p, cfg)
 
 
 class TestAdaptivityReport:
