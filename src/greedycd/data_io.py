@@ -230,7 +230,15 @@ def normalize_columns(ds):
     column j back to its original length. Idempotent on normalized data.
     """
     M = ds.matrix
-    norms = np.sqrt(M.col_sq_norms)
+    sq = M.col_sq_norms
+    norms = np.sqrt(sq)
+    # a stored column whose squared norm overflowed, or fell below the
+    # normal range, takes m sqrt(sum (v/m)^2) with m its largest magnitude
+    for j in np.flatnonzero((np.isinf(sq) | (sq < np.finfo(sq.dtype).tiny))
+                            & (np.diff(M.col_starts) > 0)):
+        v = M.col(j)[1]
+        m = np.abs(v).max()
+        norms[j] = m * np.sqrt(np.sum((v / m) ** 2)) if m > 0 else 0.0
     keep = np.nonzero(norms > 0)[0]
     dropped = np.nonzero(norms == 0)[0]
     kept = M.take_columns(keep)

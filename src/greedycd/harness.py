@@ -18,7 +18,7 @@ from .data_io import (SynthSpec, fold_labels, gen_synthetic, normalize_columns,
 # full_grad, subgrad_score and coord_grad stay importable from here:
 # instrumentation wraps them by these names
 from .objectives import (IterateState, apply_coord_delta, coord_grad,
-                         full_grad, grad_l, make_elastic_net, make_lasso,
+                         full_grad, make_elastic_net, make_lasso,
                          make_logistic, make_svm_dual, objective_value,
                          subgrad_score)
 from .selection import Rule
@@ -289,11 +289,7 @@ def adaptivity_report(cfg):
     step = _steps_for(p, SolverConfig(), engine).step
     rows = []
     for t in range(cfg.max_iters):
-        gl = grad_l(p, s)
-        if engine.kind == "l1":
-            q = sm.build_l1_query(gl, p.l1_lambda, engine.beta)
-        else:
-            q = sm.build_box_query(gl, engine.c_value, engine.beta)
+        q = engine.query(p, s)
         pid_m, exact_mask, _ = sm.smips_query(engine.points, q,
                                               engine.mask, sm.Exact())
         _, exact_all, _ = sm.smips_query(engine.points, q, all_mask,

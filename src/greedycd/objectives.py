@@ -1,28 +1,29 @@
 """Composite objectives F(alpha) = l(A alpha) + c^T alpha + sum_i g_i(alpha_i).
 
-Supported losses: squared residual (Lasso / elastic net), the negated SVM
-dual, and logistic. Regularizers: L1, unit box, elastic-net L1 (the quadratic
-part is folded into the smooth term), or none. The iterate carries the
-residual v = A alpha so coordinate gradients cost O(nnz(A_j)), and, on
-request, the full gradient and the objective value, updated after each step
-instead of recomputed.
+A problem pairs a loss (squared residual, the negated SVM dual, logistic)
+with a regularizer (L1, elastic net, the unit box); any pairing works, and
+callers read these objects, never their types. The elastic net's
+lam2/2 ||alpha||^2 counts as smooth for every loss: a regularizer's lam2
+(0 unless elastic net) enters L, the gradients and F here. The iterate
+carries the residual v = A alpha so coordinate gradients cost O(nnz(A_j)),
+and, on request, the full gradient and the objective value, updated after
+each step instead of recomputed.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 # col_dot stays importable from here: instrumentation wraps it by this name
-from .sparse import RowProduct, col_axpy, col_dot
+from .sparse import RowProduct, col_axpy, col_dot, shrink
 
 __all__ = [
-    "SquaredResidual", "DualSVM", "Logistic",
-    "L1", "Box", "ElasticNetL1", "NoReg",
-    "CompositeProblem", "IterateState",
-    "smoothness_L", "grad_l", "coord_grad", "full_grad", "current_grad",
-    "subgrad_score",
-    "objective_value", "apply_coord_delta", "duality_gap", "rescale_columns",
-    "make_lasso", "make_svm_dual", "make_logistic", "make_elastic_net",
+    "SquaredResidual", "DualSVM", "Logistic", "L1", "Box", "ElasticNetL1",
+    "CompositeProblem", "IterateState", "grad_l", "coord_grad", "full_grad",
+    "current_grad", "subgrad_score", "objective_value", "apply_coord_delta",
+    "duality_gap", "make_lasso", "make_svm_dual", "make_logistic",
+    "make_elastic_net",
 ]
 
 RESIDUAL_REFRESH_EVERY = 1000  # full recompute cadence, bounds fp drift
@@ -31,60 +32,237 @@ RESIDUAL_REFRESH_EVERY = 1000  # full recompute cadence, bounds fp drift
 GRAM_CACHE_INPUT_MULTIPLE = 8
 
 
+class _QuadraticLoss:
+    """A loss with nabla^2 l = I / scale: a coordinate move changes l by an
+    exact quadratic and the gradient by a Gram column, and the 1-d minimizer
+    is the regularizer's prox at the column's own curvature."""
+
+    has_gap = False  # whether duality_gap certifies it
+
+    def change(self, p, s, j, delta, ridx, vals):
+        """l(v + delta A_j) - l(v), read off supp(A_j)."""
+        return delta * float(vals @ self.grad(p, s.residual[ridx], ridx)) \
+            + 0.5 * (1.0 / self.scale(p)) * delta * delta \
+            * float(p.matrix.col_sq_norms[j])
+
+    def update_grad(self, p, s, j, delta, cache):
+        """Move the residual by delta * A_j and the kept gradient to match."""
+        ridx, vals = p.matrix.col(j)
+        col_axpy(p.matrix, j, delta, s.residual)
+        s.grad += (delta * cache.kappa) * cache.gram_column(ridx, vals, j)
+
+    def line_search(self, p, s, j):
+        aj = float(s.alpha[j])
+        h = float(p.matrix.col_sq_norms[j]) / self.scale(p) + p.reg.lam2
+        g = coord_grad(p, s, j)
+        if h == 0.0:
+            if abs(g) <= p.reg.lam:
+                return aj
+            raise ValueError("unbounded direction: zero column %d with "
+                             "nonzero slope" % j)
+        return p.reg.prox(aj - g / h, h)
+
+
 @dataclass(frozen=True)
-class SquaredResidual:
+class SquaredResidual(_QuadraticLoss):
     """l(v) = 0.5 * ||v - target||^2."""
     target: np.ndarray
 
+    def check(self, M):
+        if len(self.target) != M.n_rows:
+            raise ValueError("squared-residual target length must equal "
+                             "n_rows")
+
+    def value(self, p, v):
+        r = v - self.target
+        return 0.5 * float(r @ r)
+
+    def grad(self, p, v, rows=None):
+        return v - (self.target if rows is None else self.target[rows])
+
+    def scale(self, p):
+        return 1.0
+
 
 @dataclass(frozen=True)
-class DualSVM:
+class DualSVM(_QuadraticLoss):
     """l(v) = ||v||^2 / (2 * svm_lambda * n^2); pairs with c = -(1/n) 1."""
     svm_lambda: float
+    has_gap = True
+
+    def check(self, M):
+        if self.svm_lambda <= 0:
+            raise ValueError("svm_lambda must be positive")
+
+    def value(self, p, v):
+        return float(v @ v) / (2.0 * self.scale(p))
+
+    def grad(self, p, v, rows=None):
+        return v / self.scale(p)
+
+    def scale(self, p):
+        return self.svm_lambda * p.n * p.n
 
 
 @dataclass(frozen=True)
 class Logistic:
-    """l(v) = sum_i log(1 + exp(-v_i)), labels folded into the columns."""
+    """l(v) = sum_i log(1 + exp(-v_i)), labels folded into the columns; the
+    gradient moves by a row product over supp(A_j), and the 1-d minimizer
+    is bisected."""
+    has_gap = False
+
+    def check(self, M):
+        pass
+
+    def value(self, p, v):
+        return float(np.sum(np.logaddexp(0.0, -v)))
+
+    def grad(self, p, v, rows=None):
+        # d/dz log(1+exp(-z)) = -1/(1+exp(z)), computed stably
+        return -0.5 * (1.0 - np.tanh(v / 2.0))
+
+    def scale(self, p):
+        return 4.0  # nabla^2 l <= I / 4
+
+    def change(self, p, s, j, delta, ridx, vals):
+        z = -s.residual[ridx]  # the new residual negates to z - delta*vals
+        return float(np.sum(np.logaddexp(0.0, z - delta * vals)
+                            - np.logaddexp(0.0, z)))
+
+    def update_grad(self, p, s, j, delta, cache):
+        ridx, _ = p.matrix.col(j)
+        before = self.grad(p, s.residual[ridx], ridx)
+        col_axpy(p.matrix, j, delta, s.residual)
+        s.grad += cache.rows(ridx, self.grad(p, s.residual[ridx], ridx)
+                             - before)
+
+    def line_search(self, p, s, j, tol=1e-10, max_iters=100):
+        """Bisect the min-norm subgradient of F along coordinate j, which is
+        monotone, within the regularizer's domain."""
+        ridx, vals = p.matrix.col(j)
+        aj = float(s.alpha[j])
+        if len(vals) == 0 and p.linear_term[j] == 0.0:
+            return aj
+        vseg = s.residual[ridx]
+        reg, c = p.reg, p.linear_term[j]
+
+        def slope(x):
+            g = float(vals @ self.grad(p, vseg + (x - aj) * vals, ridx)) + c
+            if reg.lam2:
+                g += reg.lam2 * x
+            return reg.subgrad(x, g)
+
+        if slope(0.0) == 0.0:
+            return 0.0
+        # bracket the slope's sign change around the iterate, in steps of
+        # 1, 2, 4, ...
+        lo, hi = max(aj - 1.0, reg.lower), min(aj + 1.0, reg.upper)
+        for k in range(200):
+            if slope(lo) <= 0.0:
+                break
+            lo = max(lo - 2.0 ** k, reg.lower)
+        for k in range(200):
+            if slope(hi) >= 0.0:
+                break
+            hi = min(hi + 2.0 ** k, reg.upper)
+        for _ in range(max_iters):
+            mid = 0.5 * (lo + hi)
+            g = slope(mid)
+            if abs(g) <= tol:
+                return mid
+            if g > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
+
+
+class _L1Penalty:
+    """g_i(x) = lam |x|; its vector min-norm subgradient is the
+    steepest-subgradient score, zero exactly at optima."""
+
+    kind = "l1"
+    lower, upper = -math.inf, math.inf
+
+    def value(self, alpha):
+        return self.lam * float(np.abs(alpha).sum())
+
+    def change(self, a, new):
+        return self.lam * (abs(new) - abs(a))
+
+    def change_vec(self, alpha, gamma):
+        return self.lam * (np.abs(alpha + gamma) - np.abs(alpha))
+
+    def prox(self, x, h):
+        return shrink(x, self.lam / h)
+
+    def prox_vec(self, x, h):
+        return np.sign(x) * np.maximum(np.abs(x) - self.lam / h, 0.0)
+
+    def subgrad(self, x, g):
+        return g + math.copysign(self.lam, x) if x else shrink(g, self.lam)
+
+    def subgrad_vec(self, alpha, grad):
+        lam = self.lam
+        out = grad + np.sign(alpha) * lam
+        at_zero = alpha == 0
+        gz = grad[at_zero]
+        out[at_zero] = np.sign(gz) * np.maximum(np.abs(gz) - lam, 0.0)
+        return out
 
 
 @dataclass(frozen=True)
-class L1:
-    lam: float
+class L1(_L1Penalty):
+    lam: float  # every regularizer's L1 weight is its lam
+    lam2 = 0.0
+
+
+@dataclass(frozen=True)
+class ElasticNetL1(_L1Penalty):
+    """lam1 |x| + lam2/2 x^2; the quadratic part counts as smooth."""
+    lam1: float
+    lam2: float
+    lam = property(lambda self: self.lam1)
 
 
 @dataclass(frozen=True)
 class Box:
-    """Unit box [0,1]^n; general boxes are rescaled at load time."""
+    """Unit box [0,1]^n; general boxes are rescaled at load time. Its min-norm
+    subgradient is the projected gradient, nonzero on the active set."""
+    kind = "box"
+    lower, upper = 0.0, 1.0
+    lam2 = lam = 0.0
 
+    def value(self, alpha):
+        if np.any(alpha < -1e-12) or np.any(alpha > 1 + 1e-12):
+            raise ValueError("iterate outside the unit box")
+        return 0.0
 
-@dataclass(frozen=True)
-class ElasticNetL1:
-    lam1: float
-    lam2: float
+    def change(self, a, new):
+        if new < -1e-12 or new > 1 + 1e-12:
+            raise ValueError("iterate outside the unit box")
+        return 0.0
 
+    def change_vec(self, alpha, gamma):
+        return 0.0
 
-@dataclass(frozen=True)
-class NoReg:
-    pass
+    def prox(self, x, h):
+        return min(1.0, max(0.0, x))
 
+    def prox_vec(self, x, h):
+        return np.clip(x, 0.0, 1.0)
 
-def smoothness_L(loss, M, reg):
-    """Coordinate-wise smoothness constant for the given loss on matrix M."""
-    if M.n_cols == 0 or not np.any(M.col_sq_norms > 0):
-        raise ValueError("all-zero matrix has L = 0; refusing to build")
-    max_sq = float(M.col_sq_norms.max())
-    if isinstance(loss, SquaredResidual):
-        L = max_sq
-        if isinstance(reg, ElasticNetL1):
-            L += reg.lam2
-        return L
-    if isinstance(loss, DualSVM):
-        n = M.n_cols
-        return max_sq / (loss.svm_lambda * n * n)
-    if isinstance(loss, Logistic):
-        return max_sq / 4.0
-    raise TypeError("unknown loss kind: %r" % (loss,))
+    def subgrad(self, x, g):
+        # at a bound, the normal cone absorbs the part of g pointing out
+        if x <= 0.0:
+            return min(g, 0.0)
+        if x >= 1.0:
+            return max(g, 0.0)
+        return g
+
+    def subgrad_vec(self, alpha, grad):
+        return np.where(alpha <= 0.0, np.minimum(grad, 0.0),
+                        np.where(alpha >= 1.0, np.maximum(grad, 0.0), grad))
 
 
 class CompositeProblem:
@@ -93,16 +271,17 @@ class CompositeProblem:
     def __init__(self, matrix, linear_term, loss, reg):
         if len(linear_term) != matrix.n_cols:
             raise ValueError("linear term must have one entry per column")
-        if isinstance(loss, SquaredResidual) and len(loss.target) != matrix.n_rows:
-            raise ValueError("squared-residual target length must equal n_rows")
-        if isinstance(loss, DualSVM) and loss.svm_lambda <= 0:
-            raise ValueError("svm_lambda must be positive")
+        loss.check(matrix)
+        if matrix.n_cols == 0 or not np.any(matrix.col_sq_norms > 0):
+            raise ValueError("all-zero matrix has L = 0; refusing to build")
         self.matrix = matrix
         self.linear_term = np.asarray(linear_term, dtype=np.float64)
         self.linear_term.setflags(write=False)
         self.loss = loss
         self.reg = reg
-        self.smoothness = smoothness_L(loss, matrix, reg)
+        # coordinate-wise smoothness constant
+        self.smoothness = float(matrix.col_sq_norms.max()) \
+            / loss.scale(self) + reg.lam2
 
     @property
     def n(self):
@@ -114,12 +293,9 @@ class CompositeProblem:
 
     @property
     def l1_lambda(self):
-        """The L1 weight seen by the prox machinery (lam1 for elastic net)."""
-        if isinstance(self.reg, L1):
-            return self.reg.lam
-        if isinstance(self.reg, ElasticNetL1):
-            return self.reg.lam1
-        raise TypeError("problem has no L1 term (reg is %r)" % (self.reg,))
+        """The L1 weight seen by the prox machinery (lam1 for elastic net,
+        0 for the box)."""
+        return self.reg.lam
 
 
 @dataclass
@@ -137,7 +313,6 @@ class IterateState:
     alpha: np.ndarray
     residual: np.ndarray
     nnz: int
-    iter: int = 0
     # maintained gradient, read-only to callers; set by track_gradient
     grad: np.ndarray = field(default=None, init=False)
     grad_refreshes: int = field(default=0, init=False)
@@ -165,7 +340,7 @@ class IterateState:
     def track_gradient(self, problem):
         """Compute the full gradient now and keep it current from here on."""
         self.grad = full_grad(problem, self)
-        self._grad_updater = _GradientUpdater(problem)
+        self._grad_updater = _GradientCache(problem)
 
     def track_objective(self, problem):
         """Compute F(alpha) now and keep it current from here on."""
@@ -199,14 +374,13 @@ class IterateState:
             self._f_refreshed, self._f_since = fresh, 0.0
 
 
-class _GradientUpdater:
-    """The change of the full gradient g when alpha_j moves by delta.
+class _GradientCache:
+    """What keeping the gradient needs besides the state: a row product over
+    A, and the quadratic losses' curvature and Gram columns G_j = A^T A_j.
 
-    Quadratic losses add delta * kappa * G_j, with kappa the loss curvature
-    and G_j = A^T A_j. Each Gram column is computed on first use and cached
-    while the cache stays within GRAM_CACHE_INPUT_MULTIPLE times the bytes A
-    is stored in; past that, a column is recomputed on every use. Logistic
-    adds A[S, :]^T (change of nabla l on S), S = supp(A_j), by a row product.
+    Each Gram column is computed on first use and cached while the cache
+    stays within GRAM_CACHE_INPUT_MULTIPLE times the bytes A is stored in;
+    past that, a column is recomputed on every use.
     """
 
     def __init__(self, p):
@@ -215,7 +389,7 @@ class _GradientUpdater:
         self.gram = {}
         self.room = GRAM_CACHE_INPUT_MULTIPLE * (M.values.nbytes
                                                  + M.row_indices.nbytes)
-        self.kappa = _loss_curvature(p)
+        self.kappa = 1.0 / p.loss.scale(p)
 
     def gram_column(self, ridx, vals, j):
         col = self.gram.get(j)
@@ -226,55 +400,21 @@ class _GradientUpdater:
                 self.room -= col.nbytes
         return col
 
-    def step(self, p, s, j, delta):
-        """Move the residual by delta * A_j and g to match."""
-        ridx, vals = p.matrix.col(j)
-        if isinstance(p.loss, Logistic):
-            before = _loss_grad(p, s.residual[ridx], ridx)
-            col_axpy(p.matrix, j, delta, s.residual)
-            after = _loss_grad(p, s.residual[ridx], ridx)
-            s.grad += self.rows(ridx, after - before)
-            return
-        col_axpy(p.matrix, j, delta, s.residual)
-        s.grad += (delta * self.kappa) * self.gram_column(ridx, vals, j)
-        if isinstance(p.reg, ElasticNetL1):
-            s.grad[j] += p.reg.lam2 * delta
-
-
-def _loss_curvature(p):
-    """kappa, with nabla^2 l = kappa I, for the quadratic losses."""
-    if isinstance(p.loss, DualSVM):
-        return 1.0 / (p.loss.svm_lambda * p.n * p.n)
-    return 1.0
-
-
-def _loss_grad(p, v, rows=None):
-    """nabla l at residual entries v: the whole residual, or its `rows`."""
-    if isinstance(p.loss, SquaredResidual):
-        return v - (p.loss.target if rows is None else p.loss.target[rows])
-    if isinstance(p.loss, DualSVM):
-        n = p.n
-        return v / (p.loss.svm_lambda * n * n)
-    if isinstance(p.loss, Logistic):
-        # d/dz log(1+exp(-z)) = -1/(1+exp(z)), computed stably
-        return -0.5 * (1.0 - np.tanh(v / 2.0))
-    raise TypeError("unknown loss kind: %r" % (p.loss,))
-
 
 def grad_l(p, s):
     """Gradient of the loss at the current residual (a d-vector)."""
-    return _loss_grad(p, s.residual)
+    return p.loss.grad(p, s.residual)
 
 
 def coord_grad(p, s, j):
-    """nabla_j f(alpha) = <A_j, grad_l(v)> + c_j (+ lam2*alpha_j).
+    """nabla_j f(alpha) = <A_j, grad_l(v)> + c_j + lam2*alpha_j.
 
     nabla l is evaluated on supp(A_j) only.
     """
     ridx, vals = p.matrix.col(j)
-    g = float(vals @ _loss_grad(p, s.residual[ridx], ridx)) \
+    g = float(vals @ p.loss.grad(p, s.residual[ridx], ridx)) \
         + p.linear_term[j]
-    if isinstance(p.reg, ElasticNetL1):
+    if p.reg.lam2:
         g += p.reg.lam2 * s.alpha[j]
     return g
 
@@ -282,7 +422,7 @@ def coord_grad(p, s, j):
 def full_grad(p, s):
     """All coordinate gradients at once via a transposed matvec."""
     g = p.matrix.matvec_T(grad_l(p, s)) + p.linear_term
-    if isinstance(p.reg, ElasticNetL1):
+    if p.reg.lam2:
         g = g + p.reg.lam2 * s.alpha
     return g
 
@@ -300,44 +440,17 @@ def subgrad_score(p, s, grad=None):
     """
     if not isinstance(p.reg, (L1, ElasticNetL1)):
         raise TypeError("score vector needs an L1-type regularizer")
-    lam = p.l1_lambda
     if grad is None:
         grad = current_grad(p, s)
-    out = grad + np.sign(s.alpha) * lam
-    at_zero = s.alpha == 0
-    gz = grad[at_zero]
-    out[at_zero] = np.sign(gz) * np.maximum(np.abs(gz) - lam, 0.0)
-    return out
+    return p.reg.subgrad_vec(s.alpha, grad)
 
 
 def objective_value(p, s):
     """Full composite value F(alpha) at the current iterate."""
-    v = s.residual
-    if isinstance(p.loss, SquaredResidual):
-        r = v - p.loss.target
-        smooth = 0.5 * float(r @ r)
-    elif isinstance(p.loss, DualSVM):
-        n = p.n
-        smooth = float(v @ v) / (2.0 * p.loss.svm_lambda * n * n)
-    elif isinstance(p.loss, Logistic):
-        smooth = float(np.sum(np.logaddexp(0.0, -v)))
-    else:
-        raise TypeError("unknown loss kind: %r" % (p.loss,))
-    smooth += float(p.linear_term @ s.alpha)
-
-    reg = p.reg
-    if isinstance(reg, L1):
-        return smooth + reg.lam * float(np.abs(s.alpha).sum())
-    if isinstance(reg, ElasticNetL1):
-        return (smooth + 0.5 * reg.lam2 * float(s.alpha @ s.alpha)
-                + reg.lam1 * float(np.abs(s.alpha).sum()))
-    if isinstance(reg, Box):
-        if np.any(s.alpha < -1e-12) or np.any(s.alpha > 1 + 1e-12):
-            raise ValueError("iterate outside the unit box")
-        return smooth
-    if isinstance(reg, NoReg):
-        return smooth
-    raise TypeError("unknown regularizer kind: %r" % (reg,))
+    f = p.loss.value(p, s.residual) + float(p.linear_term @ s.alpha)
+    if p.reg.lam2:
+        f += 0.5 * p.reg.lam2 * float(s.alpha @ s.alpha)
+    return f + p.reg.value(s.alpha)
 
 
 def _objective_change(p, s, j, delta):
@@ -348,26 +461,13 @@ def _objective_change(p, s, j, delta):
     a = float(s.alpha[j])
     new = a + delta  # the value alpha_j takes, rounded the same way
     ridx, vals = p.matrix.col(j)
-    if isinstance(p.loss, Logistic):
-        z = -s.residual[ridx]  # the new residual negates to z - delta*vals
-        change = float(np.sum(np.logaddexp(0.0, z - delta * vals)
-                              - np.logaddexp(0.0, z)))
-    else:
-        # quadratic: delta <A_j, nabla l(v)> + kappa delta^2 ||A_j||^2 / 2
-        change = delta * float(vals @ _loss_grad(p, s.residual[ridx], ridx)) \
-            + 0.5 * _loss_curvature(p) * delta * delta \
-            * float(p.matrix.col_sq_norms[j])
-    change += p.linear_term[j] * delta
+    change = p.loss.change(p, s, j, delta, ridx, vals) \
+        + p.linear_term[j] * delta
     reg = p.reg
-    if isinstance(reg, L1):
-        change += reg.lam * (abs(new) - abs(a))
-    elif isinstance(reg, ElasticNetL1):
-        change += reg.lam1 * (abs(new) - abs(a)) \
-            + 0.5 * reg.lam2 * delta * (a + new)
-    elif isinstance(reg, Box):
-        if new < -1e-12 or new > 1 + 1e-12:
-            raise ValueError("iterate outside the unit box")
-    return change
+    penalty = reg.change(a, new)
+    if reg.lam2:
+        penalty += 0.5 * reg.lam2 * delta * (a + new)
+    return change + penalty
 
 
 def apply_coord_delta(p, s, j, delta):
@@ -386,7 +486,9 @@ def apply_coord_delta(p, s, j, delta):
     if s._grad_updater is None:
         col_axpy(p.matrix, j, delta, s.residual)
     else:
-        s._grad_updater.step(p, s, j, delta)
+        p.loss.update_grad(p, s, j, delta, s._grad_updater)
+        if p.reg.lam2:
+            s.grad[j] += p.reg.lam2 * delta
     s._steps_since_refresh += 1
     if s._steps_since_refresh >= RESIDUAL_REFRESH_EVERY:
         s.recompute_residual(p)
@@ -416,19 +518,6 @@ def duality_gap(p, s):
     else:
         dual = -s.objective
     return primal - dual
-
-
-def rescale_columns(M, per_col_L):
-    """Divide column j by sqrt(per_col_L[j]) so per-coordinate curvature is 1.
-
-    Returns (matrix, scales) with scales[j] = 1/sqrt(L_j); a solution on the
-    rescaled problem maps back as alpha_original = alpha_scaled * scales.
-    """
-    per_col_L = np.asarray(per_col_L, dtype=np.float64)
-    if np.any(per_col_L <= 0):
-        raise ValueError("per-column smoothness constants must be positive")
-    scales = 1.0 / np.sqrt(per_col_L)
-    return M.scale_columns(scales), scales
 
 
 def make_lasso(M, b, lam):

@@ -13,8 +13,7 @@ from enum import Enum
 import numpy as np
 
 # full_grad stays importable from here: instrumentation wraps it by this name
-from .objectives import (Box, ElasticNetL1, L1, current_grad, full_grad,
-                         subgrad_score)
+from .objectives import Box, current_grad, full_grad, subgrad_score
 
 __all__ = [
     "Rule", "SelectionOutcome", "ActiveSet",
@@ -91,14 +90,7 @@ def prox_step_lengths(p, s, grad=None):
     if grad is None:
         grad = current_grad(p, s)
     L = p.smoothness
-    target = s.alpha - grad / L
-    if isinstance(p.reg, (L1, ElasticNetL1)):
-        lam = p.l1_lambda
-        stepped = np.sign(target) * np.maximum(np.abs(target) - lam / L, 0.0)
-        return stepped - s.alpha
-    if isinstance(p.reg, Box):
-        return np.clip(target, 0.0, 1.0) - s.alpha
-    raise TypeError("step lengths need an L1 or box regularizer")
+    return p.reg.prox_vec(s.alpha - grad / L, L) - s.alpha
 
 
 def select_gsr(p, s, grad=None):
@@ -114,10 +106,8 @@ def select_gsq(p, s, grad=None):
         grad = current_grad(p, s)
     gamma = prox_step_lengths(p, s, grad=grad)
     L = p.smoothness
-    chi = gamma * grad + 0.5 * L * gamma**2
-    if isinstance(p.reg, (L1, ElasticNetL1)):
-        lam = p.l1_lambda
-        chi = chi + lam * (np.abs(s.alpha + gamma) - np.abs(s.alpha))
+    chi = gamma * grad + 0.5 * L * gamma**2 \
+        + p.reg.change_vec(s.alpha, gamma)
     j, m = _argmax_abs(chi)
     return SelectionOutcome(coord=j, score=m)
 
@@ -129,22 +119,11 @@ def select_uniform(n, rng):
 
 
 def measure_theta(chosen, p, s):
-    """Ratio of the chosen coordinate's steepness score to the exact max.
+    """Ratio of the chosen coordinate's steepness score (the size of the
+    regularizer's min-norm subgradient) to the exact max.
 
     Returns 1 by convention when the exact maximum is 0 (converged state).
     """
-    if isinstance(p.reg, (L1, ElasticNetL1)):
-        sv = np.abs(subgrad_score(p, s))
-        m = float(sv.max())
-        return 1.0 if m == 0.0 else float(sv[chosen]) / m
-    if isinstance(p.reg, Box):
-        grad = current_grad(p, s)
-        active = ActiveSet.from_state(s.alpha, grad)
-        if active.empty:
-            return 1.0
-        m = float(np.abs(grad[active.membership]).max())
-        if m == 0.0:
-            return 1.0
-        own = abs(float(grad[chosen])) if active.membership[chosen] else 0.0
-        return own / m
-    raise TypeError("theta measurement needs an L1 or box regularizer")
+    sv = np.abs(p.reg.subgrad_vec(s.alpha, current_grad(p, s)))
+    m = float(sv.max())
+    return 1.0 if m == 0.0 else float(sv[chosen]) / m

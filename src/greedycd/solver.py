@@ -16,14 +16,13 @@ import numpy as np
 from . import smips as sm
 # full_grad, subgrad_score and select_uniform stay importable from here:
 # instrumentation wraps them by these names
-from .objectives import (Box, DualSVM, ElasticNetL1, IterateState, L1,
-                         Logistic, SquaredResidual, apply_coord_delta,
-                         coord_grad, current_grad, duality_gap, full_grad,
-                         grad_l, objective_value, subgrad_score)
+from .objectives import (Box, ElasticNetL1, IterateState, L1,
+                         apply_coord_delta, coord_grad, current_grad,
+                         duality_gap, full_grad, grad_l, objective_value,
+                         subgrad_score)
 from .selection import (ActiveSet, Rule, SelectionOutcome, measure_theta,
                         select_gsq, select_gsr, select_gss_box,
                         select_gss_l1, select_uniform)
-from .sparse import shrink
 
 __all__ = [
     "SolverConfig", "StepRecord", "Trace", "SmipsEngine",
@@ -125,88 +124,12 @@ def classify_step_box(alpha_i, raw_target):
     return CROSS
 
 
-def _col_curvature(p, j):
-    """Exact second derivative of the smooth part along coordinate j."""
-    h = float(p.matrix.col_sq_norms[j])
-    if isinstance(p.loss, DualSVM):
-        h /= p.loss.svm_lambda * p.n * p.n
-    if isinstance(p.reg, ElasticNetL1):
-        h += p.reg.lam2
-    return h
-
-
 def line_search_1d(p, s, j):
-    """Exact (or bisected) 1-d minimizer of F along coordinate j.
-
-    Quadratic losses use the closed-form prox/clip step with the column's own
-    curvature; logistic bisects its monotone 1-d subgradient.
-    """
+    """Exact (or bisected) 1-d minimizer of F along coordinate j: the
+    loss's own, through the regularizer's prox or domain."""
     if not 0 <= j < p.n:
         raise IndexError("coordinate %d out of range" % j)
-    aj = float(s.alpha[j])
-    if isinstance(p.loss, (SquaredResidual, DualSVM)):
-        h = _col_curvature(p, j)
-        g = coord_grad(p, s, j)
-        if h == 0.0:
-            if g == 0.0 or (isinstance(p.reg, (L1, ElasticNetL1))
-                            and abs(g) <= p.l1_lambda):
-                return aj
-            raise ValueError("unbounded direction: zero column %d with "
-                             "nonzero slope" % j)
-        target = aj - g / h
-        if isinstance(p.reg, (L1, ElasticNetL1)):
-            return shrink(target, p.l1_lambda / h)
-        if isinstance(p.reg, Box):
-            return min(1.0, max(0.0, target))
-        return target
-    if isinstance(p.loss, Logistic):
-        return _bisect_logistic(p, s, j)
-    raise TypeError("unknown loss kind: %r" % (p.loss,))
-
-
-def _bisect_logistic(p, s, j, tol=1e-10, max_iters=100):
-    ridx, vals = p.matrix.col(j)
-    if len(vals) == 0 and p.linear_term[j] == 0.0:
-        return float(s.alpha[j])
-    aj = float(s.alpha[j])
-    vseg = s.residual[ridx]
-    lam = p.l1_lambda if isinstance(p.reg, (L1, ElasticNetL1)) else 0.0
-
-    def min_subgrad(x):
-        z = vseg + (x - aj) * vals
-        g = float(vals @ (-0.5 * (1.0 - np.tanh(z / 2.0)))) + p.linear_term[j]
-        if x > 0:
-            return g + lam
-        if x < 0:
-            return g - lam
-        return shrink(g, lam)
-
-    if min_subgrad(0.0) == 0.0:
-        return 0.0
-    # bracket the (monotone) subgradient's sign change around the iterate
-    r = 1.0
-    lo, hi = aj - r, aj + r
-    for _ in range(200):
-        if min_subgrad(lo) <= 0.0:
-            break
-        lo -= r
-        r *= 2.0
-    r = 1.0
-    for _ in range(200):
-        if min_subgrad(hi) >= 0.0:
-            break
-        hi += r
-        r *= 2.0
-    for _ in range(max_iters):
-        mid = 0.5 * (lo + hi)
-        g = min_subgrad(mid)
-        if abs(g) <= tol:
-            return mid
-        if g > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return p.loss.line_search(p, s, j)
 
 
 class SmipsEngine:
@@ -223,18 +146,16 @@ class SmipsEngine:
         self.backend = backend if backend is not None else sm.Exact()
         self.beta = beta if beta is not None else 50.0 / math.sqrt(p.n)
         t0 = time.perf_counter()
-        if isinstance(p.reg, L1):
-            self.kind = "l1"
-            self.points = sm.build_l1_points(p.matrix, p.linear_term, self.beta)
-            self.mask = sm.build_l1_mask(np.zeros(p.n))
-        elif isinstance(p.reg, Box):
-            self.kind = "box"
-            self.c_value = sm.require_uniform_linear_term(p.linear_term)
-            self.points = sm.build_box_points(p.matrix, p.linear_term, self.beta)
-            self.mask = sm.build_box_mask(np.zeros(p.n))
-        else:
+        if not isinstance(p.reg, (L1, Box)):
             raise TypeError("inner-product selection supports plain L1 and "
                             "box regularizers, not %r" % (p.reg,))
+        self.kind = p.reg.kind
+        if self.kind == "l1":
+            self.points = sm.build_l1_points(p.matrix, p.linear_term, self.beta)
+        else:
+            self.c_value = sm.require_uniform_linear_term(p.linear_term)
+            self.points = sm.build_box_points(p.matrix, p.linear_term, self.beta)
+        self.reset_mask(np.zeros(p.n))
         if isinstance(self.backend, sm.HyperplaneLsh):
             self.backend.fit(self.points)
         self.build_seconds = time.perf_counter() - t0
@@ -249,20 +170,22 @@ class SmipsEngine:
     def is_exact(self):
         return isinstance(self.backend, sm.Exact)
 
+    def query(self, p, s):
+        """The augmented query vector at the state's residual."""
+        gl = grad_l(p, s)
+        if self.kind == "l1":
+            return sm.build_l1_query(gl, p.reg.lam, self.beta)
+        return sm.build_box_query(gl, self.c_value, self.beta)
+
     def select(self, p, s):
-        lam = p.l1_lambda if self.kind == "l1" else 0.0
         if self.is_exact:
             # the state's maintained gradient when it keeps one
-            pid, val = sm.exact_from_grad(self.mask, current_grad(p, s), lam)
+            pid, val = sm.exact_from_grad(self.mask, current_grad(p, s),
+                                          p.reg.lam)
             fb = False
         else:
-            gl = grad_l(p, s)
-            if self.kind == "l1":
-                q = sm.build_l1_query(gl, lam, self.beta)
-            else:
-                q = sm.build_box_query(gl, self.c_value, self.beta)
-            pid, val, fb = sm.smips_query(self.points, q, self.mask,
-                                          self.backend)
+            pid, val, fb = sm.smips_query(self.points, self.query(p, s),
+                                          self.mask, self.backend)
         j, _ = sm.point_to_coordinate(self.points, pid)
         return SelectionOutcome(coord=j, score=val, fell_back=fb)
 
@@ -280,6 +203,7 @@ class _Steps:
 
     def __init__(self, p, cfg):
         self.L = p.smoothness
+        self.prox = p.reg.prox
         self.line_search = cfg.use_line_search
         self.rng = np.random.default_rng(cfg.seed)
 
@@ -301,7 +225,6 @@ class _L1Steps(_Steps):
         # the stop check, the exact rules and the exact engine read every
         # score every step
         self.keeps_grad = self.check_every == 1
-        self.lam_step = p.l1_lambda / self.L
         self.draws, self.drawn = [], 0  # the current block of coordinates
 
     def steepest(self, p, s):
@@ -319,7 +242,8 @@ class _L1Steps(_Steps):
         if self.line_search:
             a_plus = line_search_1d(p, s, j)
         else:
-            a_plus = shrink(aj - coord_grad(p, s, j) / self.L, self.lam_step)
+            L = self.L
+            a_plus = self.prox(aj - coord_grad(p, s, j) / L, L)
         return classify_step_l1(aj, a_plus), \
             (a_plus if aj * a_plus >= 0.0 else 0.0)
 
@@ -337,9 +261,9 @@ class _BoxSteps(_Steps):
         lsh = engine is not None and not engine.is_exact
         self.check_every = max(1, p.n) if lsh else 1
         self.checks = engine is None or lsh
-        svm = isinstance(p.loss, DualSVM)
-        self.check_gap = svm and cfg.tol > 0
-        self.record_gap = svm and cfg.record_gap
+        gap = p.loss.has_gap
+        self.check_gap = gap and cfg.tol > 0
+        self.record_gap = gap and cfg.record_gap
         self.active = None
 
     def steepest(self, p, s):
@@ -354,16 +278,14 @@ class _BoxSteps(_Steps):
         """(class, new alpha_j), classified against the pre-clip target."""
         raw = aj - coord_grad(p, s, j) / self.L
         new = line_search_1d(p, s, j) if self.line_search \
-            else min(1.0, max(0.0, raw))
+            else self.prox(raw, self.L)
         return classify_step_box(aj, raw), new
 
 
 def _steps_for(p, cfg, engine=None):
-    if isinstance(p.reg, (L1, ElasticNetL1)):
-        return _L1Steps(p, cfg, engine)
-    if isinstance(p.reg, Box):
-        return _BoxSteps(p, cfg, engine)
-    raise TypeError("no coordinate steps for regularizer %r" % (p.reg,))
+    """The steps of the loop kind the problem's regularizer takes."""
+    steps = {_L1Steps.kind: _L1Steps, _BoxSteps.kind: _BoxSteps}
+    return steps[p.reg.kind](p, cfg, engine)
 
 
 def _make_engine(p, cfg):

@@ -369,6 +369,24 @@ class TestNormalize:
         assert list(dropped) == [1]
         assert list(ds.labels) == [1.0]
 
+    def test_column_whose_squared_norm_overflows(self):
+        with np.errstate(over="ignore"):  # squaring 1e200 overflows
+            ds = parse_libsvm(b"1 1:1e200 2:1e200\n-1 1:3 2:4\n")
+            out, scales, dropped = normalize_columns(ds)
+        np.testing.assert_allclose(out.matrix.to_dense(),
+                                   [[np.sqrt(0.5), 0.6], [np.sqrt(0.5), 0.8]])
+        assert scales[0] == pytest.approx(np.sqrt(2.0) * 1e200)
+        assert scales[1] == 5.0
+        assert len(dropped) == 0
+
+    def test_column_whose_squared_norm_underflows(self):
+        M = SparseColMatrix.from_dense(np.array([[3.0, 1e-200], [4.0, 0.0]]))
+        ds, scales, dropped = normalize_columns(Dataset(M, np.zeros(2)))
+        np.testing.assert_array_equal(ds.matrix.to_dense(),
+                                      [[0.6, 1.0], [0.8, 0.0]])
+        np.testing.assert_array_equal(scales, [5.0, 1e-200])
+        assert len(dropped) == 0
+
     def test_lasso_smoothness_one_after_normalize(self, rng):
         A = rng.standard_normal((6, 5))
         ds, _, _ = normalize_columns(

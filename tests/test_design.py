@@ -1,0 +1,97 @@
+"""Design guard: losses and regularizers are objects, not type switches.
+
+Each loss and regularizer class is the one place that knows how it
+behaves, and callers read its methods. A type check on these classes may
+remain only where a public entry point refuses the wrong problem kind.
+The oracles module is exempt: it recomputes everything from first
+principles, independently of the objects it checks.
+"""
+
+import ast
+import os
+
+from greedycd import objectives
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src", "greedycd")
+EXEMPT = {"oracles.py"}
+LOSSES = ("SquaredResidual", "DualSVM", "Logistic")
+REGULARIZERS = ("L1", "ElasticNetL1", "Box")
+# the entry points that refuse a problem kind: one check each
+ENTRY_POINTS = {
+    "solver.py": {"solve_l1", "solve_box", "SmipsEngine.__init__"},
+    "objectives.py": {"subgrad_score", "duality_gap"},
+    "selection.py": {"select_gss_box"},
+}
+
+
+def _class_names():
+    """The loss and regularizer classes and every base they share."""
+    names = set()
+    for name in LOSSES + REGULARIZERS:
+        for cls in getattr(objectives, name).__mro__:
+            if cls.__module__ == objectives.__name__:
+                names.add(cls.__name__)
+    return names
+
+
+def _named(node):
+    """Class names an isinstance second argument mentions."""
+    parts = node.elts if isinstance(node, ast.Tuple) else [node]
+    out = set()
+    for part in parts:
+        if isinstance(part, ast.Name):
+            out.add(part.id)
+        elif isinstance(part, ast.Attribute):
+            out.add(part.attr)
+    return out
+
+
+def type_checks(path):
+    """(qualified function name, classes) of every isinstance call on a
+    loss or regularizer class in the file."""
+    tree = ast.parse(open(path).read(), path)
+    watched = _class_names()
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "isinstance" and len(node.args) == 2:
+            hit = _named(node.args[1]) & watched
+            if hit:
+                found.append((".".join(scope), sorted(hit)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_type_checks_only_at_entry_points():
+    stray, seen = [], {}
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py") or name in EXEMPT:
+            continue
+        allowed = ENTRY_POINTS.get(name, set())
+        for where, classes in type_checks(os.path.join(SRC, name)):
+            if where in allowed:
+                seen[(name, where)] = seen.get((name, where), 0) + 1
+            else:
+                stray.append("%s:%s isinstance on %s" % (name, where,
+                                                         classes))
+    assert not stray, "dispatch on loss/regularizer type:\n" + \
+        "\n".join(stray)
+    assert all(count == 1 for count in seen.values()), seen
+
+
+def test_guard_sees_a_type_switch(tmp_path):
+    path = tmp_path / "switch.py"
+    path.write_text("def f(p):\n"
+                    "    if isinstance(p.reg, (L1, ElasticNetL1)):\n"
+                    "        return 1\n"
+                    "    return isinstance(p.loss, objectives.Logistic)\n")
+    assert type_checks(str(path)) == [("f", ["ElasticNetL1", "L1"]),
+                                      ("f", ["Logistic"])]

@@ -6,8 +6,7 @@ from greedycd.objectives import (Box, CompositeProblem, DualSVM, IterateState,
                                  L1, Logistic, SquaredResidual,
                                  apply_coord_delta, coord_grad, duality_gap,
                                  full_grad, grad_l, make_lasso, make_svm_dual,
-                                 objective_value, rescale_columns,
-                                 smoothness_L, subgrad_score)
+                                 objective_value, subgrad_score)
 from greedycd.data_io import (CorrelatedLasso, RandomSvm, SynthSpec,
                               fold_labels, gen_synthetic)
 from greedycd.selection import Rule
@@ -37,8 +36,8 @@ class TestSmoothness:
 
     def test_zero_matrix_rejected(self):
         M = SparseColMatrix.from_dense(np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            smoothness_L(Logistic(), M, L1(0.1))
+        with pytest.raises(ValueError, match="all-zero matrix"):
+            CompositeProblem(M, np.zeros(2), Logistic(), L1(0.1))
 
 
 class TestValuesAndGradients:
@@ -175,20 +174,6 @@ class TestDualityGap:
         p = random_problem("lasso", rng)
         with pytest.raises(TypeError):
             duality_gap(p, IterateState.zeros(p))
-
-
-class TestRescale:
-    def test_unit_curvature_after_rescale(self, rng):
-        p = random_problem("lasso", rng)
-        M2, scales = rescale_columns(p.matrix, p.matrix.col_sq_norms)
-        np.testing.assert_allclose(M2.col_sq_norms, 1.0)
-        np.testing.assert_allclose(scales,
-                                   1 / np.sqrt(p.matrix.col_sq_norms))
-
-    def test_nonpositive_curvature_rejected(self, rng):
-        p = random_problem("lasso", rng)
-        with pytest.raises(ValueError):
-            rescale_columns(p.matrix, np.zeros(p.n))
 
 
 class TestConstruction:
