@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# col_dot stays importable from here: instrumentation wraps it by this name
+# col_dot and col_axpy stay importable from here: instrumentation wraps
+# them by these names
 from .sparse import RowProduct, col_axpy, col_dot, shrink
 
 __all__ = [
@@ -39,34 +40,44 @@ class _QuadraticLoss:
 
     has_gap = False  # whether duality_gap certifies it
 
-    def change(self, p, s, j, delta, ridx, vals):
-        """l(v + delta A_j) - l(v), read off supp(A_j)."""
-        return delta * float(vals @ self.grad(p, s.residual[ridx], ridx)) \
-            + 0.5 * (1.0 / self.scale(p)) * delta * delta \
+    def change(self, p, s, j, delta, read):
+        """l(v + delta A_j) - l(v) from the column read at v: delta times
+        <A_j, nabla l(v)> plus the exact quadratic term."""
+        return delta * read[4] + 0.5 * (1.0 / p.loss_scale) * delta * delta \
             * float(p.matrix.col_sq_norms[j])
 
-    def update_grad(self, p, s, j, delta, cache):
-        """Move the residual by delta * A_j and the kept gradient to match."""
-        ridx, vals = p.matrix.col(j)
-        col_axpy(p.matrix, j, delta, s.residual)
+    def update_grad(self, p, s, delta, read, cache):
+        """Move the kept gradient after the residual moved by delta * A_j."""
+        j, ridx, vals = read[:3]
         s.grad += (delta * cache.kappa) * cache.gram_column(ridx, vals, j)
 
     def line_search(self, p, s, j):
         aj = float(s.alpha[j])
-        h = float(p.matrix.col_sq_norms[j]) / self.scale(p) + p.reg.lam2
+        reg = p.reg
+        h = float(p.matrix.col_sq_norms[j]) / p.loss_scale + reg.lam2
         g = coord_grad(p, s, j)
         if h == 0.0:
-            if abs(g) <= p.reg.lam:
+            if abs(g) <= reg.lam:
                 return aj
-            raise ValueError("unbounded direction: zero column %d with "
-                             "nonzero slope" % j)
-        return p.reg.prox(aj - g / h, h)
+            # F is linear along j: the minimizer is the domain's bound the
+            # descent direction points to, if it has one
+            bound = reg.lower if g > 0.0 else reg.upper
+            if math.isinf(bound):
+                raise ValueError("unbounded direction: zero column %d with "
+                                 "nonzero slope" % j)
+            return bound
+        return reg.prox(aj - g / h, h)
 
 
 @dataclass(frozen=True)
 class SquaredResidual(_QuadraticLoss):
     """l(v) = 0.5 * ||v - target||^2."""
     target: np.ndarray
+
+    def __post_init__(self):
+        # the gradient on supp(A_j) indexes the target by row ids
+        object.__setattr__(self, "target",
+                           np.asarray(self.target, dtype=np.float64))
 
     def check(self, M):
         if len(self.target) != M.n_rows:
@@ -95,10 +106,10 @@ class DualSVM(_QuadraticLoss):
             raise ValueError("svm_lambda must be positive")
 
     def value(self, p, v):
-        return float(v @ v) / (2.0 * self.scale(p))
+        return float(v @ v) / (2.0 * p.loss_scale)
 
     def grad(self, p, v, rows=None):
-        return v / self.scale(p)
+        return v / p.loss_scale
 
     def scale(self, p):
         return self.svm_lambda * p.n * p.n
@@ -124,15 +135,16 @@ class Logistic:
     def scale(self, p):
         return 4.0  # nabla^2 l <= I / 4
 
-    def change(self, p, s, j, delta, ridx, vals):
+    def change(self, p, s, j, delta, read):
+        ridx, vals = read[1:3]
         z = -s.residual[ridx]  # the new residual negates to z - delta*vals
         return float(np.sum(np.logaddexp(0.0, z - delta * vals)
                             - np.logaddexp(0.0, z)))
 
-    def update_grad(self, p, s, j, delta, cache):
-        ridx, _ = p.matrix.col(j)
-        before = self.grad(p, s.residual[ridx], ridx)
-        col_axpy(p.matrix, j, delta, s.residual)
+    def update_grad(self, p, s, delta, read, cache):
+        """Move the kept gradient after the residual moved by delta * A_j;
+        the read's nabla l on supp(A_j) is the value before the move."""
+        ridx, before = read[1], read[3]
         s.grad += cache.rows(ridx, self.grad(p, s.residual[ridx], ridx)
                              - before)
 
@@ -272,6 +284,12 @@ class CompositeProblem:
         if len(linear_term) != matrix.n_cols:
             raise ValueError("linear term must have one entry per column")
         loss.check(matrix)
+        bad = np.flatnonzero(~np.isfinite(matrix.col_sq_norms))
+        if len(bad):
+            j = int(bad[0])
+            raise ValueError("column %d has squared norm %r, so L is not "
+                             "finite; refusing to build"
+                             % (j, float(matrix.col_sq_norms[j])))
         if matrix.n_cols == 0 or not np.any(matrix.col_sq_norms > 0):
             raise ValueError("all-zero matrix has L = 0; refusing to build")
         self.matrix = matrix
@@ -279,9 +297,11 @@ class CompositeProblem:
         self.linear_term.setflags(write=False)
         self.loss = loss
         self.reg = reg
+        # the loss's scale(p), fixed for the problem: the steps read it
+        self.loss_scale = loss.scale(self)
         # coordinate-wise smoothness constant
         self.smoothness = float(matrix.col_sq_norms.max()) \
-            / loss.scale(self) + reg.lam2
+            / self.loss_scale + reg.lam2
 
     @property
     def n(self):
@@ -324,6 +344,10 @@ class IterateState:
     _f_since: float = field(default=0.0, init=False, repr=False)
     _steps_since_refresh: int = field(default=0, repr=False)
     _grad_updater: object = field(default=None, repr=False)
+    # the last column read at the current residual, by coord_grad, until the
+    # residual moves: (j, row ids, values, nabla l on them, <A_j, nabla l>)
+    _read: tuple = field(default=None, init=False, repr=False,
+                         compare=False)
 
     @classmethod
     def zeros(cls, problem):
@@ -360,6 +384,7 @@ class IterateState:
         # each entry sums the nonzero columns' terms in column order, as a
         # loop of col_axpy over them would
         self.residual = problem.matrix.matvec(self.alpha)
+        self._read = None
         self._steps_since_refresh = 0
         if self.grad is not None:
             fresh = full_grad(problem, self)
@@ -389,7 +414,7 @@ class _GradientCache:
         self.gram = {}
         self.room = GRAM_CACHE_INPUT_MULTIPLE * (M.values.nbytes
                                                  + M.row_indices.nbytes)
-        self.kappa = 1.0 / p.loss.scale(p)
+        self.kappa = 1.0 / p.loss_scale
 
     def gram_column(self, ridx, vals, j):
         col = self.gram.get(j)
@@ -409,11 +434,14 @@ def grad_l(p, s):
 def coord_grad(p, s, j):
     """nabla_j f(alpha) = <A_j, grad_l(v)> + c_j + lam2*alpha_j.
 
-    nabla l is evaluated on supp(A_j) only.
+    nabla l is evaluated on supp(A_j) only. The column read stays on the
+    state, so a move of coordinate j that follows reads supp(A_j) no more.
     """
     ridx, vals = p.matrix.col(j)
-    g = float(vals @ p.loss.grad(p, s.residual[ridx], ridx)) \
-        + p.linear_term[j]
+    gl = p.loss.grad(p, s.residual[ridx], ridx)
+    dot = float(vals @ gl)
+    s._read = (j, ridx, vals, gl, dot)
+    g = dot + p.linear_term[j]
     if p.reg.lam2:
         g += p.reg.lam2 * s.alpha[j]
     return g
@@ -453,16 +481,14 @@ def objective_value(p, s):
     return f + p.reg.value(s.alpha)
 
 
-def _objective_change(p, s, j, delta):
-    """F(alpha + delta e_j) - F(alpha) from supp(A_j), read before the move.
+def _objective_change(p, s, j, delta, read):
+    """F(alpha + delta e_j) - F(alpha) from the column read before the move.
 
     Raises the unit-box error when the move leaves the box.
     """
     a = float(s.alpha[j])
     new = a + delta  # the value alpha_j takes, rounded the same way
-    ridx, vals = p.matrix.col(j)
-    change = p.loss.change(p, s, j, delta, ridx, vals) \
-        + p.linear_term[j] * delta
+    change = p.loss.change(p, s, j, delta, read) + p.linear_term[j] * delta
     reg = p.reg
     penalty = reg.change(a, new)
     if reg.lam2:
@@ -475,18 +501,21 @@ def apply_coord_delta(p, s, j, delta):
     and the gradient and objective when the state keeps them."""
     if delta == 0.0:
         return
+    if s._read is None or s._read[0] != j:
+        coord_grad(p, s, j)  # leaves its column read on the state
+    read = s._read
     if s._f_refreshed is not None:
-        s._f_since += _objective_change(p, s, j, delta)
+        s._f_since += _objective_change(p, s, j, delta, read)
     was_zero = s.alpha[j] == 0.0
     s.alpha[j] += delta
     if was_zero and s.alpha[j] != 0.0:
         s.nnz += 1
     elif not was_zero and s.alpha[j] == 0.0:
         s.nnz -= 1
-    if s._grad_updater is None:
-        col_axpy(p.matrix, j, delta, s.residual)
-    else:
-        p.loss.update_grad(p, s, j, delta, s._grad_updater)
+    s._read = None  # the residual moves
+    s.residual[read[1]] += delta * read[2]
+    if s._grad_updater is not None:
+        p.loss.update_grad(p, s, delta, read, s._grad_updater)
         if p.reg.lam2:
             s.grad[j] += p.reg.lam2 * delta
     s._steps_since_refresh += 1
@@ -508,10 +537,13 @@ def duality_gap(p, s):
     # stationarity then puts support vectors exactly on the margin, so the
     # gap closes at the optimum
     w = s.residual / (lam * n)
-    # <b_i a_i, w> per example column: A^T w = n (g - c), read off the gradient
-    margins = n * (current_grad(p, s) - p.linear_term)
-    primal = float(np.maximum(1.0 - margins, 0.0).mean()) \
-        + 0.5 * lam * float(w @ w)
+    # <b_i a_i, w> per example column: A^T w = n (g - c), read off the
+    # gradient; the margins become the hinge terms in place, in one buffer
+    hinge = np.subtract(current_grad(p, s), p.linear_term)
+    hinge *= n
+    np.subtract(1.0, hinge, out=hinge)
+    np.maximum(hinge, 0.0, out=hinge)
+    primal = float(hinge.sum()) / n + 0.5 * lam * float(w @ w)
     if s.objective is None:
         dual = float(s.alpha.mean()) - float(s.residual @ s.residual) \
             / (2.0 * lam * n * n)

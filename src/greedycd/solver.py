@@ -251,7 +251,16 @@ class _L1Steps(_Steps):
 class _BoxSteps(_Steps):
     """Unit box: the steepest gradient over the active set (None when it is
     empty), the clipped step (or line search), and uniform draws from the
-    active set of the last check. SVM duals also stop on the duality gap."""
+    active set of the last check. SVM duals also stop on the duality gap.
+
+    The active set's bound state is kept per coordinate, read off the
+    stored alpha on first use with ActiveSet.from_state's comparisons:
+    `interior` (0 < alpha_i < 1) and `sign`, -1 at 0, +1 at 1 and 0
+    elsewhere. Only a step moves alpha, at its own coordinate, so the next
+    step or check re-reads that one coordinate; the membership
+    (sign * g > 0) | interior then equals from_state's, sign * g being an
+    exact sign flip.
+    """
 
     kind = "box"
     keeps_grad = True  # the active set and the SVM gap read every entry
@@ -265,10 +274,27 @@ class _BoxSteps(_Steps):
         self.check_gap = gap and cfg.tol > 0
         self.record_gap = gap and cfg.record_gap
         self.active = None
+        self.interior = self.sign = None
+        self.moved = None  # the last step's coordinate, until re-read
+
+    def _sync(self, alpha):
+        """Bring the bound state up to date with alpha."""
+        if self.sign is None:
+            self.interior = (alpha > 0) & (alpha < 1)
+            self.sign = (alpha == 1).astype(float) - (alpha == 0)
+        elif self.moved is not None:
+            j = self.moved
+            a = float(alpha[j])
+            self.interior[j] = 0 < a < 1
+            self.sign[j] = float(a == 1) - float(a == 0)
+        self.moved = None
 
     def steepest(self, p, s):
-        self.active = ActiveSet.from_state(s.alpha, s.grad)
-        return select_gss_box(p, s, active=self.active, grad=s.grad)
+        self._sync(s.alpha)
+        g = s.grad
+        self.active = ActiveSet(membership=(self.sign * g > 0)
+                                | self.interior)
+        return select_gss_box(p, s, active=self.active, grad=g)
 
     def uniform(self, p):
         ids = np.nonzero(self.active.membership)[0]
@@ -276,6 +302,8 @@ class _BoxSteps(_Steps):
 
     def step(self, p, s, j, aj):
         """(class, new alpha_j), classified against the pre-clip target."""
+        self._sync(s.alpha)
+        self.moved = j
         raw = aj - coord_grad(p, s, j) / self.L
         new = line_search_1d(p, s, j) if self.line_search \
             else self.prox(raw, self.L)

@@ -39,6 +39,16 @@ class TestSmoothness:
         with pytest.raises(ValueError, match="all-zero matrix"):
             CompositeProblem(M, np.zeros(2), Logistic(), L1(0.1))
 
+    def test_non_finite_column_norm_rejected(self):
+        # the squared norm of (1e200, 1e200) overflows, and L with it
+        with np.errstate(over="ignore"):
+            M = SparseColMatrix.from_dense([[1e200, 1], [1e200, 2]])
+        with pytest.raises(ValueError, match="column 0 .* not finite"):
+            make_lasso(M, [1e200, 1], 0.1)
+        M = SparseColMatrix.from_dense([[1.0, 1.0, np.nan], [2.0, np.inf, 0]])
+        with pytest.raises(ValueError, match="column 1 .* not finite"):
+            CompositeProblem(M, np.zeros(3), Logistic(), L1(0.1))
+
 
 class TestValuesAndGradients:
     def test_objective_matches_dense_lasso(self, rng):

@@ -9,7 +9,8 @@ from conftest import random_problem, random_state
 from greedycd import selection
 from greedycd import smips as sm
 from greedycd import solver
-from greedycd.objectives import (IterateState, make_lasso, make_svm_dual,
+from greedycd.objectives import (L1, Box, CompositeProblem, IterateState,
+                                 SquaredResidual, make_lasso, make_svm_dual,
                                  objective_value, subgrad_score)
 from greedycd.selection import Rule
 from greedycd.solver import (SmipsEngine, SolverConfig, classify_step_box,
@@ -318,6 +319,31 @@ class TestLineSearch:
                                        [1.0, 0.5]), np.zeros(2), 0.1)
         s = IterateState.zeros(p)
         assert line_search_1d(p, s, 1) == 0.0
+
+    @staticmethod
+    def empty_column_problem(c1, reg):
+        # F is linear along the empty column 1, with slope c1
+        return CompositeProblem(SparseColMatrix(2, [0, 2, 2], [0, 1],
+                                                [1.0, 0.5]),
+                                [0.0, c1], SquaredResidual([1.0, 1.0]), reg)
+
+    def test_zero_column_with_slope_stops_at_the_box_bound(self):
+        plain = solve_box(self.empty_column_problem(-0.5, Box()),
+                          SolverConfig())
+        searched = solve_box(self.empty_column_problem(-0.5, Box()),
+                             SolverConfig(use_line_search=True))
+        for tr in (plain, searched):
+            np.testing.assert_array_equal(tr.final_state.alpha, [1.0, 1.0])
+            assert tr.status == "optimal"
+        p = self.empty_column_problem(0.5, Box())
+        s = IterateState(alpha=np.array([0.0, 1.0]), residual=np.zeros(2),
+                         nnz=1)
+        assert line_search_1d(p, s, 1) == 0.0
+
+    def test_zero_column_with_slope_unbounded_under_l1(self):
+        p = self.empty_column_problem(-0.5, L1(0.1))
+        with pytest.raises(ValueError, match="unbounded direction"):
+            line_search_1d(p, IterateState.zeros(p), 1)
 
     def test_solver_with_line_search_descends(self, rng):
         p = random_problem("lasso", rng)

@@ -1,0 +1,241 @@
+"""The box step's kept bound state, the column read a step shares with its
+move, and the in-place SVM gap, each against the expression it replaces.
+
+- The active set the box steps keep must equal ActiveSet.from_state at every
+  check, for every rule, with and without line search, under the hashing
+  engine (a check every n steps) and in the harness polish, over runs past
+  several refreshes, and when a move leaves alpha_j one ulp off a bound.
+- Their bookkeeping must stay bounded when only `step` is called, as
+  adaptivity_report does.
+- duality_gap must equal the expression it replaced, bitwise.
+- The objective change read off a step's column must equal the one computed
+  from the column afresh, bitwise, for every loss and regularizer.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+
+from conftest import random_matrix, random_problem, random_state
+from greedycd import harness, objectives, solver
+from greedycd.data_io import RandomSvm, SynthSpec
+from greedycd.harness import ExperimentConfig, RunSpec, _polish
+from greedycd.objectives import (Box, CompositeProblem, ElasticNetL1,
+                                 IterateState, L1, Logistic,
+                                 apply_coord_delta, coord_grad, current_grad,
+                                 duality_gap, make_svm_dual)
+from greedycd.selection import ActiveSet, Rule
+from greedycd.smips import HyperplaneLsh
+from greedycd.solver import SolverConfig, solve_box
+
+STEPS = 4200  # four refreshes at RESIDUAL_REFRESH_EVERY = 1000
+
+
+def svm_problem(seed, n=200, d=20):
+    rng = np.random.default_rng(seed)
+    labels = rng.choice([-1.0, 1.0], n)
+    return make_svm_dual(random_matrix(rng, d, n).scale_columns(labels),
+                         0.01)
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Counts the solver's box selections after checking that the active
+    set each one is given equals ActiveSet.from_state on the same state."""
+    calls = []
+    select = solver.select_gss_box
+
+    def checking(p, s, active=None, grad=None):
+        ref = ActiveSet.from_state(s.alpha, grad)
+        np.testing.assert_array_equal(active.membership, ref.membership)
+        calls.append(s.grad_refreshes)
+        return select(p, s, active=active, grad=grad)
+
+    monkeypatch.setattr(solver, "select_gss_box", checking)
+    return calls
+
+
+@pytest.mark.parametrize("line_search", [False, True])
+@pytest.mark.parametrize("rule", [Rule.GSS, Rule.GSQ, Rule.UNIFORM])
+def test_kept_active_set_matches_from_state(checked, rule, line_search):
+    p = svm_problem(0)
+    trace = solve_box(p, SolverConfig(rule=rule, use_line_search=line_search,
+                                      max_iters=STEPS, tol=0.0, seed=3))
+    assert trace.n_steps == STEPS
+    assert len(checked) == STEPS
+    assert checked[-1] > 3  # checked past more than three refreshes
+
+
+def test_kept_active_set_under_hashing_engine(checked):
+    p = svm_problem(1)
+    steps = 2 * STEPS  # many hashed picks move nothing
+    trace = solve_box(p, SolverConfig(engine="smips",
+                                      backend=HyperplaneLsh(3, 10, seed=0),
+                                      max_iters=steps, tol=0.0))
+    assert trace.n_steps == steps
+    # a check every n steps, with the moves in between re-read
+    assert len(checked) == -(-steps // p.n)
+    assert checked[-1] > 3
+
+
+def test_kept_active_set_in_polish(checked):
+    p = svm_problem(2)
+    start = solve_box(p, SolverConfig(rule=Rule.UNIFORM, max_iters=300,
+                                      tol=0.0)).final_state
+    assert 0 < np.count_nonzero(start.alpha) < p.n  # not from zero
+    _polish(p, start, STEPS, "box")
+    assert len(checked) >= STEPS
+    assert checked[-1] > 3
+
+
+@pytest.mark.parametrize("target", [1.0 - 2.0**-53, 1.0 + 2.0**-52, 1.0,
+                                    2.0**-1074, 0.0, 0.5])
+def test_kept_active_set_one_ulp_off_a_bound(checked, target):
+    p = svm_problem(3, n=30, d=8)
+    s = IterateState.zeros(p)
+    s.track_gradient(p)
+    steps = solver._steps_for(p, SolverConfig())
+    steps.steepest(p, s)
+    for j in (4, 7):
+        for value in (0.5, 0.0, target):
+            steps.step(p, s, j, float(s.alpha[j]))  # the move is ours
+            apply_coord_delta(p, s, j, value - float(s.alpha[j]))
+            assert s.alpha[j] == value
+            steps.steepest(p, s)
+    assert len(checked) == 7
+
+
+def footprint(obj):
+    """Elements held in the object's containers and arrays."""
+    return sum(len(v) for v in vars(obj).values()
+               if isinstance(v, (list, tuple, dict, set, np.ndarray)))
+
+
+def test_bookkeeping_bounded_when_only_step_is_called(monkeypatch):
+    made, sizes, seen = [], [], []
+    steps_for = harness._steps_for
+
+    def recording(p, cfg, engine=None):
+        steps = steps_for(p, cfg, engine)
+        step = steps.step
+
+        def counted(p, s, j, aj):
+            sizes.append(footprint(steps))
+            seen.append(s)
+            return step(p, s, j, aj)
+        steps.step = counted
+        made.append(steps)
+        return steps
+
+    monkeypatch.setattr(harness, "_steps_for", recording)
+    cfg = ExperimentConfig(
+        problem="svm", data=SynthSpec(RandomSvm(n=60, d=10), 0),
+        runs=[RunSpec("l", engine="smips", backend="lsh", lsh_bits=6,
+                      lsh_tables=4)],
+        lam=0.1, max_iters=400, tol=0.0)
+    report = harness.adaptivity_report(cfg)
+    assert len(made) == 1 and len(report["rows"]) == 400
+    assert len(sizes) == 400
+    assert max(sizes) == sizes[1]  # nothing grows with the steps taken
+    # what is kept is still current for a check that would follow
+    steps, alpha = made[0], seen[-1].alpha
+    steps._sync(alpha)
+    np.testing.assert_array_equal(steps.interior, (alpha > 0) & (alpha < 1))
+    np.testing.assert_array_equal(steps.sign,
+                                  (alpha == 1) * 1.0 - (alpha == 0) * 1.0)
+
+
+def reference_gap(p, s):
+    """duality_gap as one expression with temporaries."""
+    n = p.n
+    lam = p.loss.svm_lambda
+    w = s.residual / (lam * n)
+    margins = n * (current_grad(p, s) - p.linear_term)
+    primal = float(np.maximum(1.0 - margins, 0.0).mean()) \
+        + 0.5 * lam * float(w @ w)
+    if s.objective is None:
+        dual = float(s.alpha.mean()) - float(s.residual @ s.residual) \
+            / (2.0 * lam * n * n)
+    else:
+        dual = -s.objective
+    return primal - dual
+
+
+def test_duality_gap_bitwise_equals_reference():
+    checked = 0
+    for n, seed in ((7, 0), (130, 1), (800, 2), (3001, 3)):
+        p = svm_problem(seed, n=n, d=12)
+        rng = np.random.default_rng(seed)
+        for k in range(50):
+            s = random_state(p, rng, box=True)
+            if k % 3:
+                s.track_gradient(p)
+            if k % 2:
+                s.track_objective(p)
+            assert duality_gap(p, s) == reference_gap(p, s)
+            checked += 1
+    assert checked == 200
+
+
+def reference_change(p, s, j, delta):
+    """F(alpha + delta e_j) - F(alpha) with the column read afresh."""
+    a = float(s.alpha[j])
+    new = a + delta
+    ridx, vals = p.matrix.col(j)
+    if isinstance(p.loss, Logistic):
+        z = -s.residual[ridx]
+        lc = float(np.sum(np.logaddexp(0.0, z - delta * vals)
+                          - np.logaddexp(0.0, z)))
+    else:
+        lc = delta * float(vals @ p.loss.grad(p, s.residual[ridx], ridx)) \
+            + 0.5 * (1.0 / p.loss.scale(p)) * delta * delta \
+            * float(p.matrix.col_sq_norms[j])
+    change = lc + p.linear_term[j] * delta
+    penalty = p.reg.change(a, new)
+    if p.reg.lam2:
+        penalty += 0.5 * p.reg.lam2 * delta * (a + new)
+    return change + penalty
+
+
+@pytest.mark.parametrize("reg", ["l1", "elasticnet", "box"])
+@pytest.mark.parametrize("kind", ["lasso", "svm", "logistic"])
+def test_objective_change_from_the_read_column(kind, reg, rng):
+    base = random_problem(kind, rng, n=15, d=9)
+    regs = {"l1": L1(0.05), "elasticnet": ElasticNetL1(0.05, 0.03),
+            "box": Box()}
+    p = CompositeProblem(base.matrix, base.linear_term, base.loss, regs[reg])
+    for _ in range(40):
+        s = random_state(p, rng, box=reg == "box")
+        s.track_objective(p)
+        j = int(rng.integers(p.n))
+        a = float(s.alpha[j])
+        new = float(rng.uniform(0.0, 1.0)) if reg == "box" \
+            else float(rng.standard_normal())
+        delta = new - a
+        expected = reference_change(p, s, j, delta)
+        coord_grad(p, s, j)
+        assert objectives._objective_change(p, s, j, delta, s._read) \
+            == expected
+        # as a step applies it: read by coord_grad, then moved
+        before = s._f_since
+        coord_grad(p, s, j)
+        apply_coord_delta(p, s, j, delta)
+        assert s._f_since == before + expected
+
+
+def test_move_without_a_matching_read(rng):
+    """A move of another coordinate than the last one read, or with no read,
+    reads its own column."""
+    p = random_problem("svm", rng, n=15, d=9)
+    s = random_state(p, rng, box=True)
+    twin = copy.deepcopy(s)
+    for st in (s, twin):
+        st.track_gradient(p)
+        st.track_objective(p)
+    coord_grad(p, s, 3)
+    for st in (s, twin):
+        apply_coord_delta(p, st, 5, 0.25 - float(st.alpha[5]))
+    np.testing.assert_array_equal(s.residual, twin.residual)
+    np.testing.assert_array_equal(s.grad, twin.grad)
+    assert s.objective == twin.objective
