@@ -32,7 +32,7 @@ def main():
             row["lsh_all"], row["lsh_mask"]))
     print("median lsh/exact ratio on the live subset: %.3f"
           % report["median_ratio"])
-    print("fallbacks to exact/random scan: %d of %d queries"
+    print("fallbacks to a random live point: %d of %d queries"
           % (report["fallbacks"], len(rows)))
 
 

@@ -277,7 +277,7 @@ def adaptivity_report(cfg):
         raise ValueError("adaptivity report needs exactly one lsh run")
     run = lsh_runs[0]
     p, info = build_problem(cfg)
-    engine = SmipsEngine(p, backend=sm.Exact(), beta=cfg.beta)
+    engine = SmipsEngine(p, beta=cfg.beta)
     lsh = sm.HyperplaneLsh(run.lsh_bits, run.lsh_tables,
                            seed=run.seed if run.seed is not None else cfg.seed)
     lsh.fit(engine.points)
@@ -286,7 +286,7 @@ def adaptivity_report(cfg):
         kind=engine.kind)
     s = IterateState.zeros(p)
     engine.reset_mask(s.alpha)
-    step = _steps_for(p, SolverConfig(), engine).step
+    step = _steps_for(p, SolverConfig()).step
     rows = []
     for t in range(cfg.max_iters):
         q = engine.query(p, s)

@@ -33,7 +33,6 @@ class Rule(Enum):
 class SelectionOutcome:
     coord: int
     score: float
-    theta: float = 1.0
     fell_back: bool = False
 
 
@@ -115,7 +114,7 @@ def select_gsq(p, s, grad=None):
 def select_uniform(n, rng):
     if n < 1:
         raise ValueError("need at least one coordinate")
-    return SelectionOutcome(coord=int(rng.integers(n)), score=0.0, theta=1.0)
+    return SelectionOutcome(coord=int(rng.integers(n)), score=0.0)
 
 
 def measure_theta(chosen, p, s):

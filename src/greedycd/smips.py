@@ -8,8 +8,10 @@ L1 points are (s*beta, beta*c_j, A_j) with the two augmented slots first,
 and box points are (beta, A_j).
 
 Every L1 or box inner product with its query is a signed entry of the full
-gradient g = A^T grad_l + c (plus or minus lam for L1), so `exact_from_grad`
-answers an exact query in O(n) from g; `smips_query` scans the points.
+gradient g = A^T grad_l + c (plus or minus lam for L1), so an exact query
+over the live points picks the steepest rule's coordinate: the solvers run
+that rule in place of an exact search, and `smips_query` scans the points
+for the hashing backend and for reference.
 """
 
 from dataclasses import dataclass, field
@@ -20,8 +22,7 @@ __all__ = [
     "AugmentedPointSet", "SubsetMask", "Exact", "HyperplaneLsh",
     "build_l1_points", "build_l1_query", "build_l1_mask",
     "build_box_points", "build_box_query", "build_box_mask",
-    "update_mask_after_step", "smips_query", "exact_from_grad",
-    "point_to_coordinate",
+    "update_mask_after_step", "smips_query", "point_to_coordinate",
     "require_uniform_linear_term",
 ]
 
@@ -36,7 +37,6 @@ class AugmentedPointSet:
     coord_of: np.ndarray      # point id -> data column
     tag_of: tuple             # point id -> construction tag
     beta: float
-    mapping_kind: str         # "l1" | "box"
 
     @property
     def n_points(self):
@@ -94,7 +94,7 @@ def build_l1_points(A, c, beta):
     pts[3::4] = -base                      # -A~-
     coord_of = np.repeat(np.arange(n), 4)
     tag_of = L1_TAGS * n
-    return AugmentedPointSet(pts, coord_of, tag_of, beta, "l1")
+    return AugmentedPointSet(pts, coord_of, tag_of, beta)
 
 
 def build_l1_query(gl, lam, beta):
@@ -139,7 +139,7 @@ def build_box_points(A, c, beta):
     pts[1::2] = -base
     coord_of = np.repeat(np.arange(n), 2)
     tag_of = BOX_TAGS * n
-    return AugmentedPointSet(pts, coord_of, tag_of, beta, "box")
+    return AugmentedPointSet(pts, coord_of, tag_of, beta)
 
 
 def require_uniform_linear_term(c):
@@ -213,11 +213,11 @@ class HyperplaneLsh:
 
     Candidates are gathered from the query's buckets and filtered by the
     mask afterwards (masks change every iteration, so tables are static).
+    When none survives, a query falls back to a random live point.
     """
     bits_per_table: int
     n_tables: int
     seed: int = 0
-    fallback: str = "random"  # "random" | "exact"
 
     _planes: list = field(default=None, repr=False)
     _tables: list = field(default=None, repr=False)
@@ -227,8 +227,6 @@ class HyperplaneLsh:
     def __post_init__(self):
         if self.bits_per_table < 1 or self.n_tables < 1:
             raise ValueError("need at least one bit and one table")
-        if self.fallback not in ("random", "exact"):
-            raise ValueError("fallback must be 'random' or 'exact'")
 
     def fit(self, ps):
         rng = np.random.default_rng(self.seed)
@@ -253,49 +251,12 @@ class HyperplaneLsh:
         return np.unique(np.concatenate(found))
 
 
-def _exact_query(ps, q, m):
-    ids = np.nonzero(m.included)[0]
-    vals = ps.dots(ids, q)
-    k = int(np.argmax(vals))
-    return int(ids[k]), float(vals[k])
-
-
-def exact_from_grad(m, g, lam=0.0):
-    """The exact backend's answer, read off the full gradient g.
-
-    With its query, an L1 point +-(s*beta, beta*c_j, A_j) has inner product
-    +-(g_j + s*lam) and a box point +-(beta, A_j) has +-g_j, so the answer
-    costs O(n) instead of a scan of the points. Returns (point id, value);
-    ties go to the first point id, as in the scan.
-    """
-    if m.kind == "l1":
-        vals = np.empty((len(g), 4))
-        vals[:, 0] = g + lam        # +A~+
-        vals[:, 1] = -vals[:, 0]    # -A~+
-        vals[:, 2] = g - lam        # +A~-
-        vals[:, 3] = -vals[:, 2]    # -A~-
-    elif m.kind == "box":
-        vals = np.empty((len(g), 2))
-        vals[:, 0] = g
-        vals[:, 1] = -g
-    else:
-        raise ValueError("no gradient reading for kind %r" % m.kind)
-    vals = vals.ravel()
-    if len(vals) != len(m.included):
-        raise ValueError("gradient length %d does not fit a mask of %d points"
-                         % (len(g), len(m.included)))
-    pid = int(np.argmax(np.where(m.included, vals, -np.inf)))
-    if not m.included[pid]:
-        raise ValueError("empty candidate mask")
-    return pid, float(vals[pid])
-
-
 def smips_query(ps, q, m, backend):
     """Best included point by inner product with q.
 
     Returns (point id, value, fell_back). The exact backend scans the mask;
     the LSH backend unions its buckets, filters by the mask, and falls back
-    (exact scan or random included point) when no candidate survives.
+    to a random included point when no candidate survives.
     """
     if m.count < 1:
         raise ValueError("empty candidate mask")
@@ -303,20 +264,17 @@ def smips_query(ps, q, m, backend):
         raise ValueError("query dimension %d != point dimension %d"
                          % (len(q), ps.dim))
     if isinstance(backend, Exact):
-        pid, val = _exact_query(ps, q, m)
-        return pid, val, False
-    if isinstance(backend, HyperplaneLsh):
+        ids = np.nonzero(m.included)[0]
+    elif isinstance(backend, HyperplaneLsh):
         if backend._fitted_for is not ps:
             backend.fit(ps)
-        cand = backend.candidates(q)
-        cand = cand[m.included[cand]]
-        if len(cand) == 0:
-            if backend.fallback == "exact":
-                pid, val = _exact_query(ps, q, m)
-                return pid, val, True
+        ids = backend.candidates(q)
+        ids = ids[m.included[ids]]
+        if len(ids) == 0:
             pid = int(backend._rng.choice(np.nonzero(m.included)[0]))
             return pid, float(ps.dots(np.array([pid]), q)[0]), True
-        vals = ps.dots(cand, q)
-        k = int(np.argmax(vals))
-        return int(cand[k]), float(vals[k]), False
-    raise TypeError("unknown backend: %r" % (backend,))
+    else:
+        raise TypeError("unknown backend: %r" % (backend,))
+    vals = ps.dots(ids, q)
+    k = int(np.argmax(vals))
+    return int(ids[k]), float(vals[k]), False

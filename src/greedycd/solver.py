@@ -3,13 +3,16 @@ L1-regularized problems with a sign-preserving post-processed update, and
 steepest descent over the active set of box-constrained problems. Both run
 one step loop that classifies every step (good / bad / cross), records a
 trace, and supports the exact rules, a custom selector hook, and the
-inner-product-search engine with either backend; the regularizer supplies
-only its steepest score, stop check, uniform draw and step.
+inner-product-search engine. The exact engine's answer is the steepest
+rule's argmax, so an exact engine runs as that rule; only the hashing
+backend has a select path of its own. The regularizer supplies only its
+steepest score, stop check, uniform draw and step.
 """
 
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,9 +20,8 @@ from . import smips as sm
 # full_grad, subgrad_score and select_uniform stay importable from here:
 # instrumentation wraps them by these names
 from .objectives import (Box, ElasticNetL1, IterateState, L1,
-                         apply_coord_delta, coord_grad, current_grad,
-                         duality_gap, full_grad, grad_l, objective_value,
-                         subgrad_score)
+                         apply_coord_delta, coord_grad, duality_gap,
+                         full_grad, grad_l, objective_value, subgrad_score)
 from .selection import (ActiveSet, Rule, SelectionOutcome, measure_theta,
                         select_gsq, select_gsr, select_gss_box,
                         select_gss_l1, select_uniform)
@@ -137,9 +139,10 @@ class SmipsEngine:
 
     Implements the steepest-subgradient rule only; the candidate mask tracks
     the iterate's sign/feasibility cases and is repaired after every step.
-    The exact backend reads every point's inner product off the full
-    gradient in O(n); the hashing backend queries its tables with the
-    augmented query vector.
+    Over the live points the exact search is the steepest rule's argmax, so
+    the solvers run an exact engine as that rule and select here only with
+    the hashing backend, which queries its tables with the augmented query
+    vector. The dense points are built on first read.
     """
 
     def __init__(self, p, backend=None, beta=None):
@@ -149,16 +152,24 @@ class SmipsEngine:
         if not isinstance(p.reg, (L1, Box)):
             raise TypeError("inner-product selection supports plain L1 and "
                             "box regularizers, not %r" % (p.reg,))
+        if self.beta <= 0:
+            raise ValueError("beta must be positive")
         self.kind = p.reg.kind
-        if self.kind == "l1":
-            self.points = sm.build_l1_points(p.matrix, p.linear_term, self.beta)
-        else:
+        if self.kind == "box":
             self.c_value = sm.require_uniform_linear_term(p.linear_term)
-            self.points = sm.build_box_points(p.matrix, p.linear_term, self.beta)
+        self._matrix, self._linear_term = p.matrix, p.linear_term
         self.reset_mask(np.zeros(p.n))
         if isinstance(self.backend, sm.HyperplaneLsh):
             self.backend.fit(self.points)
         self.build_seconds = time.perf_counter() - t0
+
+    @cached_property
+    def points(self):
+        """The augmented point set: the hashing backend and the scans of
+        adaptivity_report read it, an exact solve never does."""
+        build = sm.build_l1_points if self.kind == "l1" \
+            else sm.build_box_points
+        return build(self._matrix, self._linear_term, self.beta)
 
     def reset_mask(self, alpha):
         if self.kind == "l1":
@@ -178,14 +189,8 @@ class SmipsEngine:
         return sm.build_box_query(gl, self.c_value, self.beta)
 
     def select(self, p, s):
-        if self.is_exact:
-            # the state's maintained gradient when it keeps one
-            pid, val = sm.exact_from_grad(self.mask, current_grad(p, s),
-                                          p.reg.lam)
-            fb = False
-        else:
-            pid, val, fb = sm.smips_query(self.points, self.query(p, s),
-                                          self.mask, self.backend)
+        pid, val, fb = sm.smips_query(self.points, self.query(p, s),
+                                      self.mask, self.backend)
         j, _ = sm.point_to_coordinate(self.points, pid)
         return SelectionOutcome(coord=j, score=val, fell_back=fb)
 
@@ -216,14 +221,13 @@ class _L1Steps(_Steps):
 
     def __init__(self, p, cfg, engine=None):
         super().__init__(p, cfg)
-        lsh = engine is not None and not engine.is_exact
         # cheap rules can't afford an exact score evaluation every iteration
-        cheap = cfg.rule is Rule.UNIFORM or lsh
+        cheap = cfg.rule is Rule.UNIFORM or engine is not None
         self.check_every = max(1, p.n) if cheap else 1
-        # the exact engine's own score is its stop check
-        self.checks = cfg.tol > 0 and (engine is None or lsh)
-        # the stop check, the exact rules and the exact engine read every
-        # score every step
+        # the exact rules read every score anyway, so they also stop at a
+        # zero score when tol is 0
+        self.checks = not cheap or cfg.tol > 0
+        # the stop check and the exact rules read every score every step
         self.keeps_grad = self.check_every == 1
         self.draws, self.drawn = [], 0  # the current block of coordinates
 
@@ -264,12 +268,11 @@ class _BoxSteps(_Steps):
 
     kind = "box"
     keeps_grad = True  # the active set and the SVM gap read every entry
+    checks = True      # an empty active set certifies optimality
 
     def __init__(self, p, cfg, engine=None):
         super().__init__(p, cfg)
-        lsh = engine is not None and not engine.is_exact
-        self.check_every = max(1, p.n) if lsh else 1
-        self.checks = engine is None or lsh
+        self.check_every = max(1, p.n) if engine is not None else 1
         gap = p.loss.has_gap
         self.check_gap = gap and cfg.tol > 0
         self.record_gap = gap and cfg.record_gap
@@ -317,13 +320,17 @@ def _steps_for(p, cfg, engine=None):
 
 
 def _make_engine(p, cfg):
-    if isinstance(cfg.engine, SmipsEngine):
-        return cfg.engine
-    if cfg.engine == "smips":
-        return SmipsEngine(p, backend=cfg.backend, beta=cfg.beta)
-    if cfg.engine == "exact":
+    """The hashing engine the config asks for, or None for the exact rules:
+    an exact engine's answer is the steepest rule's argmax."""
+    engine = cfg.engine
+    if engine == "smips":
+        engine = SmipsEngine(p, backend=cfg.backend, beta=cfg.beta)
+    elif engine == "exact":
         return None
-    raise ValueError("engine must be 'exact', 'smips', or a prebuilt engine")
+    elif not isinstance(engine, SmipsEngine):
+        raise ValueError("engine must be 'exact', 'smips', or a prebuilt "
+                         "engine")
+    return None if engine.is_exact else engine
 
 
 def _stamp(rec, t_last):
@@ -336,10 +343,11 @@ def _stamp(rec, t_last):
 def _descend(p, s, steps, cfg, engine=None, records=None, t_last=0):
     """The step loop of both solvers and the harness polish.
 
-    Takes at most cfg.max_iters steps from s by the engine, cfg.selector or
-    cfg.rule, with the stop checks and steps of `steps`. When records is a
-    list, appends a StepRecord every cfg.trace_every steps and for the last
-    step. Returns (status, counters, time of the last record).
+    Takes at most cfg.max_iters steps from s by the hashing engine,
+    cfg.selector or cfg.rule, with the stop checks and steps of `steps`.
+    When records is a list, appends a StepRecord every cfg.trace_every
+    steps and for the last step. Returns (status, counters, time of the
+    last record).
     """
     counters = {GOOD: 0, BAD: 0, CROSS: 0, "fallback": 0}
     # loop-invariant lookups, hoisted: uniform steps cost a few microseconds
@@ -348,7 +356,6 @@ def _descend(p, s, steps, cfg, engine=None, records=None, t_last=0):
     steepest, step, uniform = steps.steepest, steps.step, steps.uniform
     checks, check_every = steps.checks, steps.check_every
     check_gap, record_gap = steps.check_gap, steps.record_gap
-    exact = engine is not None and engine.is_exact
     status = "max_iters"
     pending = None  # the last step, while it is not recorded
 
@@ -365,11 +372,6 @@ def _descend(p, s, steps, cfg, engine=None, records=None, t_last=0):
         if engine is not None:
             found = engine.select(p, s)
             fell_back = found.fell_back
-            if exact and found.score <= tol:
-                # no live box point with a positive score: optimal
-                status = "optimal" if steps.kind == "box" \
-                    and found.score <= 0.0 else "tol"
-                break
         out = None
         if checks and t % check_every == 0:
             out = steepest(p, s)

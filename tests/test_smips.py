@@ -174,26 +174,11 @@ class TestHyperplaneLsh:
             pid, _, _ = sm.smips_query(ps, rng.standard_normal(ps.dim), m, lsh)
             assert m.included[pid]
 
-    def test_exact_fallback_matches_exact_scan(self, rng):
-        p = random_problem("lasso", rng, n=6, d=4)
-        ps = l1_setup(p)
-        # many bits and one table make empty buckets overwhelmingly likely
-        lsh = sm.HyperplaneLsh(24, 1, seed=3, fallback="exact")
-        m = sm.build_l1_mask(np.zeros(p.n))
-        saw_fallback = False
-        for _ in range(50):
-            q = rng.standard_normal(ps.dim)
-            pid, val, fb = sm.smips_query(ps, q, m, lsh)
-            pid_e, val_e, _ = sm.smips_query(ps, q, m, sm.Exact())
-            if fb:
-                saw_fallback = True
-                assert (pid, val) == (pid_e, val_e)
-        assert saw_fallback
-
     def test_random_fallback_flagged_and_masked(self, rng):
         p = random_problem("lasso", rng, n=6, d=4)
         ps = l1_setup(p)
-        lsh = sm.HyperplaneLsh(24, 1, seed=3, fallback="random")
+        # many bits and one table make empty buckets overwhelmingly likely
+        lsh = sm.HyperplaneLsh(24, 1, seed=3)
         m = sm.build_l1_mask(np.zeros(p.n))
         fallbacks = 0
         for _ in range(50):
@@ -206,5 +191,3 @@ class TestHyperplaneLsh:
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
             sm.HyperplaneLsh(0, 4)
-        with pytest.raises(ValueError):
-            sm.HyperplaneLsh(4, 4, fallback="retry")

@@ -1,107 +1,143 @@
-"""The S-MIPS engine's fast paths against the reference paths they replace.
+"""The S-MIPS engine folded into the steepest rule, and its LSH tables.
 
-The exact engine reads every point's inner product off the full gradient
-instead of scanning the dense points; at every step of a solve it must give
-the point the scan gives on the same state. HyperplaneLsh.fit buckets the
-points with one sort per table; its tables must equal the per-point loop's.
+Over the live augmented points an exact inner-product search is the
+steepest-subgradient (GS-s) argmax, so the solvers run an exact engine as
+GS-s: at every step of a GS-s solve the exact scan over the points must
+pick GS-s's coordinate with GS-s's score, and every form of an exact engine
+must give GS-s's trace bit for bit. HyperplaneLsh.fit buckets the points
+with one sort per table; its tables must equal the per-point loop's.
 """
 
 import numpy as np
 import pytest
 
-from conftest import random_problem, random_state
+from conftest import random_problem
 from greedycd import smips as sm
-from greedycd.objectives import full_grad, grad_l
+from greedycd import solver
+from greedycd.objectives import (Box, CompositeProblem, SquaredResidual,
+                                 full_grad, make_lasso, make_logistic)
+from greedycd.selection import Rule
 from greedycd.solver import SmipsEngine, SolverConfig, solve_box, solve_l1
+from greedycd.sparse import SparseColMatrix
 from test_maintained_gradient import l1_problem, svm_problem
 
 STEPS = 4200  # four refreshes at RESIDUAL_REFRESH_EVERY = 1000
 
 
+def problem(kind, seed=0):
+    if kind == "svm":
+        return svm_problem(seed), solve_box
+    return l1_problem(kind, seed), solve_l1
+
+
 def scan(engine, p, s):
-    """(point id, value) of the exact scan over the engine's dense points."""
-    gl = grad_l(p, s)
-    if engine.kind == "l1":
-        q = sm.build_l1_query(gl, p.l1_lambda, engine.beta)
-    else:
-        q = sm.build_box_query(gl, engine.c_value, engine.beta)
-    pid, val, _ = sm.smips_query(engine.points, q, engine.mask, sm.Exact())
-    return pid, val
-
-
-def solve_checked(p, solve, monkeypatch):
-    """A solve with the exact engine that logs, at every step, the engine's
-    answer and the scan's answer on the same state."""
-    answers = []
-    read = sm.exact_from_grad
-
-    def logged_read(*args):
-        answers.append(read(*args))
-        return answers[-1]
-
-    monkeypatch.setattr(sm, "exact_from_grad", logged_read)
-    engine = SmipsEngine(p)
-    select = engine.select
-    rows = []
-
-    def checked_select(p, s):
-        out = select(p, s)
-        rows.append(answers[-1] + scan(engine, p, s))
-        return out
-
-    engine.select = checked_select
-    trace = solve(p, SolverConfig(engine=engine, max_iters=STEPS, tol=0.0))
-    return trace, rows
+    """(coordinate, value) of the exact scan over the engine's points, with
+    the mask read off the state's alpha."""
+    build_mask = sm.build_l1_mask if engine.kind == "l1" \
+        else sm.build_box_mask
+    pid, val, _ = sm.smips_query(engine.points, engine.query(p, s),
+                                 build_mask(s.alpha), sm.Exact())
+    return sm.point_to_coordinate(engine.points, pid)[0], val
 
 
 @pytest.mark.parametrize("kind", ["lasso", "logistic", "svm"])
 def test_engine_reads_the_scans_answer(kind, monkeypatch):
-    if kind == "svm":
-        p, solve = svm_problem(0), solve_box
-    else:
-        p, solve = l1_problem(kind, 0), solve_l1
-    trace, rows = solve_checked(p, solve, monkeypatch)
-    assert trace.n_steps == STEPS
+    """At every GS-s step, the exact scan picks GS-s's coordinate and score."""
+    p, solve = problem(kind)
+    engine = SmipsEngine(p)
+    name = "select_gss_box" if kind == "svm" else "select_gss_l1"
+    steepest = getattr(solver, name)
+    rows = []
+
+    def checked(p, s, **kw):
+        out = steepest(p, s, **kw)
+        rows.append((out.coord, out.score) + scan(engine, p, s))
+        return out
+
+    monkeypatch.setattr(solver, name, checked)
+    trace = solve(p, SolverConfig(max_iters=STEPS, tol=0.0))
+    assert trace.n_steps == STEPS == len(rows)
     assert trace.counters["grad_refreshes"] > 3
     g = full_grad(p, trace.final_state)
     roundoff = 1e-9 * (1.0 + float(np.abs(g).max()))
-    live = [k for k, row in enumerate(rows) if row[3] > roundoff]
+    live = [k for k, row in enumerate(rows) if row[1] > roundoff]
     assert len(live) > 1000
-    for pid, val, ref_pid, ref_val in rows[:live[-1] + 1]:
-        assert pid == ref_pid
-        assert abs(val - ref_val) <= 1e-12 * (1.0 + abs(ref_val))
+    for j, score, ref_j, ref_val in rows[:live[-1] + 1]:
+        assert j == ref_j
+        assert abs(score - ref_val) <= 1e-12 * (1.0 + abs(score))
+
+
+def trace_key(tr):
+    """Everything a trace reports but its wall times."""
+    recs = [(r.iter, r.coord, r.step_kind, r.f_value, r.theta, r.fell_back,
+             r.nnz, r.gap) for r in tr.records]
+    return (tr.f_initial, recs, tr.counters, tr.status, tr.problem_kind,
+            tr.final_state.alpha.tobytes(), tr.final_state.residual.tobytes())
+
+
+@pytest.mark.parametrize("kind", ["lasso", "logistic", "svm"])
+@pytest.mark.parametrize("line_search", [False, True])
+@pytest.mark.parametrize("tol", [0.0, 1e-7])
+def test_exact_engine_solves_are_gss_solves(kind, line_search, tol):
+    p, solve = problem(kind, 1)
+    base = dict(max_iters=1500, tol=tol, use_line_search=line_search,
+                record_gap=kind == "svm")
+    want = trace_key(solve(p, SolverConfig(rule=Rule.GSS, **base)))
+    for engine, backend in ((SmipsEngine(p), None), ("smips", None),
+                            ("smips", sm.Exact())):
+        got = solve(p, SolverConfig(engine=engine, backend=backend, **base))
+        assert trace_key(got) == want
 
 
 @pytest.mark.parametrize("kind", ["lasso", "svm"])
-def test_read_matches_scan_on_random_states(kind, rng):
-    box = kind == "svm"
-    p = random_problem(kind, rng, n=30, d=12)
+def test_points_are_built_on_first_read(kind):
+    p, solve = problem(kind)
     engine = SmipsEngine(p, beta=0.7)
-    lam = 0.0 if box else p.l1_lambda
-    for _ in range(200):
-        s = random_state(p, rng, box=box)
-        engine.reset_mask(s.alpha)
-        pid, val = sm.exact_from_grad(engine.mask, full_grad(p, s), lam)
-        ref_pid, ref_val = scan(engine, p, s)
-        assert pid == ref_pid
-        assert val == pytest.approx(ref_val, rel=1e-12, abs=1e-12)
+    solve(p, SolverConfig(engine=engine, max_iters=50))
+    assert "points" not in engine.__dict__
+    build = sm.build_l1_points if kind == "lasso" else sm.build_box_points
+    want = build(p.matrix, p.linear_term, 0.7)
+    got = engine.points
+    np.testing.assert_array_equal(got.points, want.points)
+    np.testing.assert_array_equal(got.coord_of, want.coord_of)
+    assert (got.tag_of, got.beta) == (want.tag_of, want.beta)
+    assert engine.points is got
+    # no points to build, but a bad beta is still refused at once
+    with pytest.raises(ValueError, match="beta"):
+        SmipsEngine(p, beta=0.0)
 
 
-def test_read_ties_go_to_the_first_point():
-    m = sm.build_l1_mask(np.zeros(3))   # live: -A~+ and +A~- per coordinate
-    # every coordinate scores g_j - lam = 1 on +A~-
-    assert sm.exact_from_grad(m, np.full(3, 1.5), 0.5) == (2, 1.0)
-    box = sm.build_box_mask(np.zeros(3))  # live: -A per coordinate
-    assert sm.exact_from_grad(box, np.array([-2.0, 1.0, -2.0])) == (1, 2.0)
+@pytest.mark.parametrize("make", [make_lasso, make_logistic])
+def test_zero_start_optimal_stops_at_step_zero(make):
+    # with lam above lam_max = |g(0)|_inf every steepest score at alpha = 0
+    # is exactly zero, so the exact rules stop before a step even at tol = 0
+    rng = np.random.default_rng(4)
+    M = SparseColMatrix.from_dense(rng.standard_normal((15, 30)))
+    if make is make_lasso:
+        b = rng.standard_normal(15)
+        p = make_lasso(M, b, 1.5 * float(np.abs(M.matvec_T(b)).max()))
+    else:
+        p = make_logistic(M, 0.75 * float(np.abs(M.matvec_T(
+            np.ones(15))).max()))
+    configs = [SolverConfig(rule=rule, max_iters=50, tol=0.0)
+               for rule in (Rule.GSS, Rule.GSR, Rule.GSQ)]
+    configs.append(SolverConfig(engine="smips", max_iters=50, tol=0.0))
+    for cfg in configs:
+        tr = solve_l1(p, cfg)
+        assert (tr.status, tr.n_steps) == ("tol", 0)
+        assert not tr.final_state.alpha.any()
 
 
-def test_read_rejects_empty_and_mismatched_masks():
-    m = sm.build_box_mask(np.ones(3))
-    m.included[:] = False
-    with pytest.raises(ValueError, match="empty"):
-        sm.exact_from_grad(m, np.zeros(3))
-    with pytest.raises(ValueError, match="length"):
-        sm.exact_from_grad(sm.build_l1_mask(np.zeros(3)), np.zeros(4))
+def test_box_stops_on_a_zero_score_over_a_live_active_set():
+    # one step lands alpha = 0.5 exactly on the minimizer: the interior
+    # coordinate stays active with a zero score, which stops as "tol"
+    M = SparseColMatrix.from_dense(np.eye(1))
+    p = CompositeProblem(M, np.zeros(1), SquaredResidual(np.array([0.5])),
+                         Box())
+    for engine in ("exact", "smips"):
+        tr = solve_box(p, SolverConfig(engine=engine, max_iters=10, tol=0.0))
+        assert (tr.status, tr.n_steps) == ("tol", 1)
+        assert tr.final_state.alpha[0] == 0.5
 
 
 def loop_tables(ps, bits, n_tables, seed):
