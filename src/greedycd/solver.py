@@ -7,6 +7,13 @@ inner-product-search engine. The exact engine's answer is the steepest
 rule's argmax, so an exact engine runs as that rule; only the hashing
 backend has a select path of its own. The regularizer supplies only its
 steepest score, stop check, uniform draw and step.
+
+Every loop but the hashing engine's keeps the full gradient current. On L1
+problems the uniform rule reads it to settle in bulk the draws that provably
+leave alpha as it is (alpha_j = 0 and |g_j| within lam less a margin): each
+such step is recorded as a good step that moves nothing, without a
+coordinate read. The first draw that fails the screen takes the scalar step,
+the only path for anything that moves.
 """
 
 import math
@@ -36,6 +43,14 @@ GOOD, BAD, CROSS = "good", "bad", "cross"
 # L1 uniform draws its coordinates this many at a time; numpy's bounded
 # integer stream is the same drawn in blocks or one by one
 UNIFORM_BLOCK = 4096
+# a uniform draw is settled without a step only when |g_j| is below lam by
+# this fraction of max(lam, max |g|) at the last refresh, and by this
+# multiple of the largest drift a refresh has found in the kept gradient
+SCREEN_MARGIN = 1e-6
+SCREEN_DRIFT_MULTIPLE = 1000.0
+# the screen reads the pending draws in windows of this many, doubled while
+# every draw of a window passes
+SCREEN_WINDOW = 32
 
 
 @dataclass
@@ -87,11 +102,14 @@ class Trace:
     taken is always recorded. A record's f_value is the objective the solver
     keeps current step by step; the last record's is recomputed exactly. The
     records' wall_ns add up to the solve's elapsed time, from after any
-    index build to the stop. counters holds the good/bad/cross step counts,
-    LSH fallbacks, max_f_drift (the largest change a recompute made to the
-    kept objective, at a refresh or at the last record) and, for loops that
-    keep the full gradient current, grad_refreshes and max_grad_drift (the
-    largest entrywise change a refresh made to the maintained gradient).
+    index build to the stop; the records of a run of screened steps are
+    written at once, and the run's time goes to the last of them. counters
+    holds the good/bad/cross step counts, LSH fallbacks, screened (the
+    uniform steps settled by the screen, all good), max_f_drift (the
+    largest change a recompute made to the kept objective, at a refresh or
+    at the last record) and, for loops that keep the full gradient current,
+    grad_refreshes and max_grad_drift (the largest entrywise change a
+    refresh made to the maintained gradient).
     """
     f_initial: float
     records: list
@@ -202,9 +220,11 @@ class _Steps:
     """What one regularizer's loop does differently: its steepest score and
     stop check, its uniform draw and its step. `check_every` and `checks`
     set the stop-check cadence; `keeps_grad` says whether the loop keeps
-    the full gradient current."""
+    the full gradient current; `screen`, when not None, settles the uniform
+    draws that leave alpha as it is."""
 
     check_gap = record_gap = False
+    screen = None
 
     def __init__(self, p, cfg):
         self.L = p.smoothness
@@ -215,7 +235,18 @@ class _Steps:
 
 class _L1Steps(_Steps):
     """L1-type: the steepest-subgradient score, the prox step (or line
-    search) truncated at zero, and uniform draws in blocks over all n."""
+    search) truncated at zero, and uniform draws in blocks over all n.
+
+    Every loop but the hashing engine's keeps the full gradient: the exact
+    rules read every score each step, and uniform screens its draws with it.
+    The prox step and both line searches leave alpha_j = 0 whenever
+    |g_j| <= lam, so a draw with alpha_j = 0 and a kept |g_j| below
+    lam - margin moves nothing. The margin is SCREEN_MARGIN times
+    max(lam, max |g|) at the last refresh, and at least
+    SCREEN_DRIFT_MULTIPLE times the largest drift a refresh has found, so
+    the kept g_j and the step's own coordinate gradient fall on the same
+    side of lam; a draw inside the margin takes the scalar step.
+    """
 
     kind = "l1"
 
@@ -227,19 +258,62 @@ class _L1Steps(_Steps):
         # the exact rules read every score anyway, so they also stop at a
         # zero score when tol is 0
         self.checks = not cheap or cfg.tol > 0
-        # the stop check and the exact rules read every score every step
-        self.keeps_grad = self.check_every == 1
-        self.draws, self.drawn = [], 0  # the current block of coordinates
+        # the hashing engine reads no score between its every-n checks
+        self.keeps_grad = engine is None
+        # the current block of coordinates, as an array for the screen and
+        # as a list for the scalar draw
+        self.block, self.draws, self.drawn = None, [], 0
+        self.bound, self.bound_at = None, None  # lam - margin, refresh count
 
     def steepest(self, p, s):
         return select_gss_l1(p, s)
 
+    def _refill(self, p):
+        self.block = self.rng.integers(p.n, size=UNIFORM_BLOCK)
+        self.draws = self.block.tolist()
+        self.drawn = 0
+
     def uniform(self, p):
         if self.drawn == len(self.draws):
-            self.draws = self.rng.integers(p.n, size=UNIFORM_BLOCK).tolist()
-            self.drawn = 0
+            self._refill(p)
         self.drawn += 1
         return self.draws[self.drawn - 1]
+
+    def screen(self, p, s, limit):
+        """Consume and return the longest run of pending draws, at most
+        limit, that each leave alpha as it is; it stops before the first
+        draw that may move."""
+        g, alpha = s.grad, s.alpha
+        if self.bound_at != s.grad_refreshes:
+            lam = p.reg.lam
+            margin = max(SCREEN_MARGIN * max(lam, float(np.abs(g).max())),
+                         SCREEN_DRIFT_MULTIPLE * s.max_grad_drift)
+            self.bound, self.bound_at = lam - margin, s.grad_refreshes
+        bound = self.bound
+        if self.drawn == len(self.draws):
+            self._refill(p)
+        j = self.draws[self.drawn]
+        # most steps that move fail here, on one scalar read
+        if alpha[j] != 0.0 or not abs(g[j]) < bound:
+            return []
+        settled, window = [], SCREEN_WINDOW
+        while len(settled) < limit:
+            if self.drawn == len(self.draws):
+                self._refill(p)
+            lo = self.drawn
+            hi = min(len(self.draws), lo + window, lo + limit - len(settled))
+            ids = self.block[lo:hi]
+            null = np.abs(g[ids]) < bound  # False on a NaN
+            null &= alpha[ids] == 0.0
+            k = int(null.argmin())
+            if null[k]:  # the whole window passed
+                k = hi - lo
+            settled += self.draws[lo:lo + k]
+            self.drawn = lo + k
+            if lo + k < hi:
+                break
+            window *= 2
+        return settled
 
     def step(self, p, s, j, aj):
         """(class, new alpha_j), classified against the pre-truncation value."""
@@ -348,14 +422,21 @@ def _descend(p, s, steps, cfg, engine=None, records=None, t_last=0):
     When records is a list, appends a StepRecord every cfg.trace_every
     steps and for the last step. Returns (status, counters, time of the
     last record).
+
+    Uniform draws that the steps' screen settles from the kept gradient
+    are booked in bulk as good steps that move nothing, in runs that end
+    before the next stop check; theta records keep every step scalar.
     """
-    counters = {GOOD: 0, BAD: 0, CROSS: 0, "fallback": 0}
+    counters = {GOOD: 0, BAD: 0, CROSS: 0, "fallback": 0, "screened": 0}
     # loop-invariant lookups, hoisted: uniform steps cost a few microseconds
     tol, rule, selector = cfg.tol, cfg.rule, cfg.selector
     record_theta, trace_every = cfg.record_theta, cfg.trace_every
     steepest, step, uniform = steps.steepest, steps.step, steps.uniform
     checks, check_every = steps.checks, steps.check_every
     check_gap, record_gap = steps.check_gap, steps.record_gap
+    max_iters = cfg.max_iters
+    screen = steps.screen if rule is Rule.UNIFORM and selector is None \
+        and not record_theta and s.grad is not None else None
     status = "max_iters"
     pending = None  # the last step, while it is not recorded
 
@@ -364,7 +445,8 @@ def _descend(p, s, steps, cfg, engine=None, records=None, t_last=0):
             rec.gap = duality_gap(p, s)
         records.append(rec)
 
-    for t in range(cfg.max_iters):
+    t = 0
+    while t < max_iters:
         if check_gap and duality_gap(p, s) <= tol:
             status = "tol"
             break
@@ -381,6 +463,31 @@ def _descend(p, s, steps, cfg, engine=None, records=None, t_last=0):
             if out.score <= tol:
                 status = "tol"
                 break
+        if screen is not None:
+            end = min(max_iters, (t // check_every + 1) * check_every) \
+                if checks else max_iters
+            settled = screen(p, s, end - t)
+            if settled:
+                k = len(settled)
+                counters[GOOD] += k
+                counters["screened"] += k
+                if records is not None:
+                    f, nnz = s.objective, s.nnz
+                    # an L1 loop records no gap
+                    done = [StepRecord(u, settled[u - t], GOOD, f, 1.0, False,
+                                       0, nnz)
+                            for u in range(t + (-t) % trace_every, t + k,
+                                           trace_every)]
+                    if done:
+                        records.extend(done)
+                        t_last = _stamp(done[-1], t_last)
+                    last = t + k - 1
+                    pending = None if last % trace_every == 0 else \
+                        StepRecord(last, settled[-1], GOOD, f, 1.0, False, 0,
+                                   nnz)
+                t += k
+                if t == end:
+                    continue  # a stop check or the end comes first
         if engine is not None:
             j = found.coord
         elif selector is not None:
@@ -405,15 +512,15 @@ def _descend(p, s, steps, cfg, engine=None, records=None, t_last=0):
 
         counters[kind] += 1
         counters["fallback"] += int(fell_back)
-        if records is None:
-            continue
-        pending = StepRecord(iter=t, coord=j, step_kind=kind,
-                             f_value=s.objective, theta=theta,
-                             fell_back=fell_back, wall_ns=0, nnz=s.nnz)
-        if t % trace_every == 0:
-            record(pending)
-            t_last = _stamp(pending, t_last)
-            pending = None
+        if records is not None:
+            pending = StepRecord(iter=t, coord=j, step_kind=kind,
+                                 f_value=s.objective, theta=theta,
+                                 fell_back=fell_back, wall_ns=0, nnz=s.nnz)
+            if t % trace_every == 0:
+                record(pending)
+                t_last = _stamp(pending, t_last)
+                pending = None
+        t += 1
     if pending is not None:
         # nothing moved the iterate since this step, so its gap is current
         record(pending)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from greedycd.cli import main, parse_config_file, parse_synthetic
-from greedycd.data_io import (Dataset, DiagQuadratic, RandomSvm, SynthSpec,
-                              fold_labels, normalize_columns, regression_view,
+from greedycd.data_io import (CorrelatedLasso, Dataset, DiagQuadratic,
+                              RandomSvm, SynthSpec, fold_labels,
+                              normalize_columns, regression_view,
                               train_test_split, write_libsvm)
 from greedycd.harness import (CSV_HEADER, ExperimentConfig, RunSpec,
                               adaptivity_report, emit_plot_csv,
@@ -45,6 +46,16 @@ class TestRunExperiment:
         assert header == ["run", "iter", "wall_ns", "f_value",
                           "suboptimality", "nnz", "step_kind", "coord",
                           "theta", "gap", "test_accuracy", "fell_back"]
+
+    def test_summary_counts_screened_steps(self, tmp_path):
+        cfg = small_lasso_cfg(
+            tmp_path, data=SynthSpec(CorrelatedLasso(n=60, d=20), seed=1),
+            lam=0.5, max_iters=600)
+        run_experiment(cfg)
+        runs = json.load(open(cfg.out + ".json"))["runs"]
+        assert runs["gs-s"]["counters"]["screened"] == 0
+        uniform = runs["uniform"]["counters"]
+        assert 0 < uniform["screened"] <= uniform["good"]
 
     def test_suboptimality_nonneg_and_monotone(self, tmp_path):
         cfg = small_lasso_cfg(tmp_path)

@@ -12,7 +12,7 @@ from greedycd import solver
 from greedycd.objectives import (L1, Box, CompositeProblem, IterateState,
                                  SquaredResidual, make_lasso, make_svm_dual,
                                  objective_value, subgrad_score)
-from greedycd.selection import Rule
+from greedycd.selection import Rule, select_gss_l1
 from greedycd.solver import (SmipsEngine, SolverConfig, classify_step_box,
                              classify_step_l1, line_search_1d, run_counters,
                              solve_box, solve_l1)
@@ -165,14 +165,27 @@ class TestUniformDraws:
                 assert block.tolist() == [int(rng.integers(n))
                                           for _ in range(300)]
 
-    def test_solver_coordinates_equal_single_draws(self, rng):
-        p = random_problem("lasso", rng, n=9)
+    def test_solver_coordinates_equal_single_draws(self, rng, monkeypatch):
+        # at this lam most draws leave alpha_j at zero, so the screen settles
+        # runs of them that must end at every refill and every stop check
+        p = random_problem("lasso", rng, n=50, d=10, lam=2.0)
+        checks = []
+
+        def check(p, s):
+            checks.append(None)
+            return select_gss_l1(p, s)
+
+        monkeypatch.setattr(solver, "select_gss_l1", check)
         steps = solver.UNIFORM_BLOCK + 500  # crosses a refill
         tr = solve_l1(p, SolverConfig(rule=Rule.UNIFORM, max_iters=steps,
-                                      tol=0.0, seed=11))
+                                      tol=1e-12, seed=11))
+        assert tr.status == "max_iters"
+        assert tr.counters["screened"] > steps // 2
+        assert len(checks) == len(range(0, steps, p.n))
         ref = np.random.default_rng(11)
         assert [r.coord for r in tr.records] == \
             [int(ref.integers(p.n)) for _ in range(steps)]
+        assert [r.iter for r in tr.records] == list(range(steps))
 
 
 class TestWallTime:
