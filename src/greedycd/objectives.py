@@ -144,9 +144,9 @@ class Logistic:
     def update_grad(self, p, s, delta, read, cache):
         """Move the kept gradient after the residual moved by delta * A_j;
         the read's nabla l on supp(A_j) is the value before the move."""
-        ridx, before = read[1], read[3]
-        s.grad += cache.rows(ridx, self.grad(p, s.residual[ridx], ridx)
-                             - before)
+        j, ridx, before = read[0], read[1], read[3]
+        cache.add_rows(s.grad, j, ridx,
+                       self.grad(p, s.residual[ridx], ridx) - before)
 
     def line_search(self, p, s, j, tol=1e-10, max_iters=100):
         """Bisect the min-norm subgradient of F along coordinate j, which is
@@ -401,17 +401,24 @@ class IterateState:
 
 class _GradientCache:
     """What keeping the gradient needs besides the state: a row product over
-    A, and the quadratic losses' curvature and Gram columns G_j = A^T A_j.
+    A, the quadratic losses' curvature and Gram columns G_j = A^T A_j, and
+    logistic's row plans.
 
     Each Gram column is computed on first use and cached while the cache
     stays within GRAM_CACHE_INPUT_MULTIPLE times the bytes A is stored in;
-    past that, a column is recomputed on every use.
+    past that, a column is recomputed on every use. A row product over
+    supp(A_j) is planned on column j's second move, within the same room,
+    and runs from its plan after that; a column's first move, a plan that
+    does not fit and rows the plan refuses take the dense product.
     """
 
     def __init__(self, p):
         M = p.matrix
         self.rows = RowProduct(M)
         self.gram = {}
+        # column -> None after its first move, then its RowPlan, or False
+        # when it has none
+        self.plans = {}
         self.room = GRAM_CACHE_INPUT_MULTIPLE * (M.values.nbytes
                                                  + M.row_indices.nbytes)
         self.kappa = 1.0 / p.loss_scale
@@ -424,6 +431,23 @@ class _GradientCache:
                 self.gram[j] = col
                 self.room -= col.nbytes
         return col
+
+    def add_rows(self, g, j, ridx, weights):
+        """g += sum_k weights[k] * A[ridx[k], :], ridx being supp(A_j)."""
+        plans = self.plans
+        if j not in plans:
+            plans[j] = None
+        elif plans[j] is None:
+            plan = self.rows.plan(ridx)
+            fits = plan is not None and plan.nbytes <= self.room
+            if fits:
+                self.room -= plan.nbytes
+            plans[j] = plan if fits else False
+        plan = plans[j]
+        if plan:
+            plan.add_to(g, weights)
+        else:
+            g += self.rows(ridx, weights)
 
 
 def grad_l(p, s):

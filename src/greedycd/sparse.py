@@ -9,7 +9,8 @@ row-major copy is built on request for products over a few rows
 import numpy as np
 import scipy.sparse as sps
 
-__all__ = ["SparseColMatrix", "RowProduct", "shrink", "col_dot", "col_axpy"]
+__all__ = ["SparseColMatrix", "RowProduct", "RowPlan", "shrink", "col_dot",
+           "col_axpy"]
 
 # a row product over more than this fraction of the rows runs as one
 # transposed product over the whole matrix instead of a gather
@@ -215,12 +216,21 @@ class RowProduct:
     The result is a dense n_cols-vector. A few rows are gathered from a
     row-major copy of A, built on the first such call and owned by this
     object; rows covering more than GATHER_MAX_ROW_FRACTION of A take one
-    transposed product over all of A instead, which is cheaper there.
+    transposed product over all of A instead, which is cheaper there. A
+    gather over rows that recur can be kept as a RowPlan (`plan`).
     """
 
     def __init__(self, M):
         self.matrix = M
         self._rows = None
+
+    def _gather(self, rows):
+        """(counts, column ids, values) of the given rows' stored entries."""
+        if self._rows is None:
+            self._rows = self.matrix.row_major()
+        starts, cols, vals = self._rows
+        counts, pos = _ranges(starts, rows)
+        return counts, cols[pos], vals[pos]
 
     def __call__(self, rows, weights):
         M = self.matrix
@@ -228,12 +238,44 @@ class RowProduct:
             v = np.zeros(M.n_rows)
             v[rows] = weights
             return M._product_T(v)
-        if self._rows is None:
-            self._rows = M.row_major()
-        starts, cols, vals = self._rows
-        counts, pos = _ranges(starts, rows)
-        scaled = vals[pos] * np.repeat(weights, counts)
-        return np.bincount(cols[pos], weights=scaled, minlength=M.n_cols)
+        counts, cols, vals = self._gather(rows)
+        scaled = vals * np.repeat(weights, counts)
+        return np.bincount(cols, weights=scaled, minlength=M.n_cols)
+
+    def plan(self, rows):
+        """A RowPlan of the product over these rows, or None where they take
+        the transposed product."""
+        if len(rows) > GATHER_MAX_ROW_FRACTION * self.matrix.n_rows:
+            return None
+        n = self.matrix.n_cols
+        counts, cols, vals = self._gather(rows)
+        touched = np.zeros(n, dtype=bool)
+        touched[cols] = True
+        ids = np.flatnonzero(touched)
+        bin_of = np.empty(n, dtype=np.intp)
+        bin_of[ids] = np.arange(len(ids))
+        return RowPlan(ids, bin_of[cols], vals, counts)
+
+
+class RowPlan:
+    """A row product over a fixed set of rows, gathered once: the touched
+    column ids, each gathered entry's bin among them, the entries' values
+    and the entry count per row.
+
+    add_to(u, weights) adds the product to u at the touched ids only. Each
+    bin sums its entries in storage order, as RowProduct's dense result
+    does, so those entries of u come out bitwise equal to u + RowProduct.
+    """
+
+    def __init__(self, ids, bins, values, counts):
+        self.ids, self.bins = ids, bins
+        self.values, self.counts = values, counts
+        self.nbytes = ids.nbytes + bins.nbytes + values.nbytes + counts.nbytes
+
+    def add_to(self, u, weights):
+        scaled = self.values * np.repeat(weights, self.counts)
+        u[self.ids] += np.bincount(self.bins, weights=scaled,
+                                   minlength=len(self.ids))
 
 
 def col_dot(M, j, v):

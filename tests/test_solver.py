@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conftest import random_problem, random_state
-from greedycd import selection
 from greedycd import smips as sm
 from greedycd import solver
 from greedycd.objectives import (L1, Box, CompositeProblem, IterateState,
@@ -206,13 +205,14 @@ class TestWallTime:
     def test_records_add_up_to_the_solve_l1(self, clock, rng, every,
                                             monkeypatch):
         checks = []  # clock readings taken before each stop check
+        select = solver.select_gss_l1
 
         def score(p, s, grad=None):
             checks.append(len(clock))
-            return subgrad_score(p, s, grad)
+            return select(p, s, grad)
 
-        # the stop check reads its scores through selection.select_gss_l1
-        monkeypatch.setattr(selection, "subgrad_score", score)
+        # the stop check is the steepest select the L1 steps call
+        monkeypatch.setattr(solver, "select_gss_l1", score)
         p = random_problem("lasso", rng, n=8, d=10)
         tr = solve_l1(p, SolverConfig(max_iters=5000, tol=1e-9,
                                       trace_every=every))
