@@ -4,9 +4,10 @@ Usage:
     greedycd [CONFIG] [flags]
 
 CONFIG is an optional flat key-value text file (one `key = value` per line,
-'#' comments); keys are the long flag names without the leading dashes.
-Command-line flags override config values. Exit codes: 0 success, 1 config
-error, 2 run failure.
+'#' comments); keys are the long flag names without the leading dashes
+('_' may stand for '-'), and values get the same checks as flags.
+Command-line flags override config values. The boolean flags take an
+optional yes/no value. Exit codes: 0 success, 1 config error, 2 run failure.
 
 Synthetic data specs (--synthetic):
     diag:1,2,4                          diagonal quadratic, given spectrum
@@ -70,21 +71,34 @@ def parse_config_file(path):
     return out
 
 
+def _yes_no(text):
+    word = text.strip().lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise argparse.ArgumentTypeError("expected yes or no, got %r" % text)
+
+
 def _build_parser():
+    # an option nobody sets is left out, so it keeps the ExperimentConfig
+    # or RunSpec default; no abbreviations, so a config key names a flag
     ap = argparse.ArgumentParser(
-        prog="greedycd",
+        prog="greedycd", argument_default=argparse.SUPPRESS,
+        allow_abbrev=False,
         description="Greedy coordinate descent experiment runner.")
-    ap.add_argument("config", nargs="?", default=None,
+    ap.add_argument("config", nargs="?",
                     help="optional flat key-value config file")
-    ap.add_argument("--problem",
-                    choices=["lasso", "svm", "logistic", "elasticnet"])
+    ap.add_argument("--problem", choices=["lasso", "svm", "logistic",
+                                          "elasticnet"])
     ap.add_argument("--data", help="path to a libsvm-format file (optionally "
                     "gzip-compressed)")
     ap.add_argument("--synthetic", help="synthetic data spec; see module help")
-    ap.add_argument("--rule", default=None,
+    ap.add_argument("--rule",
                     help="comma-separated list of gs-s, gs-r, gs-q, uniform")
     ap.add_argument("--engine", choices=["exact", "smips"])
-    ap.add_argument("--backend", choices=["exact-scan", "lsh"])
+    ap.add_argument("--backend", choices=["exact-scan", "lsh"],
+                    help="lsh needs --engine smips")
     ap.add_argument("--lambda", dest="lam", type=float)
     ap.add_argument("--lambda2", dest="lam2", type=float)
     ap.add_argument("--beta", type=float,
@@ -94,87 +108,66 @@ def _build_parser():
     ap.add_argument("--max-iters", type=int)
     ap.add_argument("--tol", type=float)
     ap.add_argument("--seed", type=int)
-    ap.add_argument("--normalize", action="store_true", default=None)
+    ap.add_argument("--normalize", type=_yes_no, nargs="?", const=True)
     ap.add_argument("--out", help="output path prefix for CSV/JSON")
-    ap.add_argument("--adaptivity", action="store_true", default=None,
+    ap.add_argument("--adaptivity", type=_yes_no, nargs="?", const=True,
                     help="emit the four-way search-quality report instead "
                     "of the plain metrics run")
-    ap.add_argument("--plot-x", choices=["iter", "wall"], default=None,
-                    help="also emit a plot-ready wide CSV on this axis")
-    ap.add_argument("--workers", type=int)
-    ap.add_argument("--test-split", type=float)
-    ap.add_argument("--line-search", action="store_true", default=None)
+    ap.add_argument("--plot-x", choices=["iter", "wall"],
+                    help="also write the plot CSV <out>_plot.csv")
+    ap.add_argument("--test-split", type=float,
+                    help="held-out fraction (svm and logistic only)")
+    ap.add_argument("--line-search", dest="use_line_search", type=_yes_no,
+                    nargs="?", const=True)
     return ap
 
 
-_DEFAULTS = {
-    "problem": None, "data": None, "synthetic": None, "rule": "gs-s",
-    "engine": "exact", "backend": "exact-scan", "lam": 0.1, "lam2": 0.0,
-    "beta": None, "lsh_bits": 8, "lsh_tables": 10, "max_iters": 1000,
-    "tol": 1e-8, "seed": 0, "normalize": False, "out": None,
-    "adaptivity": False, "plot_x": None, "workers": 1, "test_split": 0.0,
-    "line_search": False,
-}
+def _parse(ap, argv):
+    """The options of the config file and then the command line, as a dict.
 
-_CASTS = {
-    "lam": float, "lam2": float, "beta": float, "tol": float,
-    "test_split": float, "lsh_bits": int, "lsh_tables": int,
-    "max_iters": int, "seed": int, "workers": int,
-    "normalize": lambda v: v.lower() in ("1", "true", "yes", "on"),
-    "adaptivity": lambda v: v.lower() in ("1", "true", "yes", "on"),
-    "line_search": lambda v: v.lower() in ("1", "true", "yes", "on"),
-}
+    Both go through the same parser, the file's lines as `--key=value`
+    tokens ahead of the command line, so later flags win.
+    """
+    config = getattr(ap.parse_args(argv), "config", None)
+    tokens = []
+    if config is not None:
+        tokens = ["--%s=%s" % (key.replace("_", "-"), value)
+                  for key, value in parse_config_file(config).items()]
+    return vars(ap.parse_args(tokens + argv))
 
 
-def _merge(args):
-    """Defaults < config file < command line."""
-    merged = dict(_DEFAULTS)
-    if args.config:
-        for key, value in parse_config_file(args.config).items():
-            attr = key.replace("-", "_")
-            if attr == "lambda":
-                attr = "lam"
-            elif attr == "lambda2":
-                attr = "lam2"
-            if attr not in merged:
-                raise ValueError("unknown config key %r" % key)
-            merged[attr] = _CASTS.get(attr, str)(value)
-    for attr in merged:
-        cli_val = getattr(args, attr, None)
-        if cli_val is not None:
-            merged[attr] = cli_val
-    return merged
+_RUN_OPTIONS = ("engine", "backend", "lsh_bits", "lsh_tables",
+                "use_line_search")
 
 
-def _experiment_config(opt):
-    if opt["problem"] is None:
+def _experiment_config(opts):
+    """One RunSpec per rule; the rest of opts are ExperimentConfig fields."""
+    opts.pop("config", None)
+    data, synthetic = opts.pop("data", None), opts.pop("synthetic", None)
+    if "problem" not in opts:
         raise ValueError("--problem is required")
-    if (opt["data"] is None) == (opt["synthetic"] is None):
+    if (data is None) == (synthetic is None):
         raise ValueError("exactly one of --data / --synthetic is required")
-    data = opt["data"] if opt["data"] is not None \
-        else parse_synthetic(opt["synthetic"], opt["seed"])
-    rules = [r.strip() for r in str(opt["rule"]).split(",") if r.strip()]
-    runs = []
-    for rule in rules:
-        name = rule if len(rules) > 1 else "run"
-        runs.append(RunSpec(name=name, rule=rule, engine=opt["engine"],
-                            backend=opt["backend"], lsh_bits=opt["lsh_bits"],
-                            lsh_tables=opt["lsh_tables"],
-                            use_line_search=opt["line_search"]))
-    return ExperimentConfig(
-        problem=opt["problem"], data=data, runs=runs, lam=opt["lam"],
-        lam2=opt["lam2"], beta=opt["beta"], max_iters=opt["max_iters"],
-        tol=opt["tol"], seed=opt["seed"], out=opt["out"],
-        normalize=opt["normalize"], test_split=opt["test_split"],
-        workers=opt["workers"])
+    if synthetic is not None:
+        data = parse_synthetic(synthetic,
+                               opts.get("seed", ExperimentConfig.seed))
+    run_opts = {k: opts.pop(k) for k in _RUN_OPTIONS if k in opts}
+    rules = [r.strip() for r in opts.pop("rule", RunSpec.rule).split(",")
+             if r.strip()]
+    runs = [RunSpec(name=rule if len(rules) > 1 else "run", rule=rule,
+                    **run_opts) for rule in rules]
+    return ExperimentConfig(data=data, runs=runs, **opts)
 
 
 def main(argv=None):
-    ap = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = ap.parse_args(argv)
-        opt = _merge(args)
-        cfg = _experiment_config(opt)
+        opts = _parse(_build_parser(), argv)
+        adaptivity = opts.pop("adaptivity", False)
+        plot_x = opts.pop("plot_x", None)
+        if plot_x is not None and not opts.get("out"):
+            raise ValueError("--plot-x needs --out")
+        cfg = _experiment_config(opts)
         cfg.validate()
     except SystemExit as exc:
         # argparse already printed its message; 0 is --help
@@ -184,7 +177,7 @@ def main(argv=None):
         return 1
 
     try:
-        if opt["adaptivity"]:
+        if adaptivity:
             report = adaptivity_report(cfg)
             print("adaptivity: %d iterations, median subset ratio %s, "
                   "%d fallbacks" % (len(report["rows"]),
@@ -207,8 +200,8 @@ def main(argv=None):
         for name, msg in summary["errors"].items():
             print("run failure in %s: %s" % (name, msg), file=sys.stderr)
         return 2
-    if opt["plot_x"] and cfg.out:
-        emit_plot_csv(summary["rows"], x_axis=opt["plot_x"],
+    if plot_x is not None:
+        emit_plot_csv(summary["rows"], x_axis=plot_x,
                       stream=cfg.out + "_plot.csv")
     return 0
 

@@ -1,5 +1,5 @@
 """Experiment orchestration: build a problem from a dataset or synthetic
-spec, execute a list of solver runs (optionally in parallel), estimate the
+spec, execute a list of solver runs one after another, estimate the
 optimal value by a long exact polish, and emit a metrics CSV, a JSON summary,
 an adaptivity report for the hashing engine, and plot-ready wide CSVs.
 """
@@ -7,7 +7,6 @@ an adaptivity report for the hashing engine, and plot-ready wide CSVs.
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +63,8 @@ class ExperimentConfig:
     seed: int = 0
     out: str = None                # output path prefix
     normalize: bool = False
-    test_split: float = 0.0
-    workers: int = 1
+    test_split: float = 0.0        # held-out fraction, svm and logistic
+    workers: int = 1               # runs execute one after another
 
     def validate(self):
         if self.problem not in ("lasso", "svm", "logistic", "elasticnet"):
@@ -75,6 +74,14 @@ class ExperimentConfig:
         names = [r.name for r in self.runs]
         if len(set(names)) != len(names):
             raise ValueError("run names must be unique")
+        if self.test_split and (not 0 < self.test_split < 1 or
+                                self.problem not in ("svm", "logistic")):
+            raise ValueError("test_split applies to svm and logistic problems "
+                             "only and lies in (0, 1), got %r for %s"
+                             % (self.test_split, self.problem))
+        if self.workers != 1:
+            raise ValueError("workers must be 1: runs execute one after "
+                             "another, got %r" % (self.workers,))
 
 
 def _load_dataset(cfg):
@@ -93,7 +100,7 @@ def build_problem(cfg):
     t0 = time.perf_counter()
     ds = _load_dataset(cfg)
     test = None
-    if cfg.test_split > 0 and cfg.problem in ("svm", "logistic"):
+    if cfg.test_split > 0:
         ds, test = train_test_split(ds, 1.0 - cfg.test_split, seed=cfg.seed)
     if cfg.problem == "lasso":
         M, b = (ds.matrix, ds.labels) if isinstance(cfg.data, SynthSpec) \
@@ -114,46 +121,44 @@ def build_problem(cfg):
     return p, info
 
 
-def _solver_config(cfg, run):
-    backend = None
-    if run.engine == "smips" and run.backend == "lsh":
-        backend = sm.HyperplaneLsh(run.lsh_bits, run.lsh_tables,
-                                   seed=run.seed if run.seed is not None
-                                   else cfg.seed)
-    return SolverConfig(
-        rule=Rule(run.rule), engine=run.engine, backend=backend,
-        beta=cfg.beta, use_line_search=run.use_line_search,
-        max_iters=cfg.max_iters, tol=cfg.tol,
-        seed=run.seed if run.seed is not None else cfg.seed,
-        record_theta=run.record_theta,
-        record_gap=(cfg.problem == "svm"))
-
-
 def _execute_run(p, cfg, run):
-    scfg = _solver_config(cfg, run)
+    """(trace, seconds spent building the selection index) of one run."""
+    if run.backend not in ("exact-scan", "lsh") or \
+            run.backend == "lsh" and run.engine != "smips":
+        raise ValueError("backend %r does not run with engine %r: the "
+                         "backends are 'exact-scan' and 'lsh', which needs "
+                         "engine 'smips'" % (run.backend, run.engine))
+    seed = cfg.seed if run.seed is None else run.seed
+    scfg = SolverConfig(
+        rule=Rule(run.rule), engine=run.engine, beta=cfg.beta,
+        use_line_search=run.use_line_search, max_iters=cfg.max_iters,
+        tol=cfg.tol, seed=seed, record_theta=run.record_theta,
+        record_gap=(cfg.problem == "svm"))
     # a refused config must not pay for an index build first
     scfg.validate()
     build_seconds = 0.0
     if run.engine == "smips":
-        engine = SmipsEngine(p, backend=scfg.backend, beta=cfg.beta)
-        build_seconds = engine.build_seconds
-        scfg.engine = engine
+        backend = sm.HyperplaneLsh(run.lsh_bits, run.lsh_tables, seed=seed) \
+            if run.backend == "lsh" else None
+        scfg.engine = SmipsEngine(p, backend=backend, beta=cfg.beta)
+        build_seconds = scfg.engine.build_seconds
     solve = solve_box if cfg.problem == "svm" else solve_l1
-    trace = solve(p, scfg)
-    return trace, build_seconds
+    return solve(p, scfg), build_seconds
 
 
-def _polish(p, state, iters, kind):
+def _polish(p, state, iters):
     """Extra exact steepest steps from a state copy; returns the best value.
 
-    The steps stop once the steepest score is at round-off (L1) or zero
-    (box), and keep neither the objective nor step records.
+    The steps stop once the steepest score is at round-off, and keep
+    neither the objective nor step records.
     """
     s = IterateState(alpha=state.alpha.copy(), residual=state.residual.copy(),
                      nnz=state.nnz)
     s.track_gradient(p)
-    cfg = SolverConfig(max_iters=iters, tol=1e-14 if kind == "l1" else 0.0)
-    _descend(p, s, _steps_for(p, cfg), cfg)
+    cfg = SolverConfig(max_iters=iters, tol=1e-14)
+    steps = _steps_for(p, cfg)
+    steps.check_gap = False  # an SVM gap check reads all n examples a step
+    _descend(p, s, steps, cfg)
     return objective_value(p, s)
 
 
@@ -189,32 +194,18 @@ def run_experiment(cfg):
     cfg.validate()
     p, info = build_problem(cfg)
     results, errors = {}, {}
-
-    def job(run):
-        return _execute_run(p, cfg, run)
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = {run.name: pool.submit(job, run) for run in cfg.runs}
-            for name, fut in futures.items():
-                try:
-                    results[name] = fut.result()
-                except Exception as exc:
-                    errors[name] = "%s: %s" % (type(exc).__name__, exc)
-    else:
-        for run in cfg.runs:
-            try:
-                results[run.name] = job(run)
-            except Exception as exc:
-                errors[run.name] = "%s: %s" % (type(exc).__name__, exc)
+    for run in cfg.runs:
+        try:
+            results[run.name] = _execute_run(p, cfg, run)
+        except Exception as exc:
+            errors[run.name] = "%s: %s" % (type(exc).__name__, exc)
 
     f_star = None
     if results:
         best_name = min(results, key=lambda k: results[k][0].f_values.min())
         best_trace = results[best_name][0]
         f_star = min(float(best_trace.f_values.min()),
-                     _polish(p, best_trace.final_state, 10 * cfg.max_iters,
-                             best_trace.problem_kind))
+                     _polish(p, best_trace.final_state, 10 * cfg.max_iters))
 
     rows = []
     summary = {"problem": cfg.problem, "n": p.n, "d": p.d,

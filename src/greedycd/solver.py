@@ -439,15 +439,22 @@ def _descend(p, s, steps, cfg, engine=None, records=None, t_last=0):
         and not record_theta and s.grad is not None else None
     status = "max_iters"
     pending = None  # the last step, while it is not recorded
+    known_gap = None  # the duality gap of the iterate as it is, once read
+
+    def gap_now():
+        nonlocal known_gap
+        if known_gap is None:
+            known_gap = duality_gap(p, s)
+        return known_gap
 
     def record(rec):
         if record_gap:
-            rec.gap = duality_gap(p, s)
+            rec.gap = gap_now()
         records.append(rec)
 
     t = 0
     while t < max_iters:
-        if check_gap and duality_gap(p, s) <= tol:
+        if check_gap and gap_now() <= tol:
             status = "tol"
             break
         fell_back = False
@@ -507,6 +514,7 @@ def _descend(p, s, steps, cfg, engine=None, records=None, t_last=0):
         aj = float(s.alpha[j])
         kind, new = step(p, s, j, aj)
         apply_coord_delta(p, s, j, new - aj)
+        known_gap = None
         if engine is not None:
             engine.note_step(j, new)
 

@@ -2,8 +2,8 @@
 
 Everything downstream (coordinate gradients, residual maintenance, point-set
 extraction) is a column access, so the matrix is stored column-major. A
-row-major copy is built on request for products over a few rows
-(`RowProduct`). Matrices are immutable after construction.
+row-major copy is built on first request, for products over a few rows
+(`RowProduct`), and kept. Matrices are immutable after construction.
 """
 
 import numpy as np
@@ -90,9 +90,11 @@ class SparseColMatrix:
         for arr in (self.col_starts, self.row_indices, self.values,
                     self.col_sq_norms):
             arr.setflags(write=False)
-        # scipy views of the storage, built on the first product that needs one
+        # scipy views of the storage, built on the first product that needs
+        # one, and the row-major copy, built on the first call for it
         self._scipy_csc = None
         self._scipy_T = None
+        self._row_major = None
 
     @property
     def n_cols(self):
@@ -165,16 +167,24 @@ class SparseColMatrix:
     def row_major(self):
         """(row_starts, col_indices, values) of the row-compressed copy.
 
-        Column ids increase within each row. The arrays are new, so the copy
-        costs O(nnz) time and memory on every call.
+        Column ids increase within each row. The copy is built on the first
+        call, in O(nnz) time and memory, and kept read-only with the matrix.
         """
-        csr = self._scipy(sps.csc_matrix, (self.n_rows, self.n_cols)).tocsr()
-        return csr.indptr.astype(np.int64), csr.indices.astype(np.int64), \
-            csr.data
+        if self._row_major is None:
+            csr = self._scipy(sps.csc_matrix,
+                              (self.n_rows, self.n_cols)).tocsr()
+            self._row_major = (csr.indptr.astype(np.int64),
+                               csr.indices.astype(np.int64), csr.data)
+            for arr in self._row_major:
+                arr.setflags(write=False)
+        return self._row_major
 
     def transpose(self):
-        """Row-compressed view of self, returned as a new column matrix."""
-        return SparseColMatrix(self.n_cols, *self.row_major())
+        """Row-compressed view of self, returned as a new column matrix
+        whose row-major copy is this matrix's own storage."""
+        T = SparseColMatrix(self.n_cols, *self.row_major())
+        T._row_major = (self.col_starts, self.row_indices, self.values)
+        return T
 
     def _scipy(self, kind, shape):
         # scipy's constructor would copy the row ids down to int32; assigned
@@ -213,22 +223,19 @@ class SparseColMatrix:
 class RowProduct:
     """u = sum_k weights[k] * A[rows[k], :] for a fixed matrix A.
 
-    The result is a dense n_cols-vector. A few rows are gathered from a
-    row-major copy of A, built on the first such call and owned by this
-    object; rows covering more than GATHER_MAX_ROW_FRACTION of A take one
-    transposed product over all of A instead, which is cheaper there. A
-    gather over rows that recur can be kept as a RowPlan (`plan`).
+    The result is a dense n_cols-vector. A few rows are gathered from A's
+    row-major copy (`SparseColMatrix.row_major`); rows covering more than
+    GATHER_MAX_ROW_FRACTION of A take one transposed product over all of A
+    instead, which is cheaper there. A gather over rows that recur can be
+    kept as a RowPlan (`plan`).
     """
 
     def __init__(self, M):
         self.matrix = M
-        self._rows = None
 
     def _gather(self, rows):
         """(counts, column ids, values) of the given rows' stored entries."""
-        if self._rows is None:
-            self._rows = self.matrix.row_major()
-        starts, cols, vals = self._rows
+        starts, cols, vals = self.matrix.row_major()
         counts, pos = _ranges(starts, rows)
         return counts, cols[pos], vals[pos]
 

@@ -4,7 +4,9 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
+from greedycd import cli, harness, solver
 from greedycd.cli import main, parse_config_file, parse_synthetic
 from greedycd.data_io import (CorrelatedLasso, Dataset, DiagQuadratic,
                               RandomSvm, SynthSpec, fold_labels,
@@ -15,7 +17,7 @@ from greedycd.harness import (CSV_HEADER, ExperimentConfig, RunSpec,
                               run_experiment)
 from greedycd.objectives import make_lasso, make_logistic
 from greedycd.selection import Rule
-from greedycd.solver import SmipsEngine, SolverConfig, solve_l1
+from greedycd.solver import SmipsEngine, SolverConfig, solve_box, solve_l1
 from greedycd.sparse import SparseColMatrix
 
 
@@ -91,13 +93,70 @@ class TestRunExperiment:
         assert "ok" in summary["runs"]
         assert "broken" in summary["errors"]
 
-    def test_parallel_matches_serial(self, tmp_path):
-        cfg1 = small_lasso_cfg(tmp_path, workers=1)
-        cfg2 = small_lasso_cfg(tmp_path, workers=2)
-        strip = lambda rows: [{k: v for k, v in row.items()
-                               if k != "wall_ns"} for row in rows]
-        assert strip(run_experiment(cfg1)["rows"]) == \
-            strip(run_experiment(cfg2)["rows"])
+    def test_workers_other_than_one_refused(self, tmp_path):
+        for workers in (0, 2):
+            cfg = small_lasso_cfg(tmp_path, workers=workers)
+            with pytest.raises(ValueError, match="one after another"):
+                run_experiment(cfg)
+        assert not os.path.exists(cfg.out + ".csv")
+
+    @pytest.mark.parametrize("engine,backend",
+                             [("exact", "lsh"), ("smips", "lhs")])
+    def test_backend_engine_mismatch_fails_the_run(self, tmp_path, engine,
+                                                   backend):
+        runs = [RunSpec("ok"), RunSpec("bad", engine=engine,
+                                       backend=backend)]
+        summary = run_experiment(small_lasso_cfg(tmp_path, runs=runs))
+        assert list(summary["runs"]) == ["ok"]
+        error = summary["errors"]["bad"]
+        assert repr(engine) in error and repr(backend) in error
+
+    def test_svm_polish_stops_at_round_off(self, monkeypatch):
+        polished = []
+        descend = harness._descend
+
+        def counting(*args, **kwargs):
+            status, counters, t_last = descend(*args, **kwargs)
+            polished.append((status, counters["good"] + counters["bad"]
+                             + counters["cross"]))
+            return status, counters, t_last
+
+        monkeypatch.setattr(harness, "_descend", counting)
+        cfg = ExperimentConfig(
+            problem="svm", data=SynthSpec(RandomSvm(200, 20, 0.1), seed=0),
+            runs=[RunSpec("gs-s")], lam=0.05, max_iters=200_000, tol=1e-5)
+        summary = run_experiment(cfg)
+        [(status, steps)] = polished
+        assert status == "tol"
+        assert steps < 200_000  # of a budget of 2,000,000
+        assert summary["f_star"] <= summary["runs"]["gs-s"]["final_f"]
+
+    def test_svm_gap_computed_once_per_state(self, monkeypatch):
+        calls = []
+        gap = solver.duality_gap
+
+        def counting(p, s):
+            calls.append(1)
+            return gap(p, s)
+
+        monkeypatch.setattr(solver, "duality_gap", counting)
+        cfg = ExperimentConfig(
+            problem="svm", data=SynthSpec(RandomSvm(60, 8, 0.1), seed=0),
+            runs=[RunSpec("gs-s")], lam=0.05, tol=1e-5)
+        p, _ = harness.build_problem(cfg)
+        trace = solve_box(p, SolverConfig(tol=cfg.tol, record_gap=True,
+                                          max_iters=10_000))
+        assert trace.status == "tol" and trace.n_steps > 500
+        assert len(calls) <= trace.n_steps + 1
+        # the same steps with no gap stop compute each record's gap anew
+        ref = solve_box(p, SolverConfig(tol=0.0, record_gap=True,
+                                        max_iters=trace.n_steps))
+        key = lambda r: (r.iter, r.coord, r.step_kind, r.f_value, r.gap,
+                         r.nnz)
+        assert [key(r) for r in trace.records] == \
+            [key(r) for r in ref.records]
+        np.testing.assert_array_equal(trace.final_state.alpha,
+                                      ref.final_state.alpha)
 
     def test_empty_runs_rejected(self, tmp_path):
         cfg = ExperimentConfig(
@@ -187,6 +246,27 @@ class TestLibsvmFile:
                    if r["run"] == rule][-1]
             margins = fold_labels(test).matvec_T(trace.final_state.alpha)
             assert acc == float(np.mean(margins > 0))
+
+    def test_logistic_builds_one_row_major_copy(self, tmp_path, rng,
+                                                monkeypatch):
+        builds = []
+        tocsr = sps.csc_matrix.tocsr
+
+        def counting(self, *args, **kwargs):
+            builds.append(1)
+            return tocsr(self, *args, **kwargs)
+
+        monkeypatch.setattr(sps.csc_matrix, "tocsr", counting)
+        # 3 of 200 features per example: a feature's examples are gathered
+        # by rows
+        cols = [(np.sort(rng.choice(200, 3, replace=False)),
+                 rng.standard_normal(3)) for _ in range(300)]
+        ds = Dataset(SparseColMatrix.from_columns(200, cols),
+                     rng.choice([-1.0, 1.0], 300))
+        _, summary = self.run_file(tmp_path, ds, problem="logistic", lam=0.1)
+        assert not summary["errors"]
+        # built by the transpose; both solves and the polish read it
+        assert len(builds) == 1
 
     def test_lasso_through_regression_view(self, tmp_path, rng):
         ds = examples_dataset(rng, rng.standard_normal(60))
@@ -297,6 +377,83 @@ class TestCli:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("no-such-key = 1\n")
         assert main([str(cfg)]) == 1
+
+    @pytest.mark.parametrize("line,option", [
+        ("backend = lhs", "--backend"), ("engine = smip", "--engine"),
+        ("plot_x = iters", "--plot-x"),
+        ("normalize = yes please", "--normalize"),
+        # dest names and prefixes of a flag are no keys
+        ("lam = 0.1", "--lam"), ("max = 5", "--max")])
+    def test_config_values_get_the_flag_checks(self, tmp_path, capsys, line,
+                                               option):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("problem = lasso\nsynthetic = diag:4,2,1\n"
+                       "max-iters = 20\n%s\n" % line)
+        out = str(tmp_path / "c")
+        assert main([str(cfg), "--out", out]) == 1
+        assert option in capsys.readouterr().err
+        assert not os.path.exists(out + ".csv")
+
+    def test_backend_lsh_needs_engine_smips(self, tmp_path, capsys):
+        out = str(tmp_path / "lsh")
+        code = main(["--problem", "lasso", "--synthetic", "diag:4,2,1",
+                     "--backend", "lsh", "--max-iters", "20", "--out", out])
+        assert code == 2
+        error = json.load(open(out + ".json"))["errors"]["run"]
+        assert "'lsh'" in error and "'exact'" in error
+
+    def test_plot_x_needs_out(self, capsys):
+        code = main(["--problem", "lasso", "--synthetic", "diag:4,2,1",
+                     "--max-iters", "20", "--plot-x", "wall"])
+        assert code == 1
+        assert "--plot-x" in capsys.readouterr().err
+
+    def test_plot_x_writes_the_plot_csv(self, tmp_path, capsys):
+        out = str(tmp_path / "p")
+        code = main(["--problem", "lasso", "--synthetic", "diag:4,2,1",
+                     "--max-iters", "30", "--plot-x", "wall", "--out", out])
+        assert code == 0
+        with open(out + "_plot.csv") as fh:
+            assert fh.readline().strip() == "run_wall,run_suboptimality"
+
+    @pytest.mark.parametrize("problem", ["lasso", "elasticnet"])
+    def test_test_split_refused_for_regression(self, capsys, problem):
+        code = main(["--problem", problem, "--synthetic", "diag:4,2,1",
+                     "--test-split", "0.3"])
+        assert code == 1
+        assert "test_split" in capsys.readouterr().err
+
+    def parsed(self, monkeypatch, argv):
+        """The ExperimentConfig main hands to run_experiment."""
+        seen = []
+
+        def fake_run(cfg):
+            seen.append(cfg)
+            return {"runs": {}, "errors": {}, "rows": []}
+
+        monkeypatch.setattr(cli, "run_experiment", fake_run)
+        assert main(argv) == 0
+        return seen[0]
+
+    def test_unset_options_keep_the_dataclass_defaults(self, monkeypatch,
+                                                       capsys):
+        cfg = self.parsed(monkeypatch, ["--problem", "svm", "--synthetic",
+                                        "svm:n=20,d=4"])
+        assert cfg == ExperimentConfig(
+            problem="svm", data=parse_synthetic("svm:n=20,d=4", seed=0),
+            runs=[RunSpec("run")])
+
+    def test_boolean_options_take_yes_no(self, tmp_path, monkeypatch,
+                                         capsys):
+        path = tmp_path / "b.cfg"
+        path.write_text("problem = lasso\nsynthetic = diag:1,2\n"
+                        "normalize = false\nline_search = yes\n")
+        cfg = self.parsed(monkeypatch, [str(path)])
+        assert cfg.normalize is False and cfg.runs[0].use_line_search
+        cfg = self.parsed(monkeypatch, [str(path), "--normalize",
+                                        "--line-search", "no"])
+        assert cfg.normalize is True
+        assert cfg.runs[0].use_line_search is False
 
     def test_multi_rule_comparison(self, tmp_path, capsys):
         code = main(["--problem", "lasso", "--synthetic", "diag:4,2,1",

@@ -210,7 +210,7 @@ def test_duality_gap_from_gradient_matches_matvec(rng):
 def test_polish_matches_recomputing_loop(kind):
     p = svm_problem(3) if kind == "svm" else l1_problem("lasso", 4)
     start = IterateState.zeros(p)
-    polished = _polish(p, start, 1500, "box" if kind == "svm" else "l1")
+    polished = _polish(p, start, 1500)
     ref = reference_box if kind == "svm" else reference_l1
     _, _, ref_state = ref(p, 1500)
     f_ref = objective_value(p, ref_state)

@@ -161,7 +161,7 @@ def test_planned_update_over_a_solve(checked):
 
 def test_planned_update_in_the_polish(checked):
     p = sparse_logistic(1)
-    _polish(p, IterateState.zeros(p), 3500, "l1")
+    _polish(p, IterateState.zeros(p), 3500)
     assert len(checked) > 3 * objectives.RESIDUAL_REFRESH_EVERY
     assert set(checked) == {"first", "planned"}
 

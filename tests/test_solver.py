@@ -281,6 +281,19 @@ class TestSolveBox:
         with pytest.raises(TypeError):
             solve_box(p, SolverConfig())
 
+    def test_theta_recorded(self, rng):
+        p = random_problem("svm", rng, n=40, d=6)
+        exact = solve_box(p, SolverConfig(max_iters=200, tol=1e-9,
+                                          record_theta=True))
+        assert exact.n_steps
+        assert all(r.theta == 1.0 for r in exact.records)
+        hashed = solve_box(p, SolverConfig(
+            engine="smips", backend=sm.HyperplaneLsh(3, 4, seed=0),
+            max_iters=200, tol=1e-9, record_theta=True))
+        thetas = [r.theta for r in hashed.records]
+        assert all(0.0 <= t <= 1.0 for t in thetas)
+        assert min(thetas) < 1.0
+
 
 class TestLineSearch:
     def test_equals_prox_with_column_curvature(self, rng):

@@ -149,6 +149,21 @@ class TestMatrix:
         M = SparseColMatrix.from_dense(A)
         np.testing.assert_array_equal(M.transpose().to_dense(), A.T)
 
+    def test_row_major_kept_read_only(self, rng):
+        M, A = random_sparse(rng, 6, 9, 0.4)
+        rows = M.row_major()
+        assert rows is M.row_major()
+        assert not any(arr.flags.writeable for arr in rows)
+        # the transpose's copy is M's own storage, equal to a built one
+        T = M.transpose()
+        for kept, own in zip(T.row_major(), (M.col_starts, M.row_indices,
+                                             M.values)):
+            assert kept is own
+        U = SparseColMatrix(T.n_rows, T.col_starts, T.row_indices, T.values)
+        for kept, built in zip(T.row_major(), U.row_major()):
+            assert kept.dtype == built.dtype
+            np.testing.assert_array_equal(kept, built)
+
     def test_immutable_after_build(self):
         M = SparseColMatrix.from_dense(np.eye(3))
         with pytest.raises(ValueError):

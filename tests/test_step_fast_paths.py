@@ -84,7 +84,7 @@ def test_kept_active_set_in_polish(checked):
     start = solve_box(p, SolverConfig(rule=Rule.UNIFORM, max_iters=300,
                                       tol=0.0)).final_state
     assert 0 < np.count_nonzero(start.alpha) < p.n  # not from zero
-    _polish(p, start, STEPS, "box")
+    _polish(p, start, STEPS)
     assert len(checked) >= STEPS
     assert checked[-1] > 3
 
