@@ -5,6 +5,8 @@ an adaptivity report for the hashing engine, and plot-ready wide CSVs.
 """
 
 import csv
+import io
+import itertools
 import json
 import time
 from dataclasses import dataclass
@@ -121,8 +123,10 @@ def build_problem(cfg):
     return p, info
 
 
-def _execute_run(p, cfg, run):
-    """(trace, seconds spent building the selection index) of one run."""
+def _solver_config(p, cfg, run):
+    """The SolverConfig of one run, carrying its built SmipsEngine when the
+    run names engine "smips". The backend is checked against the engine and
+    the config validated first: a refused run pays for no index build."""
     if run.backend not in ("exact-scan", "lsh") or \
             run.backend == "lsh" and run.engine != "smips":
         raise ValueError("backend %r does not run with engine %r: the "
@@ -130,20 +134,24 @@ def _execute_run(p, cfg, run):
                          "engine 'smips'" % (run.backend, run.engine))
     seed = cfg.seed if run.seed is None else run.seed
     scfg = SolverConfig(
-        rule=Rule(run.rule), engine=run.engine, beta=cfg.beta,
+        rule=Rule(run.rule), engine=run.engine,
         use_line_search=run.use_line_search, max_iters=cfg.max_iters,
         tol=cfg.tol, seed=seed, record_theta=run.record_theta,
         record_gap=(cfg.problem == "svm"))
-    # a refused config must not pay for an index build first
     scfg.validate()
-    build_seconds = 0.0
     if run.engine == "smips":
         backend = sm.HyperplaneLsh(run.lsh_bits, run.lsh_tables, seed=seed) \
             if run.backend == "lsh" else None
         scfg.engine = SmipsEngine(p, backend=backend, beta=cfg.beta)
-        build_seconds = scfg.engine.build_seconds
-    solve = solve_box if cfg.problem == "svm" else solve_l1
-    return solve(p, scfg), build_seconds
+    return scfg
+
+
+def _write_csv(fh, header, rows, lineterminator="\r\n"):
+    """The header, then each row's values in header order; None is written
+    as an empty cell."""
+    w = csv.writer(fh, lineterminator=lineterminator)
+    w.writerow(header)
+    w.writerows(rows)
 
 
 def _polish(p, state, iters):
@@ -194,18 +202,21 @@ def run_experiment(cfg):
     cfg.validate()
     p, info = build_problem(cfg)
     results, errors = {}, {}
+    solve = solve_box if cfg.problem == "svm" else solve_l1
     for run in cfg.runs:
         try:
-            results[run.name] = _execute_run(p, cfg, run)
+            scfg = _solver_config(p, cfg, run)
+            results[run.name] = solve(p, scfg), scfg.engine
         except Exception as exc:
             errors[run.name] = "%s: %s" % (type(exc).__name__, exc)
 
+    f_values = {name: trace.f_values for name, (trace, _) in results.items()}
     f_star = None
     if results:
-        best_name = min(results, key=lambda k: results[k][0].f_values.min())
-        best_trace = results[best_name][0]
-        f_star = min(float(best_trace.f_values.min()),
-                     _polish(p, best_trace.final_state, 10 * cfg.max_iters))
+        best = min(f_values, key=lambda name: f_values[name].min())
+        f_star = min(float(f_values[best].min()),
+                     _polish(p, results[best][0].final_state,
+                             10 * cfg.max_iters))
 
     rows = []
     summary = {"problem": cfg.problem, "n": p.n, "d": p.d,
@@ -214,40 +225,33 @@ def run_experiment(cfg):
     for run in cfg.runs:
         if run.name not in results:
             continue
-        trace, build_seconds = results[run.name]
-        n_rec = len(trace.records)
-        for k, rec in enumerate(trace.records):
-            acc = None
-            if k == n_rec - 1:
-                acc = _test_accuracy(p, trace.final_state, info["test"],
-                                     cfg.problem)
+        trace, engine = results[run.name]
+        for rec in trace.records:
             rows.append({
                 "run": run.name, "iter": rec.iter, "wall_ns": rec.wall_ns,
-                "f_value": rec.f_value,
-                "suboptimality": (rec.f_value - f_star
-                                  if f_star is not None else None),
+                "f_value": rec.f_value, "suboptimality": rec.f_value - f_star,
                 "nnz": rec.nnz, "step_kind": rec.step_kind,
                 "coord": rec.coord, "theta": rec.theta, "gap": rec.gap,
-                "test_accuracy": acc, "fell_back": int(rec.fell_back)})
+                "test_accuracy": None, "fell_back": int(rec.fell_back)})
+        if trace.records:
+            rows[-1]["test_accuracy"] = _test_accuracy(
+                p, trace.final_state, info["test"], cfg.problem)
         thetas = [r.theta for r in trace.records] if run.record_theta else []
         total = max(1, trace.n_steps)
         summary["runs"][run.name] = {
             "status": trace.status,
             "counters": trace.counters,
-            "final_f": float(trace.f_values[-1]),
+            "final_f": float(f_values[run.name][-1]),
             "steps": trace.n_steps,
             "fallback_rate": trace.counters["fallback"] / total,
             "theta_quantiles": _quantiles(thetas),
-            "build_seconds": build_seconds,
+            "build_seconds": 0.0 if engine == "exact"
+            else engine.build_seconds,
         }
 
     if cfg.out:
         with open(cfg.out + ".csv", "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=CSV_HEADER)
-            w.writeheader()
-            for row in rows:
-                w.writerow({k: ("" if row[k] is None else row[k])
-                            for k in CSV_HEADER})
+            _write_csv(fh, CSV_HEADER, (row.values() for row in rows))
         with open(cfg.out + ".json", "w") as fh:
             json.dump(summary, fh, indent=2, default=str)
     summary["rows"] = rows
@@ -260,33 +264,29 @@ def adaptivity_report(cfg):
     Logs the exact max inner product over all points, the exact max over the
     live candidate subset, and the hashing engine's answers over both, while
     the iteration itself follows the exact subset answer. Requires exactly
-    one configured run with the "lsh" backend.
+    one configured run with the "lsh" backend, taken as a solve takes it:
+    engine "smips", rule gs-s, and its steps as the run sets them.
     """
     cfg.validate()
     lsh_runs = [r for r in cfg.runs if r.backend == "lsh"]
     if len(lsh_runs) != 1:
         raise ValueError("adaptivity report needs exactly one lsh run")
-    run = lsh_runs[0]
     p, info = build_problem(cfg)
-    engine = SmipsEngine(p, beta=cfg.beta)
-    lsh = sm.HyperplaneLsh(run.lsh_bits, run.lsh_tables,
-                           seed=run.seed if run.seed is not None else cfg.seed)
-    lsh.fit(engine.points)
-    all_mask = sm.SubsetMask(
-        included=np.ones(engine.points.n_points, dtype=bool),
-        kind=engine.kind)
+    scfg = _solver_config(p, cfg, lsh_runs[0])
+    engine = scfg.engine
+    points, lsh = engine.points, engine.backend
+    all_mask = sm.SubsetMask(included=np.ones(points.n_points, dtype=bool),
+                             kind=engine.kind)
     s = IterateState.zeros(p)
-    engine.reset_mask(s.alpha)
-    step = _steps_for(p, SolverConfig()).step
+    step = _steps_for(p, scfg).step
     rows = []
     for t in range(cfg.max_iters):
         q = engine.query(p, s)
-        pid_m, exact_mask, _ = sm.smips_query(engine.points, q,
-                                              engine.mask, sm.Exact())
-        _, exact_all, _ = sm.smips_query(engine.points, q, all_mask,
-                                         sm.Exact())
-        _, lsh_all, fb_a = sm.smips_query(engine.points, q, all_mask, lsh)
-        _, lsh_mask, fb_m = sm.smips_query(engine.points, q, engine.mask, lsh)
+        pid_m, exact_mask, _ = sm.smips_query(points, q, engine.mask,
+                                              sm.Exact())
+        _, exact_all, _ = sm.smips_query(points, q, all_mask, sm.Exact())
+        _, lsh_all, fb_a = sm.smips_query(points, q, all_mask, lsh)
+        _, lsh_mask, fb_m = sm.smips_query(points, q, engine.mask, lsh)
         ratio = lsh_mask / exact_mask if exact_mask > 0 else None
         rows.append({"iter": t, "exact_all": exact_all,
                      "exact_mask": exact_mask, "lsh_all": lsh_all,
@@ -294,7 +294,7 @@ def adaptivity_report(cfg):
                      "fell_back": int(fb_a or fb_m)})
         if exact_mask <= cfg.tol:
             break
-        j, _ = sm.point_to_coordinate(engine.points, pid_m)
+        j, _ = sm.point_to_coordinate(points, pid_m)
         aj = float(s.alpha[j])
         _, new = step(p, s, j, aj)
         apply_coord_delta(p, s, j, new - aj)
@@ -305,14 +305,9 @@ def adaptivity_report(cfg):
               "fallbacks": int(sum(r["fell_back"] for r in rows))}
     if cfg.out:
         with open(cfg.out + "_adaptivity.csv", "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=["iter", "exact_all",
-                                               "exact_mask", "lsh_all",
-                                               "lsh_mask", "ratio",
-                                               "fell_back"])
-            w.writeheader()
-            for row in rows:
-                w.writerow({k: ("" if v is None else v)
-                            for k, v in row.items()})
+            _write_csv(fh, ["iter", "exact_all", "exact_mask", "lsh_all",
+                            "lsh_mask", "ratio", "fell_back"],
+                       (row.values() for row in rows))
         with open(cfg.out + "_adaptivity.json", "w") as fh:
             json.dump({k: v for k, v in report.items() if k != "rows"},
                       fh, indent=2)
@@ -341,30 +336,21 @@ def emit_plot_csv(rows, x_axis="iter", stream=None):
     series = {}
     for row in rows:
         series.setdefault(row["run"], []).append(row)
-    table = {}
+    header, columns = [], []
     for name, recs in series.items():
         if x_axis == "iter":
             xs = [r["iter"] for r in recs]
         else:
-            xs = list(np.cumsum([r["wall_ns"] for r in recs]) / 1e9)
+            xs = (np.cumsum([r["wall_ns"] for r in recs]) / 1e9).tolist()
         ys = [max(float(r["suboptimality"] or 0.0), SUBOPT_FLOOR)
               for r in recs]
         keep = _downsample(len(recs))
-        table[name] = ([xs[i] for i in keep], [ys[i] for i in keep])
-    header = []
-    for name in table:
         header += ["%s_%s" % (name, x_axis), "%s_suboptimality" % name]
-    depth = max(len(v[0]) for v in table.values())
-    lines = [",".join(header)]
-    for i in range(depth):
-        cells = []
-        for xs, ys in table.values():
-            if i < len(xs):
-                cells += [repr(xs[i]), repr(ys[i])]
-            else:
-                cells += ["", ""]
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
+        columns += [[xs[i] for i in keep], [ys[i] for i in keep]]
+    buf = io.StringIO()
+    _write_csv(buf, header, itertools.zip_longest(*columns),
+               lineterminator="\n")
+    text = buf.getvalue()
     if stream is not None:
         if isinstance(stream, str):
             with open(stream, "w") as fh:

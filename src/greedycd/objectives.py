@@ -517,7 +517,8 @@ def _objective_change(p, s, j, delta, read):
     penalty = reg.change(a, new)
     if reg.lam2:
         penalty += 0.5 * reg.lam2 * delta * (a + new)
-    return change + penalty
+    # the same value as a Python float: the kept F and its records stay plain
+    return float(change + penalty)
 
 
 def apply_coord_delta(p, s, j, delta):

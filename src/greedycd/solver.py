@@ -57,8 +57,7 @@ SCREEN_WINDOW = 32
 class SolverConfig:
     rule: Rule = Rule.GSS
     engine: object = "exact"        # "exact" | "smips" | prebuilt SmipsEngine
-    backend: object = None          # smips backend when engine == "smips"
-    beta: float = None              # augmentation scale; default 50/sqrt(n)
+    backend: object = None          # smips backend; engine "smips" only
     use_line_search: bool = False
     max_iters: int = 1000
     tol: float = 1e-8
@@ -79,6 +78,9 @@ class SolverConfig:
                                        or self.selector is not None):
             raise ValueError("an inner-product engine selects by gs-s only; "
                              "it takes no other rule and no selector")
+        if self.backend is not None and self.engine != "smips":
+            raise ValueError("a backend runs only with engine 'smips'; a "
+                             "prebuilt engine takes its backend when built")
 
 
 @dataclass(slots=True)  # no per-record __dict__: traces can be long
@@ -398,7 +400,7 @@ def _make_engine(p, cfg):
     an exact engine's answer is the steepest rule's argmax."""
     engine = cfg.engine
     if engine == "smips":
-        engine = SmipsEngine(p, backend=cfg.backend, beta=cfg.beta)
+        engine = SmipsEngine(p, backend=cfg.backend)
     elif engine == "exact":
         return None
     elif not isinstance(engine, SmipsEngine):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,26 @@ class TestRunExperiment:
         assert os.path.exists(cfg.out + ".json")
         assert summary["f_star"] is not None
         assert set(summary["runs"]) == {"gs-s", "uniform"}
+
+    def test_csv_rows_are_the_summary_rows(self, tmp_path):
+        cfg = ExperimentConfig(
+            problem="svm", data=SynthSpec(RandomSvm(40, 5, 0.5), seed=4),
+            runs=[RunSpec("gs-s", record_theta=True),
+                  RunSpec("uniform", rule="uniform")],
+            lam=1.0, max_iters=300, tol=1e-8, test_split=0.25,
+            out=str(tmp_path / "rows"))
+        rows = run_experiment(cfg)["rows"]
+        # plain Python values, which the writer prints as repr does
+        assert {type(v) for row in rows for v in row.values()} == \
+            {str, int, float, type(None)}
+        with open(cfg.out + ".csv", newline="") as fh:
+            text = fh.read()
+        assert text.count("\r\n") == len(rows) + 1
+        header, *cells = csv.reader(text.splitlines())
+        assert header == CSV_HEADER
+        assert cells == [["" if v is None else str(v) for v in row.values()]
+                         for row in rows]
+        assert all(list(row) == CSV_HEADER for row in rows)
 
     def test_csv_header_golden(self, tmp_path):
         cfg = small_lasso_cfg(tmp_path)
@@ -289,12 +310,59 @@ class TestAdaptivityReport:
         for row in report["rows"]:
             assert row["exact_mask"] <= row["exact_all"] + 1e-12
             assert row["lsh_mask"] <= row["exact_mask"] + 1e-12
-        assert os.path.exists(cfg.out + "_adaptivity.csv")
+        with open(cfg.out + "_adaptivity.csv", newline="") as fh:
+            header, *cells = list(csv.reader(fh))
+        assert header == list(report["rows"][0])
+        assert cells == [["" if v is None else str(v) for v in row.values()]
+                         for row in report["rows"]]
 
     def test_requires_one_lsh_run(self, tmp_path):
         cfg = small_lasso_cfg(tmp_path)
         with pytest.raises(ValueError):
             adaptivity_report(cfg)
+
+    @pytest.mark.parametrize("engine,rule,message", [
+        ("exact", "gs-s", "'lsh'.*'exact'"),
+        ("smips", "uniform", "gs-s only")])
+    def test_refuses_the_lsh_run_a_solve_refuses(self, tmp_path, engine,
+                                                 rule, message):
+        cfg = small_lasso_cfg(
+            tmp_path, runs=[RunSpec("lsh", rule=rule, engine=engine,
+                                    backend="lsh", lsh_bits=4,
+                                    lsh_tables=4)])
+        with pytest.raises(ValueError, match=message):
+            adaptivity_report(cfg)
+        assert not os.path.exists(cfg.out + "_adaptivity.csv")
+
+    def test_steps_as_the_run_asks(self, tmp_path):
+        reports = [adaptivity_report(small_lasso_cfg(
+            tmp_path, runs=[RunSpec("lsh", engine="smips", backend="lsh",
+                                    lsh_bits=4, lsh_tables=4,
+                                    use_line_search=line_search)],
+            max_iters=40, out=None)) for line_search in (False, True)]
+        assert reports[0]["rows"] != reports[1]["rows"]
+
+    def test_reads_the_runs_own_engine(self, tmp_path, monkeypatch):
+        engines = []
+        init = SmipsEngine.__init__
+
+        def recording_init(self, *args, **kwargs):
+            engines.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SmipsEngine, "__init__", recording_init)
+        cfg = small_lasso_cfg(
+            tmp_path, runs=[RunSpec("lsh", engine="smips", backend="lsh",
+                                    lsh_bits=4, lsh_tables=6, seed=3)],
+            beta=0.7, max_iters=40)
+        adaptivity_report(cfg)
+        # one engine: its beta, and the run's hashing backend fitted to its
+        # points
+        [engine] = engines
+        lsh = engine.backend
+        assert engine.beta == 0.7
+        assert (lsh.bits_per_table, lsh.n_tables, lsh.seed) == (4, 6, 3)
+        assert lsh._fitted_for is engine.points
 
 
 class TestPlotCsv:
@@ -326,8 +394,14 @@ class TestPlotCsv:
             emit_plot_csv([])
 
     def test_wall_axis(self):
-        text = emit_plot_csv(self._rows(4), x_axis="wall")
-        assert text.splitlines()[0] == "r1_wall,r1_suboptimality"
+        rows = self._rows(4) + self._rows(2, run="r2")
+        text = emit_plot_csv(rows, x_axis="wall")
+        header, *lines = text.splitlines()
+        assert header == "r1_wall,r1_suboptimality,r2_wall,r2_suboptimality"
+        cells = [line.split(",") for line in lines]
+        assert [float(c[0]) for c in cells] == [1e-06, 2e-06, 3e-06, 4e-06]
+        assert [c[2:] for c in cells[2:]] == [["", ""], ["", ""]]
+        assert all(float(x) > 0 for c in cells for x in c if x)
 
 
 class TestCli:
@@ -413,8 +487,11 @@ class TestCli:
         code = main(["--problem", "lasso", "--synthetic", "diag:4,2,1",
                      "--max-iters", "30", "--plot-x", "wall", "--out", out])
         assert code == 0
-        with open(out + "_plot.csv") as fh:
-            assert fh.readline().strip() == "run_wall,run_suboptimality"
+        with open(out + "_plot.csv", newline="") as fh:
+            header, *lines = fh.read().split("\n")
+        assert header == "run_wall,run_suboptimality"
+        assert lines.pop() == "" and len(lines) == 30
+        assert all(float(x) >= 0 for line in lines for x in line.split(","))
 
     @pytest.mark.parametrize("problem", ["lasso", "elasticnet"])
     def test_test_split_refused_for_regression(self, capsys, problem):
@@ -462,6 +539,21 @@ class TestCli:
         assert code == 0
         rows = list(csv.DictReader(open(str(tmp_path / "multi") + ".csv")))
         assert {r["run"] for r in rows} == {"gs-s", "uniform"}
+
+    @pytest.mark.parametrize("flags,message", [
+        ([], "'lsh'.*'exact'"),
+        (["--engine", "smips", "--rule", "gs-q"], "gs-s only")])
+    def test_adaptivity_refuses_a_run_a_solve_refuses(self, tmp_path, capsys,
+                                                      flags, message):
+        out = str(tmp_path / "adapt")
+        code = main(["--problem", "lasso", "--synthetic", "diag:4,2,1",
+                     "--backend", "lsh", "--lsh-bits", "4", "--lsh-tables",
+                     "4", "--max-iters", "20", "--adaptivity", "--out", out]
+                    + flags)
+        assert code == 1
+        assert re.search("config error: .*" + message,
+                         capsys.readouterr().err)
+        assert not os.path.exists(out + "_adaptivity.csv")
 
     def test_adaptivity_flag(self, tmp_path, capsys):
         code = main(["--problem", "lasso", "--synthetic", "diag:4,2,1",

@@ -8,6 +8,7 @@ import pytest
 from conftest import random_problem, random_state
 from greedycd import smips as sm
 from greedycd import solver
+from greedycd.data_io import CorrelatedLasso, SynthSpec, gen_synthetic
 from greedycd.objectives import (L1, Box, CompositeProblem, IterateState,
                                  SquaredResidual, make_lasso, make_svm_dual,
                                  objective_value, subgrad_score)
@@ -436,3 +437,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="gs-s only"):
             solve_box(q, SolverConfig(engine=engine, rule=Rule.UNIFORM))
         assert solve_box(q, SolverConfig(engine=engine, max_iters=5)).n_steps
+
+    def test_backend_needs_engine_smips(self):
+        # without engine "smips" a backend would be ignored and the solve
+        # would run plain gs-s, so the config is refused
+        ds = gen_synthetic(SynthSpec(CorrelatedLasso(200, 50), seed=0))
+        p = make_lasso(ds.matrix, ds.labels, 0.1)
+        for engine in ("exact", SmipsEngine(p)):
+            with pytest.raises(ValueError, match="engine 'smips'"):
+                solve_l1(p, SolverConfig(
+                    engine=engine, backend=sm.HyperplaneLsh(4, 4, seed=0),
+                    max_iters=100))
+        assert solve_l1(p, SolverConfig(
+            engine="smips", backend=sm.HyperplaneLsh(4, 4, seed=0),
+            max_iters=100)).n_steps
