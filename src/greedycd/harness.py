@@ -25,8 +25,8 @@ from .objectives import (IterateState, apply_coord_delta, coord_grad,
 from .selection import Rule
 # the polish runs the solvers' step loop itself, not solve_l1/solve_box:
 # instrumentation counts each call of those as a solve
-from .solver import (SmipsEngine, SolverConfig, _descend, _steps_for,
-                     solve_box, solve_l1)
+from .solver import (KINDS, SmipsEngine, SolverConfig, _descend,
+                     _steps_for, solve_box, solve_l1)
 
 __all__ = ["RunSpec", "ExperimentConfig", "build_problem", "run_experiment",
            "adaptivity_report", "emit_plot_csv", "CSV_HEADER"]
@@ -84,6 +84,7 @@ class ExperimentConfig:
         if self.workers != 1:
             raise ValueError("workers must be 1: runs execute one after "
                              "another, got %r" % (self.workers,))
+        SolverConfig(max_iters=self.max_iters, tol=self.tol).validate()
 
 
 def _load_dataset(cfg):
@@ -125,8 +126,9 @@ def build_problem(cfg):
 
 def _solver_config(p, cfg, run):
     """The SolverConfig of one run, carrying its built SmipsEngine when the
-    run names engine "smips". The backend is checked against the engine and
-    the config validated first: a refused run pays for no index build."""
+    run names engine "smips" and p is given. The backend is checked against
+    the engine and the config validated first, so p=None checks a run
+    before its data is loaded, and a refused run pays for no index build."""
     if run.backend not in ("exact-scan", "lsh") or \
             run.backend == "lsh" and run.engine != "smips":
         raise ValueError("backend %r does not run with engine %r: the "
@@ -139,7 +141,7 @@ def _solver_config(p, cfg, run):
         tol=cfg.tol, seed=seed, record_theta=run.record_theta,
         record_gap=(cfg.problem == "svm"))
     scfg.validate()
-    if run.engine == "smips":
+    if run.engine == "smips" and p is not None:
         backend = sm.HyperplaneLsh(run.lsh_bits, run.lsh_tables, seed=seed) \
             if run.backend == "lsh" else None
         scfg.engine = SmipsEngine(p, backend=backend, beta=cfg.beta)
@@ -226,17 +228,24 @@ def run_experiment(cfg):
         if run.name not in results:
             continue
         trace, engine = results[run.name]
-        for rec in trace.records:
-            rows.append({
-                "run": run.name, "iter": rec.iter, "wall_ns": rec.wall_ns,
-                "f_value": rec.f_value, "suboptimality": rec.f_value - f_star,
-                "nnz": rec.nnz, "step_kind": rec.step_kind,
-                "coord": rec.coord, "theta": rec.theta, "gap": rec.gap,
-                "test_accuracy": None, "fell_back": int(rec.fell_back)})
-        if trace.records:
+        c = trace.columns
+        f = c["f_value"]
+        rows += [{"run": run.name, "iter": i, "wall_ns": w, "f_value": v,
+                  "suboptimality": sub, "nnz": z, "step_kind": kind,
+                  "coord": j, "theta": th, "gap": gap, "test_accuracy": None,
+                  "fell_back": fb}
+                 for i, w, v, sub, z, kind, j, th, gap, fb in zip(
+                     c["iter"].tolist(), c["wall_ns"].tolist(), f.tolist(),
+                     (f - f_star).tolist(), c["nnz"].tolist(),
+                     np.array(KINDS)[c["step_kind"]].tolist(),
+                     c["coord"].tolist(), c["theta"].tolist(),
+                     c["gap"].tolist() if "gap" in c
+                     else itertools.repeat(None),
+                     c["fell_back"].astype(int).tolist())]
+        if len(f):
             rows[-1]["test_accuracy"] = _test_accuracy(
                 p, trace.final_state, info["test"], cfg.problem)
-        thetas = [r.theta for r in trace.records] if run.record_theta else []
+        thetas = c["theta"].tolist() if run.record_theta else []
         total = max(1, trace.n_steps)
         summary["runs"][run.name] = {
             "status": trace.status,
@@ -271,7 +280,8 @@ def adaptivity_report(cfg):
     lsh_runs = [r for r in cfg.runs if r.backend == "lsh"]
     if len(lsh_runs) != 1:
         raise ValueError("adaptivity report needs exactly one lsh run")
-    p, info = build_problem(cfg)
+    _solver_config(None, cfg, lsh_runs[0])  # refused before any load
+    p, _ = build_problem(cfg)
     scfg = _solver_config(p, cfg, lsh_runs[0])
     engine = scfg.engine
     points, lsh = engine.points, engine.backend

@@ -14,6 +14,7 @@ from scipy.optimize import minimize_scalar
 from .objectives import (Box, DualSVM, ElasticNetL1, L1, Logistic,
                          SquaredResidual)
 from .selection import Rule
+from .solver import KINDS
 
 __all__ = ["RateEnvelope", "fd_gradient", "brute_force_rule",
            "envelope_check", "dense_smooth_value"]
@@ -171,27 +172,21 @@ def envelope_check(trace, env, kind):
     slack = 1.0 + 1e-9
     sub = f_vals - env.f_star
     rate = 1.0 - env.theta**2 * env.mu1 / env.L
+    iters = trace.columns["iter"]
     if kind == "linear_l1":
-        t = np.array([0] + [rec.iter + 1 for rec in trace.records])
+        t = np.concatenate(([0], iters + 1))
         bound = rate ** np.ceil(t / 2.0) * sub[0] * slack
         margins = sub - bound
         return bool(np.all(margins <= 0)), float(margins.max())
     if kind == "per_step_box":
-        if any(rec.iter != k for k, rec in enumerate(trace.records)):
+        if np.any(iters != np.arange(len(iters))):
             raise ValueError("per-step envelope needs consecutive steps; "
                              "the trace is thinned")
+        steps = np.array(KINDS)[trace.columns["step_kind"]]
         n = len(trace.final_state.alpha)
-        worst = -np.inf
-        ok = True
-        for k, rec in enumerate(trace.records):
-            prev, cur = sub[k], sub[k + 1]
-            if rec.step_kind == "good":
-                bound = rate * prev * slack
-            elif rec.step_kind == "cross":
-                bound = (1.0 - env.theta / (2.0 * n)) * prev * slack
-            else:
-                bound = prev * slack
-            worst = max(worst, cur - bound)
-            ok = ok and cur <= bound
-        return ok, float(worst)
+        factor = np.where(steps == "good", rate, np.where(
+            steps == "cross", 1.0 - env.theta / (2.0 * n), 1.0))
+        bound = factor * sub[:-1] * slack
+        return bool(np.all(sub[1:] <= bound)), \
+            float(np.max(sub[1:] - bound, initial=-np.inf))
     raise ValueError("unknown envelope kind: %r" % (kind,))

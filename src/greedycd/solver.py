@@ -40,6 +40,13 @@ __all__ = [
 ]
 
 GOOD, BAD, CROSS = "good", "bad", "cross"
+KINDS = (GOOD, BAD, CROSS)  # a step_kind column holds the index here
+KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
+# a trace's columns, in StepRecord's field order, gap only when recorded:
+# a record takes 50 bytes of them, 58 with a gap
+COLUMNS = dict(iter=np.int64, coord=np.int64, step_kind=np.int8,
+               f_value=float, theta=float, fell_back=bool, wall_ns=np.int64,
+               nnz=np.int64, gap=float)
 # L1 uniform draws its coordinates this many at a time; numpy's bounded
 # integer stream is the same drawn in blocks or one by one
 UNIFORM_BLOCK = 4096
@@ -96,6 +103,31 @@ class StepRecord:
     gap: float = None  # SVM duality gap, recorded on request only
 
 
+class _Records:
+    """A solve's records while it runs: in `rows`, per recorded step its
+    count 1 and its COLUMNS values, and per screened run (good steps that
+    move nothing) their count, first iter, coord -1 (the coordinates are in
+    `runs`) and the run's time, which the last of them takes."""
+
+    def __init__(self, trace_every):
+        self.trace_every, self.rows, self.runs = trace_every, [], []
+
+    def columns(self):
+        """The records as numpy columns, each run's row expanded."""
+        values = list(zip(*self.rows)) or [()] * len(COLUMNS)
+        count = np.array(values[0], np.int64)
+        cols = {name: np.repeat(np.array(v, COLUMNS[name]), count)
+                for name, v in zip(COLUMNS, values[1:])}
+        ends = np.cumsum(count)
+        cols["iter"] += self.trace_every * (
+            np.arange(len(cols["iter"])) - np.repeat(ends - count, count))
+        cols["wall_ns"][:] = 0
+        cols["wall_ns"][ends - 1] = values[7]
+        if self.runs:
+            cols["coord"][cols["coord"] < 0] = np.concatenate(self.runs)
+        return cols
+
+
 @dataclass
 class Trace:
     """A solve's recorded steps and outcome.
@@ -114,7 +146,7 @@ class Trace:
     refresh made to the maintained gradient).
     """
     f_initial: float
-    records: list
+    columns: dict        # COLUMNS name -> numpy array, an entry a record
     counters: dict
     final_state: IterateState
     status: str          # "tol" | "optimal" | "max_iters"
@@ -123,11 +155,18 @@ class Trace:
     @property
     def f_values(self):
         """Objective series including the starting point."""
-        return np.array([self.f_initial] + [r.f_value for r in self.records])
+        return np.append(self.f_initial, self.columns["f_value"])
 
     @property
     def n_steps(self):
-        return len(self.records)
+        return len(self.columns["iter"])
+
+    @cached_property
+    def records(self):
+        """StepRecords of Python scalars, built on first read."""
+        cols = [col.tolist() for col in self.columns.values()]
+        cols[2] = [KINDS[k] for k in cols[2]]
+        return [StepRecord(*row) for row in zip(*cols)]
 
 
 def classify_step_l1(alpha_i, alpha_plus):
@@ -283,8 +322,9 @@ class _L1Steps(_Steps):
 
     def screen(self, p, s, limit):
         """Consume and return the longest run of pending draws, at most
-        limit, that each leave alpha as it is; it stops before the first
-        draw that may move."""
+        limit, that each leave alpha as it is, as a slice of the drawn
+        block (joined when the run crosses a refill); it stops before the
+        first draw that may move."""
         g, alpha = s.grad, s.alpha
         if self.bound_at != s.grad_refreshes:
             lam = p.reg.lam
@@ -294,28 +334,32 @@ class _L1Steps(_Steps):
         bound = self.bound
         if self.drawn == len(self.draws):
             self._refill(p)
-        j = self.draws[self.drawn]
+        start = self.drawn
+        j = self.draws[start]
         # most steps that move fail here, on one scalar read
         if alpha[j] != 0.0 or not abs(g[j]) < bound:
-            return []
-        settled, window = [], SCREEN_WINDOW
-        while len(settled) < limit:
+            return self.block[start:start]
+        pieces, settled, window = [], 0, SCREEN_WINDOW
+        while settled < limit:
             if self.drawn == len(self.draws):
+                pieces.append(self.block[start:])
                 self._refill(p)
+                start = 0
             lo = self.drawn
-            hi = min(len(self.draws), lo + window, lo + limit - len(settled))
+            hi = min(len(self.draws), lo + window, lo + limit - settled)
             ids = self.block[lo:hi]
             null = np.abs(g[ids]) < bound  # False on a NaN
             null &= alpha[ids] == 0.0
             k = int(null.argmin())
             if null[k]:  # the whole window passed
                 k = hi - lo
-            settled += self.draws[lo:lo + k]
+            settled += k
             self.drawn = lo + k
             if lo + k < hi:
                 break
             window *= 2
-        return settled
+        pieces.append(self.block[start:self.drawn])
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
     def step(self, p, s, j, aj):
         """(class, new alpha_j), classified against the pre-truncation value."""
@@ -409,21 +453,14 @@ def _make_engine(p, cfg):
     return None if engine.is_exact else engine
 
 
-def _stamp(rec, t_last):
-    """Charge rec with the time since t_last; returns the new stamp."""
-    now = time.perf_counter_ns()
-    rec.wall_ns += now - t_last
-    return now
-
-
 def _descend(p, s, steps, cfg, engine=None, records=None, t_last=0):
     """The step loop of both solvers and the harness polish.
 
     Takes at most cfg.max_iters steps from s by the hashing engine,
     cfg.selector or cfg.rule, with the stop checks and steps of `steps`.
-    When records is a list, appends a StepRecord every cfg.trace_every
-    steps and for the last step. Returns (status, counters, time of the
-    last record).
+    When records is a _Records, records a step every cfg.trace_every steps
+    and the last step. Returns (status, counters, time of the last
+    record).
 
     Uniform draws that the steps' screen settles from the kept gradient
     are booked in bulk as good steps that move nothing, in runs that end
@@ -439,8 +476,10 @@ def _descend(p, s, steps, cfg, engine=None, records=None, t_last=0):
     max_iters = cfg.max_iters
     screen = steps.screen if rule is Rule.UNIFORM and selector is None \
         and not record_theta and s.grad is not None else None
+    clock = time.perf_counter_ns
+    add_row = None if records is None else records.rows.append
     status = "max_iters"
-    pending = None  # the last step, while it is not recorded
+    pending = None  # the last step's row, while it is not recorded
     known_gap = None  # the duality gap of the iterate as it is, once read
 
     def gap_now():
@@ -448,11 +487,6 @@ def _descend(p, s, steps, cfg, engine=None, records=None, t_last=0):
         if known_gap is None:
             known_gap = duality_gap(p, s)
         return known_gap
-
-    def record(rec):
-        if record_gap:
-            rec.gap = gap_now()
-        records.append(rec)
 
     t = 0
     while t < max_iters:
@@ -476,24 +510,24 @@ def _descend(p, s, steps, cfg, engine=None, records=None, t_last=0):
             end = min(max_iters, (t // check_every + 1) * check_every) \
                 if checks else max_iters
             settled = screen(p, s, end - t)
-            if settled:
-                k = len(settled)
+            k = len(settled)
+            if k:
                 counters[GOOD] += k
                 counters["screened"] += k
                 if records is not None:
                     f, nnz = s.objective, s.nnz
-                    # an L1 loop records no gap
-                    done = [StepRecord(u, settled[u - t], GOOD, f, 1.0, False,
-                                       0, nnz)
-                            for u in range(t + (-t) % trace_every, t + k,
-                                           trace_every)]
-                    if done:
-                        records.extend(done)
-                        t_last = _stamp(done[-1], t_last)
+                    first = t + (-t) % trace_every
+                    if first < t + k:
+                        records.runs.append(settled[first - t::trace_every])
+                        now = clock()
+                        add_row((len(records.runs[-1]), first, -1,
+                                 KIND_CODE[GOOD], f, 1.0, False,
+                                 now - t_last, nnz))
+                        t_last = now
                     last = t + k - 1
                     pending = None if last % trace_every == 0 else \
-                        StepRecord(last, settled[-1], GOOD, f, 1.0, False, 0,
-                                   nnz)
+                        (1, last, int(settled[-1]), KIND_CODE[GOOD], f, 1.0,
+                         False, 0, nnz)
                 t += k
                 if t == end:
                     continue  # a stop check or the end comes first
@@ -523,36 +557,20 @@ def _descend(p, s, steps, cfg, engine=None, records=None, t_last=0):
         counters[kind] += 1
         counters["fallback"] += int(fell_back)
         if records is not None:
-            pending = StepRecord(iter=t, coord=j, step_kind=kind,
-                                 f_value=s.objective, theta=theta,
-                                 fell_back=fell_back, wall_ns=0, nnz=s.nnz)
-            if t % trace_every == 0:
-                record(pending)
-                t_last = _stamp(pending, t_last)
-                pending = None
+            if t % trace_every:
+                pending = (1, t, j, KIND_CODE[kind], s.objective, theta,
+                           fell_back, 0, s.nnz)
+            else:
+                now = clock()
+                row = (1, t, j, KIND_CODE[kind], s.objective, theta,
+                       fell_back, now - t_last, s.nnz)
+                add_row(row + (gap_now(),) if record_gap else row)
+                t_last, pending = now, None
         t += 1
     if pending is not None:
         # nothing moved the iterate since this step, so its gap is current
-        record(pending)
+        add_row(pending + (gap_now(),) if record_gap else pending)
     return status, counters, t_last
-
-
-def _finish(trace_kind, p, f0, records, counters, s, status, t_last):
-    """Recompute the last record's objective exactly, charge it with the
-    time since the previous record (the stop check included) and build the
-    trace."""
-    f_drift = s.max_f_drift
-    if records:
-        last = records[-1]
-        last.f_value = objective_value(p, s)
-        f_drift = max(f_drift, abs(last.f_value - s.objective))
-        _stamp(last, t_last)
-    counters["grad_refreshes"] = s.grad_refreshes
-    counters["max_grad_drift"] = s.max_grad_drift
-    counters["max_f_drift"] = f_drift
-    s.untrack()  # a trace keeps its final state, not the caches
-    return Trace(f_initial=f0, records=records, counters=counters,
-                 final_state=s, status=status, problem_kind=trace_kind)
 
 
 def _solve(p, cfg):
@@ -567,10 +585,21 @@ def _solve(p, cfg):
         s.track_gradient(p)
     s.track_objective(p)
     f0 = s.objective
-    records = []
+    records = _Records(cfg.trace_every)
     status, counters, t_last = _descend(p, s, steps, cfg, engine, records,
                                         t_last)
-    return _finish(steps.kind, p, f0, records, counters, s, status, t_last)
+    # the last record's objective is recomputed exactly, and it takes the
+    # time since the previous record, the stop check included
+    cols, f_drift = records.columns(), s.max_f_drift
+    if len(cols["iter"]):
+        f_last = cols["f_value"][-1] = objective_value(p, s)
+        f_drift = max(f_drift, abs(f_last - s.objective))
+        cols["wall_ns"][-1] += time.perf_counter_ns() - t_last
+    counters.update(grad_refreshes=s.grad_refreshes,
+                    max_grad_drift=s.max_grad_drift, max_f_drift=f_drift)
+    s.untrack()  # a trace keeps its final state, not the caches
+    return Trace(f_initial=f0, columns=cols, counters=counters,
+                 final_state=s, status=status, problem_kind=steps.kind)
 
 
 def solve_l1(p, cfg):

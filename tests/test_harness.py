@@ -334,6 +334,25 @@ class TestAdaptivityReport:
             adaptivity_report(cfg)
         assert not os.path.exists(cfg.out + "_adaptivity.csv")
 
+    @pytest.mark.parametrize("engine,rule", [("exact", "gs-s"),
+                                             ("smips", "uniform")])
+    def test_refuses_before_loading(self, tmp_path, monkeypatch, engine,
+                                    rule):
+        loads = []
+        build = harness.build_problem
+
+        def counting_build(cfg):
+            loads.append(1)
+            return build(cfg)
+
+        monkeypatch.setattr(harness, "build_problem", counting_build)
+        cfg = small_lasso_cfg(
+            tmp_path, runs=[RunSpec("lsh", rule=rule, engine=engine,
+                                    backend="lsh")])
+        with pytest.raises(ValueError):
+            adaptivity_report(cfg)
+        assert loads == []
+
     def test_steps_as_the_run_asks(self, tmp_path):
         reports = [adaptivity_report(small_lasso_cfg(
             tmp_path, runs=[RunSpec("lsh", engine="smips", backend="lsh",
@@ -415,6 +434,23 @@ class TestCli:
     def test_config_error_exit_one(self, capsys):
         assert main(["--problem", "lasso"]) == 1
         assert main(["--problem", "lasso", "--synthetic", "bogus:1"]) == 1
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--max-iters", "0", "max_iters"), ("--tol", "-1", "tol")])
+    def test_solver_options_checked_before_loading(self, tmp_path, capsys,
+                                                   monkeypatch, flag, value,
+                                                   message):
+        def no_load(cfg):
+            raise AssertionError("loaded the data of a refused config")
+
+        monkeypatch.setattr(harness, "build_problem", no_load)
+        out = str(tmp_path / "bad")
+        code = main(["--problem", "lasso", "--synthetic", "diag:4,2,1",
+                     flag, value, "--out", out])
+        assert code == 1
+        assert re.search("config error: .*" + message,
+                         capsys.readouterr().err)
+        assert not os.path.exists(out + ".json")
 
     def test_run_failure_exit_two(self, tmp_path, capsys):
         # the inner-product engine rejects elastic net, failing the run

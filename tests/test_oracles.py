@@ -119,6 +119,33 @@ class TestEnvelope:
         with pytest.raises(ValueError, match="consecutive"):
             envelope_check(tr, env, "per_step_box")
 
+    @pytest.mark.parametrize("lam,kinds", [(0.1, {"good", "bad"}),
+                                           (1.0, {"good", "cross"})])
+    def test_per_step_box_matches_a_loop_over_records(self, lam, kinds):
+        """The per-step bounds, checked against a loop over the records:
+        good, bad and cross steps, envelopes met and missed."""
+        rng = np.random.default_rng(1)
+        labels = rng.choice([-1.0, 1.0], 30)
+        p = make_svm_dual(random_matrix(rng, 5, 30).scale_columns(labels),
+                          lam)
+        tr = solve_box(p, SolverConfig(max_iters=80, tol=0.0))
+        assert {r.step_kind for r in tr.records} == kinds
+        n = p.n
+        for mu1, theta, below in ((1e-6, 1.0, 0.0), (0.5, 1.0, 0.0),
+                                  (0.01, 0.3, 1e-3), (1e-6, 1.0, 10.0)):
+            f_star = float(tr.f_values.min()) - below
+            env = RateEnvelope(mu1=mu1, L=1.0, f_star=f_star, theta=theta)
+            sub = tr.f_values - f_star
+            rate = 1.0 - theta**2 * mu1
+            worst, ok = -np.inf, True
+            for k, rec in enumerate(tr.records):
+                factor = {"good": rate, "cross": 1.0 - theta / (2.0 * n),
+                          "bad": 1.0}[rec.step_kind]
+                bound = factor * sub[k] * (1.0 + 1e-9)
+                worst = max(worst, sub[k + 1] - bound)
+                ok = ok and sub[k + 1] <= bound
+            assert envelope_check(tr, env, "per_step_box") == (ok, worst)
+
     def test_stale_f_star_rejected(self):
         p, tr, f_star, meta = self._solved_instance()
         env = RateEnvelope(mu1=meta["mu1"], L=meta["L"],

@@ -397,7 +397,7 @@ class TestRunCounters:
 
     def test_empty_trace_rejected(self, rng):
         from greedycd.solver import Trace
-        t = Trace(f_initial=0.0, records=[],
+        t = Trace(f_initial=0.0, columns={},
                   counters={"good": 0, "bad": 0, "cross": 0, "fallback": 0},
                   final_state=None, status="max_iters", problem_kind="l1")
         with pytest.raises(ValueError):
@@ -405,7 +405,7 @@ class TestRunCounters:
 
     def test_violation_raises(self):
         from greedycd.solver import Trace
-        t = Trace(f_initial=0.0, records=[],
+        t = Trace(f_initial=0.0, columns={},
                   counters={"good": 1, "bad": 3, "cross": 0, "fallback": 0},
                   final_state=None, status="max_iters", problem_kind="l1")
         with pytest.raises(RuntimeError):
