@@ -17,6 +17,7 @@ Synthetic data specs (--synthetic):
 
 import argparse
 import sys
+from dataclasses import MISSING, fields
 
 from .data_io import CorrelatedLasso, DiagQuadratic, RandomSvm, SynthSpec
 from .harness import (ExperimentConfig, RunSpec, adaptivity_report,
@@ -43,16 +44,18 @@ def parse_synthetic(text, seed):
             raise ValueError("expected key=value in synthetic spec, got %r"
                              % part)
         kv[k.strip()] = float(v)
-    if kind in ("correlated", "correlatedlasso"):
-        return SynthSpec(CorrelatedLasso(
-            n=int(kv.pop("n")), d=int(kv.pop("d")),
-            density=kv.pop("density", 0.1),
-            correlation=kv.pop("correlation", 0.5),
-            noise=kv.pop("noise", 0.01)), seed=seed)
-    if kind in ("svm", "randomsvm"):
-        return SynthSpec(RandomSvm(n=int(kv.pop("n")), d=int(kv.pop("d")),
-                                   margin=kv.pop("margin", 0.1)), seed=seed)
-    raise ValueError("unknown synthetic kind %r" % kind)
+    cls = {"correlated": CorrelatedLasso, "correlatedlasso": CorrelatedLasso,
+           "svm": RandomSvm, "randomsvm": RandomSvm}.get(kind)
+    if cls is None:
+        raise ValueError("unknown synthetic kind %r" % kind)
+    faults = ["unknown key %r" % k
+              for k in sorted(set(kv) - {f.name for f in fields(cls)})] \
+        + ["missing key %r" % f.name for f in fields(cls)
+           if f.default is MISSING and f.name not in kv]
+    if faults:
+        raise ValueError("%s spec: %s" % (kind, ", ".join(faults)))
+    kv["n"], kv["d"] = int(kv["n"]), int(kv["d"])
+    return SynthSpec(cls(**kv), seed=seed)
 
 
 def parse_config_file(path):

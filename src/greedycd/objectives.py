@@ -17,7 +17,7 @@ import numpy as np
 
 # col_dot and col_axpy stay importable from here: instrumentation wraps
 # them by these names
-from .sparse import RowProduct, col_axpy, col_dot, shrink
+from .sparse import col_axpy, col_dot, shrink
 
 __all__ = [
     "SquaredResidual", "DualSVM", "Logistic", "L1", "Box", "ElasticNetL1",
@@ -28,9 +28,6 @@ __all__ = [
 ]
 
 RESIDUAL_REFRESH_EVERY = 1000  # full recompute cadence, bounds fp drift
-# the Gram columns one state caches take at most this multiple of the bytes
-# A itself is stored in; further columns are recomputed on every use
-GRAM_CACHE_INPUT_MULTIPLE = 8
 
 
 class _QuadraticLoss:
@@ -46,10 +43,11 @@ class _QuadraticLoss:
         return delta * read[4] + 0.5 * (1.0 / p.loss_scale) * delta * delta \
             * float(p.matrix.col_sq_norms[j])
 
-    def update_grad(self, p, s, delta, read, cache):
-        """Move the kept gradient after the residual moved by delta * A_j."""
-        j, ridx, vals = read[:3]
-        s.grad += (delta * cache.kappa) * cache.gram_column(ridx, vals, j)
+    def update_grad(self, p, s, delta, read):
+        """Move the kept gradient after the residual moved by delta * A_j:
+        by delta / scale times the Gram column A^T A_j."""
+        s.grad += (delta * (1.0 / p.loss_scale)) \
+            * p.matrix.gram_column(read[0])
 
     def line_search(self, p, s, j):
         aj = float(s.alpha[j])
@@ -141,12 +139,13 @@ class Logistic:
         return float(np.sum(np.logaddexp(0.0, z - delta * vals)
                             - np.logaddexp(0.0, z)))
 
-    def update_grad(self, p, s, delta, read, cache):
-        """Move the kept gradient after the residual moved by delta * A_j;
-        the read's nabla l on supp(A_j) is the value before the move."""
+    def update_grad(self, p, s, delta, read):
+        """Move the kept gradient after the residual moved by delta * A_j,
+        by a row product over supp(A_j); the read's nabla l there is the
+        value before the move."""
         j, ridx, before = read[0], read[1], read[3]
-        cache.add_rows(s.grad, j, ridx,
-                       self.grad(p, s.residual[ridx], ridx) - before)
+        p.matrix.add_rows(s.grad, j,
+                          self.grad(p, s.residual[ridx], ridx) - before)
 
     def line_search(self, p, s, j, tol=1e-10, max_iters=100):
         """Bisect the min-norm subgradient of F along coordinate j, which is
@@ -343,7 +342,6 @@ class IterateState:
     _f_refreshed: float = field(default=None, init=False, repr=False)
     _f_since: float = field(default=0.0, init=False, repr=False)
     _steps_since_refresh: int = field(default=0, repr=False)
-    _grad_updater: object = field(default=None, repr=False)
     # the last column read at the current residual, by coord_grad, until the
     # residual moves: (j, row ids, values, nabla l on them, <A_j, nabla l>)
     _read: tuple = field(default=None, init=False, repr=False,
@@ -364,7 +362,6 @@ class IterateState:
     def track_gradient(self, problem):
         """Compute the full gradient now and keep it current from here on."""
         self.grad = full_grad(problem, self)
-        self._grad_updater = _GradientCache(problem)
 
     def track_objective(self, problem):
         """Compute F(alpha) now and keep it current from here on."""
@@ -372,10 +369,8 @@ class IterateState:
         self._f_since = 0.0
 
     def untrack(self):
-        """Stop keeping the gradient and the objective; frees the
-        Gram-column cache."""
+        """Stop keeping the gradient and the objective."""
         self.grad = None
-        self._grad_updater = None
         self._f_refreshed = None
         self._f_since = 0.0
 
@@ -397,57 +392,6 @@ class IterateState:
             self.max_f_drift = max(self.max_f_drift,
                                    abs(fresh - self.objective))
             self._f_refreshed, self._f_since = fresh, 0.0
-
-
-class _GradientCache:
-    """What keeping the gradient needs besides the state: a row product over
-    A, the quadratic losses' curvature and Gram columns G_j = A^T A_j, and
-    logistic's row plans.
-
-    Each Gram column is computed on first use and cached while the cache
-    stays within GRAM_CACHE_INPUT_MULTIPLE times the bytes A is stored in;
-    past that, a column is recomputed on every use. A row product over
-    supp(A_j) is planned on column j's second move, within the same room,
-    and runs from its plan after that; a column's first move, a plan that
-    does not fit and rows the plan refuses take the dense product.
-    """
-
-    def __init__(self, p):
-        M = p.matrix
-        self.rows = RowProduct(M)
-        self.gram = {}
-        # column -> None after its first move, then its RowPlan, or False
-        # when it has none
-        self.plans = {}
-        self.room = GRAM_CACHE_INPUT_MULTIPLE * (M.values.nbytes
-                                                 + M.row_indices.nbytes)
-        self.kappa = 1.0 / p.loss_scale
-
-    def gram_column(self, ridx, vals, j):
-        col = self.gram.get(j)
-        if col is None:
-            col = self.rows(ridx, vals)
-            if col.nbytes <= self.room:
-                self.gram[j] = col
-                self.room -= col.nbytes
-        return col
-
-    def add_rows(self, g, j, ridx, weights):
-        """g += sum_k weights[k] * A[ridx[k], :], ridx being supp(A_j)."""
-        plans = self.plans
-        if j not in plans:
-            plans[j] = None
-        elif plans[j] is None:
-            plan = self.rows.plan(ridx)
-            fits = plan is not None and plan.nbytes <= self.room
-            if fits:
-                self.room -= plan.nbytes
-            plans[j] = plan if fits else False
-        plan = plans[j]
-        if plan:
-            plan.add_to(g, weights)
-        else:
-            g += self.rows(ridx, weights)
 
 
 def grad_l(p, s):
@@ -539,8 +483,8 @@ def apply_coord_delta(p, s, j, delta):
         s.nnz -= 1
     s._read = None  # the residual moves
     s.residual[read[1]] += delta * read[2]
-    if s._grad_updater is not None:
-        p.loss.update_grad(p, s, delta, read, s._grad_updater)
+    if s.grad is not None:
+        p.loss.update_grad(p, s, delta, read)
         if p.reg.lam2:
             s.grad[j] += p.reg.lam2 * delta
     s._steps_since_refresh += 1

@@ -66,13 +66,6 @@ class Exact:
     pass
 
 
-def _dense_cols(M):
-    """Row j is column j of M."""
-    out = np.zeros((M.n_cols, M.n_rows))
-    out[M.col_ids(), M.row_indices] = M.values
-    return out
-
-
 def build_l1_points(A, c, beta):
     """4n points {+-(s*beta, beta*c_j, A_j) : s in {+,-}}, dimension d+2."""
     if beta <= 0:
@@ -81,12 +74,11 @@ def build_l1_points(A, c, beta):
     if len(c) != A.n_cols:
         raise ValueError("need one linear-term entry per column")
     n, d = A.n_cols, A.n_rows
-    cols = _dense_cols(A)
     pts = np.empty((4 * n, d + 2))
     base = np.empty((n, d + 2))
     base[:, 0] = beta
     base[:, 1] = beta * c
-    base[:, 2:] = cols
+    base[:, 2:] = A.to_dense().T
     pts[0::4] = base                       # +A~+
     pts[1::4] = -base                      # -A~+
     base[:, 0] = -beta                     # now A~-
@@ -133,7 +125,7 @@ def build_box_points(A, c, beta):
     n, d = A.n_cols, A.n_rows
     base = np.empty((n, d + 1))
     base[:, 0] = beta
-    base[:, 1:] = _dense_cols(A)
+    base[:, 1:] = A.to_dense().T
     pts = np.empty((2 * n, d + 1))
     pts[0::2] = base
     pts[1::2] = -base

@@ -597,7 +597,7 @@ def _solve(p, cfg):
         cols["wall_ns"][-1] += time.perf_counter_ns() - t_last
     counters.update(grad_refreshes=s.grad_refreshes,
                     max_grad_drift=s.max_grad_drift, max_f_drift=f_drift)
-    s.untrack()  # a trace keeps its final state, not the caches
+    s.untrack()  # a trace keeps its final state, not the kept gradient
     return Trace(f_initial=f0, columns=cols, counters=counters,
                  final_state=s, status=status, problem_kind=steps.kind)
 

@@ -2,19 +2,24 @@
 
 Everything downstream (coordinate gradients, residual maintenance, point-set
 extraction) is a column access, so the matrix is stored column-major. A
-row-major copy is built on first request, for products over a few rows
-(`RowProduct`), and kept. Matrices are immutable after construction.
+matrix keeps what is derived from it for as long as it lives: a row-major
+copy for products over a few rows, and the Gram columns and row plans of
+the gradient updates, built on first use and shared by every solve of it.
+Matrices are immutable after construction.
 """
 
 import numpy as np
 import scipy.sparse as sps
 
-__all__ = ["SparseColMatrix", "RowProduct", "RowPlan", "shrink", "col_dot",
-           "col_axpy"]
+__all__ = ["SparseColMatrix", "RowPlan", "shrink", "col_dot", "col_axpy"]
 
 # a row product over more than this fraction of the rows runs as one
 # transposed product over the whole matrix instead of a gather
 GATHER_MAX_ROW_FRACTION = 0.1
+# the Gram columns and row plans one matrix keeps take at most this multiple
+# of the bytes its values and row ids take, read at each use; past that, a
+# column is recomputed on every use
+GRAM_CACHE_INPUT_MULTIPLE = 8
 
 
 def _ranges(starts, ids):
@@ -95,6 +100,9 @@ class SparseColMatrix:
         self._scipy_csc = None
         self._scipy_T = None
         self._row_major = None
+        # the kept Gram columns; per column, None after its first row update,
+        # then its RowPlan, or False when it has none; the bytes of both
+        self._gram, self._plans, self._kept_bytes = {}, {}, 0
 
     @property
     def n_cols(self):
@@ -219,42 +227,33 @@ class SparseColMatrix:
                                         (self.n_cols, self.n_rows))
         return self._scipy_T @ v
 
-
-class RowProduct:
-    """u = sum_k weights[k] * A[rows[k], :] for a fixed matrix A.
-
-    The result is a dense n_cols-vector. A few rows are gathered from A's
-    row-major copy (`SparseColMatrix.row_major`); rows covering more than
-    GATHER_MAX_ROW_FRACTION of A take one transposed product over all of A
-    instead, which is cheaper there. A gather over rows that recur can be
-    kept as a RowPlan (`plan`).
-    """
-
-    def __init__(self, M):
-        self.matrix = M
-
     def _gather(self, rows):
         """(counts, column ids, values) of the given rows' stored entries."""
-        starts, cols, vals = self.matrix.row_major()
+        starts, cols, vals = self.row_major()
         counts, pos = _ranges(starts, rows)
         return counts, cols[pos], vals[pos]
 
-    def __call__(self, rows, weights):
-        M = self.matrix
-        if len(rows) > GATHER_MAX_ROW_FRACTION * M.n_rows:
-            v = np.zeros(M.n_rows)
+    def row_product(self, rows, weights):
+        """sum_k weights[k] * A[rows[k], :], a dense n_cols-vector.
+
+        A few rows are gathered from the row-major copy; rows covering more
+        than GATHER_MAX_ROW_FRACTION of A take one transposed product over
+        all of A instead, which is cheaper there.
+        """
+        if len(rows) > GATHER_MAX_ROW_FRACTION * self.n_rows:
+            v = np.zeros(self.n_rows)
             v[rows] = weights
-            return M._product_T(v)
+            return self._product_T(v)
         counts, cols, vals = self._gather(rows)
         scaled = vals * np.repeat(weights, counts)
-        return np.bincount(cols, weights=scaled, minlength=M.n_cols)
+        return np.bincount(cols, weights=scaled, minlength=self.n_cols)
 
-    def plan(self, rows):
-        """A RowPlan of the product over these rows, or None where they take
-        the transposed product."""
-        if len(rows) > GATHER_MAX_ROW_FRACTION * self.matrix.n_rows:
+    def row_plan(self, rows):
+        """A RowPlan of the row product over these rows, or None where they
+        take the transposed product."""
+        if len(rows) > GATHER_MAX_ROW_FRACTION * self.n_rows:
             return None
-        n = self.matrix.n_cols
+        n = self.n_cols
         counts, cols, vals = self._gather(rows)
         touched = np.zeros(n, dtype=bool)
         touched[cols] = True
@@ -263,6 +262,48 @@ class RowProduct:
         bin_of[ids] = np.arange(len(ids))
         return RowPlan(ids, bin_of[cols], vals, counts)
 
+    def _keep(self, nbytes):
+        """Whether nbytes more fit within GRAM_CACHE_INPUT_MULTIPLE times
+        the input's bytes; if they do, they count as kept."""
+        cap = GRAM_CACHE_INPUT_MULTIPLE * (self.values.nbytes
+                                           + self.row_indices.nbytes)
+        if nbytes > cap - self._kept_bytes:
+            return False
+        self._kept_bytes += nbytes
+        return True
+
+    def gram_column(self, j):
+        """A^T A_j, computed on first use and kept, read-only, while it
+        fits."""
+        col = self._gram.get(j)
+        if col is None:
+            col = self.row_product(*self.col(j))
+            if self._keep(col.nbytes):
+                col.setflags(write=False)
+                self._gram[j] = col
+        return col
+
+    def add_rows(self, g, j, weights):
+        """g += sum_k weights[k] * A[rows[k], :], the rows being supp(A_j).
+
+        Column j's first update takes the dense row product; its second
+        plans the rows, and later updates run from the plan. A plan that
+        does not fit, and rows the plan refuses, keep the dense product.
+        """
+        rows = self.col(j)[0]
+        plans = self._plans
+        if j not in plans:
+            plans[j] = None
+        elif plans[j] is None:
+            plan = self.row_plan(rows)
+            fits = plan is not None and self._keep(plan.nbytes)
+            plans[j] = plan if fits else False
+        plan = plans[j]
+        if plan:
+            plan.add_to(g, weights)
+        else:
+            g += self.row_product(rows, weights)
+
 
 class RowPlan:
     """A row product over a fixed set of rows, gathered once: the touched
@@ -270,8 +311,8 @@ class RowPlan:
     and the entry count per row.
 
     add_to(u, weights) adds the product to u at the touched ids only. Each
-    bin sums its entries in storage order, as RowProduct's dense result
-    does, so those entries of u come out bitwise equal to u + RowProduct.
+    bin sums its entries in storage order, as row_product's dense result
+    does, so those entries of u come out bitwise equal to u + row_product.
     """
 
     def __init__(self, ids, bins, values, counts):

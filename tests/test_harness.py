@@ -610,6 +610,17 @@ class TestCli:
         with pytest.raises(ValueError):
             parse_synthetic("mystery:1", seed=0)
 
+    @pytest.mark.parametrize("spec,message", [
+        ("correlated:d=10", "missing key 'n'"),
+        ("svm:n=50,d=10,marign=0.5", "unknown key 'marign'"),
+        ("correlated:n=100,d=20,dens=0.2", "unknown key 'dens'")])
+    def test_synthetic_spec_keys_checked(self, capsys, spec, message):
+        with pytest.raises(ValueError, match=message):
+            parse_synthetic(spec, seed=0)
+        assert main(["--problem", "svm", "--synthetic", spec]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+
     def test_parse_config_file(self, tmp_path):
         f = tmp_path / "a.cfg"
         f.write_text("# comment\nproblem = svm\n\ntol = 1e-6\n")

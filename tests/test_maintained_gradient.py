@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import random_matrix, random_problem, random_state
-from greedycd import objectives, solver
+from greedycd import objectives, solver, sparse
 from greedycd.harness import _polish
 from greedycd.objectives import (IterateState, apply_coord_delta, coord_grad,
                                  duality_gap, full_grad, make_svm_dual,
@@ -156,8 +156,10 @@ def test_refresh_recomputes_gradient(rng):
 def test_gram_cache_cap_changes_nothing(monkeypatch):
     p = l1_problem("lasso", 3)
     cached = solve_l1(p, SolverConfig(max_iters=1500, tol=0.0))
-    monkeypatch.setattr(objectives, "GRAM_CACHE_INPUT_MULTIPLE", 0)
-    uncached = solve_l1(p, SolverConfig(max_iters=1500, tol=0.0))
+    monkeypatch.setattr(sparse, "GRAM_CACHE_INPUT_MULTIPLE", 0)
+    # a fresh matrix, which keeps no column
+    uncached = solve_l1(l1_problem("lasso", 3),
+                        SolverConfig(max_iters=1500, tol=0.0))
     assert [r.coord for r in cached.records] == \
         [r.coord for r in uncached.records]
     assert [r.f_value for r in cached.records] == \
@@ -168,10 +170,10 @@ def test_gram_cache_stays_under_cap(rng):
     p = make_svm_dual(random_matrix(rng, 10, 400), 0.01)
     s = IterateState.zeros(p)
     s.track_gradient(p)
-    gram = s._grad_updater.gram
     M = p.matrix
-    cap = objectives.GRAM_CACHE_INPUT_MULTIPLE * (M.values.nbytes
-                                                  + M.row_indices.nbytes)
+    gram = M._gram
+    cap = sparse.GRAM_CACHE_INPUT_MULTIPLE * (M.values.nbytes
+                                              + M.row_indices.nbytes)
     for j in rng.permutation(p.n):
         apply_coord_delta(p, s, int(j), 0.5)
     # this instance's full Gram matrix outgrows the cap
@@ -183,8 +185,13 @@ def test_gram_cache_stays_under_cap(rng):
 def test_solve_frees_the_cache():
     p = svm_problem(2)
     trace = solve_box(p, SolverConfig(max_iters=50, tol=0.0))
-    assert trace.final_state.grad is None
-    assert trace.final_state._grad_updater is None
+    s = trace.final_state
+    assert s.grad is None and s.objective is None
+    # the Gram columns stay with the matrix; the state holds arrays,
+    # numbers and its last column read only
+    assert p.matrix._gram
+    assert all(isinstance(v, (np.ndarray, int, float, tuple, type(None)))
+               for v in vars(s).values())
 
 
 def test_duality_gap_from_gradient_matches_matvec(rng):

@@ -6,7 +6,7 @@ each against the expression it replaces.
   both signs; g with ties, entries at exactly +-lam and non-finite entries;
   all scores zero; no nonzeros and all nonzeros; L1 and elastic net.
 - The kept gradient under planned row products must equal the dense
-  RowProduct update of every move, under == (so -0.0 matches +0.0): over a
+  row_product update of every move, under == (so -0.0 matches +0.0): over a
   GS-s solve and a harness polish past three refreshes, on a column's first
   and later moves, and when the room for plans runs out. Plans change no
   trace, max_grad_drift included.
@@ -20,14 +20,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_matrix, random_problem
-from greedycd import objectives
+from greedycd import objectives, sparse
 from greedycd.harness import _polish
 from greedycd.objectives import (IterateState, make_elastic_net, make_lasso,
                                  make_logistic, subgrad_score)
 from greedycd.selection import select_gss_l1
 from greedycd.solver import SolverConfig, solve_l1
-from greedycd.sparse import (GATHER_MAX_ROW_FRACTION, RowProduct,
-                             SparseColMatrix)
+from greedycd.sparse import GATHER_MAX_ROW_FRACTION, SparseColMatrix
 
 LAMS = (0.0, 1e-300, 0.25, 1.0, 3.0)
 NONZERO_ALPHA = (1.0, -1.0, 0.5, -2.0, 5e-324, -5e-324)
@@ -109,12 +108,12 @@ def test_row_plan_adds_what_the_dense_product_adds(rng, n_rows):
     rows = np.sort(np.append(rng.choice(np.arange(8, 400), n_rows,
                                         replace=False), 7))
     w = rng.standard_normal(len(rows))
-    plan = RowProduct(M).plan(rows)
+    plan = M.row_plan(rows)
     if len(rows) > GATHER_MAX_ROW_FRACTION * M.n_rows:
         assert plan is None
         return
     u = rng.standard_normal(M.n_cols)
-    expect = u + RowProduct(M)(rows, w)
+    expect = u + M.row_product(rows, w)
     plan.add_to(u, w)
     assert np.array_equal(u, expect)
     assert set(plan.ids) == set(np.flatnonzero(A[rows].any(axis=0)))
@@ -128,24 +127,21 @@ def sparse_logistic(seed):
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Checks every kept-gradient row update against the dense RowProduct
+    """Checks every kept-gradient row update against the dense row_product
     update of the same move; returns each move's path: "first" (a column's
     first move), "planned" or "dense"."""
-    moves, dense = [], {}
-    add_rows = objectives._GradientCache.add_rows
+    moves = []
+    add_rows = SparseColMatrix.add_rows
 
-    def checking(self, g, j, ridx, weights):
-        M = self.rows.matrix
-        if id(M) not in dense:
-            dense[id(M)] = RowProduct(M)
-        first = j not in self.plans
-        expect = g + dense[id(M)](ridx, weights)
-        add_rows(self, g, j, ridx, weights)
+    def checking(self, g, j, weights):
+        first = j not in self._plans
+        expect = g + self.row_product(self.col(j)[0], weights)
+        add_rows(self, g, j, weights)
         assert np.array_equal(g, expect)
         moves.append("first" if first else
-                     "planned" if self.plans[j] else "dense")
+                     "planned" if self._plans[j] else "dense")
 
-    monkeypatch.setattr(objectives._GradientCache, "add_rows", checking)
+    monkeypatch.setattr(SparseColMatrix, "add_rows", checking)
     return moves
 
 
@@ -168,7 +164,7 @@ def test_planned_update_in_the_polish(checked):
 
 def test_planned_update_once_the_room_is_spent(checked, monkeypatch):
     # room for about ten plans of about 1.5 KB each
-    monkeypatch.setattr(objectives, "GRAM_CACHE_INPUT_MULTIPLE", 0.5)
+    monkeypatch.setattr(sparse, "GRAM_CACHE_INPUT_MULTIPLE", 0.5)
     solve_l1(sparse_logistic(2), SolverConfig(max_iters=1500, tol=0.0))
     assert {"first", "planned", "dense"} == set(checked)
 
@@ -183,8 +179,9 @@ def test_plans_change_no_trace(monkeypatch):
     p = sparse_logistic(3)
     cfg = SolverConfig(max_iters=3500, tol=0.0)
     planned = solve_l1(p, cfg)
-    monkeypatch.setattr(objectives, "GRAM_CACHE_INPUT_MULTIPLE", 0)
-    dense = solve_l1(p, cfg)  # no room: every move takes the dense product
+    monkeypatch.setattr(sparse, "GRAM_CACHE_INPUT_MULTIPLE", 0)
+    # a fresh matrix, with no room: every move takes the dense product
+    dense = solve_l1(sparse_logistic(3), cfg)
     assert [r.coord for r in planned.records] == \
         [r.coord for r in dense.records]
     assert [r.f_value for r in planned.records] == \
