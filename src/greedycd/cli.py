@@ -43,7 +43,13 @@ def parse_synthetic(text, seed):
         if not _:
             raise ValueError("expected key=value in synthetic spec, got %r"
                              % part)
-        kv[k.strip()] = float(v)
+        k = k.strip()
+        try:
+            # the sizes are whole numbers: n=50.7 is refused, not cut to 50
+            kv[k] = int(v) if k in ("n", "d") else float(v)
+        except ValueError:
+            raise ValueError("%s spec: bad value %r for key %r"
+                             % (kind, v.strip(), k))
     cls = {"correlated": CorrelatedLasso, "correlatedlasso": CorrelatedLasso,
            "svm": RandomSvm, "randomsvm": RandomSvm}.get(kind)
     if cls is None:
@@ -54,7 +60,6 @@ def parse_synthetic(text, seed):
            if f.default is MISSING and f.name not in kv]
     if faults:
         raise ValueError("%s spec: %s" % (kind, ", ".join(faults)))
-    kv["n"], kv["d"] = int(kv["n"]), int(kv["d"])
     return SynthSpec(cls(**kv), seed=seed)
 
 

@@ -63,10 +63,13 @@ class SynthSpec:
 # lines parsed per block: bounds the tokens and arrays held at once
 BLOCK_LINES = 256
 
-# the ASCII characters str.split() and str.strip() treat as whitespace
-_ASCII_SPACE = np.zeros(256, dtype=bool)
-_ASCII_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
-_COLON, _NEWLINE = ord(":"), ord("\n")
+# bytes below 33 that str.split() does not split on: a block holding one
+# is left to the one-token reader, so the rest count as whitespace
+_OTHER_CONTROL = np.ones(33, dtype=bool)
+_OTHER_CONTROL[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = False
+# place values of an index's at most 18 digits, so it fits int64
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+_COLON, _NEWLINE, _PLUS, _SPACE = ord(":"), ord("\n"), ord("+"), ord(" ")
 
 
 def _open_source(source):
@@ -126,37 +129,56 @@ def _read_lines(chunk, first_lineno):
 def _split_block(kept):
     """(labels, counts, rows, values) of stripped, nonempty example lines,
     or None when the block is left to the one-token reader: a malformed
-    line, a character outside ASCII, or an index outside int64.
+    line, a character outside ASCII, a control byte that str.split() keeps,
+    or an index that is not an optional "+" and 1 to 18 digits.
 
     Each line gets a "0:" prefix, so every whitespace token of a valid block
     reads "index:value" with the label in the value slot of index 0. That
-    is checked on the block's bytes; then one split yields the indices and
-    values as two strided slices, converted by Python's own int and float.
+    is checked on the block's bytes, and the indices are summed from their
+    digits there; blanking all but the values leaves one token per value,
+    converted by Python's own float.
     """
     text = "0:" + "\n0:".join(kept)
     if not text.isascii():
         return None
     b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    space = _ASCII_SPACE[b]
-    starts = np.flatnonzero(space[:-1] & ~space[1:]) + 1
+    blanks = np.flatnonzero(b <= _SPACE)
+    if _OTHER_CONTROL[b[blanks]].any():
+        return None
+    # a token starts after the last blank of a run; the text ends in a token
+    starts = np.concatenate(([0], blanks[np.diff(blanks, append=-1) != 1] + 1))
     colons = np.flatnonzero(b == _COLON)
     # one colon inside every token: token starts and colons strictly
-    # alternate from the colon at 1, and no colon ends its token
-    if (len(colons) != len(starts) + 1 or colons[-1] + 1 == len(b)
-            or not ((colons[:-1] < starts) & (starts < colons[1:])).all()
-            or space[colons + 1].any()):
+    # alternate, and no colon ends its token
+    if (len(colons) != len(starts) or colons[-1] + 1 == len(b)
+            or not ((colons[:-1] < starts[1:])
+                    & (starts[1:] < colons[1:])).all()
+            or (b[colons + 1] <= _SPACE).any()):
         return None
-    pieces = text.replace(":", " ").split()
+    signed = b[starts] == _PLUS
+    digits = colons - starts - signed
+    if not ((digits >= 1) & (digits <= 18)).all():
+        return None
+    # each index digit at its place value, counted back from its colon
+    ends = np.cumsum(digits)
+    place = np.repeat(ends, digits) - 1 - np.arange(ends[-1])
+    at = np.repeat(colons, digits) - 1 - place
+    digit = b[at] - ord("0")
+    if not (digit < 10).all():
+        return None
+    idx = np.add.reduceat(digit * _POW10[place], ends - digits)
+    # the values, labels included, are what is left once the indices,
+    # their signs, the colons and the whitespace are blanked
+    blank = b.copy()
+    blank[np.concatenate((blanks, colons, starts[signed], at))] = _SPACE
     try:
-        idx = np.array(pieces[0::2], dtype=np.int64)
-        num = np.array(pieces[1::2], dtype=np.float64)
-    except (ValueError, OverflowError):
+        num = np.array(blank.tobytes().split(), dtype=np.float64)
+    except ValueError:
         return None
-    # token k is line i's label when colon k is its line's first
-    label_at = np.searchsorted(colons, np.flatnonzero(b == _NEWLINE))
-    label_at = np.concatenate(([0], label_at))
-    feat = np.ones(len(idx), dtype=bool)
-    feat[label_at] = False
+    # a token that starts its line is the line's label
+    feat = b[starts - 1] != _NEWLINE
+    feat[0] = False
+    label_at = np.flatnonzero(~feat)
     # a line's first index follows its 0, so this is also the idx >= 1 check
     if not (idx[1:] > idx[:-1])[feat[1:]].all():
         return None

@@ -320,6 +320,41 @@ class TestBlockParser:
         assert ds.matrix.n_rows == 2**63
 
 
+class TestIndexBytes:
+    """Indices summed from a block's bytes, and the ones the block leaves
+    to the one-token reader, against the per-token loop."""
+
+    def test_long_signed_and_padded_indices_read_from_bytes(self):
+        raw = (b"+1 +3:+0.5 0007:1 999999999999999999:-2\n"
+               b"-1 1:+.25 +0010:+1e3\n")
+        ds = assert_parses_like_loop(raw, block_read=True)
+        assert ds.matrix.n_rows == 10**18 - 1
+        assert ds.matrix.col(0)[0].tolist() == [2, 6, 10**18 - 2]
+        assert ds.matrix.col(1)[1].tolist() == [0.25, 1000.0]
+
+    def test_nineteen_digit_index_read_by_one_token_reader(self):
+        with mock.patch.object(data_io, "_read_lines",
+                               wraps=data_io._read_lines) as slow:
+            ds = assert_parses_like_loop(b"1 1:1 1000000000000000000:2\n")
+        assert slow.called
+        assert ds.matrix.n_rows == 10**18
+
+    @pytest.mark.parametrize("index", ["-3", "0", "+0", "-0"])
+    def test_index_below_one(self, index):
+        msg = assert_parses_like_loop(b"1 1:1\n1 %s:1\n" % index.encode())
+        assert msg == ("ValueError: line 2: index %d below the 1-based "
+                       "minimum" % int(index))
+
+    @pytest.mark.parametrize("line", ["1 2:1\x073:1", "1\x07 2:1",
+                                      "1 \x07 2:1", "1 2:\x071"])
+    def test_control_byte_in_a_line(self, line):
+        msg = assert_parses_like_loop(("1 1:1\n%s\n" % line).encode())
+        assert msg.startswith("ValueError: line 2: ")
+
+    def test_control_byte_in_a_comment(self):
+        assert_parses_like_loop(b"1 1:1 # \x07\n-1 2:1\n", block_read=True)
+
+
 def matrix_with_zero_and_empty_columns(rng, d=6, n=30):
     """Random columns, some holding only stored zeros, some holding none."""
     counts = rng.integers(0, d + 1, n)

@@ -21,3 +21,28 @@ def test_library_tour_runs(name, capsys):
         exec(compile(code, name, "exec"), {"__name__": "__doc_example__"})
     status = capsys.readouterr().out.split()[0]
     assert status in ("tol", "max_iters")
+
+
+# flags the docs name that are not greedycd options, and why
+NOT_CLI_FLAGS = {
+    "--no-build-isolation",  # pip, in the install lines
+    "--trace",               # perfbench/run.py, quoted with a measurement
+}
+# README says that flag does not exist
+NO_SUCH_FLAG = "there is no `--workers` flag"
+
+
+@pytest.mark.parametrize("name", ["README.md", "PAPER.md"])
+def test_documented_flags_are_cli_options(name):
+    from greedycd import cli
+    actions = cli._build_parser()._option_string_actions
+    with open(os.path.join(ROOT, name)) as fh:
+        text = fh.read().replace(NO_SUCH_FLAG, "")
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+    assert flags - NOT_CLI_FLAGS <= set(actions), \
+        sorted(flags - NOT_CLI_FLAGS - set(actions))
+    for flag, values in re.findall(
+            r"(--[a-z][a-z0-9-]*) ([a-z0-9-]+(?:\|[a-z0-9-]+)+)", text):
+        choices = actions[flag].choices
+        assert choices and set(values.split("|")) <= set(choices), \
+            (flag, values, choices)

@@ -611,6 +611,9 @@ class TestCli:
             parse_synthetic("mystery:1", seed=0)
 
     @pytest.mark.parametrize("spec,message", [
+        ("correlated:n=50.7,d=10", "bad value '50.7' for key 'n'"),
+        ("svm:n=50,d=1e1", "bad value '1e1' for key 'd'"),
+        ("svm:n=50,d=10,margin=wide", "bad value 'wide' for key 'margin'"),
         ("correlated:d=10", "missing key 'n'"),
         ("svm:n=50,d=10,marign=0.5", "unknown key 'marign'"),
         ("correlated:n=100,d=20,dens=0.2", "unknown key 'dens'")])
