@@ -12,6 +12,7 @@ each step instead of recomputed.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -302,6 +303,12 @@ class CompositeProblem:
         self.smoothness = float(matrix.col_sq_norms.max()) \
             / self.loss_scale + reg.lam2
 
+    @cached_property
+    def uniform_linear_term(self):
+        """The value every entry of c holds, or None when they differ."""
+        c = self.linear_term  # read-only, so this is read once
+        return float(c[0]) if not np.ptp(c) else None
+
     @property
     def n(self):
         return self.matrix.n_cols
@@ -495,30 +502,19 @@ def apply_coord_delta(p, s, j, delta):
 def duality_gap(p, s):
     """Hinge-loss primal value at w(alpha) minus the dual value at alpha.
 
-    The dual value is -F(alpha) (c = -(1/n) 1), read off the state when it
-    keeps F.
+    With c = -(1/n) 1 and w(alpha) = A alpha / (lam n) the margins are
+    n g_i + 1, so the gap is the unit box's Frank-Wolfe gap,
+    sum_i alpha_i g_i + max(-g_i, 0), read off the gradient alone. Any
+    other linear term or regularizer is refused.
     """
     if not isinstance(p.loss, DualSVM):
         raise TypeError("duality gap is defined for the SVM dual only")
-    n = p.n
-    lam = p.loss.svm_lambda
-    # w(alpha) = A alpha / (lam n) is the mapping conjugate to this dual:
-    # stationarity then puts support vectors exactly on the margin, so the
-    # gap closes at the optimum
-    w = s.residual / (lam * n)
-    # <b_i a_i, w> per example column: A^T w = n (g - c), read off the
-    # gradient; the margins become the hinge terms in place, in one buffer
-    hinge = np.subtract(current_grad(p, s), p.linear_term)
-    hinge *= n
-    np.subtract(1.0, hinge, out=hinge)
-    np.maximum(hinge, 0.0, out=hinge)
-    primal = float(hinge.sum()) / n + 0.5 * lam * float(w @ w)
-    if s.objective is None:
-        dual = float(s.alpha.mean()) - float(s.residual @ s.residual) \
-            / (2.0 * lam * n * n)
-    else:
-        dual = -s.objective
-    return primal - dual
+    if p.reg.kind != "box" or p.uniform_linear_term != -1.0 / p.n:
+        raise ValueError("the SVM duality gap needs the unit box and the "
+                         "linear term c = -(1/n) 1 = %r in every entry"
+                         % (-1.0 / p.n))
+    g = current_grad(p, s)
+    return float(s.alpha @ g) - float(np.minimum(g, 0.0).sum())
 
 
 def make_lasso(M, b, lam):

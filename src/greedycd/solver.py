@@ -381,9 +381,14 @@ class _BoxSteps(_Steps):
     stored alpha on first use with ActiveSet.from_state's comparisons:
     `interior` (0 < alpha_i < 1) and `sign`, -1 at 0, +1 at 1 and 0
     elsewhere. Only a step moves alpha, at its own coordinate, so the next
-    step or check re-reads that one coordinate; the membership
-    (sign * g > 0) | interior then equals from_state's, sign * g being an
-    exact sign flip.
+    step or check re-reads that one coordinate.
+
+    A check scores into one buffer: sign * g, then |g| at the interior.
+    sign * g is an exact sign flip, so a member at a bound scores |g| and a
+    non-member at most 0. A positive best therefore has the first maximizer
+    and the score of select_gss_box over from_state's set, bitwise, and that
+    set is (scores > 0) | interior. Otherwise (an empty set, a zero best or
+    a NaN) select_gss_box answers over that set.
     """
 
     kind = "box"
@@ -396,8 +401,7 @@ class _BoxSteps(_Steps):
         gap = p.loss.has_gap
         self.check_gap = gap and cfg.tol > 0
         self.record_gap = gap and cfg.record_gap
-        self.active = None
-        self.interior = self.sign = None
+        self.interior = self.sign = self.scores = None
         self.moved = None  # the last step's coordinate, until re-read
 
     def _sync(self, alpha):
@@ -405,6 +409,7 @@ class _BoxSteps(_Steps):
         if self.sign is None:
             self.interior = (alpha > 0) & (alpha < 1)
             self.sign = (alpha == 1).astype(float) - (alpha == 0)
+            self.scores = np.empty(len(alpha))
         elif self.moved is not None:
             j = self.moved
             a = float(alpha[j])
@@ -412,15 +417,24 @@ class _BoxSteps(_Steps):
             self.sign[j] = float(a == 1) - float(a == 0)
         self.moved = None
 
+    @property
+    def members(self):
+        """The active set of the last check, as from_state's mask."""
+        return (self.scores > 0) | self.interior
+
     def steepest(self, p, s):
         self._sync(s.alpha)
-        g = s.grad
-        self.active = ActiveSet(membership=(self.sign * g > 0)
-                                | self.interior)
-        return select_gss_box(p, s, active=self.active, grad=g)
+        g, buf = s.grad, self.scores
+        np.multiply(self.sign, g, out=buf)
+        np.putmask(buf, self.interior, np.abs(g))
+        j = int(buf.argmax())  # argmax returns the first maximizer
+        m = float(buf[j])
+        if m > 0.0:
+            return SelectionOutcome(coord=j, score=m)
+        return select_gss_box(p, s, active=ActiveSet(self.members), grad=g)
 
     def uniform(self, p):
-        ids = np.nonzero(self.active.membership)[0]
+        ids = self.members.nonzero()[0]
         return int(ids[self.rng.integers(len(ids))])
 
     def step(self, p, s, j, aj):

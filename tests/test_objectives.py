@@ -185,6 +185,41 @@ class TestDualityGap:
         with pytest.raises(TypeError):
             duality_gap(p, IterateState.zeros(p))
 
+    @pytest.mark.parametrize("off,reg", [(-0.5, Box()), (None, Box()),
+                                        (-0.1, L1(0.1))])
+    def test_refuses_another_linear_term_or_regularizer(self, rng, off, reg):
+        """The gap is the box's Frank-Wolfe gap only with c = -(1/n) 1; any
+        other term once gave one answer with a kept F and another without."""
+        c = np.full(10, -0.1)
+        if off is None:
+            c[3] = np.nextafter(-0.1, 0.0)  # one entry one ulp off
+        else:
+            c[:] = off
+        M = SparseColMatrix.from_dense(rng.standard_normal((6, 10)))
+        p = CompositeProblem(M, c, DualSVM(0.5), reg)
+        s = random_state(p, rng, box=True)
+        s.track_objective(p)
+        for state in (s, IterateState.zeros(p)):
+            with pytest.raises(ValueError, match=r"c = -\(1/n\) 1 = -0\.1"):
+                duality_gap(p, state)
+        if reg.kind == "box":
+            with pytest.raises(ValueError, match="linear term"):
+                solve_box(p, SolverConfig(tol=1e-6))
+
+    def test_linear_term_read_once(self, rng):
+        p = random_problem("svm", rng, n=10)
+        assert "uniform_linear_term" not in vars(p)
+        duality_gap(p, random_state(p, rng, box=True))
+        assert vars(p)["uniform_linear_term"] == -0.1  # kept on the problem
+        with pytest.raises(ValueError):
+            p.linear_term[0] = -0.5  # which cannot change under it
+
+    def test_make_svm_dual_problems_pass(self, rng):
+        for n in (1, 3, 7, 10, 49, 800):
+            M = SparseColMatrix.from_dense(rng.standard_normal((4, n)))
+            p = make_svm_dual(M, 0.5)
+            assert np.isfinite(duality_gap(p, random_state(p, rng, box=True)))
+
 
 class TestConstruction:
     def test_linear_term_length_checked(self):

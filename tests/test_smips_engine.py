@@ -45,16 +45,19 @@ def test_engine_reads_the_scans_answer(kind, monkeypatch):
     """At every GS-s step, the exact scan picks GS-s's coordinate and score."""
     p, solve = problem(kind)
     engine = SmipsEngine(p)
-    name = "select_gss_box" if kind == "svm" else "select_gss_l1"
-    steepest = getattr(solver, name)
+    # the box steps check through their own score buffer
+    owner, name = (solver._BoxSteps, "steepest") if kind == "svm" \
+        else (solver, "select_gss_l1")
+    steepest = getattr(owner, name)
     rows = []
 
-    def checked(p, s, **kw):
-        out = steepest(p, s, **kw)
+    def checked(*args, **kw):
+        out = steepest(*args, **kw)
+        p, s = args[-2:]
         rows.append((out.coord, out.score) + scan(engine, p, s))
         return out
 
-    monkeypatch.setattr(solver, name, checked)
+    monkeypatch.setattr(owner, name, checked)
     trace = solve(p, SolverConfig(max_iters=STEPS, tol=0.0))
     assert trace.n_steps == STEPS == len(rows)
     assert trace.counters["grad_refreshes"] > 3

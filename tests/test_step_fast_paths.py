@@ -1,31 +1,38 @@
-"""The box step's kept bound state, the column read a step shares with its
-move, and the in-place SVM gap, each against the expression it replaces.
+"""The box check's score buffer, the column read a step shares with its
+move, and the SVM gap read off the gradient, each against the expression it
+replaces.
 
-- The active set the box steps keep must equal ActiveSet.from_state at every
-  check, for every rule, with and without line search, under the hashing
-  engine (a check every n steps) and in the harness polish, over runs past
-  several refreshes, and when a move leaves alpha_j one ulp off a bound.
+- The box steps' check must give select_gss_box's outcome over
+  ActiveSet.from_state, and uniform must draw from from_state's set, at
+  every check, for every rule, with and without line search, under the
+  hashing engine (a check every n steps) and in the harness polish, over
+  runs past several refreshes, when a move leaves alpha_j one ulp off a
+  bound, and at the buffer's edge cases: an empty set, a zero best, a NaN,
+  ties and signed zeros.
 - Their bookkeeping must stay bounded when only `step` is called, as
   adaptivity_report does.
-- duality_gap must equal the expression it replaced, bitwise.
+- duality_gap must match the hinge primal less the dual from a fresh
+  matvec, and the benchmark's own certificate at solves' final states.
 - The objective change read off a step's column must equal the one computed
   from the column afresh, bitwise, for every loss and regularizer.
 """
 
 import copy
+import importlib.util
+import os
 
 import numpy as np
 import pytest
 
 from conftest import random_matrix, random_problem, random_state
 from greedycd import harness, objectives, solver
-from greedycd.data_io import RandomSvm, SynthSpec
+from greedycd.data_io import RandomSvm, SynthSpec, fold_labels, gen_synthetic
 from greedycd.harness import ExperimentConfig, RunSpec, _polish
 from greedycd.objectives import (Box, CompositeProblem, ElasticNetL1,
                                  IterateState, L1, Logistic,
-                                 apply_coord_delta, coord_grad, current_grad,
-                                 duality_gap, make_svm_dual)
-from greedycd.selection import ActiveSet, Rule
+                                 apply_coord_delta, coord_grad, duality_gap,
+                                 make_svm_dual)
+from greedycd.selection import ActiveSet, Rule, select_gss_box
 from greedycd.smips import HyperplaneLsh
 from greedycd.solver import SolverConfig, solve_box
 
@@ -39,20 +46,33 @@ def svm_problem(seed, n=200, d=20):
                          0.01)
 
 
+def assert_checked(steps, p, s, out):
+    """The check's outcome and uniform's set are select_gss_box's and
+    from_state's on the same state, bitwise."""
+    ref_set = ActiveSet.from_state(s.alpha, s.grad)
+    ref = select_gss_box(p, s, active=ref_set)
+    if ref is None:
+        assert out is None
+    else:
+        # NaN equals NaN here, and 0.0 does not equal -0.0
+        np.testing.assert_equal((out.coord, out.score), (ref.coord, ref.score))
+    np.testing.assert_array_equal(steps.members, ref_set.membership)
+
+
 @pytest.fixture
 def checked(monkeypatch):
-    """Counts the solver's box selections after checking that the active
-    set each one is given equals ActiveSet.from_state on the same state."""
+    """Counts the box steps' checks after checking each against
+    select_gss_box over ActiveSet.from_state."""
     calls = []
-    select = solver.select_gss_box
+    steepest = solver._BoxSteps.steepest
 
-    def checking(p, s, active=None, grad=None):
-        ref = ActiveSet.from_state(s.alpha, grad)
-        np.testing.assert_array_equal(active.membership, ref.membership)
+    def checking(steps, p, s):
+        out = steepest(steps, p, s)
+        assert_checked(steps, p, s, out)
         calls.append(s.grad_refreshes)
-        return select(p, s, active=active, grad=grad)
+        return out
 
-    monkeypatch.setattr(solver, "select_gss_box", checking)
+    monkeypatch.setattr(solver._BoxSteps, "steepest", checking)
     return calls
 
 
@@ -146,23 +166,89 @@ def test_bookkeeping_bounded_when_only_step_is_called(monkeypatch):
                                   (alpha == 1) * 1.0 - (alpha == 0) * 1.0)
 
 
-def reference_gap(p, s):
-    """duality_gap as one expression with temporaries."""
+def box_state(alpha, grad):
+    """An SVM-dual state at alpha whose kept gradient is set to grad, and the
+    box steps with their check made on it."""
+    p = svm_problem(4, n=len(alpha), d=5)
+    alpha = np.array(alpha, dtype=float)
+    s = IterateState(alpha=alpha, residual=p.matrix.matvec(alpha),
+                     nnz=int(np.count_nonzero(alpha)))
+    s.grad = np.array(grad, dtype=float)
+    steps = solver._steps_for(p, SolverConfig(tol=0.0))
+    assert_checked(steps, p, s, steps.steepest(p, s))
+    return p, s, steps
+
+
+def stop_status(p, s, steps):
+    """The status of a one-step descent from the state at tol 0."""
+    return solver._descend(p, s, steps, SolverConfig(tol=0.0, max_iters=1))[0]
+
+
+def test_check_on_an_empty_active_set():
+    # at 0 with g >= 0 and at 1 with g <= 0, nothing may move
+    p, s, steps = box_state([0.0, 1.0, 0.0, 1.0], [0.1, -0.2, 0.0, 0.0])
+    assert steps.steepest(p, s) is None and not steps.members.any()
+    assert stop_status(p, s, steps) == "optimal"
+
+
+@pytest.mark.parametrize("g", [0.0, -0.0])
+def test_check_on_a_lone_interior_member_at_zero(g):
+    p, s, steps = box_state([0.0, 0.5, 1.0], [0.4, g, -0.4])
+    out = steps.steepest(p, s)
+    assert (out.coord, out.score) == (1, 0.0)
+    np.testing.assert_array_equal(steps.members, [False, True, False])
+    assert stop_status(p, s, steps) == "tol"
+
+
+@pytest.mark.parametrize("alpha", [[0.5, 0.0, 1.0, 0.5], [0.0, 0.5, 0.0, 1.0],
+                                   [1.0, 1.0, 0.5, 0.0]])
+@pytest.mark.parametrize("at", [0, 1, 2, 3])
+def test_check_with_a_nan_gradient(alpha, at):
+    grad = np.array([-0.3, 0.2, 0.7, -0.1])
+    grad[at] = np.nan
+    box_state(alpha, grad)  # which checks against select_gss_box
+
+
+@pytest.mark.parametrize("alpha,grad,coord", [
+    # members at both bounds and inside, each scoring 0.3: the first wins
+    ([0.0, 0.5, 1.0, 0.0, 0.5, 1.0], [-0.3, 0.3, 0.3, -0.3, -0.3, 0.3], 0),
+    # a non-member of the same |g| comes first
+    ([0.0, 1.0, 0.5, 1.0, 0.0], [0.3, -0.3, -0.3, 0.3, -0.3], 2),
+    ([1.0, 0.0, 0.0, 0.5], [-0.3, 0.3, -0.3, 0.3], 2),
+])
+def test_check_breaks_ties_to_the_lowest_index(alpha, grad, coord):
+    p, s, steps = box_state(alpha, grad)
+    out = steps.steepest(p, s)
+    assert (out.coord, out.score) == (coord, 0.3)
+
+
+@pytest.mark.parametrize("inside,status", [(None, "optimal"), (0.2, None),
+                                           (-0.0, "tol")])
+def test_check_on_signed_zeros_at_both_bounds(inside, status):
+    alpha, grad = [0.0, 0.0, 1.0, 1.0], [0.0, -0.0, 0.0, -0.0]
+    if inside is not None:
+        alpha, grad = alpha + [0.5], grad + [inside]
+    p, s, steps = box_state(alpha, grad)
+    np.testing.assert_array_equal(steps.members[:4], False)
+    if status is not None:
+        assert stop_status(p, s, steps) == status
+
+
+def primal_minus_dual(p, s):
+    """The hinge primal at w = A alpha / (lam n) less the dual value, each
+    from a fresh matvec of alpha."""
     n = p.n
     lam = p.loss.svm_lambda
-    w = s.residual / (lam * n)
-    margins = n * (current_grad(p, s) - p.linear_term)
+    v = p.matrix.matvec(s.alpha)
+    w = v / (lam * n)
+    margins = p.matrix.matvec_T(w)
     primal = float(np.maximum(1.0 - margins, 0.0).mean()) \
         + 0.5 * lam * float(w @ w)
-    if s.objective is None:
-        dual = float(s.alpha.mean()) - float(s.residual @ s.residual) \
-            / (2.0 * lam * n * n)
-    else:
-        dual = -s.objective
+    dual = float(s.alpha.mean()) - float(v @ v) / (2.0 * lam * n * n)
     return primal - dual
 
 
-def test_duality_gap_bitwise_equals_reference():
+def test_duality_gap_matches_primal_minus_dual():
     checked = 0
     for n, seed in ((7, 0), (130, 1), (800, 2), (3001, 3)):
         p = svm_problem(seed, n=n, d=12)
@@ -173,9 +259,35 @@ def test_duality_gap_bitwise_equals_reference():
                 s.track_gradient(p)
             if k % 2:
                 s.track_objective(p)
-            assert duality_gap(p, s) == reference_gap(p, s)
+            assert duality_gap(p, s) == pytest.approx(
+                primal_minus_dual(p, s), rel=1e-12, abs=1e-12)
             checked += 1
     assert checked == 200
+
+
+def load_certify():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+        __file__))), "perfbench", "certify.py")
+    spec = importlib.util.spec_from_file_location("perfbench_certify", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("rule,line_search", [
+    (Rule.GSS, False), (Rule.GSQ, False), (Rule.UNIFORM, False),
+    (Rule.GSS, True)])
+def test_duality_gap_matches_the_benchmarks_certificate(rule, line_search):
+    certify = load_certify()
+    lam = 0.05
+    ds = gen_synthetic(SynthSpec(RandomSvm(n=300, d=20, margin=0.1), 0))
+    p = make_svm_dual(fold_labels(ds), lam)
+    trace = solve_box(p, SolverConfig(rule=rule, use_line_search=line_search,
+                                      tol=1e-5, max_iters=100_000))
+    assert trace.status == "tol"
+    alpha = trace.final_state.alpha
+    _, gap = certify.svm_gap(certify.csc_of(p.matrix), lam, alpha)
+    assert duality_gap(p, trace.final_state) == pytest.approx(gap, rel=1e-10)
 
 
 def reference_change(p, s, j, delta):
