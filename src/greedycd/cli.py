@@ -202,8 +202,12 @@ def main(argv=None):
         return 2
 
     for name, info in summary["runs"].items():
-        print("%s: status=%s steps=%d final_f=%.6g" %
-              (name, info["status"], info["steps"], info["final_f"]))
+        print("%s: status=%s steps=%d final_f=%.6g gap=%.3g" %
+              (name, info["status"], info["steps"], info["final_f"],
+               info["gap"]))
+    if summary["runs"]:
+        print("F* in [%.10g, %.10g]" % (summary["f_lower"],
+                                        summary["f_upper"]))
     if summary["errors"]:
         for name, msg in summary["errors"].items():
             print("run failure in %s: %s" % (name, msg), file=sys.stderr)

@@ -36,7 +36,7 @@ class _QuadraticLoss:
     exact quadratic and the gradient by a Gram column, and the 1-d minimizer
     is the regularizer's prox at the column's own curvature."""
 
-    has_gap = False  # whether duality_gap certifies it
+    has_gap = False  # whether the box loop stops on duality_gap
 
     def change(self, p, s, j, delta, read):
         """l(v + delta A_j) - l(v) from the column read at v: delta times
@@ -90,6 +90,10 @@ class SquaredResidual(_QuadraticLoss):
     def grad(self, p, v, rows=None):
         return v - (self.target if rows is None else self.target[rows])
 
+    def conjugate(self, p, theta):
+        """l*(theta) = 0.5 ||theta||^2 + <theta, target>."""
+        return 0.5 * float(theta @ theta) + float(theta @ self.target)
+
     def scale(self, p):
         return 1.0
 
@@ -110,6 +114,10 @@ class DualSVM(_QuadraticLoss):
     def grad(self, p, v, rows=None):
         return v / p.loss_scale
 
+    def conjugate(self, p, theta):
+        """l*(theta) = scale/2 ||theta||^2."""
+        return 0.5 * p.loss_scale * float(theta @ theta)
+
     def scale(self, p):
         return self.svm_lambda * p.n * p.n
 
@@ -119,7 +127,7 @@ class Logistic:
     """l(v) = sum_i log(1 + exp(-v_i)), labels folded into the columns; the
     gradient moves by a row product over supp(A_j), and the 1-d minimizer
     is bisected."""
-    has_gap = False
+    has_gap = False  # whether the box loop stops on duality_gap
 
     def check(self, M):
         pass
@@ -130,6 +138,14 @@ class Logistic:
     def grad(self, p, v, rows=None):
         # d/dz log(1+exp(-z)) = -1/(1+exp(z)), computed stably
         return -0.5 * (1.0 - np.tanh(v / 2.0))
+
+    def conjugate(self, p, theta):
+        """l*(theta) on its domain [-1, 0]^d, where the gradient and its
+        rescalings lie: the summed u log u + (1-u) log(1-u) at u = -theta,
+        with 0 log 0 = 0."""
+        u = -theta
+        u = u[(u > 0.0) & (u < 1.0)]
+        return float((u * np.log(u) + (1.0 - u) * np.log1p(-u)).sum())
 
     def scale(self, p):
         return 4.0  # nabla^2 l <= I / 4
@@ -221,6 +237,24 @@ class _L1Penalty:
         gz = grad[at_zero]
         out[at_zero] = np.sign(gz) * np.maximum(np.abs(gz) - lam, 0.0)
         return out
+
+    def dual_scale(self, corr):
+        """The factor in (0, 1] that takes a dual point theta with
+        A^T theta = corr into the conjugate's domain: into
+        ||A^T theta||_inf <= lam, or 1 when lam2 > 0 leaves no bound."""
+        if self.lam2:
+            return 1.0
+        top = float(np.abs(corr).max(initial=0.0))
+        return self.lam / top if top > self.lam else 1.0
+
+    def conjugate(self, z):
+        """sum_i g_i*(z_i) for g_i(x) = lam |x| + lam2/2 x^2:
+        (|z_i| - lam)_+^2 / (2 lam2), or 0 on the ball |z_i| <= lam, which
+        dual_scale keeps z in, when lam2 = 0."""
+        if not self.lam2:
+            return 0.0
+        over = np.maximum(np.abs(z) - self.lam, 0.0)
+        return float(over @ over) / (2.0 * self.lam2)
 
 
 @dataclass(frozen=True)
@@ -500,21 +534,43 @@ def apply_coord_delta(p, s, j, delta):
 
 
 def duality_gap(p, s):
-    """Hinge-loss primal value at w(alpha) minus the dual value at alpha.
+    """F(alpha) less the value of a dual point: by weak duality at least
+    F(alpha) - F*, so F(alpha) - gap is a certified lower bound on F*.
 
-    With c = -(1/n) 1 and w(alpha) = A alpha / (lam n) the margins are
-    n g_i + 1, so the gap is the unit box's Frank-Wolfe gap,
-    sum_i alpha_i g_i + max(-g_i, 0), read off the gradient alone. Any
-    other linear term or regularizer is refused.
+    L1 and elastic net take the Fenchel dual point theta = nabla l(v),
+    scaled by the regularizer's dual_scale; the dual value is
+    -l*(theta) - sum_i g_i*(-(A^T theta)_i), each conjugate supplied by
+    its own loss or regularizer. A^T theta is read off the kept gradient
+    (g - lam2 alpha) when the state keeps one, else it takes one transposed
+    product. They need c = 0 in every entry.
+
+    On the unit box the loss must be the SVM dual with c = -(1/n) 1. With
+    w(alpha) = A alpha / (lam n) the margins are n g_i + 1, so the hinge
+    primal less the dual is the box's Frank-Wolfe gap,
+    sum_i alpha_i g_i + max(-g_i, 0), read off the gradient alone.
     """
-    if not isinstance(p.loss, DualSVM):
-        raise TypeError("duality gap is defined for the SVM dual only")
-    if p.reg.kind != "box" or p.uniform_linear_term != -1.0 / p.n:
-        raise ValueError("the SVM duality gap needs the unit box and the "
-                         "linear term c = -(1/n) 1 = %r in every entry"
-                         % (-1.0 / p.n))
-    g = current_grad(p, s)
-    return float(s.alpha @ g) - float(np.minimum(g, 0.0).sum())
+    reg = p.reg
+    if reg.kind == "box":
+        if not isinstance(p.loss, DualSVM):
+            raise TypeError("the box's duality gap is defined for the SVM "
+                            "dual only")
+        if p.uniform_linear_term != -1.0 / p.n:
+            raise ValueError("the SVM duality gap needs the linear term "
+                             "c = -(1/n) 1 = %r in every entry"
+                             % (-1.0 / p.n))
+        g = current_grad(p, s)
+        return float(s.alpha @ g) - float(np.minimum(g, 0.0).sum())
+    if p.uniform_linear_term != 0.0:
+        raise ValueError("the duality gap of an L1-type problem needs the "
+                         "linear term c = 0 in every entry")
+    theta = grad_l(p, s)
+    if s.grad is None:
+        corr = p.matrix.matvec_T(theta)
+    else:
+        corr = s.grad - reg.lam2 * s.alpha if reg.lam2 else s.grad
+    k = reg.dual_scale(corr)
+    dual = -p.loss.conjugate(p, k * theta) - reg.conjugate(-k * corr)
+    return objective_value(p, s) - dual
 
 
 def make_lasso(M, b, lam):

@@ -468,7 +468,7 @@ def _make_engine(p, cfg):
 
 
 def _descend(p, s, steps, cfg, engine=None, records=None, t_last=0):
-    """The step loop of both solvers and the harness polish.
+    """The step loop of both solvers and of harness._polish.
 
     Takes at most cfg.max_iters steps from s by the hashing engine,
     cfg.selector or cfg.rule, with the stop checks and steps of `steps`.
@@ -632,8 +632,10 @@ def solve_box(p, cfg):
     """Steepest coordinate descent over the active set of a unit-box problem.
 
     An empty active set certifies optimality. Updates clip the gradient step
-    to [0, 1]; classification uses the pre-clip target. SVM-dual problems
-    additionally stop once the duality gap reaches cfg.tol.
+    to [0, 1]; classification uses the pre-clip target. Status "tol" means
+    that the steepest score over the active set reached cfg.tol or, on
+    SVM-dual problems, that the duality gap did, whichever came first; so
+    a "tol" stop does not by itself mean gap <= cfg.tol.
     """
     if not isinstance(p.reg, Box):
         raise TypeError("solve_box needs a box regularizer")

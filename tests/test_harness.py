@@ -2,12 +2,13 @@ import csv
 import json
 import os
 import re
+import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from greedycd import cli, harness, solver
+from greedycd import cli, harness, solver, sparse
 from greedycd.cli import main, parse_config_file, parse_synthetic
 from greedycd.data_io import (CorrelatedLasso, Dataset, DiagQuadratic,
                               RandomSvm, SynthSpec, fold_labels,
@@ -38,8 +39,36 @@ class TestRunExperiment:
         summary = run_experiment(cfg)
         assert os.path.exists(cfg.out + ".csv")
         assert os.path.exists(cfg.out + ".json")
-        assert summary["f_star"] is not None
         assert set(summary["runs"]) == {"gs-s", "uniform"}
+        assert summary["f_lower"] <= summary["f_upper"]
+        for info in summary["runs"].values():
+            assert summary["f_lower"] <= info["final_f"]
+            assert info["gap"] >= 0.0
+        assert summary["f_upper"] == min(info["final_f"]
+                                         for info in summary["runs"].values())
+
+    @pytest.mark.parametrize("multiple", [8, 1])
+    def test_summary_reports_seconds_and_kept_bytes(self, tmp_path,
+                                                    monkeypatch, multiple):
+        """kept_bytes is what the matrix keeps after the solves, within
+        its cap, also when a lowered cap binds."""
+        monkeypatch.setattr(sparse, "GRAM_CACHE_INPUT_MULTIPLE", multiple)
+        cfg = small_lasso_cfg(
+            tmp_path, data=SynthSpec(CorrelatedLasso(n=300, d=30), seed=1),
+            lam=0.1, max_iters=400)
+        t0 = time.perf_counter()
+        summary = run_experiment(cfg)
+        elapsed = time.perf_counter() - t0
+        assert 0.0 <= summary["load_seconds"] <= summary["seconds"] \
+            <= elapsed
+        M = harness.build_problem(cfg)[0].matrix
+        cap = multiple * (M.values.nbytes + M.row_indices.nbytes)
+        assert 0 < summary["kept_bytes"] <= cap
+        if multiple == 1:  # the cap binds: no room for one more column
+            assert summary["kept_bytes"] > cap - 8 * M.n_cols
+        saved = json.load(open(cfg.out + ".json"))
+        assert saved["kept_bytes"] == summary["kept_bytes"]
+        assert saved["seconds"] == summary["seconds"]
 
     def test_csv_rows_are_the_summary_rows(self, tmp_path):
         cfg = ExperimentConfig(
@@ -132,25 +161,25 @@ class TestRunExperiment:
         error = summary["errors"]["bad"]
         assert repr(engine) in error and repr(backend) in error
 
-    def test_svm_polish_stops_at_round_off(self, monkeypatch):
-        polished = []
-        descend = harness._descend
-
-        def counting(*args, **kwargs):
-            status, counters, t_last = descend(*args, **kwargs)
-            polished.append((status, counters["good"] + counters["bad"]
-                             + counters["cross"]))
-            return status, counters, t_last
-
-        monkeypatch.setattr(harness, "_descend", counting)
+    def test_svm_run_certified_without_a_polish(self, monkeypatch):
+        """run_experiment takes no steps of its own after the solves: the
+        F* interval comes from the runs' duality gaps."""
+        extra = []
+        monkeypatch.setattr(harness, "_descend",
+                            lambda *args, **kwargs: extra.append(1))
         cfg = ExperimentConfig(
             problem="svm", data=SynthSpec(RandomSvm(200, 20, 0.1), seed=0),
-            runs=[RunSpec("gs-s")], lam=0.05, max_iters=200_000, tol=1e-5)
+            runs=[RunSpec("gs-s"), RunSpec("uniform", rule="uniform")],
+            lam=0.05, max_iters=200_000, tol=1e-5)
         summary = run_experiment(cfg)
-        [(status, steps)] = polished
-        assert status == "tol"
-        assert steps < 200_000  # of a budget of 2,000,000
-        assert summary["f_star"] <= summary["runs"]["gs-s"]["final_f"]
+        assert extra == []
+        for info in summary["runs"].values():
+            assert info["status"] == "tol"
+            assert info["gap"] >= 0.0
+            assert summary["f_lower"] <= info["final_f"]
+        assert summary["f_lower"] == max(
+            info["final_f"] - info["gap"]
+            for info in summary["runs"].values())
 
     def test_svm_gap_computed_once_per_state(self, monkeypatch):
         calls = []
@@ -567,6 +596,23 @@ class TestCli:
                                         "--line-search", "no"])
         assert cfg.normalize is True
         assert cfg.runs[0].use_line_search is False
+
+    def test_prints_each_gap_and_the_interval(self, tmp_path, capsys):
+        out = str(tmp_path / "gaps")
+        code = main(["--problem", "svm", "--synthetic", "svm:n=60,d=8",
+                     "--rule", "gs-s,uniform", "--max-iters", "2000",
+                     "--tol", "1e-6", "--out", out])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        summary = json.load(open(out + ".json"))
+        assert len(lines) == 3
+        for line, (name, info) in zip(lines, summary["runs"].items()):
+            assert line.startswith("%s: status=%s " % (name, info["status"]))
+            assert line.endswith(" gap=%.3g" % info["gap"])
+        lo, hi = re.fullmatch(r"F\* in \[(\S+), (\S+)\]", lines[2]).groups()
+        assert float(lo) <= float(hi)
+        assert (lo, hi) == ("%.10g" % summary["f_lower"],
+                            "%.10g" % summary["f_upper"])
 
     def test_multi_rule_comparison(self, tmp_path, capsys):
         code = main(["--problem", "lasso", "--synthetic", "diag:4,2,1",

@@ -181,7 +181,11 @@ class TestDualityGap:
         assert duality_gap(p, tr.final_state) <= 1e-6
 
     def test_wrong_loss(self, rng):
-        p = random_problem("lasso", rng)
+        """On the box only the SVM dual has a gap; every L1 pairing has
+        one (tests/test_duality_gaps.py)."""
+        M = SparseColMatrix.from_dense(rng.standard_normal((6, 10)))
+        p = CompositeProblem(M, np.full(10, -0.1),
+                             SquaredResidual(rng.standard_normal(6)), Box())
         with pytest.raises(TypeError):
             duality_gap(p, IterateState.zeros(p))
 
@@ -189,7 +193,8 @@ class TestDualityGap:
                                         (-0.1, L1(0.1))])
     def test_refuses_another_linear_term_or_regularizer(self, rng, off, reg):
         """The gap is the box's Frank-Wolfe gap only with c = -(1/n) 1; any
-        other term once gave one answer with a kept F and another without."""
+        other term once gave one answer with a kept F and another without.
+        An L1 regularizer takes the Fenchel gap, which needs c = 0."""
         c = np.full(10, -0.1)
         if off is None:
             c[3] = np.nextafter(-0.1, 0.0)  # one entry one ulp off
@@ -199,8 +204,10 @@ class TestDualityGap:
         p = CompositeProblem(M, c, DualSVM(0.5), reg)
         s = random_state(p, rng, box=True)
         s.track_objective(p)
+        expected = r"c = -\(1/n\) 1 = -0\.1" if reg.kind == "box" \
+            else r"linear term c = 0 in every entry"
         for state in (s, IterateState.zeros(p)):
-            with pytest.raises(ValueError, match=r"c = -\(1/n\) 1 = -0\.1"):
+            with pytest.raises(ValueError, match=expected):
                 duality_gap(p, state)
         if reg.kind == "box":
             with pytest.raises(ValueError, match="linear term"):

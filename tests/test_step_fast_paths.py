@@ -285,9 +285,11 @@ def test_duality_gap_matches_the_benchmarks_certificate(rule, line_search):
     trace = solve_box(p, SolverConfig(rule=rule, use_line_search=line_search,
                                       tol=1e-5, max_iters=100_000))
     assert trace.status == "tol"
-    alpha = trace.final_state.alpha
-    _, gap = certify.svm_gap(certify.csc_of(p.matrix), lam, alpha)
-    assert duality_gap(p, trace.final_state) == pytest.approx(gap, rel=1e-10)
+    s = trace.final_state
+    _, gap = certify.svm_gap(certify.csc_of(p.matrix), lam, s.alpha)
+    assert duality_gap(p, s) == pytest.approx(gap, rel=1e-10)
+    s.track_gradient(p)  # read off the kept g
+    assert duality_gap(p, s) == pytest.approx(gap, rel=1e-10)
 
 
 def reference_change(p, s, j, delta):
