@@ -9,24 +9,24 @@ import io
 import itertools
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import smips as sm
 from .data_io import (SynthSpec, fold_labels, gen_synthetic, normalize_columns,
                       parse_libsvm, regression_view, train_test_split)
-# full_grad, subgrad_score and coord_grad stay importable from here:
-# instrumentation wraps them by these names
-from .objectives import (IterateState, apply_coord_delta, coord_grad,
-                         duality_gap, full_grad, make_elastic_net,
-                         make_lasso, make_logistic, make_svm_dual,
-                         objective_value, subgrad_score)
+# apply_coord_delta, coord_grad, full_grad, objective_value and subgrad_score
+# stay importable from here: instrumentation wraps them by these names
+from .objectives import (apply_coord_delta, coord_grad, duality_gap,
+                         full_grad, make_elastic_net, make_lasso,
+                         make_logistic, make_svm_dual, objective_value,
+                         subgrad_score)
 from .selection import Rule
-# _polish runs the solvers' step loop itself, not solve_l1/solve_box:
+# _polish and adaptivity_report solve through _solve, not solve_l1/solve_box:
 # instrumentation counts each call of those as a solve
-from .solver import (KINDS, SmipsEngine, SolverConfig, _descend,
-                     _steps_for, solve_box, solve_l1)
+from .solver import KINDS, SmipsEngine, SolverConfig, _solve, solve_box, \
+    solve_l1
 
 __all__ = ["RunSpec", "ExperimentConfig", "build_problem", "run_experiment",
            "adaptivity_report", "emit_plot_csv", "CSV_HEADER"]
@@ -160,19 +160,11 @@ def _write_csv(fh, header, rows, lineterminator="\r\n"):
 # instrumentation wraps it by this name, and tests check the duality gaps
 # against it as a slow reference
 def _polish(p, state, iters):
-    """Extra exact steepest steps from a state copy; returns the best value.
-
-    The steps stop once the steepest score is at round-off, and keep
-    neither the objective nor step records.
-    """
-    s = IterateState(alpha=state.alpha.copy(), residual=state.residual.copy(),
-                     nnz=state.nnz)
-    s.track_gradient(p)
+    """The objective after at most `iters` exact steepest steps from a copy
+    of state, which stop once the steepest score, or an SVM dual's duality
+    gap, is at round-off."""
     cfg = SolverConfig(max_iters=iters, tol=1e-14)
-    steps = _steps_for(p, cfg)
-    steps.check_gap = False  # an SVM gap check reads all n examples a step
-    _descend(p, s, steps, cfg)
-    return objective_value(p, s)
+    return float(_solve(p, cfg, start=state).f_values[-1])
 
 
 def _test_accuracy(p, state, test, problem):
@@ -289,9 +281,11 @@ def adaptivity_report(cfg):
 
     Logs the exact max inner product over all points, the exact max over the
     live candidate subset, and the hashing engine's answers over both, while
-    the iteration itself follows the exact subset answer. Requires exactly
-    one configured run with the "lsh" backend, taken as a solve takes it:
-    engine "smips", rule gs-s, and its steps as the run sets them.
+    the solvers' step loop follows the exact subset answer, which a selector
+    logging each row gives it; a stop at tol logs the final iterate's row.
+    Requires exactly one configured run with the "lsh" backend, taken as a
+    solve takes it: engine "smips", rule gs-s, and its steps as the run
+    sets them.
     """
     cfg.validate()
     lsh_runs = [r for r in cfg.runs if r.backend == "lsh"]
@@ -304,10 +298,14 @@ def adaptivity_report(cfg):
     points, lsh = engine.points, engine.backend
     all_mask = sm.SubsetMask(included=np.ones(points.n_points, dtype=bool),
                              kind=engine.kind)
-    s = IterateState.zeros(p)
-    step = _steps_for(p, scfg).step
-    rows = []
-    for t in range(cfg.max_iters):
+    rows, picked = [], None
+
+    def four_way(p, s):
+        """Log the four searches at s, once the mask has taken the previous
+        pick's move; the exact subset answer's coordinate."""
+        nonlocal picked
+        if picked is not None:
+            engine.note_step(picked, float(s.alpha[picked]))
         q = engine.query(p, s)
         pid_m, exact_mask, _ = sm.smips_query(points, q, engine.mask,
                                               sm.Exact())
@@ -315,17 +313,18 @@ def adaptivity_report(cfg):
         _, lsh_all, fb_a = sm.smips_query(points, q, all_mask, lsh)
         _, lsh_mask, fb_m = sm.smips_query(points, q, engine.mask, lsh)
         ratio = lsh_mask / exact_mask if exact_mask > 0 else None
-        rows.append({"iter": t, "exact_all": exact_all,
+        rows.append({"iter": len(rows), "exact_all": exact_all,
                      "exact_mask": exact_mask, "lsh_all": lsh_all,
                      "lsh_mask": lsh_mask, "ratio": ratio,
                      "fell_back": int(fb_a or fb_m)})
-        if exact_mask <= cfg.tol:
-            break
-        j, _ = sm.point_to_coordinate(points, pid_m)
-        aj = float(s.alpha[j])
-        _, new = step(p, s, j, aj)
-        apply_coord_delta(p, s, j, new - aj)
-        engine.note_step(j, new)
+        picked, _ = sm.point_to_coordinate(points, pid_m)
+        return picked
+
+    trace = _solve(p, replace(
+        scfg, engine="exact", selector=four_way, record_gap=False,
+        record_theta=False))
+    if trace.status != "max_iters":
+        four_way(p, trace.final_state)
     ratios = [r["ratio"] for r in rows if r["ratio"] is not None]
     report = {"rows": rows,
               "median_ratio": float(np.median(ratios)) if ratios else None,

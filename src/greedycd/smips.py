@@ -33,9 +33,8 @@ BOX_TAGS = ("+A", "-A")
 
 @dataclass
 class AugmentedPointSet:
-    points: np.ndarray        # (m, dim)
-    coord_of: np.ndarray      # point id -> data column
-    tag_of: tuple             # point id -> construction tag
+    points: np.ndarray        # (m, dim), column j's at ids k*j .. k*j+k-1
+    tags: tuple               # the k construction tags, in that id order
     beta: float
 
     @property
@@ -84,9 +83,7 @@ def build_l1_points(A, c, beta):
     base[:, 0] = -beta                     # now A~-
     pts[2::4] = base                       # +A~-
     pts[3::4] = -base                      # -A~-
-    coord_of = np.repeat(np.arange(n), 4)
-    tag_of = L1_TAGS * n
-    return AugmentedPointSet(pts, coord_of, tag_of, beta)
+    return AugmentedPointSet(pts, L1_TAGS, beta)
 
 
 def build_l1_query(gl, lam, beta):
@@ -129,9 +126,7 @@ def build_box_points(A, c, beta):
     pts = np.empty((2 * n, d + 1))
     pts[0::2] = base
     pts[1::2] = -base
-    coord_of = np.repeat(np.arange(n), 2)
-    tag_of = BOX_TAGS * n
-    return AugmentedPointSet(pts, coord_of, tag_of, beta)
+    return AugmentedPointSet(pts, BOX_TAGS, beta)
 
 
 def require_uniform_linear_term(c):
@@ -159,7 +154,7 @@ def build_box_mask(alpha):
     return SubsetMask(included=inc, kind="box")
 
 
-def update_mask_after_step(m, j, old_val, new_val):
+def update_mask_after_step(m, j, new_val):
     """Refresh the (at most 4) mask bits of coordinate j after a step."""
     if m.kind == "l1":
         m.included[4 * j:4 * j + 4] = _l1_pattern(new_val)
@@ -171,9 +166,11 @@ def update_mask_after_step(m, j, old_val, new_val):
 
 
 def point_to_coordinate(ps, pid):
+    """(data column, construction tag) of a point id."""
     if not 0 <= pid < ps.n_points:
         raise IndexError("point id %d out of range" % pid)
-    return int(ps.coord_of[pid]), ps.tag_of[pid]
+    j, k = divmod(int(pid), len(ps.tags))
+    return j, ps.tags[k]
 
 
 def _pack_bits(bits):

@@ -72,7 +72,7 @@ class SolverConfig:
     trace_every: int = 1
     selector: object = None         # callable (problem, state) -> coordinate
     record_theta: bool = False
-    record_gap: bool = False        # per-step duality gap (SVM dual only)
+    record_gap: bool = False        # per-step duality gap
 
     def validate(self):
         if self.tol < 0:
@@ -100,7 +100,7 @@ class StepRecord:
     fell_back: bool
     wall_ns: int  # time since the previous record, or since the solve began
     nnz: int = 0
-    gap: float = None  # SVM duality gap, recorded on request only
+    gap: float = None  # duality gap, recorded on request only
 
 
 class _Records:
@@ -254,23 +254,24 @@ class SmipsEngine:
         return SelectionOutcome(coord=j, score=val, fell_back=fb)
 
     def note_step(self, j, new_val):
-        sm.update_mask_after_step(self.mask, j, None, new_val)
+        sm.update_mask_after_step(self.mask, j, new_val)
 
 
 class _Steps:
     """What one regularizer's loop does differently: its steepest score and
     stop check, its uniform draw and its step. `check_every` and `checks`
-    set the stop-check cadence; `keeps_grad` says whether the loop keeps
-    the full gradient current; `screen`, when not None, settles the uniform
-    draws that leave alpha as it is."""
+    set the stop-check cadence; `check_gap` and `record_gap` say whether
+    the loop stops on and records the duality gap; `keeps_grad` says
+    whether it keeps the full gradient current; `screen`, when not None,
+    settles the uniform draws that leave alpha as it is."""
 
-    check_gap = record_gap = False
-    screen = None
+    check_gap = screen = None
 
     def __init__(self, p, cfg):
         self.L = p.smoothness
         self.prox = p.reg.prox
         self.line_search = cfg.use_line_search
+        self.record_gap = cfg.record_gap
         self.rng = np.random.default_rng(cfg.seed)
 
 
@@ -398,9 +399,7 @@ class _BoxSteps(_Steps):
     def __init__(self, p, cfg, engine=None):
         super().__init__(p, cfg)
         self.check_every = max(1, p.n) if engine is not None else 1
-        gap = p.loss.has_gap
-        self.check_gap = gap and cfg.tol > 0
-        self.record_gap = gap and cfg.record_gap
+        self.check_gap = p.loss.has_gap and cfg.tol > 0
         self.interior = self.sign = self.scores = None
         self.moved = None  # the last step's coordinate, until re-read
 
@@ -467,14 +466,13 @@ def _make_engine(p, cfg):
     return None if engine.is_exact else engine
 
 
-def _descend(p, s, steps, cfg, engine=None, records=None, t_last=0):
-    """The step loop of both solvers and of harness._polish.
+def _descend(p, s, steps, cfg, records, engine=None, t_last=0):
+    """The step loop, which _solve alone enters.
 
     Takes at most cfg.max_iters steps from s by the hashing engine,
-    cfg.selector or cfg.rule, with the stop checks and steps of `steps`.
-    When records is a _Records, records a step every cfg.trace_every steps
-    and the last step. Returns (status, counters, time of the last
-    record).
+    cfg.selector or cfg.rule, with the stop checks and steps of `steps`,
+    and records in `records` a step every cfg.trace_every steps and the
+    last step. Returns (status, counters, time of the last record).
 
     Uniform draws that the steps' screen settles from the kept gradient
     are booked in bulk as good steps that move nothing, in runs that end
@@ -491,7 +489,7 @@ def _descend(p, s, steps, cfg, engine=None, records=None, t_last=0):
     screen = steps.screen if rule is Rule.UNIFORM and selector is None \
         and not record_theta and s.grad is not None else None
     clock = time.perf_counter_ns
-    add_row = None if records is None else records.rows.append
+    add_row = records.rows.append
     status = "max_iters"
     pending = None  # the last step's row, while it is not recorded
     known_gap = None  # the duality gap of the iterate as it is, once read
@@ -528,20 +526,20 @@ def _descend(p, s, steps, cfg, engine=None, records=None, t_last=0):
             if k:
                 counters[GOOD] += k
                 counters["screened"] += k
-                if records is not None:
-                    f, nnz = s.objective, s.nnz
-                    first = t + (-t) % trace_every
-                    if first < t + k:
-                        records.runs.append(settled[first - t::trace_every])
-                        now = clock()
-                        add_row((len(records.runs[-1]), first, -1,
-                                 KIND_CODE[GOOD], f, 1.0, False,
-                                 now - t_last, nnz))
-                        t_last = now
-                    last = t + k - 1
-                    pending = None if last % trace_every == 0 else \
-                        (1, last, int(settled[-1]), KIND_CODE[GOOD], f, 1.0,
-                         False, 0, nnz)
+                f, nnz = s.objective, s.nnz
+                first = t + (-t) % trace_every
+                if first < t + k:
+                    records.runs.append(settled[first - t::trace_every])
+                    now = clock()
+                    row = (len(records.runs[-1]), first, -1, KIND_CODE[GOOD],
+                           f, 1.0, False, now - t_last, nnz)
+                    # nothing moves in a run, so one gap holds for all of it
+                    add_row(row + (gap_now(),) if record_gap else row)
+                    t_last = now
+                last = t + k - 1
+                pending = None if last % trace_every == 0 else \
+                    (1, last, int(settled[-1]), KIND_CODE[GOOD], f, 1.0,
+                     False, 0, nnz)
                 t += k
                 if t == end:
                     continue  # a stop check or the end comes first
@@ -570,16 +568,15 @@ def _descend(p, s, steps, cfg, engine=None, records=None, t_last=0):
 
         counters[kind] += 1
         counters["fallback"] += int(fell_back)
-        if records is not None:
-            if t % trace_every:
-                pending = (1, t, j, KIND_CODE[kind], s.objective, theta,
-                           fell_back, 0, s.nnz)
-            else:
-                now = clock()
-                row = (1, t, j, KIND_CODE[kind], s.objective, theta,
-                       fell_back, now - t_last, s.nnz)
-                add_row(row + (gap_now(),) if record_gap else row)
-                t_last, pending = now, None
+        if t % trace_every:
+            pending = (1, t, j, KIND_CODE[kind], s.objective, theta,
+                       fell_back, 0, s.nnz)
+        else:
+            now = clock()
+            row = (1, t, j, KIND_CODE[kind], s.objective, theta, fell_back,
+                   now - t_last, s.nnz)
+            add_row(row + (gap_now(),) if record_gap else row)
+            t_last, pending = now, None
         t += 1
     if pending is not None:
         # nothing moved the iterate since this step, so its gap is current
@@ -587,11 +584,14 @@ def _descend(p, s, steps, cfg, engine=None, records=None, t_last=0):
     return status, counters, t_last
 
 
-def _solve(p, cfg):
+def _solve(p, cfg, start=None):
+    """The trace of a solve from alpha = 0, or from a copy of the state
+    `start`: the one way into the step loop."""
     cfg.validate()
     engine = _make_engine(p, cfg)
     t_last = time.perf_counter_ns()  # an index build is reported apart
-    s = IterateState.zeros(p)
+    s = IterateState.zeros(p) if start is None else IterateState(
+        start.alpha.copy(), start.residual.copy(), start.nnz)
     if engine is not None:
         engine.reset_mask(s.alpha)
     steps = _steps_for(p, cfg, engine)
@@ -600,7 +600,7 @@ def _solve(p, cfg):
     s.track_objective(p)
     f0 = s.objective
     records = _Records(cfg.trace_every)
-    status, counters, t_last = _descend(p, s, steps, cfg, engine, records,
+    status, counters, t_last = _descend(p, s, steps, cfg, records, engine,
                                         t_last)
     # the last record's objective is recomputed exactly, and it takes the
     # time since the previous record, the stop check included

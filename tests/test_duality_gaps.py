@@ -7,7 +7,8 @@
 - On random states it must be nonnegative, and F - gap must stay below
   what harness._polish reaches from the same state (weak duality).
 - L1-type problems with a nonzero linear term are refused.
-- A solve of an L1-type problem never evaluates the gap.
+- A solve of an L1-type problem evaluates the gap only when asked to
+  record it.
 - run_experiment reports each run's gap at its final state.
 
 The library and the certificates each subtract a dual value from F, so
@@ -173,16 +174,24 @@ def test_nonzero_linear_term_refused(rng, loss, reg):
 
 @pytest.mark.parametrize("kind", ["lasso", "elasticnet", "logistic"])
 def test_l1_solves_never_evaluate_the_gap(rng, monkeypatch, kind):
+    """Unless asked to record it: then once per record at most."""
     calls = []
     gap = solver.duality_gap
     monkeypatch.setattr(solver, "duality_gap",
                         lambda p, s: calls.append(1) or gap(p, s))
     p = random_problem(kind, rng)
-    for rule in (Rule.GSS, Rule.UNIFORM):
+    for rule in RULES:
         trace = solve_l1(p, SolverConfig(rule=rule, tol=1e-6,
-                                         max_iters=500, record_gap=True))
+                                         max_iters=500))
         assert "gap" not in trace.columns
     assert calls == []
+    records = 0
+    for rule in RULES:
+        trace = solve_l1(p, SolverConfig(rule=rule, tol=1e-6,
+                                         max_iters=500, record_gap=True))
+        assert len(trace.columns["gap"]) == trace.n_steps
+        records += trace.n_steps
+    assert 0 < len(calls) <= records
 
 
 def test_svm_summary_gap_is_the_certificate(tmp_path, monkeypatch):

@@ -164,15 +164,22 @@ class TestRunExperiment:
     def test_svm_run_certified_without_a_polish(self, monkeypatch):
         """run_experiment takes no steps of its own after the solves: the
         F* interval comes from the runs' duality gaps."""
-        extra = []
-        monkeypatch.setattr(harness, "_descend",
-                            lambda *args, **kwargs: extra.append(1))
+        polishes, descents = [], []
+        monkeypatch.setattr(harness, "_polish",
+                            lambda *args: polishes.append(1))
+        descend = solver._descend
+
+        def counting(*args, **kwargs):
+            descents.append(1)
+            return descend(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_descend", counting)
         cfg = ExperimentConfig(
             problem="svm", data=SynthSpec(RandomSvm(200, 20, 0.1), seed=0),
             runs=[RunSpec("gs-s"), RunSpec("uniform", rule="uniform")],
             lam=0.05, max_iters=200_000, tol=1e-5)
         summary = run_experiment(cfg)
-        assert extra == []
+        assert polishes == [] and descents == [1, 1]  # the two solves
         for info in summary["runs"].values():
             assert info["status"] == "tol"
             assert info["gap"] >= 0.0

@@ -18,14 +18,23 @@ class TestPointLayout:
         ps = l1_setup(p)
         assert ps.n_points == 4 * p.n
         assert ps.dim == p.d + 2
-        assert ps.tag_of[:4] == ("+A+", "-A+", "+A-", "-A-")
+        assert [sm.point_to_coordinate(ps, pid)
+                for pid in range(ps.n_points)] == \
+            [(j, tag) for j in range(p.n)
+             for tag in ("+A+", "-A+", "+A-", "-A-")]
         assert sm.point_to_coordinate(ps, 9) == (2, "-A+")
+        for pid in (-1, ps.n_points):
+            with pytest.raises(IndexError):
+                sm.point_to_coordinate(ps, pid)
 
     def test_box_shapes(self, rng):
         p = random_problem("svm", rng, n=5, d=4)
         ps = sm.build_box_points(p.matrix, p.linear_term, 2.0)
         assert ps.n_points == 2 * p.n
         assert ps.dim == p.d + 1
+        assert [sm.point_to_coordinate(ps, pid)
+                for pid in range(ps.n_points)] == \
+            [(j, tag) for j in range(p.n) for tag in ("+A", "-A")]
         assert sm.point_to_coordinate(ps, 7) == (3, "-A")
 
     def test_point_id_out_of_range(self, rng):
@@ -103,7 +112,7 @@ class TestMasks:
             j = int(rng.integers(15))
             new = float(rng.standard_normal()) if rng.random() > 0.3 else 0.0
             alpha[j] = new
-            sm.update_mask_after_step(m, j, None, new)
+            sm.update_mask_after_step(m, j, new)
             np.testing.assert_array_equal(m.included,
                                           sm.build_l1_mask(alpha).included)
 
@@ -114,7 +123,7 @@ class TestMasks:
             j = int(rng.integers(10))
             new = float(rng.choice([0.0, 1.0, rng.uniform(0, 1)]))
             alpha[j] = new
-            sm.update_mask_after_step(m, j, None, new)
+            sm.update_mask_after_step(m, j, new)
             np.testing.assert_array_equal(m.included,
                                           sm.build_box_mask(alpha).included)
 

@@ -102,8 +102,10 @@ def test_points_are_built_on_first_read(kind):
     want = build(p.matrix, p.linear_term, 0.7)
     got = engine.points
     np.testing.assert_array_equal(got.points, want.points)
-    np.testing.assert_array_equal(got.coord_of, want.coord_of)
-    assert (got.tag_of, got.beta) == (want.tag_of, want.beta)
+    assert [sm.point_to_coordinate(got, pid) for pid in range(got.n_points)] \
+        == [sm.point_to_coordinate(want, pid)
+            for pid in range(want.n_points)]
+    assert (got.tags, got.beta) == (want.tags, want.beta)
     assert engine.points is got
     # no points to build, but a bad beta is still refused at once
     with pytest.raises(ValueError, match="beta"):

@@ -9,8 +9,7 @@ replaces.
   runs past several refreshes, when a move leaves alpha_j one ulp off a
   bound, and at the buffer's edge cases: an empty set, a zero best, a NaN,
   ties and signed zeros.
-- Their bookkeeping must stay bounded when only `step` is called, as
-  adaptivity_report does.
+- Their bookkeeping must stay bounded when only `step` is called.
 - duality_gap must match the hinge primal less the dual from a fresh
   matvec, and the benchmark's own certificate at solves' final states.
 - The objective change read off a step's column must equal the one computed
@@ -25,9 +24,9 @@ import numpy as np
 import pytest
 
 from conftest import random_matrix, random_problem, random_state
-from greedycd import harness, objectives, solver
+from greedycd import objectives, solver
 from greedycd.data_io import RandomSvm, SynthSpec, fold_labels, gen_synthetic
-from greedycd.harness import ExperimentConfig, RunSpec, _polish
+from greedycd.harness import _polish
 from greedycd.objectives import (Box, CompositeProblem, ElasticNetL1,
                                  IterateState, L1, Logistic,
                                  apply_coord_delta, coord_grad, duality_gap,
@@ -132,34 +131,23 @@ def footprint(obj):
                if isinstance(v, (list, tuple, dict, set, np.ndarray)))
 
 
-def test_bookkeeping_bounded_when_only_step_is_called(monkeypatch):
-    made, sizes, seen = [], [], []
-    steps_for = harness._steps_for
-
-    def recording(p, cfg, engine=None):
-        steps = steps_for(p, cfg, engine)
-        step = steps.step
-
-        def counted(p, s, j, aj):
-            sizes.append(footprint(steps))
-            seen.append(s)
-            return step(p, s, j, aj)
-        steps.step = counted
-        made.append(steps)
-        return steps
-
-    monkeypatch.setattr(harness, "_steps_for", recording)
-    cfg = ExperimentConfig(
-        problem="svm", data=SynthSpec(RandomSvm(n=60, d=10), 0),
-        runs=[RunSpec("l", engine="smips", backend="lsh", lsh_bits=6,
-                      lsh_tables=4)],
-        lam=0.1, max_iters=400, tol=0.0)
-    report = harness.adaptivity_report(cfg)
-    assert len(made) == 1 and len(report["rows"]) == 400
-    assert len(sizes) == 400
+def test_bookkeeping_bounded_when_only_step_is_called():
+    p = make_svm_dual(fold_labels(gen_synthetic(SynthSpec(
+        RandomSvm(n=60, d=10), 0))), 0.1)
+    s = IterateState.zeros(p)
+    steps = solver._steps_for(p, SolverConfig(tol=0.0))
+    rng = np.random.default_rng(0)
+    sizes = []
+    for _ in range(400):
+        j = int(rng.integers(p.n))
+        aj = float(s.alpha[j])
+        sizes.append(footprint(steps))
+        _, new = steps.step(p, s, j, aj)
+        apply_coord_delta(p, s, j, new - aj)
     assert max(sizes) == sizes[1]  # nothing grows with the steps taken
     # what is kept is still current for a check that would follow
-    steps, alpha = made[0], seen[-1].alpha
+    alpha = s.alpha
+    assert ((alpha > 0) & (alpha < 1)).any() and (alpha == 0).any()
     steps._sync(alpha)
     np.testing.assert_array_equal(steps.interior, (alpha > 0) & (alpha < 1))
     np.testing.assert_array_equal(steps.sign,
@@ -181,7 +169,8 @@ def box_state(alpha, grad):
 
 def stop_status(p, s, steps):
     """The status of a one-step descent from the state at tol 0."""
-    return solver._descend(p, s, steps, SolverConfig(tol=0.0, max_iters=1))[0]
+    return solver._descend(p, s, steps, SolverConfig(tol=0.0, max_iters=1),
+                           solver._Records(1))[0]
 
 
 def test_check_on_an_empty_active_set():

@@ -18,7 +18,7 @@ from greedycd import solver
 from greedycd.data_io import CorrelatedLasso, RandomSvm, SynthSpec
 from greedycd.harness import (CSV_HEADER, ExperimentConfig, RunSpec,
                               run_experiment)
-from greedycd.objectives import duality_gap, make_lasso
+from greedycd.objectives import CompositeProblem, duality_gap, make_lasso
 from greedycd.selection import Rule
 from greedycd.solver import (COLUMNS, StepRecord, SolverConfig, _Records,
                              solve_box, solve_l1)
@@ -54,11 +54,30 @@ def test_l1_record_types(rule, every):
                        lam=0.3)
     tr = solve_l1(p, SolverConfig(rule=rule, max_iters=900, tol=0.0,
                                   trace_every=every, record_gap=True))
-    assert field_types(tr) == {L1_TYPES}
-    assert "gap" not in tr.columns
+    assert field_types(tr) == {GAP_TYPES}
+    assert tr.columns["gap"][-1] == pytest.approx(
+        duality_gap(p, tr.final_state), rel=1e-9, abs=1e-12)
     assert tr.n_steps == len(tr.records) == len(tr.f_values) - 1
     if every == 1:
         assert_kinds_counted(tr)
+
+
+@pytest.mark.parametrize("rule", [Rule.GSS, Rule.UNIFORM])
+def test_l1_gap_needs_a_zero_linear_term(monkeypatch, rule):
+    """An L1 problem with c != 0 has no gap: asked to record one, the solve
+    raises duality_gap's error at its first record."""
+    q = random_problem("lasso", np.random.default_rng(2), n=40, d=15,
+                       lam=0.3)
+    c = np.zeros(q.n)
+    c[3] = 0.25
+    p = CompositeProblem(q.matrix, c, q.loss, q.reg)
+    calls = []
+    gap = solver.duality_gap
+    monkeypatch.setattr(solver, "duality_gap",
+                        lambda p, s: calls.append(1) or gap(p, s))
+    with pytest.raises(ValueError, match="linear term c = 0"):
+        solve_l1(p, SolverConfig(rule=rule, max_iters=50, record_gap=True))
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("record_gap", [False, True])
