@@ -36,7 +36,7 @@ class _QuadraticLoss:
     exact quadratic and the gradient by a Gram column, and the 1-d minimizer
     is the regularizer's prox at the column's own curvature."""
 
-    has_gap = False  # whether the box loop stops on duality_gap
+    has_gap = False  # whether the box loop stops on the duality gap
 
     def change(self, p, s, j, delta, read):
         """l(v + delta A_j) - l(v) from the column read at v: delta times
@@ -127,7 +127,7 @@ class Logistic:
     """l(v) = sum_i log(1 + exp(-v_i)), labels folded into the columns; the
     gradient moves by a row product over supp(A_j), and the 1-d minimizer
     is bisected."""
-    has_gap = False  # whether the box loop stops on duality_gap
+    has_gap = False  # whether the box loop stops on the duality gap
 
     def check(self, M):
         pass
@@ -219,13 +219,22 @@ class _L1Penalty:
         return self.lam * (abs(new) - abs(a))
 
     def change_vec(self, alpha, gamma):
-        return self.lam * (np.abs(alpha + gamma) - np.abs(alpha))
+        # lam * (|alpha + gamma| - |alpha|) in its own order, so its bits
+        out = np.add(alpha, gamma)
+        np.abs(out, out=out)
+        out -= np.abs(alpha)
+        return np.multiply(self.lam, out, out=out)
 
     def prox(self, x, h):
         return shrink(x, self.lam / h)
 
-    def prox_vec(self, x, h):
-        return np.sign(x) * np.maximum(np.abs(x) - self.lam / h, 0.0)
+    def prox_vec(self, x, h, out=None):
+        """sign(x) * max(|x| - lam/h, 0), written to out (which may be x)."""
+        over = np.abs(x)
+        over -= self.lam / h
+        np.maximum(over, 0.0, out=over)
+        sign = np.sign(x, out=out)
+        return np.multiply(sign, over, out=sign)
 
     def subgrad(self, x, g):
         return g + math.copysign(self.lam, x) if x else shrink(g, self.lam)
@@ -295,8 +304,10 @@ class Box:
     def prox(self, x, h):
         return min(1.0, max(0.0, x))
 
-    def prox_vec(self, x, h):
-        return np.clip(x, 0.0, 1.0)
+    def prox_vec(self, x, h, out=None):
+        """x clipped to [0, 1], written to out (which may be x)."""
+        out = np.maximum(x, 0.0, out=out)
+        return np.minimum(out, 1.0, out=out)
 
     def subgrad(self, x, g):
         # at a bound, the normal cone absorbs the part of g pointing out

@@ -55,10 +55,11 @@ class ActiveSet:
 
 
 def _argmax_abs(values):
-    """Lowest index attaining max |values|; returns (index, max_abs)."""
-    a = np.abs(values)
-    j = int(np.argmax(a))  # argmax returns the first maximizer
-    return j, float(a[j])
+    """Lowest index attaining max |values|; returns (index, max_abs). The
+    caller's own array values is overwritten by |values|."""
+    np.abs(values, out=values)
+    j = int(np.argmax(values))  # argmax returns the first maximizer
+    return j, float(values[j])
 
 
 def select_gss_l1(p, s, grad=None):
@@ -107,11 +108,15 @@ def select_gss_box(p, s, active=None, grad=None):
 
 
 def prox_step_lengths(p, s, grad=None):
-    """Closed-form proximal step length gamma_j for every coordinate."""
+    """Closed-form proximal step length gamma_j for every coordinate,
+    prox(alpha - g / L) - alpha, built in one buffer."""
     if grad is None:
         grad = current_grad(p, s)
     L = p.smoothness
-    return p.reg.prox_vec(s.alpha - grad / L, L) - s.alpha
+    x = grad / L
+    np.subtract(s.alpha, x, out=x)
+    gamma = p.reg.prox_vec(x, L, out=x)
+    return np.subtract(gamma, s.alpha, out=gamma)
 
 
 def select_gsr(p, s, grad=None):
@@ -122,13 +127,21 @@ def select_gsr(p, s, grad=None):
 
 
 def select_gsq(p, s, grad=None):
-    """argmax_j |chi_j|, the coordinate with the best 1-d model decrease."""
+    """argmax_j |chi_j|, the coordinate with the best 1-d model decrease:
+    chi = gamma g + L/2 gamma^2 plus the regularizer's change.
+
+    Scored in place in two buffers, gamma and chi (the L1 kinds' change
+    takes a third), by the same operations in the same order as the
+    expression, so the scores are its bits.
+    """
     if grad is None:
         grad = current_grad(p, s)
     gamma = prox_step_lengths(p, s, grad=grad)
-    L = p.smoothness
-    chi = gamma * grad + 0.5 * L * gamma**2 \
-        + p.reg.change_vec(s.alpha, gamma)
+    change = p.reg.change_vec(s.alpha, gamma)
+    chi = gamma * grad
+    np.square(gamma, out=gamma)
+    chi += np.multiply(0.5 * p.smoothness, gamma, out=gamma)
+    chi += change
     j, m = _argmax_abs(chi)
     return SelectionOutcome(coord=j, score=m)
 

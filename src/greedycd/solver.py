@@ -141,7 +141,9 @@ class Trace:
     holds the good/bad/cross step counts, LSH fallbacks, screened (the
     uniform steps settled by the screen, all good), max_f_drift (the
     largest change a recompute made to the kept objective, at a refresh or
-    at the last record) and, for loops that keep the full gradient current,
+    at the last record), max_gap_drift (the largest change a refresh made
+    to the SVM gap read off the box loop's kept sums; 0 where no sums are
+    kept) and, for loops that keep the full gradient current,
     grad_refreshes and max_grad_drift (the largest entrywise change a
     refresh made to the maintained gradient).
     """
@@ -266,6 +268,7 @@ class _Steps:
     settles the uniform draws that leave alpha as it is."""
 
     check_gap = screen = None
+    max_gap_drift = 0.0
 
     def __init__(self, p, cfg):
         self.L = p.smoothness
@@ -273,6 +276,10 @@ class _Steps:
         self.line_search = cfg.use_line_search
         self.record_gap = cfg.record_gap
         self.rng = np.random.default_rng(cfg.seed)
+
+    def gap(self, p, s):
+        """The duality gap of the iterate as it is."""
+        return duality_gap(p, s)
 
 
 class _L1Steps(_Steps):
@@ -390,6 +397,18 @@ class _BoxSteps(_Steps):
     and the score of select_gss_box over from_state's set, bitwise, and that
     set is (scores > 0) | interior. Otherwise (an empty set, a zero best or
     a NaN) select_gss_box answers over that set.
+
+    An SVM dual whose loop reads the gap (tol > 0 or record_gap) and keeps
+    g keeps the gap's two sums, A = sum_i alpha_i g_i and S = sum_i g_i,
+    from the solve's first step or read, where it also calls duality_gap
+    once for its refusals. The gap, duality_gap's sum_i alpha_i g_i +
+    max(-g_i, 0), is then A - (S - sum_i |g_i|) / 2: one pass writes |g|
+    into a buffer, which the same iterate's check reads at the interior,
+    and one sums it. A step that moves alpha_j by delta moves g by
+    delta/scale A^T A_j, so A by delta <A_j, nabla l(v)> (the dot its
+    coord_grad left on the state) plus delta times the new g_j, and S by
+    delta/scale (A^T A 1)_j. Each gradient refresh recomputes both sums,
+    and the largest change that makes to the gap is max_gap_drift.
     """
 
     kind = "box"
@@ -400,21 +419,63 @@ class _BoxSteps(_Steps):
         super().__init__(p, cfg)
         self.check_every = max(1, p.n) if engine is not None else 1
         self.check_gap = p.loss.has_gap and cfg.tol > 0
-        self.interior = self.sign = self.scores = None
+        self.keeps_gap = p.loss.has_gap and (cfg.tol > 0 or cfg.record_gap)
+        self.interior = self.sign = None
+        self.scores, self.abs_g = np.empty(p.n), np.empty(p.n)
+        self.abs_fresh = False  # whether abs_g is |g| at the iterate
         self.moved = None  # the last step's coordinate, until re-read
+        # [A, S], the refresh count they were computed at, and the last
+        # step's (j, alpha_j before it, its dot) until they take it
+        self.sums = self.sums_at = self.last_move = None
+        self.gram_sums = p.matrix.gram_row_sums() if self.keeps_gap \
+            else None
 
     def _sync(self, alpha):
         """Bring the bound state up to date with alpha."""
         if self.sign is None:
             self.interior = (alpha > 0) & (alpha < 1)
             self.sign = (alpha == 1).astype(float) - (alpha == 0)
-            self.scores = np.empty(len(alpha))
         elif self.moved is not None:
             j = self.moved
             a = float(alpha[j])
             self.interior[j] = 0 < a < 1
             self.sign[j] = float(a == 1) - float(a == 0)
         self.moved = None
+
+    def _recompute_sums(self, s):
+        g = s.grad
+        self.sums = [float(s.alpha @ g), float(g.sum())]
+        self.sums_at = s.grad_refreshes
+
+    def _sync_sums(self, p, s):
+        """Bring the kept sums up to date with the iterate."""
+        if self.sums is None:
+            duality_gap(p, s)  # refuses a linear term other than -(1/n) 1
+            self._recompute_sums(s)
+        elif self.last_move is not None:
+            j, aj, dot = self.last_move
+            self.last_move = None
+            sums = self.sums
+            delta = float(s.alpha[j]) - aj
+            if delta:
+                sums[0] += delta * dot + delta * float(s.grad[j])
+                sums[1] += delta * (1.0 / p.loss_scale) \
+                    * float(self.gram_sums[j])
+            if s.grad_refreshes != self.sums_at:
+                kept = sums[0] - 0.5 * sums[1]
+                self._recompute_sums(s)
+                fresh = self.sums[0] - 0.5 * self.sums[1]
+                self.max_gap_drift = max(self.max_gap_drift,
+                                         abs(fresh - kept))
+
+    def gap(self, p, s):
+        if not self.keeps_gap or s.grad is None:
+            return duality_gap(p, s)
+        self._sync_sums(p, s)
+        abs_g = np.abs(s.grad, out=self.abs_g)
+        self.abs_fresh = True
+        a, total = self.sums
+        return a - 0.5 * (total - float(abs_g.sum()))
 
     @property
     def members(self):
@@ -424,8 +485,11 @@ class _BoxSteps(_Steps):
     def steepest(self, p, s):
         self._sync(s.alpha)
         g, buf = s.grad, self.scores
+        if not self.abs_fresh:
+            np.abs(g, out=self.abs_g)
+            self.abs_fresh = True
         np.multiply(self.sign, g, out=buf)
-        np.putmask(buf, self.interior, np.abs(g))
+        np.putmask(buf, self.interior, self.abs_g)
         j = int(buf.argmax())  # argmax returns the first maximizer
         m = float(buf[j])
         if m > 0.0:
@@ -439,8 +503,13 @@ class _BoxSteps(_Steps):
     def step(self, p, s, j, aj):
         """(class, new alpha_j), classified against the pre-clip target."""
         self._sync(s.alpha)
-        self.moved = j
+        keeps_sums = self.keeps_gap and s.grad is not None
+        if keeps_sums:
+            self._sync_sums(p, s)
+        self.moved, self.abs_fresh = j, False
         raw = aj - coord_grad(p, s, j) / self.L
+        if keeps_sums:
+            self.last_move = (j, aj, s._read[4])
         new = line_search_1d(p, s, j) if self.line_search \
             else self.prox(raw, self.L)
         return classify_step_box(aj, raw), new
@@ -484,7 +553,7 @@ def _descend(p, s, steps, cfg, records, engine=None, t_last=0):
     record_theta, trace_every = cfg.record_theta, cfg.trace_every
     steepest, step, uniform = steps.steepest, steps.step, steps.uniform
     checks, check_every = steps.checks, steps.check_every
-    check_gap, record_gap = steps.check_gap, steps.record_gap
+    check_gap, record_gap, gap = steps.check_gap, steps.record_gap, steps.gap
     max_iters = cfg.max_iters
     screen = steps.screen if rule is Rule.UNIFORM and selector is None \
         and not record_theta and s.grad is not None else None
@@ -497,7 +566,7 @@ def _descend(p, s, steps, cfg, records, engine=None, t_last=0):
     def gap_now():
         nonlocal known_gap
         if known_gap is None:
-            known_gap = duality_gap(p, s)
+            known_gap = gap(p, s)
         return known_gap
 
     t = 0
@@ -610,7 +679,8 @@ def _solve(p, cfg, start=None):
         f_drift = max(f_drift, abs(f_last - s.objective))
         cols["wall_ns"][-1] += time.perf_counter_ns() - t_last
     counters.update(grad_refreshes=s.grad_refreshes,
-                    max_grad_drift=s.max_grad_drift, max_f_drift=f_drift)
+                    max_grad_drift=s.max_grad_drift, max_f_drift=f_drift,
+                    max_gap_drift=steps.max_gap_drift)
     s.untrack()  # a trace keeps its final state, not the kept gradient
     return Trace(f_initial=f0, columns=cols, counters=counters,
                  final_state=s, status=status, problem_kind=steps.kind)

@@ -3,8 +3,9 @@
 Everything downstream (coordinate gradients, residual maintenance, point-set
 extraction) is a column access, so the matrix is stored column-major. A
 matrix keeps what is derived from it for as long as it lives: a row-major
-copy for products over a few rows, and the Gram columns and row plans of
-the gradient updates, built on first use and shared by every solve of it.
+copy for products over a few rows, the Gram columns and row plans of the
+gradient updates, and the Gram matrix's row sums, built on first use and
+shared by every solve of it.
 Matrices are immutable after construction.
 """
 
@@ -103,6 +104,8 @@ class SparseColMatrix:
         # the kept Gram columns; per column, None after its first row update,
         # then its RowPlan, or False when it has none; the bytes of both
         self._gram, self._plans, self._kept_bytes = {}, {}, 0
+        # A^T A 1, built on its first read
+        self._gram_sums = None
 
     @property
     def n_cols(self):
@@ -282,6 +285,15 @@ class SparseColMatrix:
                 col.setflags(write=False)
                 self._gram[j] = col
         return col
+
+    def gram_row_sums(self):
+        """A^T (A 1), the row sums of the Gram matrix: one product each
+        way on the first call, then kept read-only with the matrix."""
+        if self._gram_sums is None:
+            sums = self._product_T(self.matvec(np.ones(self.n_cols)))
+            sums.setflags(write=False)
+            self._gram_sums = sums
+        return self._gram_sums
 
     def add_rows(self, g, j, weights):
         """g += sum_k weights[k] * A[rows[k], :], the rows being supp(A_j).

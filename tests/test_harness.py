@@ -70,6 +70,25 @@ class TestRunExperiment:
         assert saved["kept_bytes"] == summary["kept_bytes"]
         assert saved["seconds"] == summary["seconds"]
 
+    @pytest.mark.parametrize("problem", ["lasso", "svm"])
+    def test_phase_seconds_add_up_within_seconds(self, tmp_path, problem):
+        """The load, each solve, the certificates and the CSV are disjoint
+        parts of the summary's seconds."""
+        cfg = small_lasso_cfg(tmp_path, max_iters=400)
+        if problem == "svm":
+            cfg.problem, cfg.data = "svm", SynthSpec(RandomSvm(40, 5, 0.5),
+                                                     seed=4)
+        summary = run_experiment(cfg)
+        solves = [info["seconds"] for info in summary["runs"].values()]
+        phases = [summary["load_seconds"], summary["certify_seconds"],
+                  summary["csv_seconds"]]
+        assert len(solves) == 2 and min(solves + phases) > 0.0
+        assert sum(solves + phases) <= summary["seconds"]
+        saved = json.load(open(cfg.out + ".json"))
+        for key in ("certify_seconds", "csv_seconds", "seconds"):
+            assert saved[key] == summary[key]
+        assert [info["seconds"] for info in saved["runs"].values()] == solves
+
     def test_csv_rows_are_the_summary_rows(self, tmp_path):
         cfg = ExperimentConfig(
             problem="svm", data=SynthSpec(RandomSvm(40, 5, 0.5), seed=4),

@@ -1,0 +1,173 @@
+"""The SVM duality gap read off the box steps' kept sums, against
+duality_gap on the same state.
+
+A box loop that reads an SVM dual's gap keeps sum_i alpha_i g_i and
+sum_i g_i from step to step and recomputes them at each gradient refresh.
+- Every read must be within 1e-12 of duality_gap: for gs-s, gs-q and
+  uniform, with line search, under the hashing engine, at trace_every 7,
+  at tol 0 with record_gap, and from a mid-solve start.
+- max_gap_drift must stay bounded past at least three refreshes.
+- With the gap read by duality_gap instead, a solve must take the same
+  steps and record the same columns, bitwise, but the gap.
+- The solve keeps duality_gap's refusals, with one call of it.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import random_matrix, random_problem
+from greedycd import solver
+from greedycd.objectives import (CompositeProblem, IterateState,
+                                 duality_gap, make_svm_dual)
+from greedycd.selection import Rule
+from greedycd.smips import HyperplaneLsh
+from greedycd.solver import SolverConfig, _solve, solve_box
+
+STEPS = 3500  # three refreshes at RESIDUAL_REFRESH_EVERY = 1000
+CLOSE = 1e-12
+
+
+def svm_problem(seed, n=150, d=30, svm_lambda=1e-3):
+    rng = np.random.default_rng(seed)
+    labels = rng.choice([-1.0, 1.0], n)
+    return make_svm_dual(random_matrix(rng, d, n).scale_columns(labels),
+                         svm_lambda)
+
+
+@pytest.fixture
+def compared(monkeypatch):
+    """The kept gap at each read, after checking it against duality_gap on
+    the same state; a read that duality_gap answers counts as None."""
+    reads = []
+    kept = solver._BoxSteps.gap
+
+    def comparing(steps, p, s):
+        value = kept(steps, p, s)
+        assert abs(value - duality_gap(p, s)) <= CLOSE
+        reads.append(value if steps.sums is not None else None)
+        return value
+
+    monkeypatch.setattr(solver._BoxSteps, "gap", comparing)
+    return reads
+
+
+def assert_kept(trace, reads, at_least):
+    assert len(reads) >= at_least and None not in reads
+    c = trace.counters
+    assert c["grad_refreshes"] >= 3
+    assert 0.0 < c["max_gap_drift"] <= CLOSE
+
+
+@pytest.mark.parametrize("rule,line_search", [
+    (Rule.GSS, False), (Rule.GSQ, False), (Rule.UNIFORM, False),
+    (Rule.GSS, True), (Rule.UNIFORM, True)])
+def test_kept_gap_at_every_step(compared, rule, line_search):
+    p = svm_problem(0)
+    trace = solve_box(p, SolverConfig(rule=rule, use_line_search=line_search,
+                                      max_iters=STEPS, tol=1e-14, seed=2))
+    assert trace.status == "max_iters"
+    # the stop check reads the gap before every step
+    assert_kept(trace, compared, STEPS)
+
+
+def test_kept_gap_under_the_hashing_engine(compared):
+    p = svm_problem(1)
+    trace = solve_box(p, SolverConfig(engine="smips",
+                                      backend=HyperplaneLsh(3, 10, seed=0),
+                                      max_iters=STEPS, tol=1e-14))
+    assert trace.status == "max_iters"
+    assert_kept(trace, compared, STEPS)
+
+
+@pytest.mark.parametrize("every", [1, 7])
+def test_kept_gap_recorded_at_tol_zero(compared, every):
+    """At tol 0 only the records read the gap; the sums still take every
+    move, so each recorded gap is the whole trace's at that step."""
+    p = svm_problem(2)
+    trace = solve_box(p, SolverConfig(max_iters=STEPS, tol=0.0,
+                                      trace_every=every, record_gap=True))
+    assert_kept(trace, compared, STEPS // every)
+    np.testing.assert_array_equal(trace.columns["gap"], compared)
+    if every == 7:
+        whole = solve_box(p, SolverConfig(max_iters=STEPS, tol=0.0,
+                                          record_gap=True))
+        by_iter = dict(zip(whole.columns["iter"], whole.columns["gap"]))
+        assert trace.columns["gap"].tolist() == \
+            [by_iter[i] for i in trace.columns["iter"]]
+
+
+def test_kept_gap_from_a_mid_solve_state(compared):
+    p = svm_problem(3)
+    start = solve_box(p, SolverConfig(rule=Rule.UNIFORM, max_iters=500,
+                                      tol=0.0)).final_state
+    assert 0 < np.count_nonzero(start.alpha) < p.n
+    trace = _solve(p, SolverConfig(max_iters=STEPS, tol=1e-14,
+                                   record_gap=True), start=start)
+    assert_kept(trace, compared, STEPS)
+    assert trace.columns["gap"][-1] == pytest.approx(
+        duality_gap(p, trace.final_state), abs=CLOSE)
+
+
+@pytest.mark.parametrize("rule", [Rule.GSS, Rule.GSQ, Rule.UNIFORM])
+@pytest.mark.parametrize("every", [1, 7])
+def test_exact_gap_takes_the_same_steps(monkeypatch, rule, every):
+    """The gap read from the kept sums moves nothing but the gap column."""
+    p = svm_problem(4, svm_lambda=0.05)
+    cfg = SolverConfig(rule=rule, max_iters=20_000, tol=1e-7,
+                       trace_every=every, record_gap=True, seed=1)
+    kept = solve_box(p, cfg)
+    monkeypatch.setattr(solver._BoxSteps, "gap",
+                        lambda steps, p, s: duality_gap(p, s))
+    exact = solve_box(p, cfg)
+    assert kept.status == exact.status == "tol"
+    assert kept.counters == exact.counters
+    for name, col in kept.columns.items():
+        if name == "gap":
+            np.testing.assert_allclose(col, exact.columns[name], rtol=0,
+                                       atol=CLOSE)
+        elif name != "wall_ns":
+            assert col.tobytes() == exact.columns[name].tobytes(), name
+    assert kept.final_state.alpha.tobytes() == \
+        exact.final_state.alpha.tobytes()
+
+
+def test_gram_row_sums_are_kept():
+    p = svm_problem(5, n=40, d=10)
+    A = p.matrix.to_dense()
+    sums = p.matrix.gram_row_sums()
+    np.testing.assert_allclose(sums, A.T @ A @ np.ones(p.n), rtol=1e-12)
+    assert p.matrix.gram_row_sums() is sums and not sums.flags.writeable
+
+
+@pytest.mark.parametrize("record_gap,tol", [(True, 0.0), (False, 1e-6)])
+def test_refusals_keep_their_messages(monkeypatch, record_gap, tol):
+    calls = []
+    gap = solver.duality_gap
+    monkeypatch.setattr(solver, "duality_gap",
+                        lambda p, s: calls.append(1) or gap(p, s))
+    q = svm_problem(6, n=30, d=8)
+    c = np.full(q.n, -1.0 / q.n)
+    c[2] = 0.0
+    p = CompositeProblem(q.matrix, c, q.loss, q.reg)
+    cfg = SolverConfig(max_iters=50, tol=tol, record_gap=record_gap)
+    with pytest.raises(ValueError, match=r"c = -\(1/n\) 1"):
+        solve_box(p, cfg)
+    assert calls == [1]
+    # a box problem with another loss has no gap; only a record asks
+    lasso = random_problem("lasso", np.random.default_rng(6))
+    boxed = CompositeProblem(lasso.matrix, np.zeros(lasso.n), lasso.loss,
+                             q.reg)
+    if record_gap:
+        with pytest.raises(TypeError, match="SVM dual only"):
+            solve_box(boxed, cfg)
+    else:
+        assert solve_box(boxed, cfg).n_steps > 0
+
+
+def test_gap_of_an_untracked_state_is_duality_gap():
+    p = svm_problem(7, n=30, d=8)
+    s = IterateState.zeros(p)
+    s.alpha[:5] = 0.5
+    s.recompute_residual(p)
+    steps = solver._steps_for(p, SolverConfig(tol=1e-6))
+    assert steps.gap(p, s) == duality_gap(p, s) and steps.sums is None
