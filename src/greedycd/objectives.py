@@ -519,9 +519,11 @@ def _objective_change(p, s, j, delta, read):
 
 def apply_coord_delta(p, s, j, delta):
     """alpha_j += delta, maintaining residual and nonzero count in O(nnz(A_j)),
-    and the gradient and objective when the state keeps them."""
+    and the gradient and objective when the state keeps them. Returns the
+    column read the move used, (j, row ids, values, nabla l on them before
+    the move, <A_j, nabla l>), or None when delta is 0."""
     if delta == 0.0:
-        return
+        return None
     if s._read is None or s._read[0] != j:
         coord_grad(p, s, j)  # leaves its column read on the state
     read = s._read
@@ -542,6 +544,7 @@ def apply_coord_delta(p, s, j, delta):
     s._steps_since_refresh += 1
     if s._steps_since_refresh >= RESIDUAL_REFRESH_EVERY:
         s.recompute_residual(p)
+    return read
 
 
 def duality_gap(p, s):

@@ -6,7 +6,8 @@ trace, and supports the exact rules, a custom selector hook, and the
 inner-product-search engine. The exact engine's answer is the steepest
 rule's argmax, so an exact engine runs as that rule; only the hashing
 backend has a select path of its own. The regularizer supplies only its
-steepest score, stop check, uniform draw and step.
+steepest score, stop check, uniform draw, step and move, the one call that
+applies a step and brings up to date what its loop keeps.
 
 Every loop but the hashing engine's keeps the full gradient current. On L1
 problems the uniform rule reads it to settle in bulk the draws that provably
@@ -142,10 +143,11 @@ class Trace:
     uniform steps settled by the screen, all good), max_f_drift (the
     largest change a recompute made to the kept objective, at a refresh or
     at the last record), max_gap_drift (the largest change a refresh made
-    to the SVM gap read off the box loop's kept sums; 0 where no sums are
-    kept) and, for loops that keep the full gradient current,
-    grad_refreshes and max_grad_drift (the largest entrywise change a
-    refresh made to the maintained gradient).
+    to the SVM gap read off the box steps' kept sums, which take each move
+    as it is made, the last included; 0 where no sums are kept) and, for
+    loops that keep the full gradient current, grad_refreshes and
+    max_grad_drift (the largest entrywise change a refresh made to the
+    maintained gradient).
     """
     f_initial: float
     columns: dict        # COLUMNS name -> numpy array, an entry a record
@@ -260,22 +262,37 @@ class SmipsEngine:
 
 
 class _Steps:
-    """What one regularizer's loop does differently: its steepest score and
-    stop check, its uniform draw and its step. `check_every` and `checks`
-    set the stop-check cadence; `check_gap` and `record_gap` say whether
-    the loop stops on and records the duality gap; `keeps_grad` says
-    whether it keeps the full gradient current; `screen`, when not None,
+    """What one regularizer's loop does differently, for one solve from the
+    state s: its steepest score and stop check, its uniform draw, its step,
+    and its move, which applies a step and brings up to date in the same
+    call everything the steps keep. `check_every` and `checks` set the
+    stop-check cadence; `check_gap` says whether the loop stops on the
+    duality gap; `keeps_grad` says whether it keeps the full gradient
+    current, which it starts doing here; `engine` is the hashing engine,
+    whose mask is reset to s here, or None; `screen`, when not None,
     settles the uniform draws that leave alpha as it is."""
 
     check_gap = screen = None
     max_gap_drift = 0.0
 
-    def __init__(self, p, cfg):
+    def __init__(self, p, cfg, s, engine):
         self.L = p.smoothness
         self.prox = p.reg.prox
         self.line_search = cfg.use_line_search
-        self.record_gap = cfg.record_gap
         self.rng = np.random.default_rng(cfg.seed)
+        self.engine = engine
+        if engine is not None:
+            engine.reset_mask(s.alpha)
+        if self.keeps_grad and s.grad is None:
+            s.track_gradient(p)
+
+    def move(self, p, s, j, aj, new):
+        """alpha_j goes from aj to new; returns the column read the move
+        used, or None when nothing moved."""
+        read = apply_coord_delta(p, s, j, new - aj)
+        if self.engine is not None:
+            self.engine.note_step(j, new)
+        return read
 
     def gap(self, p, s):
         """The duality gap of the iterate as it is."""
@@ -299,16 +316,16 @@ class _L1Steps(_Steps):
 
     kind = "l1"
 
-    def __init__(self, p, cfg, engine=None):
-        super().__init__(p, cfg)
+    def __init__(self, p, cfg, s, engine=None):
+        # the hashing engine reads no score between its every-n checks
+        self.keeps_grad = engine is None
+        super().__init__(p, cfg, s, engine)
         # cheap rules can't afford an exact score evaluation every iteration
         cheap = cfg.rule is Rule.UNIFORM or engine is not None
         self.check_every = max(1, p.n) if cheap else 1
         # the exact rules read every score anyway, so they also stop at a
         # zero score when tol is 0
         self.checks = not cheap or cfg.tol > 0
-        # the hashing engine reads no score between its every-n checks
-        self.keeps_grad = engine is None
         # the current block of coordinates, as an array for the screen and
         # as a list for the scalar draw
         self.block, self.draws, self.drawn = None, [], 0
@@ -385,11 +402,12 @@ class _BoxSteps(_Steps):
     empty), the clipped step (or line search), and uniform draws from the
     active set of the last check. SVM duals also stop on the duality gap.
 
-    The active set's bound state is kept per coordinate, read off the
-    stored alpha on first use with ActiveSet.from_state's comparisons:
-    `interior` (0 < alpha_i < 1) and `sign`, -1 at 0, +1 at 1 and 0
-    elsewhere. Only a step moves alpha, at its own coordinate, so the next
-    step or check re-reads that one coordinate.
+    The steps keep, read off s when they are made and brought up to date by
+    every move: the active set's bound state, with ActiveSet.from_state's
+    comparisons, `interior` (0 < alpha_i < 1) and `sign`, -1 at 0, +1 at 1
+    and 0 elsewhere, which a move changes at its own coordinate only; and
+    |g| in a buffer, which a move rewrites in one pass, since its Gram
+    column reaches every entry of g.
 
     A check scores into one buffer: sign * g, then |g| at the interior.
     sign * g is an exact sign flip, so a member at a bound scores |g| and a
@@ -398,84 +416,69 @@ class _BoxSteps(_Steps):
     set is (scores > 0) | interior. Otherwise (an empty set, a zero best or
     a NaN) select_gss_box answers over that set.
 
-    An SVM dual whose loop reads the gap (tol > 0 or record_gap) and keeps
-    g keeps the gap's two sums, A = sum_i alpha_i g_i and S = sum_i g_i,
-    from the solve's first step or read, where it also calls duality_gap
-    once for its refusals. The gap, duality_gap's sum_i alpha_i g_i +
-    max(-g_i, 0), is then A - (S - sum_i |g_i|) / 2: one pass writes |g|
-    into a buffer, which the same iterate's check reads at the interior,
-    and one sums it. A step that moves alpha_j by delta moves g by
-    delta/scale A^T A_j, so A by delta <A_j, nabla l(v)> (the dot its
-    coord_grad left on the state) plus delta times the new g_j, and S by
-    delta/scale (A^T A 1)_j. Each gradient refresh recomputes both sums,
-    and the largest change that makes to the gap is max_gap_drift.
+    An SVM dual whose loop reads the gap (tol > 0 or record_gap) also keeps
+    the gap's two sums, A = sum_i alpha_i g_i and S = sum_i g_i; making
+    them calls duality_gap once for its refusals. The gap, duality_gap's
+    sum_i alpha_i g_i + max(-g_i, 0), is then A - (S - sum_i |g_i|) / 2,
+    one sum over the |g| buffer. A move of alpha_j by delta moves g by
+    delta/scale A^T A_j, so A by delta <A_j, nabla l(v)> (the dot of the
+    column read the move used) plus delta times the new g_j, and S by
+    delta/scale (A^T A 1)_j. A move that refreshes the gradient recomputes
+    both sums, and the largest change that makes to the gap is
+    max_gap_drift.
     """
 
     kind = "box"
     keeps_grad = True  # the active set and the SVM gap read every entry
     checks = True      # an empty active set certifies optimality
+    sums = None        # [A, S], kept only for an SVM gap the loop reads
 
-    def __init__(self, p, cfg, engine=None):
-        super().__init__(p, cfg)
+    def __init__(self, p, cfg, s, engine=None):
+        super().__init__(p, cfg, s, engine)
         self.check_every = max(1, p.n) if engine is not None else 1
         self.check_gap = p.loss.has_gap and cfg.tol > 0
-        self.keeps_gap = p.loss.has_gap and (cfg.tol > 0 or cfg.record_gap)
-        self.interior = self.sign = None
-        self.scores, self.abs_g = np.empty(p.n), np.empty(p.n)
-        self.abs_fresh = False  # whether abs_g is |g| at the iterate
-        self.moved = None  # the last step's coordinate, until re-read
-        # [A, S], the refresh count they were computed at, and the last
-        # step's (j, alpha_j before it, its dot) until they take it
-        self.sums = self.sums_at = self.last_move = None
-        self.gram_sums = p.matrix.gram_row_sums() if self.keeps_gap \
-            else None
-
-    def _sync(self, alpha):
-        """Bring the bound state up to date with alpha."""
-        if self.sign is None:
-            self.interior = (alpha > 0) & (alpha < 1)
-            self.sign = (alpha == 1).astype(float) - (alpha == 0)
-        elif self.moved is not None:
-            j = self.moved
-            a = float(alpha[j])
-            self.interior[j] = 0 < a < 1
-            self.sign[j] = float(a == 1) - float(a == 0)
-        self.moved = None
-
-    def _recompute_sums(self, s):
-        g = s.grad
-        self.sums = [float(s.alpha @ g), float(g.sum())]
-        self.sums_at = s.grad_refreshes
-
-    def _sync_sums(self, p, s):
-        """Bring the kept sums up to date with the iterate."""
-        if self.sums is None:
+        alpha = s.alpha
+        self.interior = (alpha > 0) & (alpha < 1)
+        self.sign = (alpha == 1).astype(float) - (alpha == 0)
+        self.scores, self.abs_g = np.empty(p.n), np.abs(s.grad)
+        if p.loss.has_gap and (cfg.tol > 0 or cfg.record_gap):
             duality_gap(p, s)  # refuses a linear term other than -(1/n) 1
-            self._recompute_sums(s)
-        elif self.last_move is not None:
-            j, aj, dot = self.last_move
-            self.last_move = None
-            sums = self.sums
-            delta = float(s.alpha[j]) - aj
-            if delta:
-                sums[0] += delta * dot + delta * float(s.grad[j])
-                sums[1] += delta * (1.0 / p.loss_scale) \
-                    * float(self.gram_sums[j])
-            if s.grad_refreshes != self.sums_at:
-                kept = sums[0] - 0.5 * sums[1]
-                self._recompute_sums(s)
-                fresh = self.sums[0] - 0.5 * self.sums[1]
-                self.max_gap_drift = max(self.max_gap_drift,
-                                         abs(fresh - kept))
+            self.sums = self._fresh_sums(s)
+            self.gram_sums = p.matrix.gram_row_sums()
+
+    @staticmethod
+    def _fresh_sums(s):
+        g = s.grad
+        return [float(s.alpha @ g), float(g.sum())]
+
+    def move(self, p, s, j, aj, new):
+        refreshes = s.grad_refreshes
+        read = super().move(p, s, j, aj, new)
+        if read is None:
+            return None
+        a, g = float(s.alpha[j]), s.grad
+        self.interior[j] = 0 < a < 1
+        self.sign[j] = float(a == 1) - float(a == 0)
+        np.abs(g, out=self.abs_g)
+        sums = self.sums
+        if sums is None:
+            return read
+        delta = a - aj  # the change alpha_j took
+        if delta:
+            sums[0] += delta * read[4] + delta * float(g[j])
+            sums[1] += delta * (1.0 / p.loss_scale) * float(self.gram_sums[j])
+        if s.grad_refreshes != refreshes:
+            kept = sums[0] - 0.5 * sums[1]
+            self.sums = sums = self._fresh_sums(s)
+            self.max_gap_drift = max(self.max_gap_drift,
+                                     abs(sums[0] - 0.5 * sums[1] - kept))
+        return read
 
     def gap(self, p, s):
-        if not self.keeps_gap or s.grad is None:
+        if self.sums is None:
             return duality_gap(p, s)
-        self._sync_sums(p, s)
-        abs_g = np.abs(s.grad, out=self.abs_g)
-        self.abs_fresh = True
         a, total = self.sums
-        return a - 0.5 * (total - float(abs_g.sum()))
+        return a - 0.5 * (total - float(self.abs_g.sum()))
 
     @property
     def members(self):
@@ -483,11 +486,7 @@ class _BoxSteps(_Steps):
         return (self.scores > 0) | self.interior
 
     def steepest(self, p, s):
-        self._sync(s.alpha)
         g, buf = s.grad, self.scores
-        if not self.abs_fresh:
-            np.abs(g, out=self.abs_g)
-            self.abs_fresh = True
         np.multiply(self.sign, g, out=buf)
         np.putmask(buf, self.interior, self.abs_g)
         j = int(buf.argmax())  # argmax returns the first maximizer
@@ -502,23 +501,17 @@ class _BoxSteps(_Steps):
 
     def step(self, p, s, j, aj):
         """(class, new alpha_j), classified against the pre-clip target."""
-        self._sync(s.alpha)
-        keeps_sums = self.keeps_gap and s.grad is not None
-        if keeps_sums:
-            self._sync_sums(p, s)
-        self.moved, self.abs_fresh = j, False
         raw = aj - coord_grad(p, s, j) / self.L
-        if keeps_sums:
-            self.last_move = (j, aj, s._read[4])
         new = line_search_1d(p, s, j) if self.line_search \
             else self.prox(raw, self.L)
         return classify_step_box(aj, raw), new
 
 
-def _steps_for(p, cfg, engine=None):
-    """The steps of the loop kind the problem's regularizer takes."""
+def _steps_for(p, cfg, s, engine=None):
+    """The steps of the loop kind the problem's regularizer takes, for a
+    solve from s."""
     steps = {_L1Steps.kind: _L1Steps, _BoxSteps.kind: _BoxSteps}
-    return steps[p.reg.kind](p, cfg, engine)
+    return steps[p.reg.kind](p, cfg, s, engine)
 
 
 def _make_engine(p, cfg):
@@ -535,13 +528,13 @@ def _make_engine(p, cfg):
     return None if engine.is_exact else engine
 
 
-def _descend(p, s, steps, cfg, records, engine=None, t_last=0):
+def _descend(p, s, steps, cfg, records, t_last=0):
     """The step loop, which _solve alone enters.
 
-    Takes at most cfg.max_iters steps from s by the hashing engine,
-    cfg.selector or cfg.rule, with the stop checks and steps of `steps`,
-    and records in `records` a step every cfg.trace_every steps and the
-    last step. Returns (status, counters, time of the last record).
+    Takes at most cfg.max_iters steps from s by the steps' hashing engine,
+    cfg.selector or cfg.rule, with the stop checks, steps and moves of
+    `steps`, and records in `records` a step every cfg.trace_every steps
+    and the last step. Returns (status, counters, time of the last record).
 
     Uniform draws that the steps' screen settles from the kept gradient
     are booked in bulk as good steps that move nothing, in runs that end
@@ -551,10 +544,11 @@ def _descend(p, s, steps, cfg, records, engine=None, t_last=0):
     # loop-invariant lookups, hoisted: uniform steps cost a few microseconds
     tol, rule, selector = cfg.tol, cfg.rule, cfg.selector
     record_theta, trace_every = cfg.record_theta, cfg.trace_every
+    record_gap, max_iters = cfg.record_gap, cfg.max_iters
     steepest, step, uniform = steps.steepest, steps.step, steps.uniform
+    move, engine = steps.move, steps.engine
     checks, check_every = steps.checks, steps.check_every
-    check_gap, record_gap, gap = steps.check_gap, steps.record_gap, steps.gap
-    max_iters = cfg.max_iters
+    check_gap, gap = steps.check_gap, steps.gap
     screen = steps.screen if rule is Rule.UNIFORM and selector is None \
         and not record_theta and s.grad is not None else None
     clock = time.perf_counter_ns
@@ -630,10 +624,8 @@ def _descend(p, s, steps, cfg, records, engine=None, t_last=0):
         theta = measure_theta(j, p, s) if record_theta else 1.0
         aj = float(s.alpha[j])
         kind, new = step(p, s, j, aj)
-        apply_coord_delta(p, s, j, new - aj)
+        move(p, s, j, aj, new)
         known_gap = None
-        if engine is not None:
-            engine.note_step(j, new)
 
         counters[kind] += 1
         counters["fallback"] += int(fell_back)
@@ -661,16 +653,11 @@ def _solve(p, cfg, start=None):
     t_last = time.perf_counter_ns()  # an index build is reported apart
     s = IterateState.zeros(p) if start is None else IterateState(
         start.alpha.copy(), start.residual.copy(), start.nnz)
-    if engine is not None:
-        engine.reset_mask(s.alpha)
-    steps = _steps_for(p, cfg, engine)
-    if steps.keeps_grad:
-        s.track_gradient(p)
+    steps = _steps_for(p, cfg, s, engine)
     s.track_objective(p)
     f0 = s.objective
     records = _Records(cfg.trace_every)
-    status, counters, t_last = _descend(p, s, steps, cfg, records, engine,
-                                        t_last)
+    status, counters, t_last = _descend(p, s, steps, cfg, records, t_last)
     # the last record's objective is recomputed exactly, and it takes the
     # time since the previous record, the stop check included
     cols, f_drift = records.columns(), s.max_f_drift

@@ -15,7 +15,7 @@ from greedycd import harness, smips as sm, solver
 from greedycd.data_io import CorrelatedLasso, DiagQuadratic, RandomSvm, \
     SynthSpec
 from greedycd.harness import ExperimentConfig, RunSpec, adaptivity_report
-from greedycd.objectives import IterateState, apply_coord_delta
+from greedycd.objectives import IterateState
 from greedycd.solver import SmipsEngine
 
 
@@ -30,7 +30,7 @@ def four_way_reference(cfg):
     all_mask = sm.SubsetMask(included=np.ones(points.n_points, dtype=bool),
                              kind=engine.kind)
     s = IterateState.zeros(p)
-    step = solver._steps_for(p, scfg).step
+    steps = solver._steps_for(p, scfg, s, engine)
     rows = []
     for t in range(cfg.max_iters):
         q = engine.query(p, s)
@@ -48,9 +48,8 @@ def four_way_reference(cfg):
             break
         j, _ = sm.point_to_coordinate(points, pid_m)
         aj = float(s.alpha[j])
-        _, new = step(p, s, j, aj)
-        apply_coord_delta(p, s, j, new - aj)
-        engine.note_step(j, new)
+        _, new = steps.step(p, s, j, aj)
+        steps.move(p, s, j, aj, new)  # which repairs the mask
     return rows
 
 

@@ -6,7 +6,8 @@ sum_i g_i from step to step and recomputes them at each gradient refresh.
 - Every read must be within 1e-12 of duality_gap: for gs-s, gs-q and
   uniform, with line search, under the hashing engine, at trace_every 7,
   at tol 0 with record_gap, and from a mid-solve start.
-- max_gap_drift must stay bounded past at least three refreshes.
+- max_gap_drift must stay bounded past at least three refreshes, and
+  take a refresh that the solve's last move makes.
 - With the gap read by duality_gap instead, a solve must take the same
   steps and record the same columns, bitwise, but the gap.
 - The solve keeps duality_gap's refusals, with one call of it.
@@ -17,8 +18,7 @@ import pytest
 
 from conftest import random_matrix, random_problem
 from greedycd import solver
-from greedycd.objectives import (CompositeProblem, IterateState,
-                                 duality_gap, make_svm_dual)
+from greedycd.objectives import CompositeProblem, duality_gap, make_svm_dual
 from greedycd.selection import Rule
 from greedycd.smips import HyperplaneLsh
 from greedycd.solver import SolverConfig, _solve, solve_box
@@ -131,6 +131,17 @@ def test_exact_gap_takes_the_same_steps(monkeypatch, rule, every):
         exact.final_state.alpha.tobytes()
 
 
+def test_drift_of_a_refresh_at_the_last_move():
+    """The sums take each move as it is made, so a refresh made by the last
+    move counts in max_gap_drift though no read follows it."""
+    p = svm_problem(8)
+    steps = 1000  # RESIDUAL_REFRESH_EVERY moves: the last one refreshes
+    trace = solve_box(p, SolverConfig(max_iters=steps, tol=1e-14))
+    assert trace.status == "max_iters" and trace.n_steps == steps
+    assert trace.counters["grad_refreshes"] == 1
+    assert 0.0 < trace.counters["max_gap_drift"] <= CLOSE
+
+
 def test_gram_row_sums_are_kept():
     p = svm_problem(5, n=40, d=10)
     A = p.matrix.to_dense()
@@ -162,12 +173,3 @@ def test_refusals_keep_their_messages(monkeypatch, record_gap, tol):
             solve_box(boxed, cfg)
     else:
         assert solve_box(boxed, cfg).n_steps > 0
-
-
-def test_gap_of_an_untracked_state_is_duality_gap():
-    p = svm_problem(7, n=30, d=8)
-    s = IterateState.zeros(p)
-    s.alpha[:5] = 0.5
-    s.recompute_residual(p)
-    steps = solver._steps_for(p, SolverConfig(tol=1e-6))
-    assert steps.gap(p, s) == duality_gap(p, s) and steps.sums is None

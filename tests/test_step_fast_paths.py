@@ -9,7 +9,8 @@ replaces.
   runs past several refreshes, when a move leaves alpha_j one ulp off a
   bound, and at the buffer's edge cases: an empty set, a zero best, a NaN,
   ties and signed zeros.
-- Their bookkeeping must stay bounded when only `step` is called.
+- After every move, what the box steps keep must equal fresh values: the
+  bound state and |g| bitwise, the SVM gap's sums to 1e-12.
 - duality_gap must match the hinge primal less the dual from a fresh
   matvec, and the benchmark's own certificate at solves' final states.
 - The objective change read off a step's column must equal the one computed
@@ -113,45 +114,72 @@ def test_kept_active_set_in_polish(checked):
 def test_kept_active_set_one_ulp_off_a_bound(checked, target):
     p = svm_problem(3, n=30, d=8)
     s = IterateState.zeros(p)
-    s.track_gradient(p)
-    steps = solver._steps_for(p, SolverConfig())
+    steps = solver._steps_for(p, SolverConfig(), s)
     steps.steepest(p, s)
     for j in (4, 7):
         for value in (0.5, 0.0, target):
-            steps.step(p, s, j, float(s.alpha[j]))  # the move is ours
-            apply_coord_delta(p, s, j, value - float(s.alpha[j]))
+            steps.move(p, s, j, float(s.alpha[j]), value)  # the move is ours
             assert s.alpha[j] == value
             steps.steepest(p, s)
     assert len(checked) == 7
 
 
-def footprint(obj):
-    """Elements held in the object's containers and arrays."""
-    return sum(len(v) for v in vars(obj).values()
-               if isinstance(v, (list, tuple, dict, set, np.ndarray)))
+@pytest.fixture
+def moved(monkeypatch):
+    """Counts the box steps' moves after checking that what they keep is
+    fresh: the bound state and |g| bitwise, the SVM gap's sums to 1e-12."""
+    calls = []
+    move = solver._BoxSteps.move
+
+    def checking(steps, p, s, j, aj, new):
+        read = move(steps, p, s, j, aj, new)
+        alpha, g = s.alpha, s.grad
+        np.testing.assert_array_equal(steps.interior,
+                                      (alpha > 0) & (alpha < 1))
+        assert steps.sign.tobytes() == \
+            ((alpha == 1).astype(float) - (alpha == 0)).tobytes()
+        assert steps.abs_g.tobytes() == np.abs(g).tobytes()
+        a, total = steps.sums
+        assert abs(a - float(alpha @ g)) <= 1e-12
+        assert abs(total - float(g.sum())) <= 1e-12
+        calls.append(s.grad_refreshes)
+        return read
+
+    monkeypatch.setattr(solver._BoxSteps, "move", checking)
+    return calls
 
 
-def test_bookkeeping_bounded_when_only_step_is_called():
-    p = make_svm_dual(fold_labels(gen_synthetic(SynthSpec(
-        RandomSvm(n=60, d=10), 0))), 0.1)
-    s = IterateState.zeros(p)
-    steps = solver._steps_for(p, SolverConfig(tol=0.0))
-    rng = np.random.default_rng(0)
-    sizes = []
-    for _ in range(400):
-        j = int(rng.integers(p.n))
-        aj = float(s.alpha[j])
-        sizes.append(footprint(steps))
-        _, new = steps.step(p, s, j, aj)
-        apply_coord_delta(p, s, j, new - aj)
-    assert max(sizes) == sizes[1]  # nothing grows with the steps taken
-    # what is kept is still current for a check that would follow
-    alpha = s.alpha
-    assert ((alpha > 0) & (alpha < 1)).any() and (alpha == 0).any()
-    steps._sync(alpha)
-    np.testing.assert_array_equal(steps.interior, (alpha > 0) & (alpha < 1))
-    np.testing.assert_array_equal(steps.sign,
-                                  (alpha == 1) * 1.0 - (alpha == 0) * 1.0)
+@pytest.mark.parametrize("line_search", [False, True])
+@pytest.mark.parametrize("rule", [Rule.GSS, Rule.GSQ, Rule.UNIFORM])
+def test_kept_state_fresh_after_every_move(moved, rule, line_search):
+    p = svm_problem(5)
+    trace = solve_box(p, SolverConfig(rule=rule, use_line_search=line_search,
+                                      max_iters=STEPS, tol=0.0,
+                                      record_gap=True, seed=3))
+    assert len(moved) == trace.n_steps == STEPS
+    assert moved[-1] > 3  # past more than three refreshes
+
+
+def test_kept_state_fresh_under_hashing_engine(moved):
+    p = svm_problem(6)
+    trace = solve_box(p, SolverConfig(engine="smips",
+                                      backend=HyperplaneLsh(3, 10, seed=0),
+                                      max_iters=2 * STEPS, tol=0.0,
+                                      record_gap=True))
+    assert len(moved) == trace.n_steps == 2 * STEPS
+    assert moved[-1] > 3
+
+
+def test_kept_state_fresh_from_a_mid_solve_state(moved):
+    p = svm_problem(7)
+    start = solve_box(p, SolverConfig(rule=Rule.UNIFORM, max_iters=300,
+                                      tol=0.0, record_gap=True)).final_state
+    assert 0 < np.count_nonzero(start.alpha) < p.n  # not from zero
+    moved.clear()
+    trace = solver._solve(p, SolverConfig(max_iters=STEPS, tol=1e-14,
+                                          record_gap=True), start=start)
+    assert len(moved) == trace.n_steps == STEPS
+    assert moved[-1] > 3
 
 
 def box_state(alpha, grad):
@@ -162,7 +190,7 @@ def box_state(alpha, grad):
     s = IterateState(alpha=alpha, residual=p.matrix.matvec(alpha),
                      nnz=int(np.count_nonzero(alpha)))
     s.grad = np.array(grad, dtype=float)
-    steps = solver._steps_for(p, SolverConfig(tol=0.0))
+    steps = solver._steps_for(p, SolverConfig(tol=0.0), s)
     assert_checked(steps, p, s, steps.steepest(p, s))
     return p, s, steps
 
