@@ -282,17 +282,21 @@ def gen_synthetic(spec):
     kind = spec.kind
     if isinstance(kind, DiagQuadratic):
         lam = np.asarray(kind.spectrum, dtype=np.float64)
-        if len(lam) < 1 or np.any(lam <= 0):
-            raise ValueError("spectrum must be nonempty and positive")
+        if len(lam) < 1 or not np.all((lam > 0) & (lam < np.inf)):
+            raise ValueError("spectrum must be nonempty, positive and "
+                             "finite, got %r" % (kind.spectrum,))
         n = len(lam)
         M = SparseColMatrix(n, np.arange(n + 1), np.arange(n), np.sqrt(lam))
         b = rng.standard_normal(n) * np.sqrt(lam)
         meta = {"mu1": float(1.0 / np.sum(1.0 / lam)), "L": float(lam.max())}
         return Dataset(M, b, name="diag-quadratic", meta=meta)
     if isinstance(kind, CorrelatedLasso):
-        if kind.n < 1 or kind.d < 1 or not 0 < kind.density <= 1:
-            raise ValueError("invalid correlated-lasso spec")
         rho = kind.correlation
+        if kind.n < 1 or kind.d < 1 or not 0 < kind.density <= 1 \
+                or not 0 <= rho <= 1 or not np.isfinite(kind.noise):
+            raise ValueError("correlated-lasso spec needs n, d >= 1, density "
+                             "in (0, 1], correlation in [0, 1] and a finite "
+                             "noise, got %r" % (kind,))
         common = rng.standard_normal((kind.d, 1))
         A = (np.sqrt(1 - rho) * rng.standard_normal((kind.d, kind.n))
              + np.sqrt(rho) * common)
@@ -305,8 +309,9 @@ def gen_synthetic(spec):
         return Dataset(SparseColMatrix.from_dense(A), b,
                        name="correlated-lasso", meta={"truth": w})
     if isinstance(kind, RandomSvm):
-        if kind.n < 2 or kind.d < 1 or kind.margin <= 0:
-            raise ValueError("invalid random-svm spec")
+        if kind.n < 2 or kind.d < 1 or not 0 < kind.margin < np.inf:
+            raise ValueError("random-svm spec needs n >= 2, d >= 1 and a "
+                             "positive finite margin, got %r" % (kind,))
         w = rng.standard_normal(kind.d)
         w /= np.linalg.norm(w)
         X = rng.standard_normal((kind.d, kind.n))

@@ -294,9 +294,9 @@ def adaptivity_report(cfg):
     live candidate subset, and the hashing engine's answers over both, while
     the solvers' step loop follows the exact subset answer, which a selector
     logging each row gives it; a stop at tol logs the final iterate's row.
-    Requires exactly one configured run with the "lsh" backend, taken as a
-    solve takes it: engine "smips", rule gs-s, and its steps as the run
-    sets them.
+    Each row builds its live subset afresh from its iterate. Requires
+    exactly one configured run with the "lsh" backend, taken as a solve
+    takes it: engine "smips", rule gs-s, and its steps as the run sets them.
     """
     cfg.validate()
     lsh_runs = [r for r in cfg.runs if r.backend == "lsh"]
@@ -309,14 +309,12 @@ def adaptivity_report(cfg):
     points, lsh = engine.points, engine.backend
     all_mask = sm.SubsetMask(included=np.ones(points.n_points, dtype=bool),
                              kind=engine.kind)
-    rows, picked = [], None
+    rows = []
 
     def four_way(p, s):
-        """Log the four searches at s, once the mask has taken the previous
-        pick's move; the exact subset answer's coordinate."""
-        nonlocal picked
-        if picked is not None:
-            engine.note_step(picked, float(s.alpha[picked]))
+        """Log the four searches at s, over s's live subset; the exact
+        subset answer's coordinate."""
+        engine.reset_mask(s.alpha)
         q = engine.query(p, s)
         pid_m, exact_mask, _ = sm.smips_query(points, q, engine.mask,
                                               sm.Exact())
@@ -328,8 +326,7 @@ def adaptivity_report(cfg):
                      "exact_mask": exact_mask, "lsh_all": lsh_all,
                      "lsh_mask": lsh_mask, "ratio": ratio,
                      "fell_back": int(fb_a or fb_m)})
-        picked, _ = sm.point_to_coordinate(points, pid_m)
-        return picked
+        return sm.point_to_coordinate(points, pid_m)[0]
 
     trace = _solve(p, replace(
         scfg, engine="exact", selector=four_way, record_gap=False,

@@ -82,6 +82,10 @@ class SquaredResidual(_QuadraticLoss):
         if len(self.target) != M.n_rows:
             raise ValueError("squared-residual target length must equal "
                              "n_rows")
+        bad = np.flatnonzero(~np.isfinite(self.target))
+        if len(bad):
+            raise ValueError("squared-residual target entry %d is %r, not "
+                             "finite" % (bad[0], float(self.target[bad[0]])))
 
     def value(self, p, v):
         r = v - self.target

@@ -95,23 +95,19 @@ def build_l1_query(gl, lam, beta):
     return np.concatenate(([lam / beta, 1.0 / beta], gl))
 
 
-def _l1_pattern(a):
-    """Which of the coordinate's 4 points are live for value a: always 2."""
-    if a > 0:
-        return (True, True, False, False)    # +A~+, -A~+
-    if a < 0:
-        return (False, False, True, True)    # +A~-, -A~-
-    return (False, True, True, False)        # -A~+, +A~-
-
-
-def build_l1_mask(alpha):
-    alpha = np.asarray(alpha)
-    n = len(alpha)
-    inc = np.empty(4 * n, dtype=bool)
+def _l1_live(inc, alpha):
+    """Write into inc each coordinate's live points among L1_TAGS for its
+    value in alpha, an array or one number: 2, or none for a NaN."""
     inc[0::4] = alpha > 0
     inc[1::4] = alpha >= 0
     inc[2::4] = alpha <= 0
     inc[3::4] = alpha < 0
+
+
+def build_l1_mask(alpha):
+    alpha = np.asarray(alpha)
+    inc = np.empty(4 * len(alpha), dtype=bool)
+    _l1_live(inc, alpha)
     return SubsetMask(included=inc, kind="l1")
 
 
@@ -155,9 +151,10 @@ def build_box_mask(alpha):
 
 
 def update_mask_after_step(m, j, new_val):
-    """Refresh the (at most 4) mask bits of coordinate j after a step."""
+    """Rewrite the (at most 4) mask bits of coordinate j after a step, as a
+    mask built from the new iterate has them; L1 takes build_l1_mask's rule."""
     if m.kind == "l1":
-        m.included[4 * j:4 * j + 4] = _l1_pattern(new_val)
+        _l1_live(m.included[4 * j:4 * j + 4], new_val)
     elif m.kind == "box":
         m.included[2 * j] = new_val > 0
         m.included[2 * j + 1] = new_val < 1

@@ -5,16 +5,12 @@ one step loop that classifies every step (good / bad / cross), records a
 trace, and supports the exact rules, a custom selector hook, and the
 inner-product-search engine. The exact engine's answer is the steepest
 rule's argmax, so an exact engine runs as that rule; only the hashing
-backend has a select path of its own. The regularizer supplies only its
-steepest score, stop check, uniform draw, step and move, the one call that
-applies a step and brings up to date what its loop keeps.
-
-Every loop but the hashing engine's keeps the full gradient current. On L1
-problems the uniform rule reads it to settle in bulk the draws that provably
-leave alpha as it is (alpha_j = 0 and |g_j| within lam less a margin): each
-such step is recorded as a good step that moves nothing, without a
-coordinate read. The first draw that fails the screen takes the scalar step,
-the only path for anything that moves.
+backend has a select path of its own. Each regularizer's steps supply its
+steepest score, stop check, uniform draw, step, gap read and move, the one
+call that applies a step. They own all that derives from the iterate, the
+kept gradient included, and the loop keeps only its trace. On L1 problems
+the uniform rule's screen settles in bulk, from the kept gradient, the
+draws that provably leave alpha as it is, without a coordinate read.
 """
 
 import math
@@ -200,8 +196,9 @@ def line_search_1d(p, s, j):
 class SmipsEngine:
     """Selection via subset inner-product search over augmented points.
 
-    Implements the steepest-subgradient rule only; the candidate mask tracks
-    the iterate's sign/feasibility cases and is repaired after every step.
+    Implements the steepest-subgradient rule only; the candidate mask,
+    which a solve's steps reset to its start and repair after every move,
+    tracks the iterate's sign/feasibility cases.
     Over the live points the exact search is the steepest rule's argmax, so
     the solvers run an exact engine as that rule and select here only with
     the hashing backend, which queries its tables with the augmented query
@@ -221,7 +218,6 @@ class SmipsEngine:
         if self.kind == "box":
             self.c_value = sm.require_uniform_linear_term(p.linear_term)
         self._matrix, self._linear_term = p.matrix, p.linear_term
-        self.reset_mask(np.zeros(p.n))
         if isinstance(self.backend, sm.HyperplaneLsh):
             self.backend.fit(self.points)
         self.build_seconds = time.perf_counter() - t0
@@ -235,10 +231,8 @@ class SmipsEngine:
         return build(self._matrix, self._linear_term, self.beta)
 
     def reset_mask(self, alpha):
-        if self.kind == "l1":
-            self.mask = sm.build_l1_mask(alpha)
-        else:
-            self.mask = sm.build_box_mask(alpha)
+        build = sm.build_l1_mask if self.kind == "l1" else sm.build_box_mask
+        self.mask = build(alpha)
 
     @property
     def is_exact(self):
@@ -264,16 +258,18 @@ class SmipsEngine:
 class _Steps:
     """What one regularizer's loop does differently, for one solve from the
     state s: its steepest score and stop check, its uniform draw, its step,
-    and its move, which applies a step and brings up to date in the same
-    call everything the steps keep. `check_every` and `checks` set the
+    its gap read and its move. What they keep of the iterate is made here
+    from s and changed only by move, which applies a step; the L1 screen's
+    bound alone catches up in screen. `check_every` and `checks` set the
     stop-check cadence; `check_gap` says whether the loop stops on the
-    duality gap; `keeps_grad` says whether it keeps the full gradient
-    current, which it starts doing here; `engine` is the hashing engine,
-    whose mask is reset to s here, or None; `screen`, when not None,
-    settles the uniform draws that leave alpha as it is."""
+    duality gap; `keeps_grad` whether it keeps the full gradient current;
+    `engine` is the hashing engine, whose mask they keep, or None;
+    `screen`, when not None, settles the uniform draws that leave alpha as
+    it is; `gap` reads the duality gap once per iterate."""
 
     check_gap = screen = None
     max_gap_drift = 0.0
+    _gap = None  # the gap of the iterate as it is, once read
 
     def __init__(self, p, cfg, s, engine):
         self.L = p.smoothness
@@ -289,6 +285,7 @@ class _Steps:
     def move(self, p, s, j, aj, new):
         """alpha_j goes from aj to new; returns the column read the move
         used, or None when nothing moved."""
+        self._gap = None
         read = apply_coord_delta(p, s, j, new - aj)
         if self.engine is not None:
             self.engine.note_step(j, new)
@@ -296,6 +293,11 @@ class _Steps:
 
     def gap(self, p, s):
         """The duality gap of the iterate as it is."""
+        if self._gap is None:
+            self._gap = self.read_gap(p, s)
+        return self._gap
+
+    def read_gap(self, p, s):
         return duality_gap(p, s)
 
 
@@ -326,6 +328,9 @@ class _L1Steps(_Steps):
         # the exact rules read every score anyway, so they also stop at a
         # zero score when tol is 0
         self.checks = not cheap or cfg.tol > 0
+        if not (cfg.rule is Rule.UNIFORM and cfg.selector is None
+                and not cfg.record_theta and self.keeps_grad):
+            self.screen = None  # theta records and a selector step each draw
         # the current block of coordinates, as an array for the screen and
         # as a list for the scalar draw
         self.block, self.draws, self.drawn = None, [], 0
@@ -416,9 +421,10 @@ class _BoxSteps(_Steps):
     set is (scores > 0) | interior. Otherwise (an empty set, a zero best or
     a NaN) select_gss_box answers over that set.
 
-    An SVM dual whose loop reads the gap (tol > 0 or record_gap) also keeps
-    the gap's two sums, A = sum_i alpha_i g_i and S = sum_i g_i; making
-    them calls duality_gap once for its refusals. The gap, duality_gap's
+    A loop that reads the gap (tol > 0 on an SVM dual, or record_gap)
+    keeps the gap's two sums, A = sum_i alpha_i g_i and S = sum_i g_i;
+    making them calls duality_gap once, which refuses every problem but an
+    SVM dual with c = -(1/n) 1 before any move. The gap, duality_gap's
     sum_i alpha_i g_i + max(-g_i, 0), is then A - (S - sum_i |g_i|) / 2,
     one sum over the |g| buffer. A move of alpha_j by delta moves g by
     delta/scale A^T A_j, so A by delta <A_j, nabla l(v)> (the dot of the
@@ -431,7 +437,7 @@ class _BoxSteps(_Steps):
     kind = "box"
     keeps_grad = True  # the active set and the SVM gap read every entry
     checks = True      # an empty active set certifies optimality
-    sums = None        # [A, S], kept only for an SVM gap the loop reads
+    sums = None        # [A, S], kept only for a gap the loop reads
 
     def __init__(self, p, cfg, s, engine=None):
         super().__init__(p, cfg, s, engine)
@@ -441,8 +447,8 @@ class _BoxSteps(_Steps):
         self.interior = (alpha > 0) & (alpha < 1)
         self.sign = (alpha == 1).astype(float) - (alpha == 0)
         self.scores, self.abs_g = np.empty(p.n), np.abs(s.grad)
-        if p.loss.has_gap and (cfg.tol > 0 or cfg.record_gap):
-            duality_gap(p, s)  # refuses a linear term other than -(1/n) 1
+        if self.check_gap or cfg.record_gap:
+            duality_gap(p, s)  # refuses all but the SVM dual's gap
             self.sums = self._fresh_sums(s)
             self.gram_sums = p.matrix.gram_row_sums()
 
@@ -474,9 +480,7 @@ class _BoxSteps(_Steps):
                                      abs(sums[0] - 0.5 * sums[1] - kept))
         return read
 
-    def gap(self, p, s):
-        if self.sums is None:
-            return duality_gap(p, s)
+    def read_gap(self, p, s):
         a, total = self.sums
         return a - 0.5 * (total - float(self.abs_g.sum()))
 
@@ -538,7 +542,8 @@ def _descend(p, s, steps, cfg, records, t_last=0):
 
     Uniform draws that the steps' screen settles from the kept gradient
     are booked in bulk as good steps that move nothing, in runs that end
-    before the next stop check; theta records keep every step scalar.
+    before the next stop check. The loop keeps only its records and
+    counters: all that derives from the iterate belongs to `steps`.
     """
     counters = {GOOD: 0, BAD: 0, CROSS: 0, "fallback": 0, "screened": 0}
     # loop-invariant lookups, hoisted: uniform steps cost a few microseconds
@@ -548,31 +553,20 @@ def _descend(p, s, steps, cfg, records, t_last=0):
     steepest, step, uniform = steps.steepest, steps.step, steps.uniform
     move, engine = steps.move, steps.engine
     checks, check_every = steps.checks, steps.check_every
-    check_gap, gap = steps.check_gap, steps.gap
-    screen = steps.screen if rule is Rule.UNIFORM and selector is None \
-        and not record_theta and s.grad is not None else None
+    check_gap, gap, screen = steps.check_gap, steps.gap, steps.screen
     clock = time.perf_counter_ns
     add_row = records.rows.append
     status = "max_iters"
     pending = None  # the last step's row, while it is not recorded
-    known_gap = None  # the duality gap of the iterate as it is, once read
-
-    def gap_now():
-        nonlocal known_gap
-        if known_gap is None:
-            known_gap = gap(p, s)
-        return known_gap
-
     t = 0
     while t < max_iters:
-        if check_gap and gap_now() <= tol:
+        if check_gap and gap(p, s) <= tol:
             status = "tol"
             break
         fell_back = False
         if engine is not None:
             found = engine.select(p, s)
             fell_back = found.fell_back
-        out = None
         if checks and t % check_every == 0:
             out = steepest(p, s)
             if out is None:
@@ -597,7 +591,7 @@ def _descend(p, s, steps, cfg, records, t_last=0):
                     row = (len(records.runs[-1]), first, -1, KIND_CODE[GOOD],
                            f, 1.0, False, now - t_last, nnz)
                     # nothing moves in a run, so one gap holds for all of it
-                    add_row(row + (gap_now(),) if record_gap else row)
+                    add_row(row + (gap(p, s),) if record_gap else row)
                     t_last = now
                 last = t + k - 1
                 pending = None if last % trace_every == 0 else \
@@ -611,7 +605,7 @@ def _descend(p, s, steps, cfg, records, t_last=0):
         elif selector is not None:
             j = int(selector(p, s))
         elif rule is Rule.GSS:
-            j = (steepest(p, s) if out is None else out).coord
+            j = out.coord  # the exact rules check every step
         elif rule is Rule.GSR:
             j = select_gsr(p, s).coord
         elif rule is Rule.GSQ:
@@ -625,7 +619,6 @@ def _descend(p, s, steps, cfg, records, t_last=0):
         aj = float(s.alpha[j])
         kind, new = step(p, s, j, aj)
         move(p, s, j, aj, new)
-        known_gap = None
 
         counters[kind] += 1
         counters["fallback"] += int(fell_back)
@@ -636,12 +629,12 @@ def _descend(p, s, steps, cfg, records, t_last=0):
             now = clock()
             row = (1, t, j, KIND_CODE[kind], s.objective, theta, fell_back,
                    now - t_last, s.nnz)
-            add_row(row + (gap_now(),) if record_gap else row)
+            add_row(row + (gap(p, s),) if record_gap else row)
             t_last, pending = now, None
         t += 1
     if pending is not None:
         # nothing moved the iterate since this step, so its gap is current
-        add_row(pending + (gap_now(),) if record_gap else pending)
+        add_row(pending + (gap(p, s),) if record_gap else pending)
     return status, counters, t_last
 
 

@@ -62,6 +62,9 @@ class SparseColMatrix:
         row_indices = np.asarray(row_indices, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
 
+        if not isinstance(n_rows, (int, np.integer)) or n_rows < 0:
+            raise ValueError("n_rows must be a nonnegative integer, got %r"
+                             % (n_rows,))
         if col_starts.ndim != 1 or len(col_starts) < 1:
             raise ValueError("col_starts must be a 1-d array of length n_cols+1")
         if col_starts[0] != 0 or np.any(np.diff(col_starts) < 0):

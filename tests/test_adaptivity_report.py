@@ -96,14 +96,18 @@ def test_rows_equal_the_four_way_loop(name, line_search):
 
 @pytest.mark.parametrize("name", ["lasso-300x30-stops", "svm-100x10-stops"])
 def test_final_row_reads_the_final_mask(monkeypatch, name):
-    """Every row but the first follows the mask's repair for the previous
-    pick, the row logged after a stop at tol included, so the last row
-    reads the final iterate's mask."""
-    notes, traces = [], []
-    note, solve = SmipsEngine.note_step, harness._solve
-    monkeypatch.setattr(SmipsEngine, "note_step",
-                        lambda self, j, v: notes.append(self) or
-                        note(self, j, v))
+    """Every row's two searches of the live subset read the mask built from
+    the iterate the row's query is made at, the row logged after a stop at
+    tol included, whose iterate is the solve's final one."""
+    alphas, masks, traces = [], [], []
+    query, search, solve = SmipsEngine.query, sm.smips_query, harness._solve
+    monkeypatch.setattr(SmipsEngine, "query",
+                        lambda self, p, s: alphas.append(s.alpha.copy())
+                        or query(self, p, s))
+    monkeypatch.setattr(sm, "smips_query",
+                        lambda ps, q, m, backend: masks.append(
+                            (m.kind, m.included.copy()))
+                        or search(ps, q, m, backend))
     monkeypatch.setattr(harness, "_solve",
                         lambda *args, **kw: traces.append(solve(*args, **kw))
                         or traces[-1])
@@ -111,8 +115,12 @@ def test_final_row_reads_the_final_mask(monkeypatch, name):
         runs=[RunSpec("lsh", engine="smips", backend="lsh", lsh_bits=6,
                       lsh_tables=4)], **INSTANCES[name][0])
     rows = adaptivity_report(cfg)["rows"]
-    [trace], engine = traces, notes[0]
-    assert trace.status == "tol" and len(notes) == len(rows) - 1
-    build = sm.build_l1_mask if engine.kind == "l1" else sm.build_box_mask
-    np.testing.assert_array_equal(
-        engine.mask.included, build(trace.final_state.alpha).included)
+    [trace] = traces
+    assert trace.status == "tol"
+    assert len(alphas) == len(rows) and len(masks) == 4 * len(rows)
+    for row, alpha in enumerate(alphas):
+        # a row searches the subset, all points twice, then the subset
+        for kind, included in (masks[4 * row], masks[4 * row + 3]):
+            build = sm.build_l1_mask if kind == "l1" else sm.build_box_mask
+            np.testing.assert_array_equal(included, build(alpha).included)
+    np.testing.assert_array_equal(alphas[-1], trace.final_state.alpha)

@@ -11,7 +11,7 @@ import scipy.sparse as sps
 from greedycd import cli, harness, solver, sparse
 from greedycd.cli import main, parse_config_file, parse_synthetic
 from greedycd.data_io import (CorrelatedLasso, Dataset, DiagQuadratic,
-                              RandomSvm, SynthSpec, fold_labels,
+                              RandomSvm, SynthSpec, fold_labels, gen_synthetic,
                               normalize_columns, regression_view,
                               train_test_split, write_libsvm)
 from greedycd.harness import (CSV_HEADER, ExperimentConfig, RunSpec,
@@ -695,6 +695,38 @@ class TestCli:
         assert main(["--problem", "svm", "--synthetic", spec]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
+
+    @pytest.mark.parametrize("spec,message", [
+        ("correlated:n=50,d=10,correlation=1.5", "correlation=1.5,"),
+        ("correlated:n=50,d=10,correlation=-0.1", "correlation=-0.1,"),
+        ("correlated:n=50,d=10,correlation=nan", "correlation=nan,"),
+        ("correlated:n=50,d=10,noise=nan", "noise=nan"),
+        ("correlated:n=50,d=10,noise=-inf", "noise=-inf"),
+        ("svm:n=50,d=10,margin=nan", "margin=nan"),
+        ("svm:n=50,d=10,margin=inf", "margin=inf"),
+        ("svm:n=50,d=10,margin=0", "margin=0.0"),
+        ("diag:1,nan,2", r"spectrum .*, got \(1.0, nan, 2.0\)"),
+        ("diag:1,2,inf", r"spectrum .*, got \(1.0, 2.0, inf\)"),
+        ("diag:1,-2", r"spectrum .*, got \(1.0, -2.0\)")])
+    def test_synthetic_spec_values_checked(self, capsys, spec, message):
+        parsed = parse_synthetic(spec, seed=0)
+        with pytest.raises(ValueError, match=message):
+            gen_synthetic(parsed)
+        problem = "svm" if spec.startswith("svm") else "lasso"
+        assert main(["--problem", problem, "--synthetic", spec,
+                     "--max-iters", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert re.search(message, err)
+
+    def test_nan_lasso_label_refused(self, capsys, tmp_path):
+        # parse_libsvm takes a nan label; the lasso it would pose is refused
+        f = tmp_path / "nan.svm"
+        f.write_text("1.0 1:0.5 2:1.0\nnan 1:1.0\n-2.0 2:0.25\n")
+        assert main(["--problem", "lasso", "--data", str(f),
+                     "--max-iters", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "target entry 1" in err
 
     def test_parse_config_file(self, tmp_path):
         f = tmp_path / "a.cfg"

@@ -10,7 +10,9 @@ sum_i g_i from step to step and recomputes them at each gradient refresh.
   take a refresh that the solve's last move makes.
 - With the gap read by duality_gap instead, a solve must take the same
   steps and record the same columns, bitwise, but the gap.
-- The solve keeps duality_gap's refusals, with one call of it.
+- The solve keeps duality_gap's refusals, with one call of it, made
+  before any move.
+- The stop check and the record of one iterate share one kept read.
 """
 
 import numpy as np
@@ -18,7 +20,8 @@ import pytest
 
 from conftest import random_matrix, random_problem
 from greedycd import solver
-from greedycd.objectives import CompositeProblem, duality_gap, make_svm_dual
+from greedycd.objectives import (Box, CompositeProblem, duality_gap,
+                                 make_svm_dual)
 from greedycd.selection import Rule
 from greedycd.smips import HyperplaneLsh
 from greedycd.solver import SolverConfig, _solve, solve_box
@@ -173,3 +176,41 @@ def test_refusals_keep_their_messages(monkeypatch, record_gap, tol):
             solve_box(boxed, cfg)
     else:
         assert solve_box(boxed, cfg).n_steps > 0
+
+
+@pytest.mark.parametrize("rule", [Rule.GSS, Rule.GSQ, Rule.UNIFORM])
+@pytest.mark.parametrize("every", [1, 7])
+def test_kept_read_at_most_once_per_iterate(monkeypatch, rule, every):
+    """The stop check and the record of one iterate share one kept read;
+    only a move makes the next."""
+    events = []
+    read, move = solver._BoxSteps.read_gap, solver._BoxSteps.move
+    monkeypatch.setattr(solver._BoxSteps, "read_gap",
+                        lambda *args: events.append("read") or read(*args))
+    monkeypatch.setattr(solver._BoxSteps, "move",
+                        lambda *args: events.append("move") or move(*args))
+    p = svm_problem(9, n=60, d=12)
+    trace = solve_box(p, SolverConfig(rule=rule, max_iters=400, tol=1e-9,
+                                      trace_every=every, record_gap=True))
+    moves = events.count("move")
+    assert moves > 0 and "read,read" not in ",".join(events)
+    # the check reads every iterate, the record reads it again
+    assert events.count("read") == moves + 1
+    assert np.isfinite(trace.columns["gap"]).all()
+
+
+@pytest.mark.parametrize("rule", [Rule.GSS, Rule.UNIFORM])
+def test_box_lasso_gap_record_refused_before_any_move(monkeypatch, rule):
+    moves = []
+    move = solver._BoxSteps.move
+    monkeypatch.setattr(solver._BoxSteps, "move",
+                        lambda *args: moves.append(1) or move(*args))
+    lasso = random_problem("lasso", np.random.default_rng(7))
+    boxed = CompositeProblem(lasso.matrix, np.zeros(lasso.n), lasso.loss,
+                             Box())
+    with pytest.raises(TypeError, match="SVM dual only"):
+        solve_box(boxed, SolverConfig(rule=rule, max_iters=50,
+                                      record_gap=True))
+    assert moves == []
+    assert solve_box(boxed, SolverConfig(rule=rule, max_iters=50)).n_steps
+    assert len(moves) > 0

@@ -240,6 +240,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_lasso(M, np.zeros(2), 0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_refused(self, bad):
+        M = SparseColMatrix.from_dense(np.eye(4))
+        b = np.array([1.0, 2.0, bad, bad])
+        with pytest.raises(ValueError, match="target entry 2 is"):
+            make_lasso(M, b, 0.1)
+
     def test_svm_lambda_positive(self):
         M = SparseColMatrix.from_dense(np.eye(3))
         with pytest.raises(ValueError):

@@ -116,6 +116,17 @@ class TestMasks:
             np.testing.assert_array_equal(m.included,
                                           sm.build_l1_mask(alpha).included)
 
+    @pytest.mark.parametrize("new", [np.nan, -0.0, np.inf, -np.inf])
+    def test_update_of_an_edge_value_matches_rebuild(self, new):
+        # a NaN leaves no point live in the rebuilt mask, and so in the
+        # repaired one
+        alpha = np.array([1.0, 0.0, -2.0])
+        for build in (sm.build_l1_mask, sm.build_box_mask):
+            m = build(alpha)
+            sm.update_mask_after_step(m, 1, new)
+            np.testing.assert_array_equal(
+                m.included, build(np.array([1.0, new, -2.0])).included)
+
     def test_box_incremental_update(self, rng):
         alpha = rng.uniform(0, 1, 10)
         m = sm.build_box_mask(alpha)

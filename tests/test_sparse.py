@@ -179,6 +179,21 @@ class TestMatrix:
         with pytest.raises(ValueError):
             SparseColMatrix(2, [0, 1], [5], [1.0])
 
+    def test_validation_negative_n_rows(self):
+        with pytest.raises(ValueError, match="nonnegative integer, got -3"):
+            SparseColMatrix(-3, [0, 0], [], [])
+
+    @pytest.mark.parametrize("n_rows", [2.5, 3.0, "3", None])
+    def test_validation_non_integral_n_rows(self, n_rows):
+        # 2.5 would pass the range check of row id 2 and be stored as 2
+        with pytest.raises(ValueError, match="n_rows must be a nonnegative"):
+            SparseColMatrix(n_rows, [0, 1], [2], [1.0])
+
+    def test_numpy_integer_n_rows(self):
+        M = SparseColMatrix(np.int64(3), [0, 1], [2], [1.0])
+        assert type(M.n_rows) is int and M.n_rows == 3
+        np.testing.assert_array_equal(M.to_dense(), [[0.0], [0.0], [1.0]])
+
     def test_validation_rows_not_increasing(self):
         with pytest.raises(ValueError):
             SparseColMatrix(3, [0, 2], [1, 1], [1.0, 2.0])

@@ -124,3 +124,20 @@ def test_draws_at_the_threshold(monkeypatch):
     scalar = solve_l1(p, SolverConfig(rule=Rule.UNIFORM, max_iters=60,
                                       tol=0.0, seed=7, record_theta=True))
     assert fingerprint(trace) == fingerprint(scalar)
+
+
+@pytest.mark.parametrize("cfg,screens", [
+    (SolverConfig(rule=Rule.UNIFORM), True),
+    (SolverConfig(rule=Rule.UNIFORM, record_gap=True, trace_every=5), True),
+    (SolverConfig(rule=Rule.UNIFORM, record_theta=True), False),
+    (SolverConfig(rule=Rule.UNIFORM, selector=replay(0)), False),
+    (SolverConfig(rule=Rule.GSS), False),
+    (SolverConfig(rule=Rule.GSQ), False)])
+def test_steps_decide_the_screen(cfg, screens):
+    """Only an unselected, untheta'd uniform solve screens its draws."""
+    p = random_problem("lasso", np.random.default_rng(4), n=30, d=10)
+    s = objectives.IterateState.zeros(p)
+    steps = solver._steps_for(p, cfg, s)
+    assert (steps.screen is not None) == screens
+    assert s.grad is not None  # each of these keeps the gradient
+    assert (solver._solve(p, cfg).counters["screened"] > 0) == screens
