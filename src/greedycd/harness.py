@@ -48,8 +48,6 @@ class RunSpec:
     lsh_bits: int = 8
     lsh_tables: int = 10
     use_line_search: bool = False
-    record_theta: bool = False
-    seed: int = None               # falls back to the experiment seed
 
 
 @dataclass
@@ -134,15 +132,13 @@ def _solver_config(p, cfg, run):
         raise ValueError("backend %r does not run with engine %r: the "
                          "backends are 'exact-scan' and 'lsh', which needs "
                          "engine 'smips'" % (run.backend, run.engine))
-    seed = cfg.seed if run.seed is None else run.seed
     scfg = SolverConfig(
         rule=Rule(run.rule), engine=run.engine,
         use_line_search=run.use_line_search, max_iters=cfg.max_iters,
-        tol=cfg.tol, seed=seed, record_theta=run.record_theta,
-        record_gap=(cfg.problem == "svm"))
+        tol=cfg.tol, seed=cfg.seed, record_gap=(cfg.problem == "svm"))
     scfg.validate()
     if run.engine == "smips" and p is not None:
-        backend = sm.HyperplaneLsh(run.lsh_bits, run.lsh_tables, seed=seed) \
+        backend = sm.HyperplaneLsh(run.lsh_bits, run.lsh_tables, cfg.seed) \
             if run.backend == "lsh" else None
         scfg.engine = SmipsEngine(p, backend=backend, beta=cfg.beta)
     return scfg
@@ -181,13 +177,6 @@ def _test_accuracy(p, state, test, problem):
     if folded.n_rows != len(w):
         return None
     return float(np.mean(folded.matvec_T(w) > 0))
-
-
-def _quantiles(values, qs=(0.1, 0.5, 0.9)):
-    if not values:
-        return None
-    return {("q%02d" % int(q * 100)): float(np.quantile(values, q))
-            for q in qs}
 
 
 def run_experiment(cfg):
@@ -260,7 +249,6 @@ def run_experiment(cfg):
         if len(f):
             rows[-1]["test_accuracy"] = _test_accuracy(
                 p, trace.final_state, info["test"], cfg.problem)
-        thetas = c["theta"].tolist() if run.record_theta else []
         total = max(1, trace.n_steps)
         summary["runs"][run.name] = {
             "status": trace.status,
@@ -270,7 +258,6 @@ def run_experiment(cfg):
             "steps": trace.n_steps,
             "seconds": solve_seconds[run.name],
             "fallback_rate": trace.counters["fallback"] / total,
-            "theta_quantiles": _quantiles(thetas),
             "build_seconds": 0.0 if engine == "exact"
             else engine.build_seconds,
         }
@@ -329,8 +316,7 @@ def adaptivity_report(cfg):
         return sm.point_to_coordinate(points, pid_m)[0]
 
     trace = _solve(p, replace(
-        scfg, engine="exact", selector=four_way, record_gap=False,
-        record_theta=False))
+        scfg, engine="exact", selector=four_way, record_gap=False))
     if trace.status != "max_iters":
         four_way(p, trace.final_state)
     ratios = [r["ratio"] for r in rows if r["ratio"] is not None]

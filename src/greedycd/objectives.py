@@ -11,7 +11,7 @@ each step instead of recomputed.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -109,8 +109,9 @@ class DualSVM(_QuadraticLoss):
     has_gap = True
 
     def check(self, M):
-        if self.svm_lambda <= 0:
-            raise ValueError("svm_lambda must be positive")
+        if not 0 < self.svm_lambda < math.inf:
+            raise ValueError("svm_lambda must be positive and finite, got %r"
+                             % (self.svm_lambda,))
 
     def value(self, p, v):
         return float(v @ v) / (2.0 * p.loss_scale)
@@ -215,6 +216,13 @@ class _L1Penalty:
 
     kind = "l1"
     lower, upper = -math.inf, math.inf
+
+    def __post_init__(self):
+        for f in fields(self):
+            weight = getattr(self, f.name)
+            if not 0 <= weight < math.inf:
+                raise ValueError("%s must be nonnegative and finite, got %r"
+                                 % (f.name, weight))
 
     def value(self, alpha):
         return self.lam * float(np.abs(alpha).sum())

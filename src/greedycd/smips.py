@@ -67,7 +67,7 @@ class Exact:
 
 def build_l1_points(A, c, beta):
     """4n points {+-(s*beta, beta*c_j, A_j) : s in {+,-}}, dimension d+2."""
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("beta must be positive")
     c = np.asarray(c, dtype=np.float64)
     if len(c) != A.n_cols:
@@ -88,7 +88,7 @@ def build_l1_points(A, c, beta):
 
 def build_l1_query(gl, lam, beta):
     """q = (lam/beta, 1/beta, grad_l(v)); <A~_j^sign, q> = grad_j f + sign*lam."""
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("beta must be positive")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
@@ -113,7 +113,7 @@ def build_l1_mask(alpha):
 
 def build_box_points(A, c, beta):
     """2n points +-(beta, A_j), dimension d+1."""
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("beta must be positive")
     n, d = A.n_cols, A.n_rows
     base = np.empty((n, d + 1))
@@ -137,7 +137,7 @@ def require_uniform_linear_term(c):
 
 def build_box_query(gl, c_value, beta):
     """q = (c/beta, grad_l(v)); then <A~_j, q> = grad_j f for uniform c."""
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("beta must be positive")
     return np.concatenate(([c_value / beta], gl))
 

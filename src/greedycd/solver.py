@@ -72,7 +72,7 @@ class SolverConfig:
     record_gap: bool = False        # per-step duality gap
 
     def validate(self):
-        if self.tol < 0:
+        if not self.tol >= 0:  # NaN too
             raise ValueError("tol must be nonnegative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
@@ -212,7 +212,7 @@ class SmipsEngine:
         if not isinstance(p.reg, (L1, Box)):
             raise TypeError("inner-product selection supports plain L1 and "
                             "box regularizers, not %r" % (p.reg,))
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ValueError("beta must be positive")
         self.kind = p.reg.kind
         if self.kind == "box":
@@ -259,13 +259,14 @@ class _Steps:
     """What one regularizer's loop does differently, for one solve from the
     state s: its steepest score and stop check, its uniform draw, its step,
     its gap read and its move. What they keep of the iterate is made here
-    from s and changed only by move, which applies a step; the L1 screen's
-    bound alone catches up in screen. `check_every` and `checks` set the
-    stop-check cadence; `check_gap` says whether the loop stops on the
-    duality gap; `keeps_grad` whether it keeps the full gradient current;
-    `engine` is the hashing engine, whose mask they keep, or None;
-    `screen`, when not None, settles the uniform draws that leave alpha as
-    it is; `gap` reads the duality gap once per iterate."""
+    from s and changed only by move, which applies a step and then calls
+    the kind's two hooks: update, for what a move changes, and refresh,
+    for what a refresh of the kept gradient remakes. `check_every` and
+    `checks` set the stop-check cadence; `check_gap` says whether the loop
+    stops on the duality gap; `keeps_grad` whether it keeps the full
+    gradient current; `engine` is the hashing engine, whose mask they keep,
+    or None; `screen`, when not None, settles the uniform draws that leave
+    alpha as it is; `gap` reads the duality gap once per iterate."""
 
     check_gap = screen = None
     max_gap_drift = 0.0
@@ -283,13 +284,26 @@ class _Steps:
             s.track_gradient(p)
 
     def move(self, p, s, j, aj, new):
-        """alpha_j goes from aj to new; returns the column read the move
-        used, or None when nothing moved."""
+        """alpha_j goes from aj to new; then update takes the move and, if
+        the move refreshed the kept gradient, refresh follows. Returns the
+        column read the move used, or None when nothing moved."""
         self._gap = None
+        refreshes = s.grad_refreshes
         read = apply_coord_delta(p, s, j, new - aj)
         if self.engine is not None:
             self.engine.note_step(j, new)
+        if read is not None:
+            self.update(p, s, j, aj, read)
+            if s.grad_refreshes != refreshes:
+                self.refresh(p, s)
         return read
+
+    def update(self, p, s, j, aj, read):
+        """Bring what the steps keep up to date with the move of alpha_j
+        from aj, whose column read is `read`."""
+
+    def refresh(self, p, s):
+        """Remake what the steps keep from the gradient just refreshed."""
 
     def gap(self, p, s):
         """The duality gap of the iterate as it is."""
@@ -309,11 +323,13 @@ class _L1Steps(_Steps):
     rules read every score each step, and uniform screens its draws with it.
     The prox step and both line searches leave alpha_j = 0 whenever
     |g_j| <= lam, so a draw with alpha_j = 0 and a kept |g_j| below
-    lam - margin moves nothing. The margin is SCREEN_MARGIN times
+    `bound` = lam - margin moves nothing. The margin is SCREEN_MARGIN times
     max(lam, max |g|) at the last refresh, and at least
     SCREEN_DRIFT_MULTIPLE times the largest drift a refresh has found, so
     the kept g_j and the step's own coordinate gradient fall on the same
-    side of lam; a draw inside the margin takes the scalar step.
+    side of lam; a draw inside the margin takes the scalar step. A move
+    changes nothing else the steps keep, so refresh alone remakes the
+    bound, at the start and after each refresh of the gradient.
     """
 
     kind = "l1"
@@ -334,7 +350,14 @@ class _L1Steps(_Steps):
         # the current block of coordinates, as an array for the screen and
         # as a list for the scalar draw
         self.block, self.draws, self.drawn = None, [], 0
-        self.bound, self.bound_at = None, None  # lam - margin, refresh count
+        self.refresh(p, s)
+
+    def refresh(self, p, s):
+        if self.screen is not None:
+            lam, top = p.reg.lam, float(np.abs(s.grad).max())
+            margin = max(SCREEN_MARGIN * max(lam, top),
+                         SCREEN_DRIFT_MULTIPLE * s.max_grad_drift)
+            self.bound = lam - margin
 
     def steepest(self, p, s):
         return select_gss_l1(p, s)
@@ -355,13 +378,7 @@ class _L1Steps(_Steps):
         limit, that each leave alpha as it is, as a slice of the drawn
         block (joined when the run crosses a refill); it stops before the
         first draw that may move."""
-        g, alpha = s.grad, s.alpha
-        if self.bound_at != s.grad_refreshes:
-            lam = p.reg.lam
-            margin = max(SCREEN_MARGIN * max(lam, float(np.abs(g).max())),
-                         SCREEN_DRIFT_MULTIPLE * s.max_grad_drift)
-            self.bound, self.bound_at = lam - margin, s.grad_refreshes
-        bound = self.bound
+        g, alpha, bound = s.grad, s.alpha, self.bound
         if self.drawn == len(self.draws):
             self._refill(p)
         start = self.drawn
@@ -408,11 +425,11 @@ class _BoxSteps(_Steps):
     active set of the last check. SVM duals also stop on the duality gap.
 
     The steps keep, read off s when they are made and brought up to date by
-    every move: the active set's bound state, with ActiveSet.from_state's
-    comparisons, `interior` (0 < alpha_i < 1) and `sign`, -1 at 0, +1 at 1
-    and 0 elsewhere, which a move changes at its own coordinate only; and
-    |g| in a buffer, which a move rewrites in one pass, since its Gram
-    column reaches every entry of g.
+    update at every move: the active set's bound state, with
+    ActiveSet.from_state's comparisons, `interior` (0 < alpha_i < 1) and
+    `sign`, -1 at 0, +1 at 1 and 0 elsewhere, which a move changes at its
+    own coordinate only; and |g| in a buffer, which a move rewrites in one
+    pass, since its Gram column reaches every entry of g.
 
     A check scores into one buffer: sign * g, then |g| at the interior.
     sign * g is an exact sign flip, so a member at a bound scores |g| and a
@@ -429,9 +446,10 @@ class _BoxSteps(_Steps):
     one sum over the |g| buffer. A move of alpha_j by delta moves g by
     delta/scale A^T A_j, so A by delta <A_j, nabla l(v)> (the dot of the
     column read the move used) plus delta times the new g_j, and S by
-    delta/scale (A^T A 1)_j. A move that refreshes the gradient recomputes
-    both sums, and the largest change that makes to the gap is
-    max_gap_drift.
+    delta/scale (A^T A 1)_j; update's delta is never 0, since move calls it
+    only on a nonzero request, which always changes alpha_j. After a move
+    that refreshes the gradient, refresh recomputes both sums, and the
+    largest change that makes to the gap is max_gap_drift.
     """
 
     kind = "box"
@@ -457,28 +475,24 @@ class _BoxSteps(_Steps):
         g = s.grad
         return [float(s.alpha @ g), float(g.sum())]
 
-    def move(self, p, s, j, aj, new):
-        refreshes = s.grad_refreshes
-        read = super().move(p, s, j, aj, new)
-        if read is None:
-            return None
+    def update(self, p, s, j, aj, read):
         a, g = float(s.alpha[j]), s.grad
         self.interior[j] = 0 < a < 1
         self.sign[j] = float(a == 1) - float(a == 0)
         np.abs(g, out=self.abs_g)
         sums = self.sums
-        if sums is None:
-            return read
-        delta = a - aj  # the change alpha_j took
-        if delta:
+        if sums is not None:
+            delta = a - aj  # the change alpha_j took
             sums[0] += delta * read[4] + delta * float(g[j])
             sums[1] += delta * (1.0 / p.loss_scale) * float(self.gram_sums[j])
-        if s.grad_refreshes != refreshes:
+
+    def refresh(self, p, s):
+        sums = self.sums
+        if sums is not None:
             kept = sums[0] - 0.5 * sums[1]
             self.sums = sums = self._fresh_sums(s)
             self.max_gap_drift = max(self.max_gap_drift,
                                      abs(sums[0] - 0.5 * sums[1] - kept))
-        return read
 
     def read_gap(self, p, s):
         a, total = self.sums

@@ -4,7 +4,8 @@ Each loss and regularizer class is the one place that knows how it
 behaves, and callers read its methods. A type check on these classes may
 remain only where a public entry point refuses the wrong problem kind.
 The oracles module is exempt: it recomputes everything from first
-principles, independently of the objects it checks.
+principles, independently of the objects it checks. Likewise one method,
+_Steps.move, applies a solver's moves.
 """
 
 import ast
@@ -95,3 +96,19 @@ def test_guard_sees_a_type_switch(tmp_path):
                     "    return isinstance(p.loss, objectives.Logistic)\n")
     assert type_checks(str(path)) == [("f", ["ElasticNetL1", "L1"]),
                                       ("f", ["Logistic"])]
+
+
+def test_one_move():
+    """Moves are applied in one place: each kind of steps brings what it
+    keeps up to date in its update and refresh hooks, which _Steps.move
+    calls, and overrides no move of its own."""
+    defines = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            path = os.path.join(SRC, name)
+            for node in ast.walk(ast.parse(open(path).read(), path)):
+                if isinstance(node, ast.ClassDef) and any(
+                        isinstance(item, ast.FunctionDef)
+                        and item.name == "move" for item in node.body):
+                    defines.append("%s:%s" % (name, node.name))
+    assert defines == ["solver.py:_Steps"]

@@ -92,8 +92,7 @@ class TestRunExperiment:
     def test_csv_rows_are_the_summary_rows(self, tmp_path):
         cfg = ExperimentConfig(
             problem="svm", data=SynthSpec(RandomSvm(40, 5, 0.5), seed=4),
-            runs=[RunSpec("gs-s", record_theta=True),
-                  RunSpec("uniform", rule="uniform")],
+            runs=[RunSpec("gs-s"), RunSpec("uniform", rule="uniform")],
             lam=1.0, max_iters=300, tol=1e-8, test_split=0.25,
             out=str(tmp_path / "rows"))
         rows = run_experiment(cfg)["rows"]
@@ -427,11 +426,11 @@ class TestAdaptivityReport:
         monkeypatch.setattr(SmipsEngine, "__init__", recording_init)
         cfg = small_lasso_cfg(
             tmp_path, runs=[RunSpec("lsh", engine="smips", backend="lsh",
-                                    lsh_bits=4, lsh_tables=6, seed=3)],
-            beta=0.7, max_iters=40)
+                                    lsh_bits=4, lsh_tables=6)],
+            beta=0.7, max_iters=40, seed=3)
         adaptivity_report(cfg)
-        # one engine: its beta, and the run's hashing backend fitted to its
-        # points
+        # one engine: its beta, and the run's hashing backend, seeded by the
+        # experiment, fitted to its points
         [engine] = engines
         lsh = engine.backend
         assert engine.beta == 0.7
@@ -727,6 +726,40 @@ class TestCli:
                      "--max-iters", "5"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "target entry 1" in err
+
+    @pytest.mark.parametrize("args,message", [
+        (["lasso", "--lambda", "nan"], "lam must be nonnegative and finite, "
+         "got nan"),
+        (["lasso", "--lambda", "-1"], "lam must be nonnegative and finite, "
+         "got -1.0"),
+        (["logistic", "--lambda", "inf"], "lam must be nonnegative and "
+         "finite, got inf"),
+        (["elasticnet", "--lambda2", "-1"], "lam2 must be nonnegative and "
+         "finite, got -1.0"),
+        (["svm", "--lambda", "nan"], "svm_lambda must be positive and "
+         "finite, got nan"),
+        (["lasso", "--tol", "nan"], "tol must be nonnegative")],
+        ids=["lambda-nan", "lambda-neg", "logistic-lambda-inf", "lambda2-neg",
+             "svm-lambda-nan", "tol-nan"])
+    def test_bad_weight_or_tol_refused(self, capsys, tmp_path, args,
+                                       message):
+        problem, *flags = args
+        data = "svm:n=50,d=10" if problem in ("svm", "logistic") \
+            else "correlated:n=50,d=10"
+        out = str(tmp_path / "refused")
+        assert main(["--problem", problem, "--synthetic", data,
+                     "--max-iters", "5", "--out", out] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not os.path.exists(out + ".csv")
+
+    @pytest.mark.parametrize("beta", ["0", "nan"])
+    def test_bad_beta_fails_the_run(self, capsys, beta):
+        assert main(["--problem", "lasso", "--synthetic",
+                     "correlated:n=50,d=10", "--engine", "smips",
+                     "--backend", "lsh", "--beta", beta,
+                     "--max-iters", "5"]) == 2
+        assert "beta must be positive" in capsys.readouterr().err
 
     def test_parse_config_file(self, tmp_path):
         f = tmp_path / "a.cfg"

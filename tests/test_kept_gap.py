@@ -13,6 +13,8 @@ sum_i g_i from step to step and recomputes them at each gradient refresh.
 - The solve keeps duality_gap's refusals, with one call of it, made
   before any move.
 - The stop check and the record of one iterate share one kept read.
+- The refresh hook runs once per gradient refresh, right after the update
+  of the move that made it, and on no other move.
 """
 
 import numpy as np
@@ -214,3 +216,25 @@ def test_box_lasso_gap_record_refused_before_any_move(monkeypatch, rule):
     assert moves == []
     assert solve_box(boxed, SolverConfig(rule=rule, max_iters=50)).n_steps
     assert len(moves) > 0
+
+
+@pytest.mark.parametrize("record_gap", [False, True])
+def test_refresh_follows_each_refreshing_move(monkeypatch, record_gap):
+    events = []  # (hook, grad_refreshes when it ran)
+    for hook in ("update", "refresh"):
+        def recording(steps, p, s, *args, hook=hook,
+                      run=getattr(solver._BoxSteps, hook)):
+            events.append((hook, s.grad_refreshes))
+            return run(steps, p, s, *args)
+
+        monkeypatch.setattr(solver._BoxSteps, hook, recording)
+    p = svm_problem(10, n=60, d=12)
+    trace = solve_box(p, SolverConfig(rule=Rule.UNIFORM, max_iters=STEPS,
+                                      tol=0.0, record_gap=record_gap))
+    at = [k for k, (hook, _) in enumerate(events) if hook == "refresh"]
+    assert len(at) == trace.counters["grad_refreshes"] >= 3
+    for n, k in enumerate(at):
+        # the hook follows the update of the move that made the refresh,
+        # the first update to see it
+        assert events[k - 1:k + 1] == [("update", n + 1), ("refresh", n + 1)]
+        assert events[k - 2] == ("update", n)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_problem, random_state
-from greedycd.objectives import (Box, CompositeProblem, DualSVM, IterateState,
-                                 L1, Logistic, SquaredResidual,
+from greedycd.objectives import (Box, CompositeProblem, DualSVM,
+                                 ElasticNetL1, IterateState, L1, Logistic,
+                                 SquaredResidual,
                                  apply_coord_delta, coord_grad, duality_gap,
                                  full_grad, grad_l, make_lasso, make_svm_dual,
                                  objective_value, subgrad_score)
@@ -251,3 +252,17 @@ class TestConstruction:
         M = SparseColMatrix.from_dense(np.eye(3))
         with pytest.raises(ValueError):
             CompositeProblem(M, np.zeros(3), DualSVM(0.0), Box())
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="svm_lambda must be "
+                               "positive and finite, got %r" % bad):
+                make_svm_dual(M, bad)
+
+    @pytest.mark.parametrize("bad", [-1.0, -np.inf, np.inf, np.nan])
+    @pytest.mark.parametrize("make,name", [
+        (L1, "lam"), (lambda w: ElasticNetL1(w, 0.5), "lam1"),
+        (lambda w: ElasticNetL1(0.5, w), "lam2")], ids=["l1", "lam1", "lam2"])
+    def test_regularizer_weights_checked(self, make, name, bad):
+        with pytest.raises(ValueError, match="%s must be nonnegative and "
+                           "finite, got %r" % (name, bad)):
+            make(bad)
+        make(0.0)  # a zero weight is taken

@@ -49,6 +49,16 @@ class TestPointLayout:
             sm.build_l1_points(p.matrix, p.linear_term, 0.0)
         with pytest.raises(ValueError):
             sm.build_l1_query(np.zeros(p.d), 0.1, -1.0)
+        # NaN too, by all four builders
+        for build in (lambda: sm.build_l1_points(p.matrix, p.linear_term,
+                                                 np.nan),
+                      lambda: sm.build_box_points(p.matrix, p.linear_term,
+                                                  np.nan),
+                      lambda: sm.build_l1_query(np.zeros(p.d), 0.1, np.nan),
+                      lambda: sm.build_box_query(np.zeros(p.d), -0.1,
+                                                 np.nan)):
+            with pytest.raises(ValueError, match="beta must be positive"):
+                build()
 
 
 class TestQueryIdentities:

@@ -110,6 +110,8 @@ def test_points_are_built_on_first_read(kind):
     # no points to build, but a bad beta is still refused at once
     with pytest.raises(ValueError, match="beta"):
         SmipsEngine(p, beta=0.0)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        SmipsEngine(p, beta=np.nan)
 
 
 @pytest.mark.parametrize("make", [make_lasso, make_logistic])

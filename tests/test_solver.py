@@ -417,6 +417,8 @@ class TestConfigValidation:
         p = random_problem("lasso", rng)
         with pytest.raises(ValueError):
             solve_l1(p, SolverConfig(tol=-1.0))
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            solve_l1(p, SolverConfig(tol=np.nan))
         with pytest.raises(ValueError):
             solve_l1(p, SolverConfig(max_iters=0))
         with pytest.raises(ValueError):

@@ -220,8 +220,7 @@ def test_box_gaps_thinned_and_whole():
 def test_metrics_csv_reads_back_as_the_rows(tmp_path, problem, data):
     cfg = ExperimentConfig(
         problem=problem, data=data, lam=0.5, max_iters=700, tol=0.0,
-        runs=[RunSpec("gs-s"), RunSpec("uniform", rule="uniform",
-                                       record_theta=problem == "svm")],
+        runs=[RunSpec("gs-s"), RunSpec("uniform", rule="uniform")],
         out=str(tmp_path / "m"))
     summary = run_experiment(cfg)
     rows = summary["rows"]
