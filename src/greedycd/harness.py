@@ -82,7 +82,8 @@ class ExperimentConfig:
         if self.workers != 1:
             raise ValueError("workers must be 1: runs execute one after "
                              "another, got %r" % (self.workers,))
-        SolverConfig(max_iters=self.max_iters, tol=self.tol).validate()
+        SolverConfig(max_iters=self.max_iters, tol=self.tol,
+                     seed=self.seed).validate()
 
 
 def _load_dataset(cfg):
@@ -152,9 +153,8 @@ def _write_csv(fh, header, rows, lineterminator="\r\n"):
     w.writerows(rows)
 
 
-# _polish stays importable from here, uncalled by run_experiment:
-# instrumentation wraps it by this name, and tests check the duality gaps
-# against it as a slow reference
+# nothing calls _polish; it stays importable from here only because the
+# traced benchmark wraps it by this name (perfbench/spans.py)
 def _polish(p, state, iters):
     """The objective after at most `iters` exact steepest steps from a copy
     of state, which stop once the steepest score, or an SVM dual's duality

@@ -1,23 +1,35 @@
 """Independent slow oracles for the test suite: dense finite-difference
 gradients, brute-force selection-rule scans driven by bounded scalar
-minimization instead of the closed forms, and convergence-envelope checks.
+minimization instead of the closed forms, convergence-envelope checks, and
+reference_solve, the slow solve every fast path is tested against.
 
-Everything here recomputes from dense arrays on purpose; none of it shares
-code with the fast paths it validates.
+The gradients, scans and envelopes recompute from dense arrays on purpose
+and share no code with the fast paths they validate. reference_solve
+shares the step's parts whose own tests pin them: apply_coord_delta (on a
+state that keeps no gradient and no objective), coord_grad, line_search_1d,
+the regularizer's prox, the step classifiers, selection.select_* and
+duality_gap. What the fast solve keeps from step to step, it recomputes at
+every step instead: the residual from alpha, the full gradient, every
+score, the box's active set, F and the gap.
 """
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .objectives import (Box, DualSVM, ElasticNetL1, L1, Logistic,
-                         SquaredResidual)
-from .selection import Rule
-from .solver import KINDS
+from .objectives import (Box, DualSVM, ElasticNetL1, IterateState, L1,
+                         Logistic, SquaredResidual, apply_coord_delta,
+                         coord_grad, duality_gap, full_grad, objective_value)
+from .selection import (ActiveSet, Rule, select_gsq, select_gsr,
+                        select_gss_box, select_gss_l1)
+from .solver import (COLUMNS, KIND_CODE, KINDS, UNIFORM_BLOCK, Trace,
+                     _make_engine, classify_step_box, classify_step_l1,
+                     line_search_1d)
 
 __all__ = ["RateEnvelope", "fd_gradient", "brute_force_rule",
-           "envelope_check", "dense_smooth_value"]
+           "envelope_check", "dense_smooth_value", "reference_solve"]
 
 
 @dataclass(frozen=True)
@@ -190,3 +202,85 @@ def envelope_check(trace, env, kind):
         return bool(np.all(sub[1:] <= bound)), \
             float(np.max(sub[1:] - bound, initial=-np.inf))
     raise ValueError("unknown envelope kind: %r" % (kind,))
+
+
+def _fresh(p, alpha):
+    """A state at alpha with its residual and nonzero count recomputed, and
+    nothing kept."""
+    return IterateState(alpha, p.matrix.matvec(alpha),
+                        int(np.count_nonzero(alpha)))
+
+
+def reference_solve(p, cfg, start=None):
+    """The trace of _solve(p, cfg, start), with every step recorded, from a
+    loop that keeps nothing but alpha.
+
+    Each step recomputes the residual, the full gradient and the rule's
+    scores (through ActiveSet.from_state on the box), takes _solve's step
+    and stop checks, and records F, recomputed, and the gap when
+    cfg.record_gap. The exact L1 rules check every step, L1 uniform every
+    n steps when tol > 0; the box checks every step, stops on an SVM
+    dual's gap when tol > 0, and is optimal on an empty active set.
+    Uniform draws come from _solve's stream: blocks of UNIFORM_BLOCK over
+    all n on L1, one index into the active set on the box. It refuses the
+    hashing engine, a selector and theta records.
+    """
+    cfg.validate()
+    if _make_engine(p, cfg) is not None or cfg.selector is not None \
+            or cfg.record_theta:
+        raise ValueError("the reference solve takes no hashing engine, "
+                         "selector or theta records")
+    rule, tol, L = cfg.rule, cfg.tol, p.smoothness
+    box, uniform = p.reg.kind == "box", rule is Rule.UNIFORM
+    check_every = p.n if uniform and not box else 1
+    checks = box or not uniform or tol > 0
+    check_gap = box and p.loss.has_gap and tol > 0
+    rng = np.random.default_rng(cfg.seed)
+    s = _fresh(p, np.zeros(p.n) if start is None
+               else np.array(start.alpha, dtype=np.float64))
+    f0, rows, status = objective_value(p, s), [], "max_iters"
+    t_last = time.perf_counter_ns()
+    for t in range(cfg.max_iters):
+        g = full_grad(p, s)
+        if check_gap and duality_gap(p, s) <= tol:
+            status = "tol"
+            break
+        active = ActiveSet.from_state(s.alpha, g) if box else None
+        if checks and t % check_every == 0:
+            out = select_gss_box(p, s, active, g) if box \
+                else select_gss_l1(p, s, g)
+            if out is None or out.score <= tol:
+                status = "tol" if out else "optimal"
+                break
+        if rule is Rule.GSS:
+            j = out.coord
+        elif not uniform:
+            j = (select_gsr if rule is Rule.GSR else select_gsq)(p, s, g).coord
+        elif box:
+            ids = active.membership.nonzero()[0]
+            j = int(ids[rng.integers(len(ids))])
+        else:
+            if t % UNIFORM_BLOCK == 0:
+                block = rng.integers(p.n, size=UNIFORM_BLOCK)
+            j = int(block[t % UNIFORM_BLOCK])
+        aj = float(s.alpha[j])
+        raw = aj - coord_grad(p, s, j) / L
+        new = line_search_1d(p, s, j) if cfg.use_line_search \
+            else p.reg.prox(raw, L)
+        kind = classify_step_box(aj, raw) if box \
+            else classify_step_l1(aj, new)
+        if not box and aj * new < 0.0:
+            new = 0.0  # a sign change truncates at zero
+        apply_coord_delta(p, s, j, new - aj)
+        s = _fresh(p, s.alpha)
+        row = (t, j, KIND_CODE[kind], objective_value(p, s), 1.0, False,
+               time.perf_counter_ns() - t_last, s.nnz)
+        t_last += row[6]  # the record's wall_ns
+        rows.append(row + (duality_gap(p, s),) if cfg.record_gap else row)
+    values = list(zip(*rows)) or [()] * (len(COLUMNS) - 1)
+    columns = {name: np.array(v, COLUMNS[name])
+               for name, v in zip(COLUMNS, values)}
+    counts = np.bincount(columns["step_kind"], minlength=len(KINDS))
+    return Trace(f_initial=f0, columns=columns,
+                 counters=dict(zip(KINDS, counts.tolist())), final_state=s,
+                 status=status, problem_kind=p.reg.kind)

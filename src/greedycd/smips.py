@@ -14,6 +14,7 @@ that rule in place of an exact search, and `smips_query` scans the points
 for the hashing backend and for reference.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,7 @@ __all__ = [
     "build_l1_points", "build_l1_query", "build_l1_mask",
     "build_box_points", "build_box_query", "build_box_mask",
     "update_mask_after_step", "smips_query", "point_to_coordinate",
-    "require_uniform_linear_term",
+    "require_beta", "require_uniform_linear_term",
 ]
 
 # per-coordinate point tags, in storage order
@@ -65,10 +66,15 @@ class Exact:
     pass
 
 
+def require_beta(beta):
+    """Refuse a beta that is not positive and finite: NaN and inf too."""
+    if not 0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite, got %r" % (beta,))
+
+
 def build_l1_points(A, c, beta):
     """4n points {+-(s*beta, beta*c_j, A_j) : s in {+,-}}, dimension d+2."""
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    require_beta(beta)
     c = np.asarray(c, dtype=np.float64)
     if len(c) != A.n_cols:
         raise ValueError("need one linear-term entry per column")
@@ -88,8 +94,7 @@ def build_l1_points(A, c, beta):
 
 def build_l1_query(gl, lam, beta):
     """q = (lam/beta, 1/beta, grad_l(v)); <A~_j^sign, q> = grad_j f + sign*lam."""
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    require_beta(beta)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     return np.concatenate(([lam / beta, 1.0 / beta], gl))
@@ -113,8 +118,7 @@ def build_l1_mask(alpha):
 
 def build_box_points(A, c, beta):
     """2n points +-(beta, A_j), dimension d+1."""
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    require_beta(beta)
     n, d = A.n_cols, A.n_rows
     base = np.empty((n, d + 1))
     base[:, 0] = beta
@@ -137,8 +141,7 @@ def require_uniform_linear_term(c):
 
 def build_box_query(gl, c_value, beta):
     """q = (c/beta, grad_l(v)); then <A~_j, q> = grad_j f for uniform c."""
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    require_beta(beta)
     return np.concatenate(([c_value / beta], gl))
 
 

@@ -78,6 +78,9 @@ class SolverConfig:
             raise ValueError("max_iters must be at least 1")
         if self.trace_every < 1:
             raise ValueError("trace_every must be at least 1")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer, got %r"
+                             % (self.seed,))
         if self.engine != "exact" and (self.rule is not Rule.GSS
                                        or self.selector is not None):
             raise ValueError("an inner-product engine selects by gs-s only; "
@@ -212,8 +215,7 @@ class SmipsEngine:
         if not isinstance(p.reg, (L1, Box)):
             raise TypeError("inner-product selection supports plain L1 and "
                             "box regularizers, not %r" % (p.reg,))
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
+        sm.require_beta(self.beta)
         self.kind = p.reg.kind
         if self.kind == "box":
             self.c_value = sm.require_uniform_linear_term(p.linear_term)

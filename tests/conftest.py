@@ -37,6 +37,28 @@ def random_problem(kind, rng, n=12, d=8, lam=0.05, lam2=0.03):
     raise ValueError(kind)
 
 
+def svm_problem(seed, n=200, d=20, svm_lambda=0.01, density=0.7):
+    """An SVM dual on a random matrix, its labels drawn first."""
+    rng = np.random.default_rng(seed)
+    labels = rng.choice([-1.0, 1.0], n)
+    M = random_matrix(rng, d, n, density).scale_columns(labels)
+    return make_svm_dual(M, svm_lambda)
+
+
+def l1_problem(kind, seed):
+    """A lasso or elastic net at n=60, d=40, or a logistic at n=40, d=60."""
+    rng = np.random.default_rng(seed)
+    if kind == "logistic":
+        return random_problem(kind, rng, n=40, d=60, lam=0.01)
+    return random_problem(kind, rng, n=60, d=40, lam=0.01, lam2=0.01)
+
+
+def sparse_logistic(seed=0):
+    """Columns on about 12 of 400 rows, so row products gather."""
+    rng = np.random.default_rng(seed)
+    return make_logistic(random_matrix(rng, 400, 150, density=0.03), 0.01)
+
+
 def random_state(p, rng, box=False, zero_frac=0.4):
     """Feasible iterate with a mix of zero, boundary, and interior values."""
     n = p.n

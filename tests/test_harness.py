@@ -340,7 +340,7 @@ class TestLibsvmFile:
                      rng.choice([-1.0, 1.0], 300))
         _, summary = self.run_file(tmp_path, ds, problem="logistic", lam=0.1)
         assert not summary["errors"]
-        # built by the transpose; both solves and the polish read it
+        # built by the transpose; both solves read it
         assert len(builds) == 1
 
     def test_lasso_through_regression_view(self, tmp_path, rng):
@@ -753,7 +753,25 @@ class TestCli:
         assert err.startswith("config error:") and message in err
         assert not os.path.exists(out + ".csv")
 
-    @pytest.mark.parametrize("beta", ["0", "nan"])
+    @pytest.mark.parametrize("libsvm", [False, True])
+    def test_negative_seed_refused_before_the_load(self, capsys, tmp_path,
+                                                   monkeypatch, libsvm):
+        data = ["--synthetic", "correlated:n=50,d=10"]
+        if libsvm:
+            data = ["--data", str(tmp_path / "data.svm")]
+            write_libsvm(gen_synthetic(SynthSpec(RandomSvm(30, 5), seed=1)),
+                         data[1])
+        loads = []
+        monkeypatch.setattr(harness, "_load_dataset", loads.append)
+        out = str(tmp_path / "refused")
+        assert main(["--problem", "lasso", "--seed", "-1", "--max-iters",
+                     "5", "--out", out] + data) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seed must be a nonnegative "
+                              "integer, got -1")
+        assert loads == [] and not os.path.exists(out + ".csv")
+
+    @pytest.mark.parametrize("beta", ["0", "nan", "inf"])
     def test_bad_beta_fails_the_run(self, capsys, beta):
         assert main(["--problem", "lasso", "--synthetic",
                      "correlated:n=50,d=10", "--engine", "smips",

@@ -20,10 +20,9 @@ sum_i g_i from step to step and recomputes them at each gradient refresh.
 import numpy as np
 import pytest
 
-from conftest import random_matrix, random_problem
+from conftest import random_problem, svm_problem as random_svm
 from greedycd import solver
-from greedycd.objectives import (Box, CompositeProblem, duality_gap,
-                                 make_svm_dual)
+from greedycd.objectives import Box, CompositeProblem, duality_gap
 from greedycd.selection import Rule
 from greedycd.smips import HyperplaneLsh
 from greedycd.solver import SolverConfig, _solve, solve_box
@@ -33,10 +32,7 @@ CLOSE = 1e-12
 
 
 def svm_problem(seed, n=150, d=30, svm_lambda=1e-3):
-    rng = np.random.default_rng(seed)
-    labels = rng.choice([-1.0, 1.0], n)
-    return make_svm_dual(random_matrix(rng, d, n).scale_columns(labels),
-                         svm_lambda)
+    return random_svm(seed, n, d, svm_lambda)
 
 
 @pytest.fixture

@@ -1,98 +1,38 @@
-"""The maintained objective against objective_value recomputed every step.
+"""The maintained objective against objective_value: over long solves,
+after each move of apply_coord_delta, at a refresh, and on a move the unit
+box refuses.
 
 solve_l1 and solve_box keep F(alpha) current by adding each step's change,
 read off supp(A_j), and reset it with the residual every
-RESIDUAL_REFRESH_EVERY steps. Each case runs past four refreshes against a
-reference loop that steps like the solver but recomputes F after every step:
-the coordinates must be the same, every recorded value must agree with the
+RESIDUAL_REFRESH_EVERY steps. The long cases run past four refreshes
+against oracles.reference_solve, which recomputes F after every step: the
+coordinates must be the same, every recorded value must agree with the
 recomputed one to 1e-12 (1 + |F|), and so must every refresh (max_f_drift).
-The cases cover every rule on each regularizer kind, and line search on
-both, since the two solvers share one step loop.
+test_differential.py covers every rule and layout on shorter runs.
 """
 
 import numpy as np
 import pytest
 
-from conftest import random_matrix, random_problem, random_state
+from conftest import l1_problem, random_problem, random_state, svm_problem
 from greedycd import objectives
-from greedycd.objectives import (IterateState, apply_coord_delta, coord_grad,
-                                 make_svm_dual, objective_value,
-                                 subgrad_score)
-from greedycd.selection import ActiveSet, Rule, select_gsq, select_gsr
-from greedycd.solver import (SolverConfig, line_search_1d, solve_box,
-                             solve_l1)
-from greedycd.sparse import shrink
+from greedycd.objectives import IterateState, apply_coord_delta, \
+    objective_value
+from greedycd.oracles import reference_solve
+from greedycd.solver import SolverConfig, solve_box, solve_l1
 
 STEPS = 4200  # four refreshes at RESIDUAL_REFRESH_EVERY = 1000
 
 
-def reference(p, steps, box=False, line_search=False, rule=Rule.GSS,
-              seed=0):
-    """The solver's steps with F recomputed by objective_value after each.
-
-    The exact rules and the box active set read the maintained gradient as
-    the solver does; uniform draws one coordinate at a time, from the active
-    set on a box. Returns the coordinates and the objective values.
-    """
-    s = IterateState.zeros(p)
-    rng = np.random.default_rng(seed)
-    if box or rule is not Rule.UNIFORM:
-        s.track_gradient(p)
-    L = p.smoothness
-    coords, f_values = [], []
-    for _ in range(steps):
-        if box:
-            active = ActiveSet.from_state(s.alpha, s.grad)
-            masked = np.where(active.membership, np.abs(s.grad), -1.0)
-            if masked.max() <= 0.0:
-                break
-            if rule is Rule.GSS:
-                j = int(np.argmax(masked))
-            elif rule is Rule.GSQ:
-                j = select_gsq(p, s).coord
-            else:
-                ids = np.nonzero(active.membership)[0]
-                j = int(ids[rng.integers(len(ids))])
-            aj = float(s.alpha[j])
-            if line_search:
-                new = line_search_1d(p, s, j)
-            else:
-                new = min(1.0, max(0.0, aj - coord_grad(p, s, j) / L))
-        else:
-            if rule is Rule.GSS:
-                j = int(np.argmax(np.abs(subgrad_score(p, s))))
-            elif rule is Rule.GSR:
-                j = select_gsr(p, s).coord
-            else:
-                j = int(rng.integers(p.n))
-            aj = float(s.alpha[j])
-            if line_search:
-                a_plus = line_search_1d(p, s, j)
-            else:
-                a_plus = shrink(aj - coord_grad(p, s, j) / L,
-                                p.l1_lambda / L)
-            new = a_plus if aj * a_plus >= 0.0 else 0.0
-        apply_coord_delta(p, s, j, new - aj)
-        coords.append(j)
-        f_values.append(objective_value(p, s))
-    return coords, f_values
-
-
-def assert_tracks_objective(trace, ref_coords, ref_f):
-    assert [r.coord for r in trace.records] == ref_coords
-    got = np.array([r.f_value for r in trace.records])
-    want = np.array(ref_f)
+def assert_tracks_objective(p, trace, ref):
+    np.testing.assert_array_equal(trace.columns["coord"],
+                                  ref.columns["coord"])
+    got, want = trace.f_values, ref.f_values
     scale = 1.0 + np.abs(want)
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
-    assert got[-1] == want[-1]  # the last record is recomputed exactly
+    # the last record is recomputed exactly, from the solve's own state
+    assert got[-1] == objective_value(p, trace.final_state)
     assert 0.0 <= trace.counters["max_f_drift"] <= 1e-12 * scale.max()
-
-
-def l1_problem(kind, seed):
-    rng = np.random.default_rng(seed)
-    if kind == "logistic":
-        return random_problem(kind, rng, n=40, d=60, lam=0.01)
-    return random_problem(kind, rng, n=60, d=40, lam=0.01, lam2=0.01)
 
 
 @pytest.mark.parametrize("kind,line_search", [
@@ -100,53 +40,19 @@ def l1_problem(kind, seed):
     ("logistic", False), ("logistic", True)])
 def test_l1_objective_matches_recomputed(kind, line_search):
     p = l1_problem(kind, 5)
-    trace = solve_l1(p, SolverConfig(max_iters=STEPS, tol=0.0,
-                                     use_line_search=line_search))
+    cfg = SolverConfig(max_iters=STEPS, tol=0.0,
+                       use_line_search=line_search)
+    trace = solve_l1(p, cfg)
     assert trace.counters["grad_refreshes"] > 3
-    assert_tracks_objective(trace, *reference(p, STEPS,
-                                              line_search=line_search))
-
-
-def test_uniform_objective_matches_recomputed():
-    p = l1_problem("lasso", 6)
-    trace = solve_l1(p, SolverConfig(rule=Rule.UNIFORM, max_iters=STEPS,
-                                     tol=0.0, seed=3))
-    assert_tracks_objective(trace, *reference(p, STEPS, rule=Rule.UNIFORM,
-                                              seed=3))
-
-
-def svm_problem(seed):
-    rng = np.random.default_rng(seed)
-    labels = rng.choice([-1.0, 1.0], 200)
-    return make_svm_dual(random_matrix(rng, 20, 200).scale_columns(labels),
-                         0.01)
+    assert_tracks_objective(p, trace, reference_solve(p, cfg))
 
 
 def test_svm_dual_objective_matches_recomputed():
     p = svm_problem(7)
-    trace = solve_box(p, SolverConfig(max_iters=STEPS, tol=0.0))
+    cfg = SolverConfig(max_iters=STEPS, tol=0.0)
+    trace = solve_box(p, cfg)
     assert trace.counters["grad_refreshes"] > 3
-    assert_tracks_objective(trace, *reference(p, STEPS, box=True))
-
-
-@pytest.mark.parametrize("rule,line_search", [
-    (Rule.UNIFORM, False), (Rule.GSQ, False), (Rule.GSS, True)])
-def test_box_rules_objective_matches_recomputed(rule, line_search):
-    p = svm_problem(8)
-    trace = solve_box(p, SolverConfig(rule=rule, use_line_search=line_search,
-                                      max_iters=STEPS, tol=0.0, seed=4))
-    assert trace.n_steps == STEPS  # no early stop: all four refreshes run
-    assert trace.counters["grad_refreshes"] > 3
-    assert_tracks_objective(trace, *reference(
-        p, STEPS, box=True, line_search=line_search, rule=rule, seed=4))
-
-
-def test_gsr_objective_matches_recomputed():
-    p = l1_problem("lasso", 9)
-    trace = solve_l1(p, SolverConfig(rule=Rule.GSR, max_iters=STEPS,
-                                     tol=0.0))
-    assert trace.counters["grad_refreshes"] > 3
-    assert_tracks_objective(trace, *reference(p, STEPS, rule=Rule.GSR))
+    assert_tracks_objective(p, trace, reference_solve(p, cfg))
 
 
 @pytest.mark.parametrize("kind", ["lasso", "elasticnet", "logistic", "svm"])

@@ -1,11 +1,12 @@
 """The Gram columns and row plans a matrix keeps for every solve of it.
 
-- Warm caches change nothing: gs-s, uniform, the harness polish and gs-q,
-  run in that order on one problem, are each bitwise equal to the same
-  solve on a freshly built problem (records, counters, final alpha and
-  residual), past three refreshes. Dense lasso takes its Gram columns from
-  the transposed product, sparse logistic runs from row plans, and the SVM
-  dual keeps Gram columns until the cap.
+- Warm caches change nothing: gs-s, uniform, gs-s to round-off from the
+  uniform run's final state and gs-q, run in that order on one problem,
+  are each bitwise equal to the same solve on a freshly built problem
+  (records, counters, final alpha and residual), past three refreshes.
+  Dense lasso takes its Gram columns from the transposed product, sparse
+  logistic runs from row plans, and the SVM dual keeps Gram columns until
+  the cap.
 - The kept bytes stay within GRAM_CACHE_INPUT_MULTIPLE times the input's
   bytes across several solves of one matrix.
 - While it fits, a column's Gram is computed once, and its rows are planned
@@ -15,16 +16,16 @@
 import numpy as np
 import pytest
 
-from conftest import random_matrix
+from conftest import random_matrix, sparse_logistic, svm_problem
 from greedycd import sparse
-from greedycd.harness import _polish
-from greedycd.objectives import (IterateState, make_lasso, make_logistic,
-                                 make_svm_dual)
+from greedycd.objectives import make_lasso
 from greedycd.selection import Rule
-from greedycd.solver import SolverConfig, solve_box, solve_l1
+from greedycd.solver import SolverConfig, _solve, solve_box, solve_l1
 from greedycd.sparse import SparseColMatrix
 
 ITERS = {"gs-s": 3500, "uniform": 12000, "gs-q": 3500}
+# a gs-s solve to round-off
+ROUNDOFF = SolverConfig(max_iters=2000, tol=1e-14)
 
 
 def dense_lasso(seed=0):
@@ -33,17 +34,8 @@ def dense_lasso(seed=0):
     return make_lasso(M, rng.standard_normal(30), 0.01)
 
 
-def sparse_logistic(seed=0):
-    """Columns on about 12 of 400 rows, so row products gather."""
-    rng = np.random.default_rng(seed)
-    return make_logistic(random_matrix(rng, 400, 150, density=0.03), 0.01)
-
-
 def svm_dual(seed=0, d=10, n=300):
-    rng = np.random.default_rng(seed)
-    labels = rng.choice([-1.0, 1.0], n)
-    return make_svm_dual(random_matrix(rng, d, n).scale_columns(labels),
-                         0.01)
+    return svm_problem(seed, n, d)
 
 
 def solve(p, rule):
@@ -71,8 +63,9 @@ def test_warm_caches_change_no_solve(make):
         assert warm.counters["grad_refreshes"] >= 3
         assert_same(warm, solve(make(), rule))
     start = warm.final_state
-    polished = _polish(p, start, 3500)
-    assert polished == _polish(make(), start, 3500)
+    cfg = SolverConfig(max_iters=3500, tol=1e-14)
+    assert_same(_solve(p, cfg, start=start),
+                _solve(make(), cfg, start=start))
     warm = solve(p, "gs-q")
     assert warm.counters["grad_refreshes"] >= 3
     assert_same(warm, solve(make(), "gs-q"))
@@ -103,7 +96,7 @@ def test_kept_bytes_stay_under_the_cap(make, multiple, binds, monkeypatch):
     for rule in ("gs-s", "uniform", "gs-q", "uniform"):
         solve(p, rule)
         assert 0 < M._kept_bytes == kept_bytes(M) <= cap
-    _polish(p, IterateState.zeros(p), 2000)
+    _solve(p, ROUNDOFF)
     assert M._kept_bytes == kept_bytes(M) <= cap
     assert binds(M)  # some column moved is not kept
 
@@ -133,7 +126,7 @@ def test_gram_column_computed_once(monkeypatch):
     p = svm_dual(1, d=40, n=100)
     for rule in ("gs-s", "uniform", "gs-q"):
         solve(p, rule)
-    _polish(p, IterateState.zeros(p), 2000)
+    _solve(p, ROUNDOFF)
     # the room holds the whole Gram matrix: each column is computed once
     assert len(p.matrix._gram) > 10
     assert len(calls) == len(set(calls)) == len(p.matrix._gram)
@@ -144,7 +137,7 @@ def test_rows_planned_once(monkeypatch):
     p = sparse_logistic(1)
     for rule in ("gs-s", "uniform", "gs-q"):
         solve(p, rule)
-    _polish(p, IterateState.zeros(p), 2000)
+    _solve(p, ROUNDOFF)
     plans = [plan for plan in p.matrix._plans.values() if plan]
     assert len(plans) > 10
     assert len(planned) == len(set(planned)) == len(plans)

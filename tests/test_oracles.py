@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import random_matrix, random_problem, random_state
+from greedycd.data_io import (DiagQuadratic, RandomSvm, SynthSpec,
+                              fold_labels, gen_synthetic)
 from greedycd.objectives import (IterateState, full_grad, make_lasso,
                                  make_svm_dual, objective_value)
 from greedycd.oracles import (RateEnvelope, brute_force_rule, envelope_check,
-                              fd_gradient)
-from greedycd.selection import Rule, select_gss_l1
+                              fd_gradient, reference_solve)
+from greedycd.selection import Rule, select_gss_box, select_gss_l1
+from greedycd.smips import HyperplaneLsh
 from greedycd.solver import SolverConfig, solve_box, solve_l1
 from greedycd.sparse import SparseColMatrix
 
@@ -64,7 +67,6 @@ class TestBruteForce:
 
 class TestEnvelope:
     def _solved_instance(self):
-        from greedycd.data_io import DiagQuadratic, SynthSpec, gen_synthetic
         ds = gen_synthetic(SynthSpec(DiagQuadratic((1.0, 1.0)), seed=0))
         p = make_lasso(ds.matrix, ds.labels, 0.05)
         ref = solve_l1(p, SolverConfig(max_iters=20000, tol=1e-14))
@@ -158,3 +160,43 @@ class TestEnvelope:
             RateEnvelope(mu1=2.0, L=1.0, f_star=0.0)
         with pytest.raises(ValueError):
             RateEnvelope(mu1=0.5, L=1.0, f_star=0.0, theta=1.5)
+
+
+class TestReferenceSolve:
+    def test_reaches_the_closed_form_lasso_optimum(self):
+        # orthogonal columns a_j e_j: alpha_j* = shrink(a_j b_j, lam) / a_j^2
+        spectrum = (4.0, 1.0, 0.25, 2.0, 0.5, 9.0)
+        ds = gen_synthetic(SynthSpec(DiagQuadratic(spectrum), seed=0))
+        a, b, lam = np.sqrt(spectrum), ds.labels, 0.3
+        star = np.sign(a * b) * np.maximum(np.abs(a * b) - lam, 0.0) / a**2
+        assert 0 < np.count_nonzero(star) < len(star)
+        f_star = 0.5 * float(np.sum((a * star - b) ** 2)) \
+            + lam * float(np.abs(star).sum())
+        p = make_lasso(ds.matrix, b, lam)
+        trace = reference_solve(p, SolverConfig(use_line_search=True,
+                                                max_iters=100, tol=1e-12))
+        assert trace.status == "tol"
+        np.testing.assert_allclose(trace.final_state.alpha, star, rtol=0,
+                                   atol=1e-12)
+        assert abs(trace.f_values[-1] - f_star) <= 1e-12 * (1 + f_star)
+        assert trace.final_state.grad is None  # it keeps nothing
+
+    def test_stops_on_the_svm_gap(self):
+        ds = gen_synthetic(SynthSpec(RandomSvm(n=30, d=5, margin=0.1), 0))
+        p = make_svm_dual(fold_labels(ds), 2.0)
+        tol = 1e-3
+        trace = reference_solve(p, SolverConfig(max_iters=10_000, tol=tol,
+                                                record_gap=True))
+        gaps = trace.columns["gap"]
+        assert trace.status == "tol" and gaps[-1] <= tol < gaps[:-1].min()
+        # the steepest score is still above tol: the gap stopped the solve
+        assert select_gss_box(p, trace.final_state).score > tol
+
+    @pytest.mark.parametrize("cfg", [
+        SolverConfig(engine="smips", backend=HyperplaneLsh(4, 2, seed=0)),
+        SolverConfig(selector=lambda p, s: 0),
+        SolverConfig(record_theta=True)], ids=["lsh", "selector", "theta"])
+    def test_refuses_what_it_does_not_recompute(self, rng, cfg):
+        p = random_problem("lasso", rng)
+        with pytest.raises(ValueError, match="reference solve takes no"):
+            reference_solve(p, cfg)

@@ -7,7 +7,7 @@ each against the expression it replaces.
   all scores zero; no nonzeros and all nonzeros; L1 and elastic net.
 - The kept gradient under planned row products must equal the dense
   row_product update of every move, under == (so -0.0 matches +0.0): over a
-  GS-s solve and a harness polish past three refreshes, on a column's first
+  GS-s solve and a solve to round-off past three refreshes, on a column's first
   and later moves, and when the room for plans runs out. Plans change no
   trace, max_grad_drift included.
 """
@@ -19,13 +19,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_matrix, random_problem
+from conftest import random_problem, sparse_logistic
 from greedycd import objectives, sparse
-from greedycd.harness import _polish
 from greedycd.objectives import (IterateState, make_elastic_net, make_lasso,
-                                 make_logistic, subgrad_score)
+                                 subgrad_score)
 from greedycd.selection import select_gss_l1
-from greedycd.solver import SolverConfig, solve_l1
+from greedycd.solver import SolverConfig, _solve, solve_l1
 from greedycd.sparse import GATHER_MAX_ROW_FRACTION, SparseColMatrix
 
 LAMS = (0.0, 1e-300, 0.25, 1.0, 3.0)
@@ -119,12 +118,6 @@ def test_row_plan_adds_what_the_dense_product_adds(rng, n_rows):
     assert set(plan.ids) == set(np.flatnonzero(A[rows].any(axis=0)))
 
 
-def sparse_logistic(seed):
-    """Columns on about 12 of 400 rows, so row products gather."""
-    rng = np.random.default_rng(seed)
-    return make_logistic(random_matrix(rng, 400, 150, density=0.03), 0.01)
-
-
 @pytest.fixture
 def checked(monkeypatch):
     """Checks every kept-gradient row update against the dense row_product
@@ -157,7 +150,7 @@ def test_planned_update_over_a_solve(checked):
 
 def test_planned_update_in_the_polish(checked):
     p = sparse_logistic(1)
-    _polish(p, IterateState.zeros(p), 3500)
+    _solve(p, SolverConfig(max_iters=3500, tol=1e-14))
     assert len(checked) > 3 * objectives.RESIDUAL_REFRESH_EVERY
     assert set(checked) == {"first", "planned"}
 

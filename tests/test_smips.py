@@ -3,9 +3,7 @@ import pytest
 
 from conftest import random_problem, random_state
 from greedycd import smips as sm
-from greedycd.objectives import (IterateState, full_grad, grad_l,
-                                 subgrad_score)
-from greedycd.selection import ActiveSet
+from greedycd.objectives import full_grad, grad_l, subgrad_score
 
 
 def l1_setup(p, beta=1.0):
@@ -49,16 +47,17 @@ class TestPointLayout:
             sm.build_l1_points(p.matrix, p.linear_term, 0.0)
         with pytest.raises(ValueError):
             sm.build_l1_query(np.zeros(p.d), 0.1, -1.0)
-        # NaN too, by all four builders
-        for build in (lambda: sm.build_l1_points(p.matrix, p.linear_term,
-                                                 np.nan),
-                      lambda: sm.build_box_points(p.matrix, p.linear_term,
-                                                  np.nan),
-                      lambda: sm.build_l1_query(np.zeros(p.d), 0.1, np.nan),
-                      lambda: sm.build_box_query(np.zeros(p.d), -0.1,
-                                                 np.nan)):
-            with pytest.raises(ValueError, match="beta must be positive"):
-                build()
+        # NaN and inf too, by all four builders
+        for beta in (np.nan, np.inf):
+            for build in (
+                    lambda: sm.build_l1_points(p.matrix, p.linear_term, beta),
+                    lambda: sm.build_box_points(p.matrix, p.linear_term,
+                                                beta),
+                    lambda: sm.build_l1_query(np.zeros(p.d), 0.1, beta),
+                    lambda: sm.build_box_query(np.zeros(p.d), -0.1, beta)):
+                with pytest.raises(ValueError,
+                                   match="beta must be positive and finite"):
+                    build()
 
 
 class TestQueryIdentities:

@@ -11,7 +11,7 @@ with one sort per table; its tables must equal the per-point loop's.
 import numpy as np
 import pytest
 
-from conftest import random_problem
+from conftest import l1_problem, random_problem, svm_problem
 from greedycd import smips as sm
 from greedycd import solver
 from greedycd.objectives import (Box, CompositeProblem, SquaredResidual,
@@ -19,7 +19,6 @@ from greedycd.objectives import (Box, CompositeProblem, SquaredResidual,
 from greedycd.selection import Rule
 from greedycd.solver import SmipsEngine, SolverConfig, solve_box, solve_l1
 from greedycd.sparse import SparseColMatrix
-from test_maintained_gradient import l1_problem, svm_problem
 
 STEPS = 4200  # four refreshes at RESIDUAL_REFRESH_EVERY = 1000
 

@@ -10,8 +10,8 @@ from greedycd import smips as sm
 from greedycd import solver
 from greedycd.data_io import CorrelatedLasso, SynthSpec, gen_synthetic
 from greedycd.objectives import (L1, Box, CompositeProblem, IterateState,
-                                 SquaredResidual, make_lasso, make_svm_dual,
-                                 objective_value, subgrad_score)
+                                 SquaredResidual, make_lasso, objective_value,
+                                 subgrad_score)
 from greedycd.selection import Rule, select_gss_l1
 from greedycd.solver import (SmipsEngine, SolverConfig, classify_step_box,
                              classify_step_l1, line_search_1d, run_counters,
@@ -423,6 +423,13 @@ class TestConfigValidation:
             solve_l1(p, SolverConfig(max_iters=0))
         with pytest.raises(ValueError):
             solve_l1(p, SolverConfig(engine="magic"))
+
+    def test_seed_must_be_a_nonnegative_integer(self):
+        for seed in (0, 7, np.int64(3), np.uint32(5)):
+            SolverConfig(seed=seed).validate()
+        for seed in (-1, 1.5, "0", None, np.int64(-2)):
+            with pytest.raises(ValueError, match="seed must be a nonneg"):
+                SolverConfig(seed=seed).validate()
 
     def test_engine_takes_no_other_rule_or_selector(self, rng):
         # the engine selects by gs-s; another rule or a selector would be

@@ -5,10 +5,10 @@ replaces.
 - The box steps' check must give select_gss_box's outcome over
   ActiveSet.from_state, and uniform must draw from from_state's set, at
   every check, for every rule, with and without line search, under the
-  hashing engine (a check every n steps) and in the harness polish, over
-  runs past several refreshes, when a move leaves alpha_j one ulp off a
-  bound, and at the buffer's edge cases: an empty set, a zero best, a NaN,
-  ties and signed zeros.
+  hashing engine (a check every n steps) and in a solve to round-off from
+  a mid-solve state, over runs past several refreshes, when a move leaves
+  alpha_j one ulp off a bound, and at the buffer's edge cases: an empty
+  set, a zero best, a NaN, ties and signed zeros.
 - After every move, what the box steps keep must equal fresh values: the
   bound state and |g| bitwise, the SVM gap's sums to 1e-12.
 - duality_gap must match the hinge primal less the dual from a fresh
@@ -24,10 +24,9 @@ import os
 import numpy as np
 import pytest
 
-from conftest import random_matrix, random_problem, random_state
+from conftest import random_problem, random_state, svm_problem
 from greedycd import objectives, solver
 from greedycd.data_io import RandomSvm, SynthSpec, fold_labels, gen_synthetic
-from greedycd.harness import _polish
 from greedycd.objectives import (Box, CompositeProblem, ElasticNetL1,
                                  IterateState, L1, Logistic,
                                  apply_coord_delta, coord_grad, duality_gap,
@@ -37,13 +36,6 @@ from greedycd.smips import HyperplaneLsh
 from greedycd.solver import SolverConfig, solve_box
 
 STEPS = 4200  # four refreshes at RESIDUAL_REFRESH_EVERY = 1000
-
-
-def svm_problem(seed, n=200, d=20):
-    rng = np.random.default_rng(seed)
-    labels = rng.choice([-1.0, 1.0], n)
-    return make_svm_dual(random_matrix(rng, d, n).scale_columns(labels),
-                         0.01)
 
 
 def assert_checked(steps, p, s, out):
@@ -104,7 +96,7 @@ def test_kept_active_set_in_polish(checked):
     start = solve_box(p, SolverConfig(rule=Rule.UNIFORM, max_iters=300,
                                       tol=0.0)).final_state
     assert 0 < np.count_nonzero(start.alpha) < p.n  # not from zero
-    _polish(p, start, STEPS)
+    solver._solve(p, SolverConfig(max_iters=STEPS, tol=1e-14), start=start)
     assert len(checked) >= STEPS
     assert checked[-1] > 3
 
