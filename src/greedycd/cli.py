@@ -114,7 +114,13 @@ def _build_parser():
     ap.add_argument("--lsh-bits", type=int)
     ap.add_argument("--lsh-tables", type=int)
     ap.add_argument("--max-iters", type=int)
-    ap.add_argument("--tol", type=float)
+    ap.add_argument("--tol", type=float,
+                    help="stop tolerance: on lasso, elasticnet and logistic "
+                    "a 'tol' stop means the steepest subgradient score "
+                    "reached it, which is not a duality gap; on svm it "
+                    "means the steepest active-set score or the duality "
+                    "gap did, whichever came first. Either way the printed "
+                    "gap= is the certificate")
     ap.add_argument("--seed", type=int)
     ap.add_argument("--normalize", type=_yes_no, nargs="?", const=True)
     ap.add_argument("--out", help="output path prefix for CSV/JSON")

@@ -3,9 +3,10 @@ best-decrease, and uniform, plus the box active set and the measured
 approximation ratio of a non-exact selection.
 
 Every exact rule reads the state's maintained gradient when it keeps one.
-The steepest L1 rule takes one pass over it and rescores only the nonzero
-coordinates; GS-r and GS-q build their score vectors in full each call.
-Ties break to the lowest coordinate index everywhere.
+The steepest L1 rule scores it in three passes against two offsets read
+off alpha, which a solve keeps from move to move; GS-r and GS-q build
+their score vectors in full each call. Ties break to the lowest coordinate
+index everywhere.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 from .objectives import Box, current_grad, full_grad, subgrad_score
 
 __all__ = [
-    "Rule", "SelectionOutcome", "ActiveSet",
+    "Rule", "SelectionOutcome", "ActiveSet", "l1_offsets",
     "select_gss_l1", "select_gss_box", "select_gsr", "select_gsq",
     "select_uniform", "measure_theta", "prox_step_lengths",
 ]
@@ -62,12 +63,22 @@ def _argmax_abs(values):
     return j, float(values[j])
 
 
-def select_gss_l1(p, s, grad=None):
-    """argmax_i |s(alpha)_i| for L1-type problems, in one pass over g.
+def l1_offsets(alpha, lam):
+    """The steepest L1 score's offsets at alpha and a buffer for its
+    scores: (shift, zero_lam, scores), where shift = sign(alpha) lam and
+    zero_lam is lam where alpha_i = 0 and 0 elsewhere."""
+    shift = np.sign(alpha) * lam
+    zero_lam = np.where(alpha == 0.0, lam, 0.0)
+    return shift, zero_lam, np.empty(len(alpha))
 
-    Every entry scores |g_i| - lam, then the nonzero alpha_i rescore as
-    |g_i + sign(alpha_i) lam|. Where alpha_i = 0 a positive score equals
-    |shrink(g_i, lam)|, and elsewhere the score is |s(alpha)_i| itself, so
+
+def select_gss_l1(p, s, grad=None, offsets=None):
+    """argmax_i |s(alpha)_i| for L1-type problems, in three passes over g.
+
+    Every entry scores |g_i + shift_i| - zero_lam_i, from the offsets of
+    l1_offsets at s.alpha (made here when not given). Where alpha_i = 0
+    that is |g_i| - lam, a positive one equal to |shrink(g_i, lam)|, and
+    elsewhere |g_i + sign(alpha_i) lam|, which is |s(alpha)_i| itself; so
     a positive best has the first maximizer and the value of |s(alpha)|,
     bitwise. Otherwise (a zero score, which ends a solve, or a NaN) the
     score vector is built in full.
@@ -76,13 +87,12 @@ def select_gss_l1(p, s, grad=None):
         raise TypeError("score vector needs an L1-type regularizer")
     if grad is None:
         grad = current_grad(p, s)
-    alpha, lam = s.alpha, p.reg.lam
-    buf = np.abs(grad)
-    buf -= lam
-    # nonzero() on a bool mask runs several times faster than on floats
-    nz = np.flatnonzero(alpha != 0.0)
-    if len(nz):
-        buf[nz] = np.abs(grad[nz] + np.sign(alpha[nz]) * lam)
+    if offsets is None:
+        offsets = l1_offsets(s.alpha, p.reg.lam)
+    shift, zero_lam, buf = offsets
+    np.add(grad, shift, out=buf)
+    np.abs(buf, out=buf)
+    buf -= zero_lam
     j = int(buf.argmax())  # argmax returns the first maximizer
     m = float(buf[j])
     if not m > 0.0:

@@ -26,9 +26,9 @@ from . import smips as sm
 from .objectives import (Box, ElasticNetL1, IterateState, L1,
                          apply_coord_delta, coord_grad, duality_gap,
                          full_grad, grad_l, objective_value, subgrad_score)
-from .selection import (ActiveSet, Rule, SelectionOutcome, measure_theta,
-                        select_gsq, select_gsr, select_gss_box,
-                        select_gss_l1, select_uniform)
+from .selection import (ActiveSet, Rule, SelectionOutcome, l1_offsets,
+                        measure_theta, select_gsq, select_gsr,
+                        select_gss_box, select_gss_l1, select_uniform)
 
 __all__ = [
     "SolverConfig", "StepRecord", "Trace", "SmipsEngine",
@@ -329,9 +329,15 @@ class _L1Steps(_Steps):
     max(lam, max |g|) at the last refresh, and at least
     SCREEN_DRIFT_MULTIPLE times the largest drift a refresh has found, so
     the kept g_j and the step's own coordinate gradient fall on the same
-    side of lam; a draw inside the margin takes the scalar step. A move
-    changes nothing else the steps keep, so refresh alone remakes the
-    bound, at the start and after each refresh of the gradient.
+    side of lam; a draw inside the margin takes the scalar step. Refresh
+    alone remakes the bound, at the start and after each refresh of the
+    gradient.
+
+    The steps also keep the steepest score's offsets, l1_offsets of alpha:
+    shift = sign(alpha) lam, zero_lam = lam where alpha_i = 0 and 0
+    elsewhere, and the buffer select_gss_l1 scores into. A move changes
+    them at its own coordinate only, so update rewrites that entry of each
+    from the new alpha_j; a refresh moves no alpha and leaves them be.
     """
 
     kind = "l1"
@@ -352,7 +358,15 @@ class _L1Steps(_Steps):
         # the current block of coordinates, as an array for the screen and
         # as a list for the scalar draw
         self.block, self.draws, self.drawn = None, [], 0
+        self.lam = p.reg.lam
+        self.offsets = l1_offsets(s.alpha, self.lam)
         self.refresh(p, s)
+
+    def update(self, p, s, j, aj, read):
+        a, lam = s.alpha.item(j), self.lam
+        shift, zero_lam, _ = self.offsets
+        shift[j] = lam if a > 0.0 else -lam if a < 0.0 else 0.0
+        zero_lam[j] = lam if a == 0.0 else 0.0
 
     def refresh(self, p, s):
         if self.screen is not None:
@@ -362,7 +376,7 @@ class _L1Steps(_Steps):
             self.bound = lam - margin
 
     def steepest(self, p, s):
-        return select_gss_l1(p, s)
+        return select_gss_l1(p, s, offsets=self.offsets)
 
     def _refill(self, p):
         self.block = self.rng.integers(p.n, size=UNIFORM_BLOCK)

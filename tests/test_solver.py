@@ -171,9 +171,9 @@ class TestUniformDraws:
         p = random_problem("lasso", rng, n=50, d=10, lam=2.0)
         checks = []
 
-        def check(p, s):
+        def check(*args, **kw):
             checks.append(None)
-            return select_gss_l1(p, s)
+            return select_gss_l1(*args, **kw)
 
         monkeypatch.setattr(solver, "select_gss_l1", check)
         steps = solver.UNIFORM_BLOCK + 500  # crosses a refill
@@ -208,9 +208,9 @@ class TestWallTime:
         checks = []  # clock readings taken before each stop check
         select = solver.select_gss_l1
 
-        def score(p, s, grad=None):
+        def score(*args, **kw):
             checks.append(len(clock))
-            return select(p, s, grad)
+            return select(*args, **kw)
 
         # the stop check is the steepest select the L1 steps call
         monkeypatch.setattr(solver, "select_gss_l1", score)
