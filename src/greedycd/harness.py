@@ -37,6 +37,11 @@ CSV_HEADER = ["run", "iter", "wall_ns", "f_value", "suboptimality", "nnz",
 
 SUBOPT_FLOOR = 1e-16
 MAX_PLOT_POINTS = 2000
+# rows a CSV writer formats at once: its cells are transients beside the
+# summary rows, so a whole column at once would raise the peak memory
+CSV_CHUNK_ROWS = 1024
+# KINDS as an array that a step_kind column indexes
+_KIND_NAMES = np.array(KINDS, dtype=object)
 
 
 @dataclass
@@ -145,12 +150,46 @@ def _solver_config(p, cfg, run):
     return scfg
 
 
-def _write_csv(fh, header, rows, lineterminator="\r\n"):
-    """The header, then each row's values in header order; None is written
-    as an empty cell."""
-    w = csv.writer(fh, lineterminator=lineterminator)
-    w.writerow(header)
-    w.writerows(rows)
+def _quote_minimal(text, lineterminator):
+    """text as csv.writer writes it as one cell of a row of several."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=lineterminator).writerow([text, None])
+    return buf.getvalue()[:-1 - len(lineterminator)]
+
+
+def _cells(column):
+    """The cells of one column's slice. A list holds plain values, None for
+    an empty cell. An array's entries are formatted once per run of equal
+    entries, floats compared by their bits, so -0.0 and 0.0 stay apart."""
+    if not isinstance(column, np.ndarray):
+        return ["" if v is None else str(v) for v in column]
+    bits = column.view(np.int64) if column.dtype == np.float64 else column
+    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    if len(starts) + 1 == len(column):
+        return list(map(str, column.tolist()))
+    starts = np.append(0, starts)
+    firsts = np.array(list(map(str, column[starts].tolist())), dtype=object)
+    return np.repeat(firsts, np.diff(np.append(starts, len(column)))).tolist()
+
+
+def _write_columns(fh, header, parts, lineterminator="\r\n"):
+    """Write the header, then each part's rows, bytewise as a csv.writer
+    writes them. A part is (n_rows, columns) with one entry per header
+    name: an array or a list of n_rows values, or a str, the one cell of
+    every row (quoted once, as csv's QUOTE_MINIMAL does). Only str columns
+    are quoted, so values elsewhere must need none, as numbers do. The
+    rows are formatted column by column in chunks of CSV_CHUNK_ROWS, which
+    bounds the cells held at once."""
+    csv.writer(fh, lineterminator=lineterminator).writerow(header)
+    for n, columns in parts:
+        quoted = {k: _quote_minimal(c, lineterminator)
+                  for k, c in enumerate(columns) if isinstance(c, str)}
+        for lo in range(0, n, CSV_CHUNK_ROWS):
+            hi = min(lo + CSV_CHUNK_ROWS, n)
+            cells = [[quoted[k]] * (hi - lo) if k in quoted
+                     else _cells(c[lo:hi]) for k, c in enumerate(columns)]
+            fh.write(lineterminator.join(map(",".join, zip(*cells)))
+                     + lineterminator)
 
 
 # nothing calls _polish; it stays importable from here only because the
@@ -228,27 +267,33 @@ def run_experiment(cfg):
                "certify_seconds": t_csv - t_certify, "csv_seconds": None,
                "seconds": None, "kept_bytes": p.matrix._kept_bytes,
                "runs": {}, "errors": errors}
+    parts = []
     for run in cfg.runs:
         if run.name not in results:
             continue
         trace, engine = results[run.name]
         c = trace.columns
         f = c["f_value"]
-        rows += [{"run": run.name, "iter": i, "wall_ns": w, "f_value": v,
-                  "suboptimality": sub, "nnz": z, "step_kind": kind,
-                  "coord": j, "theta": th, "gap": gap, "test_accuracy": None,
-                  "fell_back": fb}
-                 for i, w, v, sub, z, kind, j, th, gap, fb in zip(
-                     c["iter"].tolist(), c["wall_ns"].tolist(), f.tolist(),
-                     (f - f_lower).tolist(), c["nnz"].tolist(),
-                     np.array(KINDS)[c["step_kind"]].tolist(),
-                     c["coord"].tolist(), c["theta"].tolist(),
-                     c["gap"].tolist() if "gap" in c
-                     else itertools.repeat(None),
-                     c["fell_back"].astype(int).tolist())]
+        sub, kinds = f - f_lower, _KIND_NAMES[c["step_kind"]]
+        fell_back, gap = c["fell_back"].view(np.int8), c.get("gap")
+        accuracy = [None] * len(f)
         if len(f):
-            rows[-1]["test_accuracy"] = _test_accuracy(
-                p, trace.final_state, info["test"], cfg.problem)
+            accuracy[-1] = _test_accuracy(p, trace.final_state, info["test"],
+                                          cfg.problem)
+        rows += [{"run": run.name, "iter": i, "wall_ns": w, "f_value": v,
+                  "suboptimality": s, "nnz": z, "step_kind": kind,
+                  "coord": j, "theta": th, "gap": g, "test_accuracy": a,
+                  "fell_back": fb}
+                 for i, w, v, s, z, kind, j, th, g, a, fb in zip(
+                     c["iter"].tolist(), c["wall_ns"].tolist(), f.tolist(),
+                     sub.tolist(), c["nnz"].tolist(), kinds.tolist(),
+                     c["coord"].tolist(), c["theta"].tolist(),
+                     itertools.repeat(None) if gap is None else gap.tolist(),
+                     accuracy, fell_back.tolist())]
+        parts.append((len(f), [
+            run.name, c["iter"], c["wall_ns"], f, sub, c["nnz"], kinds,
+            c["coord"], c["theta"], "" if gap is None else gap, accuracy,
+            fell_back]))
         total = max(1, trace.n_steps)
         summary["runs"][run.name] = {
             "status": trace.status,
@@ -264,7 +309,7 @@ def run_experiment(cfg):
 
     if cfg.out:
         with open(cfg.out + ".csv", "w", newline="") as fh:
-            _write_csv(fh, CSV_HEADER, (row.values() for row in rows))
+            _write_columns(fh, CSV_HEADER, parts)
     t_end = time.perf_counter()
     summary["csv_seconds"], summary["seconds"] = t_end - t_csv, t_end - t0
     if cfg.out:
@@ -325,9 +370,10 @@ def adaptivity_report(cfg):
               "fallbacks": int(sum(r["fell_back"] for r in rows))}
     if cfg.out:
         with open(cfg.out + "_adaptivity.csv", "w", newline="") as fh:
-            _write_csv(fh, ["iter", "exact_all", "exact_mask", "lsh_all",
-                            "lsh_mask", "ratio", "fell_back"],
-                       (row.values() for row in rows))
+            header = ["iter", "exact_all", "exact_mask", "lsh_all",
+                      "lsh_mask", "ratio", "fell_back"]
+            _write_columns(fh, header, [(len(rows), [
+                [row[name] for row in rows] for name in header])])
         with open(cfg.out + "_adaptivity.json", "w") as fh:
             json.dump({k: v for k, v in report.items() if k != "rows"},
                       fh, indent=2)
@@ -367,9 +413,11 @@ def emit_plot_csv(rows, x_axis="iter", stream=None):
         keep = _downsample(len(recs))
         header += ["%s_%s" % (name, x_axis), "%s_suboptimality" % name]
         columns += [[xs[i] for i in keep], [ys[i] for i in keep]]
+    n = max(map(len, columns))
     buf = io.StringIO()
-    _write_csv(buf, header, itertools.zip_longest(*columns),
-               lineterminator="\n")
+    _write_columns(buf, header, [(n, [c + [None] * (n - len(c))
+                                      for c in columns])],
+                   lineterminator="\n")
     text = buf.getvalue()
     if stream is not None:
         if isinstance(stream, str):

@@ -88,9 +88,13 @@ class SparseColMatrix:
         self.col_starts = col_starts
         self.row_indices = row_indices
         self.values = values
-        self.col_sq_norms = np.add.reduceat(
-            np.append(values**2, 0.0), col_starts[:-1]
-        ) if len(col_starts) > 1 else np.zeros(0)
+        # a column with entries above about 1.3e154 reads inf, which
+        # CompositeProblem refuses by name and normalize_columns measures
+        # safely
+        with np.errstate(over="ignore"):
+            self.col_sq_norms = np.add.reduceat(
+                np.append(values**2, 0.0), col_starts[:-1]
+            ) if len(col_starts) > 1 else np.zeros(0)
         # reduceat yields garbage for empty trailing columns; fix empties to 0
         empty = np.diff(col_starts) == 0
         if empty.any():

@@ -1,5 +1,6 @@
 import gzip
 import io
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -413,6 +414,20 @@ class TestNormalize:
         assert scales[0] == pytest.approx(np.sqrt(2.0) * 1e200)
         assert scales[1] == 5.0
         assert len(dropped) == 0
+
+    def test_overflowing_column_parses_without_a_warning(self):
+        # warnings as errors: the parse reads the squared norm inf without
+        # an overflow warning, so normalization runs, and a problem built
+        # without it is refused by name
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = parse_libsvm(b"1 1:1e200 2:1e200\n-1 1:3 2:4\n")
+            assert ds.matrix.col_sq_norms.tolist() == [np.inf, 25.0]
+            out, _, _ = normalize_columns(ds)
+            with pytest.raises(ValueError, match="column 0 .* not finite"):
+                make_lasso(*regression_view(ds), 0.1)
+        np.testing.assert_allclose(out.matrix.values,
+                                   [np.sqrt(0.5), np.sqrt(0.5), 0.6, 0.8])
 
     def test_column_whose_squared_norm_underflows(self):
         M = SparseColMatrix.from_dense(np.array([[3.0, 1e-200], [4.0, 0.0]]))

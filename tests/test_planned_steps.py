@@ -1,5 +1,5 @@
-"""The one-pass steepest L1 select and logistic's planned gradient update,
-each against the expression it replaces.
+"""The steepest L1 select, three ufunc passes over g, and logistic's planned
+gradient update, each against the expression it replaces.
 
 - select_gss_l1 must return the coordinate and score of
   argmax |subgrad_score|, bitwise, on any state: alpha with zeros, -0.0 and
@@ -70,7 +70,7 @@ def l1_states(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(l1_states())
-def test_one_pass_select_matches_score_argmax(case):
+def test_steepest_select_matches_score_argmax(case):
     p, s, g, all_zero = case
     scores = np.abs(subgrad_score(p, s, grad=g))
     j = int(np.argmax(scores))
@@ -81,7 +81,7 @@ def test_one_pass_select_matches_score_argmax(case):
         assert got.score == 0.0
 
 
-def test_one_pass_select_reads_the_kept_gradient(rng):
+def test_steepest_select_reads_the_kept_gradient(rng):
     p = random_problem("elasticnet", rng, n=30, d=10)
     s = IterateState.zeros(p)
     s.track_gradient(p)
@@ -93,7 +93,7 @@ def test_one_pass_select_reads_the_kept_gradient(rng):
     assert _bits(got.score) == _bits(float(scores.max()))
 
 
-def test_one_pass_select_refuses_the_box(rng):
+def test_steepest_select_refuses_the_box(rng):
     p = random_problem("svm", rng)
     with pytest.raises(TypeError):
         select_gss_l1(p, IterateState.zeros(p))
