@@ -1,7 +1,8 @@
 """Independent slow oracles for the test suite: dense finite-difference
 gradients, brute-force selection-rule scans driven by bounded scalar
-minimization instead of the closed forms, convergence-envelope checks, and
-reference_solve, the slow solve every fast path is tested against.
+minimization instead of the closed forms, convergence-envelope checks,
+reference_solve, the slow solve every fast path is tested against, and
+FRESH, the value made afresh of each quantity a solve's steps keep.
 
 The gradients, scans and envelopes recompute from dense arrays on purpose
 and share no code with the fast paths they validate. reference_solve
@@ -10,7 +11,8 @@ state that keeps no gradient and no objective), coord_grad, line_search_1d,
 the regularizer's prox, the step classifiers, selection.select_* and
 duality_gap. What the fast solve keeps from step to step, it recomputes at
 every step instead: the residual from alpha, the full gradient, every
-score, the box's active set, F and the gap.
+score, the box's active set, F and the gap. FRESH makes each kept
+quantity from alpha the same way.
 """
 
 import time
@@ -24,12 +26,13 @@ from .objectives import (Box, DualSVM, ElasticNetL1, IterateState, L1,
                          coord_grad, duality_gap, full_grad, objective_value)
 from .selection import (ActiveSet, Rule, select_gsq, select_gsr,
                         select_gss_box, select_gss_l1)
-from .solver import (COLUMNS, KIND_CODE, KINDS, UNIFORM_BLOCK, Trace,
-                     _make_engine, classify_step_box, classify_step_l1,
-                     line_search_1d)
+from .solver import (COLUMNS, KIND_CODE, KINDS, SCREEN_DRIFT_MULTIPLE,
+                     SCREEN_MARGIN, UNIFORM_BLOCK, Trace, _make_engine,
+                     classify_step_box, classify_step_l1, line_search_1d)
 
 __all__ = ["RateEnvelope", "fd_gradient", "brute_force_rule",
-           "envelope_check", "dense_smooth_value", "reference_solve"]
+           "envelope_check", "dense_smooth_value", "reference_solve",
+           "FRESH", "fresh_kept"]
 
 
 @dataclass(frozen=True)
@@ -209,6 +212,46 @@ def _fresh(p, alpha):
     nothing kept."""
     return IterateState(alpha, p.matrix.matvec(alpha),
                         int(np.count_nonzero(alpha)))
+
+
+def _screen_bound(p, f, s):
+    """lam less the uniform screen's margin at the fresh gradient and the
+    solve's largest refresh drift: the kept bound right after a refresh."""
+    lam = p.reg.lam
+    margin = max(SCREEN_MARGIN * max(lam, float(np.abs(f.grad).max())),
+                 SCREEN_DRIFT_MULTIPLE * s.max_grad_drift)
+    return lam - margin
+
+
+# name -> (p, f, s) -> the value of what a solve's steps keep under that
+# name (their kept()), made afresh, per regularizer kind: f is a state at
+# s.alpha from _fresh with its gradient computed once. Two entries read the
+# solve's state s too: the screen bound its drift, and |g| its kept g.
+_FRESH_BOTH = dict(grad=lambda p, f, s: f.grad,
+                   objective=lambda p, f, s: objective_value(p, f))
+FRESH = {
+    "l1": dict(_FRESH_BOTH,
+               shift=lambda p, f, s: np.sign(f.alpha) * p.reg.lam,
+               zero_lam=lambda p, f, s: np.where(f.alpha == 0.0, p.reg.lam,
+                                                 0.0),
+               bound=_screen_bound),
+    "box": dict(_FRESH_BOTH,
+                interior=lambda p, f, s: (f.alpha > 0) & (f.alpha < 1),
+                sign=lambda p, f, s: ((f.alpha == 1).astype(float)
+                                      - (f.alpha == 0)),
+                abs_g=lambda p, f, s: np.abs(s.grad),
+                sums=lambda p, f, s: [float(f.alpha @ f.grad),
+                                      float(f.grad.sum())],
+                gap=lambda p, f, s: duality_gap(p, f)),
+}
+
+
+def fresh_kept(p, s, names):
+    """name -> FRESH's value at the solve's state s, for each of names."""
+    f = _fresh(p, s.alpha.copy())
+    f.grad = full_grad(p, f)
+    table = FRESH[p.reg.kind]
+    return {name: table[name](p, f, s) for name in names}
 
 
 def reference_solve(p, cfg, start=None):

@@ -202,7 +202,9 @@ class HyperplaneLsh:
 
     Candidates are gathered from the query's buckets and filtered by the
     mask afterwards (masks change every iteration, so tables are static).
-    When none survives, a query falls back to a random live point.
+    When none survives, a query falls back to a random live point, drawn
+    from a stream that fit and restart seed with seed + 1; each solve
+    restarts it, so no solve's draws depend on an earlier one's.
     """
     bits_per_table: int
     n_tables: int
@@ -226,6 +228,10 @@ class HyperplaneLsh:
             self._planes.append(planes)
             self._tables.append(_buckets(np.packbits(sigs, axis=-1)))
         self._fitted_for = ps
+        self.restart()
+
+    def restart(self):
+        """Start the fallback draws over, as fit leaves them."""
         self._rng = np.random.default_rng(self.seed + 1)
 
     def candidates(self, q):

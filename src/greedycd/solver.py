@@ -72,6 +72,9 @@ class SolverConfig:
     record_gap: bool = False        # per-step duality gap
 
     def validate(self):
+        if not isinstance(self.rule, Rule):
+            raise ValueError("rule must be a Rule member (%s), got %r" % (
+                ", ".join(r.name for r in Rule), self.rule))
         if not self.tol >= 0:  # NaN too
             raise ValueError("tol must be nonnegative")
         if self.max_iters < 1:
@@ -260,15 +263,17 @@ class SmipsEngine:
 class _Steps:
     """What one regularizer's loop does differently, for one solve from the
     state s: its steepest score and stop check, its uniform draw, its step,
-    its gap read and its move. What they keep of the iterate is made here
-    from s and changed only by move, which applies a step and then calls
+    its gap read and its move. What they keep of the iterate, F and the
+    gradient that s keeps included, is made here from s and changed only
+    by move, which applies a step and then calls
     the kind's two hooks: update, for what a move changes, and refresh,
     for what a refresh of the kept gradient remakes. `check_every` and
     `checks` set the stop-check cadence; `check_gap` says whether the loop
     stops on the duality gap; `keeps_grad` whether it keeps the full
     gradient current; `engine` is the hashing engine, whose mask they keep,
     or None; `screen`, when not None, settles the uniform draws that leave
-    alpha as it is; `gap` reads the duality gap once per iterate."""
+    alpha as it is; `gap` reads the duality gap once per iterate; `kept`
+    names what they keep, for tests to hold against fresh values."""
 
     check_gap = screen = None
     max_gap_drift = 0.0
@@ -282,8 +287,19 @@ class _Steps:
         self.engine = engine
         if engine is not None:
             engine.reset_mask(s.alpha)
+            engine.backend.restart()  # no solve's picks depend on another's
         if self.keeps_grad and s.grad is None:
             s.track_gradient(p)
+        s.track_objective(p)
+
+    def kept(self, p, s):
+        """What the steps keep of the iterate, by name: F and, when kept,
+        the gradient. Each must equal its value made afresh from alpha
+        after every move."""
+        kept = {"objective": s.objective}
+        if self.keeps_grad:
+            kept["grad"] = s.grad
+        return kept
 
     def move(self, p, s, j, aj, new):
         """alpha_j goes from aj to new; then update takes the move and, if
@@ -361,6 +377,13 @@ class _L1Steps(_Steps):
         self.lam = p.reg.lam
         self.offsets = l1_offsets(s.alpha, self.lam)
         self.refresh(p, s)
+
+    def kept(self, p, s):
+        shift, zero_lam, _ = self.offsets
+        kept = dict(super().kept(p, s), shift=shift, zero_lam=zero_lam)
+        if self.screen is not None:
+            kept["bound"] = self.bound
+        return kept
 
     def update(self, p, s, j, aj, read):
         a, lam = s.alpha.item(j), self.lam
@@ -485,6 +508,13 @@ class _BoxSteps(_Steps):
             duality_gap(p, s)  # refuses all but the SVM dual's gap
             self.sums = self._fresh_sums(s)
             self.gram_sums = p.matrix.gram_row_sums()
+
+    def kept(self, p, s):
+        kept = dict(super().kept(p, s), interior=self.interior,
+                    sign=self.sign, abs_g=self.abs_g)
+        if self.sums is not None:
+            kept.update(sums=self.sums, gap=self.read_gap(p, s))
+        return kept
 
     @staticmethod
     def _fresh_sums(s):
@@ -640,10 +670,8 @@ def _descend(p, s, steps, cfg, records, t_last=0):
             j = select_gsr(p, s).coord
         elif rule is Rule.GSQ:
             j = select_gsq(p, s).coord
-        elif rule is Rule.UNIFORM:
+        else:  # validate admits no other rule
             j = uniform(p)
-        else:
-            raise ValueError("unknown rule: %r" % (rule,))
 
         theta = measure_theta(j, p, s) if record_theta else 1.0
         aj = float(s.alpha[j])
@@ -677,7 +705,6 @@ def _solve(p, cfg, start=None):
     s = IterateState.zeros(p) if start is None else IterateState(
         start.alpha.copy(), start.residual.copy(), start.nnz)
     steps = _steps_for(p, cfg, s, engine)
-    s.track_objective(p)
     f0 = s.objective
     records = _Records(cfg.trace_every)
     status, counters, t_last = _descend(p, s, steps, cfg, records, t_last)

@@ -1,10 +1,23 @@
-"""Shared builders for random problems and iterate states."""
+"""Shared builders for random problems and iterate states, and the audit
+of what a solve's steps keep.
+
+The `audit` fixture holds every value a kind's steps keep (`kept()`)
+against the one oracles.FRESH makes from alpha, right after the steps are
+made and after every move, and every steepest check against the one made
+without kept state. A new kept quantity needs a `kept` entry, a FRESH
+entry and, unless it is bitwise, a CLOSE entry.
+"""
+
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from greedycd import oracles, solver
 from greedycd.objectives import (IterateState, make_elastic_net, make_lasso,
                                  make_logistic, make_svm_dual)
+from greedycd.selection import ActiveSet, select_gss_box, select_gss_l1
 from greedycd.sparse import SparseColMatrix
 
 
@@ -78,3 +91,95 @@ def random_state(p, rng, box=False, zero_frac=0.4):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def _relative(tol):
+    return lambda got, want: abs(got - want) <= tol * (1.0 + abs(want))
+
+
+# name -> (kept, fresh) -> whether they are close enough; a kept value of
+# any other name must have the fresh value's dtype, shape and bits
+CLOSE = {
+    "grad": lambda got, want: float(np.abs(got - want).max())
+    <= 1e-9 * (1.0 + float(np.abs(want).max())),
+    "objective": _relative(1e-12),
+    "sums": lambda got, want: all(map(_relative(1e-12), got, want)),
+    "gap": lambda got, want: abs(got - want) <= 1e-12,
+}
+AT_REFRESH = {"bound"}  # kept from the last refresh, remade only there
+
+
+def _bits(value):
+    value = np.asarray(value)
+    return value.dtype, value.shape, value.tobytes()
+
+
+def assert_kept_fresh(steps, p, s, refreshed=True):
+    """Each value the steps keep is the fresh one; one that only a refresh
+    remakes is compared only when refreshed. Returns what they keep."""
+    kept = steps.kept(p, s)
+    names = [name for name in kept if refreshed or name not in AT_REFRESH]
+    for name, want in oracles.fresh_kept(p, s, names).items():
+        got, close = kept[name], CLOSE.get(name)
+        assert close(got, want) if close else _bits(got) == _bits(want), \
+            "kept %s is not fresh: %r, fresh %r" % (name, got, want)
+    return kept
+
+
+def same_float(a, b):
+    """a and b have the same bits, or both are NaN."""
+    return struct.pack("<d", a) == struct.pack("<d", b) or a != a and b != b
+
+
+def assert_checked(steps, p, s, out):
+    """The check's outcome is the one made without what the steps keep:
+    select_gss_l1 with no offsets, or select_gss_box over from_state's
+    set, which the box members must equal."""
+    if steps.kind == "l1":
+        ref = select_gss_l1(p, s)
+    else:
+        active = ActiveSet.from_state(s.alpha, s.grad)
+        ref = select_gss_box(p, s, active=active)
+        np.testing.assert_array_equal(steps.members, active.membership)
+    if ref is None:
+        assert out is None
+    else:
+        assert out.coord == ref.coord and same_float(out.score, ref.score), \
+            (out, ref)
+
+
+@pytest.fixture
+def audit(monkeypatch):
+    """Audits the steps of every solve the test makes, and every step it
+    makes itself. Returns what it saw: `moves`, per move (alpha_j before,
+    alpha_j after, the gradient refreshes so far); `checks`, per check the
+    refreshes so far; `refreshed`, per move that refreshed the gradient
+    what kept() returned after it."""
+    seen = SimpleNamespace(moves=[], checks=[], refreshed=[])
+    move = solver._Steps.move
+
+    def moving(steps, p, s, j, aj, new):
+        refreshes = s.grad_refreshes
+        read = move(steps, p, s, j, aj, new)
+        refreshed = s.grad_refreshes != refreshes
+        kept = assert_kept_fresh(steps, p, s, refreshed)
+        if refreshed:
+            seen.refreshed.append(kept)
+        seen.moves.append((aj, float(s.alpha[j]), s.grad_refreshes))
+        return read
+
+    monkeypatch.setattr(solver._Steps, "move", moving)
+    for kind in (solver._L1Steps, solver._BoxSteps):
+        def making(steps, p, cfg, s, engine=None, make=kind.__init__):
+            make(steps, p, cfg, s, engine)
+            assert_kept_fresh(steps, p, s)
+
+        def checking(steps, p, s, steepest=kind.steepest):
+            out = steepest(steps, p, s)
+            assert_checked(steps, p, s, out)
+            seen.checks.append(s.grad_refreshes)
+            return out
+
+        monkeypatch.setattr(kind, "__init__", making)
+        monkeypatch.setattr(kind, "steepest", checking)
+    return seen

@@ -5,13 +5,18 @@ behaves, and callers read its methods. A type check on these classes may
 remain only where a public entry point refuses the wrong problem kind.
 The oracles module is exempt: it recomputes everything from first
 principles, independently of the objects it checks. Likewise one method,
-_Steps.move, applies a solver's moves.
+_Steps.move, applies a solver's moves, and every quantity a kind's steps
+keep has a fresh value in oracles.FRESH for the audit to hold it against.
 """
 
 import ast
 import os
 
-from greedycd import objectives
+import numpy as np
+
+from conftest import random_problem
+from greedycd import objectives, oracles, solver
+from greedycd.selection import Rule
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src", "greedycd")
@@ -112,3 +117,19 @@ def test_one_move():
                         and item.name == "move" for item in node.body):
                     defines.append("%s:%s" % (name, node.name))
     assert defines == ["solver.py:_Steps"]
+
+
+def test_every_kept_quantity_has_a_fresh_value():
+    """With each optional entry kept (the L1 screen bound, the box's gap
+    sums and gap), a kind's kept() names are FRESH's names for it."""
+    rng = np.random.default_rng(0)
+    made = {"l1": (random_problem("lasso", rng),
+                   solver.SolverConfig(rule=Rule.UNIFORM)),
+            "box": (random_problem("svm", rng),
+                    solver.SolverConfig(record_gap=True))}
+    assert set(made) == set(oracles.FRESH)
+    for kind, (p, cfg) in made.items():
+        s = objectives.IterateState.zeros(p)
+        steps = solver._steps_for(p, cfg, s)
+        assert steps.kind == kind
+        assert sorted(steps.kept(p, s)) == sorted(oracles.FRESH[kind])

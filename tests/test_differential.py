@@ -12,6 +12,10 @@ least three refreshes of the kept gradient. The lasso's weight puts many
 uniform draws near the screen's bound; the elastic net's smaller one has
 gs-r and gs-q part from gs-s where a step changes sign.
 
+Every run, the mid-solve start's included, takes the audit fixture, so
+what the steps keep is held against fresh values after every move and the
+steepest check against the one made afresh at every check.
+
 Up to the first step at which the reference's steepest score is at
 round-off, 1e-9 (1 + max |g|), both must take the same coordinate and step
 kind at every record and record the same F to 1e-12 (1 + |F|), and the SVM
@@ -31,6 +35,7 @@ from greedycd.objectives import make_elastic_net, make_lasso, make_logistic
 from greedycd.oracles import reference_solve
 from greedycd.selection import Rule
 from greedycd.solver import SolverConfig, _solve
+
 
 def problem(kind, layout):
     """A problem of the kind on a dense matrix, or on a sparse one whose
@@ -61,7 +66,7 @@ CASES += [pytest.param("dense", kind, Rule.GSS, False, True,
 
 
 @pytest.mark.parametrize("layout,kind,rule,line_search,mid", CASES)
-def test_solve_matches_reference(monkeypatch, layout, kind, rule,
+def test_solve_matches_reference(audit, monkeypatch, layout, kind, rule,
                                  line_search, mid):
     monkeypatch.setattr(objectives, "RESIDUAL_REFRESH_EVERY", 40)
     p = problem(kind, layout)
@@ -86,6 +91,7 @@ def test_solve_matches_reference(monkeypatch, layout, kind, rule,
     monkeypatch.setattr(oracles, "full_grad", scoring)
     ref = reference_solve(p, cfg, start=start)
     assert fast.counters["grad_refreshes"] >= 3
+    assert audit.moves[-1][2] == fast.counters["grad_refreshes"]
 
     upto = live.index(False) if False in live else len(live)
     got, want = fast.columns, ref.columns

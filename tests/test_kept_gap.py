@@ -3,9 +3,12 @@ duality_gap on the same state.
 
 A box loop that reads an SVM dual's gap keeps sum_i alpha_i g_i and
 sum_i g_i from step to step and recomputes them at each gradient refresh.
-- Every read must be within 1e-12 of duality_gap: for gs-s, gs-q and
-  uniform, with line search, under the hashing engine, at trace_every 7,
-  at tol 0 with record_gap, and from a mid-solve start.
+- Under the audit fixture (conftest), which holds the sums to 1e-12
+  relative and the kept read within 1e-12 of duality_gap after every
+  move: for gs-s, gs-q and uniform, with line search, under the hashing
+  engine, at trace_every 7, at tol 0 with record_gap, and from a mid-solve
+  start. A record at trace_every 7 must hold the gap of the whole trace at
+  its step.
 - max_gap_drift must stay bounded past at least three refreshes, and
   take a refresh that the solve's last move makes.
 - With the gap read by duality_gap instead, a solve must take the same
@@ -21,7 +24,7 @@ import numpy as np
 import pytest
 
 from conftest import random_problem, svm_problem as random_svm
-from greedycd import solver
+from greedycd import objectives, solver
 from greedycd.objectives import Box, CompositeProblem, duality_gap
 from greedycd.selection import Rule
 from greedycd.smips import HyperplaneLsh
@@ -29,6 +32,7 @@ from greedycd.solver import SolverConfig, _solve, solve_box
 
 STEPS = 3500  # three refreshes at RESIDUAL_REFRESH_EVERY = 1000
 CLOSE = 1e-12
+AUDITED = 500  # steps of an audited solve, at RESIDUAL_REFRESH_EVERY = 100
 
 
 def svm_problem(seed, n=150, d=30, svm_lambda=1e-3):
@@ -36,75 +40,63 @@ def svm_problem(seed, n=150, d=30, svm_lambda=1e-3):
 
 
 @pytest.fixture
-def compared(monkeypatch):
-    """The kept gap at each read, after checking it against duality_gap on
-    the same state; a read that duality_gap answers counts as None."""
-    reads = []
-    kept = solver._BoxSteps.gap
+def audited(audit, monkeypatch):
+    """Solves under the audit at RESIDUAL_REFRESH_EVERY = 100: each keeps
+    the gap sums, refreshes them at least three times and moves the gap
+    there by at most CLOSE."""
+    monkeypatch.setattr(objectives, "RESIDUAL_REFRESH_EVERY", 100)
 
-    def comparing(steps, p, s):
-        value = kept(steps, p, s)
-        assert abs(value - duality_gap(p, s)) <= CLOSE
-        reads.append(value if steps.sums is not None else None)
-        return value
+    def solving(p, cfg, start=None):
+        trace = _solve(p, cfg, start=start)
+        c = trace.counters
+        assert c["grad_refreshes"] >= 3
+        assert 0.0 < c["max_gap_drift"] <= CLOSE
+        assert audit.moves[-1][2] == c["grad_refreshes"]
+        return trace
 
-    monkeypatch.setattr(solver._BoxSteps, "gap", comparing)
-    return reads
-
-
-def assert_kept(trace, reads, at_least):
-    assert len(reads) >= at_least and None not in reads
-    c = trace.counters
-    assert c["grad_refreshes"] >= 3
-    assert 0.0 < c["max_gap_drift"] <= CLOSE
+    return solving
 
 
 @pytest.mark.parametrize("rule,line_search", [
     (Rule.GSS, False), (Rule.GSQ, False), (Rule.UNIFORM, False),
     (Rule.GSS, True), (Rule.UNIFORM, True)])
-def test_kept_gap_at_every_step(compared, rule, line_search):
-    p = svm_problem(0)
-    trace = solve_box(p, SolverConfig(rule=rule, use_line_search=line_search,
-                                      max_iters=STEPS, tol=1e-14, seed=2))
+def test_kept_gap_at_every_step(audited, rule, line_search):
+    trace = audited(svm_problem(0), SolverConfig(
+        rule=rule, use_line_search=line_search, max_iters=AUDITED, tol=1e-14,
+        seed=2))
     assert trace.status == "max_iters"
-    # the stop check reads the gap before every step
-    assert_kept(trace, compared, STEPS)
 
 
-def test_kept_gap_under_the_hashing_engine(compared):
-    p = svm_problem(1)
-    trace = solve_box(p, SolverConfig(engine="smips",
-                                      backend=HyperplaneLsh(3, 10, seed=0),
-                                      max_iters=STEPS, tol=1e-14))
+def test_kept_gap_under_the_hashing_engine(audited):
+    trace = audited(svm_problem(1), SolverConfig(
+        engine="smips", backend=HyperplaneLsh(3, 10, seed=0),
+        max_iters=2 * AUDITED, tol=1e-14))
     assert trace.status == "max_iters"
-    assert_kept(trace, compared, STEPS)
 
 
 @pytest.mark.parametrize("every", [1, 7])
-def test_kept_gap_recorded_at_tol_zero(compared, every):
+def test_kept_gap_recorded_at_tol_zero(audited, every):
     """At tol 0 only the records read the gap; the sums still take every
     move, so each recorded gap is the whole trace's at that step."""
     p = svm_problem(2)
-    trace = solve_box(p, SolverConfig(max_iters=STEPS, tol=0.0,
-                                      trace_every=every, record_gap=True))
-    assert_kept(trace, compared, STEPS // every)
-    np.testing.assert_array_equal(trace.columns["gap"], compared)
+    cfg = SolverConfig(max_iters=AUDITED, tol=0.0, trace_every=every,
+                       record_gap=True)
+    trace = audited(p, cfg)
     if every == 7:
-        whole = solve_box(p, SolverConfig(max_iters=STEPS, tol=0.0,
+        whole = solve_box(p, SolverConfig(max_iters=AUDITED, tol=0.0,
                                           record_gap=True))
         by_iter = dict(zip(whole.columns["iter"], whole.columns["gap"]))
         assert trace.columns["gap"].tolist() == \
             [by_iter[i] for i in trace.columns["iter"]]
 
 
-def test_kept_gap_from_a_mid_solve_state(compared):
+def test_kept_gap_from_a_mid_solve_state(audited):
     p = svm_problem(3)
     start = solve_box(p, SolverConfig(rule=Rule.UNIFORM, max_iters=500,
                                       tol=0.0)).final_state
     assert 0 < np.count_nonzero(start.alpha) < p.n
-    trace = _solve(p, SolverConfig(max_iters=STEPS, tol=1e-14,
-                                   record_gap=True), start=start)
-    assert_kept(trace, compared, STEPS)
+    trace = audited(p, SolverConfig(max_iters=AUDITED, tol=1e-14,
+                                    record_gap=True), start=start)
     assert trace.columns["gap"][-1] == pytest.approx(
         duality_gap(p, trace.final_state), abs=CLOSE)
 
@@ -117,7 +109,7 @@ def test_exact_gap_takes_the_same_steps(monkeypatch, rule, every):
     cfg = SolverConfig(rule=rule, max_iters=20_000, tol=1e-7,
                        trace_every=every, record_gap=True, seed=1)
     kept = solve_box(p, cfg)
-    monkeypatch.setattr(solver._BoxSteps, "gap",
+    monkeypatch.setattr(solver._BoxSteps, "read_gap",
                         lambda steps, p, s: duality_gap(p, s))
     exact = solve_box(p, cfg)
     assert kept.status == exact.status == "tol"
@@ -198,11 +190,8 @@ def test_kept_read_at_most_once_per_iterate(monkeypatch, rule, every):
 
 
 @pytest.mark.parametrize("rule", [Rule.GSS, Rule.UNIFORM])
-def test_box_lasso_gap_record_refused_before_any_move(monkeypatch, rule):
-    moves = []
-    move = solver._BoxSteps.move
-    monkeypatch.setattr(solver._BoxSteps, "move",
-                        lambda *args: moves.append(1) or move(*args))
+def test_box_lasso_gap_record_refused_before_any_move(audit, rule):
+    moves = audit.moves
     lasso = random_problem("lasso", np.random.default_rng(7))
     boxed = CompositeProblem(lasso.matrix, np.zeros(lasso.n), lasso.loss,
                              Box())

@@ -1,12 +1,13 @@
 """The L1 steps' kept score offsets, against the values read off alpha.
 
-- After every move, and at every check, the kept shift and zero_lam must
-  equal sign(alpha) lam and lam where alpha is 0 (0 elsewhere), bitwise:
-  for gs-s, gs-r, gs-q and uniform, with and without line search, on
-  lasso, elastic net (lam is lam1) and L1-logistic, under the hashing
-  engine, from a mid-solve state with signed zeros, past more than three
-  refreshes, and through moves that truncate alpha_j to 0, flip its sign
-  or start from -0.0.
+- Under the audit fixture (conftest), which holds the kept shift and
+  zero_lam bitwise against sign(alpha) lam and lam where alpha is 0 (0
+  elsewhere) after every move, and the check against select_gss_l1 with no
+  offsets at every check: for gs-s, gs-r, gs-q and uniform, with and
+  without line search, on lasso, elastic net (lam is lam1) and
+  L1-logistic, under the hashing engine, from a mid-solve state with
+  signed zeros, past more than three refreshes, and through moves that
+  truncate alpha_j to 0, flip its sign or start from -0.0.
 - select_gss_l1 over the kept offsets must return the coordinate and score
   of the call that makes them afresh, and of argmax |subgrad_score|,
   bitwise: on random states with ties, signed zeros in alpha and g, a NaN
@@ -34,108 +35,76 @@ def _bits(x):
     return struct.pack("<d", x)
 
 
-def assert_fresh(steps, p, s):
-    """The kept offsets are the ones read off alpha, bitwise."""
-    alpha, lam = s.alpha, p.reg.lam
-    shift, zero_lam, _ = steps.offsets
-    assert shift.tobytes() == (np.sign(alpha) * lam).tobytes()
-    assert zero_lam.tobytes() == np.where(alpha == 0, lam, 0.0).tobytes()
-
-
-@pytest.fixture
-def kept(monkeypatch):
-    """Checks the L1 steps' offsets after every move and at every check,
-    and the check's outcome against select_gss_l1 with no offsets. Returns
-    the (alpha_j before, alpha_j after, refreshes) of each move and the
-    refresh count at each check."""
-    seen = {"moves": [], "checks": []}
-    move, steepest = solver._L1Steps.move, solver._L1Steps.steepest
-
-    def moving(steps, p, s, j, aj, new):
-        read = move(steps, p, s, j, aj, new)
-        assert_fresh(steps, p, s)
-        seen["moves"].append((aj, float(s.alpha[j]), s.grad_refreshes))
-        return read
-
-    def checking(steps, p, s):
-        assert_fresh(steps, p, s)
-        out = steepest(steps, p, s)
-        ref = select_gss_l1(p, s)
-        assert (out.coord, _bits(out.score)) == (ref.coord, _bits(ref.score))
-        seen["checks"].append(s.grad_refreshes)
-        return out
-
-    monkeypatch.setattr(solver._L1Steps, "move", moving)
-    monkeypatch.setattr(solver._L1Steps, "steepest", checking)
-    return seen
+def checks_of(trace, every):
+    """The checks a solve makes at one every `every` steps."""
+    return -(-trace.n_steps // every) + (trace.status == "tol")
 
 
 @pytest.mark.parametrize("line_search", [False, True])
 @pytest.mark.parametrize("rule", [Rule.GSS, Rule.GSR, Rule.GSQ, Rule.UNIFORM])
 @pytest.mark.parametrize("kind", ["lasso", "elasticnet", "logistic"])
-def test_kept_offsets_fresh_in_a_solve(kept, kind, rule, line_search):
+def test_kept_offsets_fresh_in_a_solve(audit, kind, rule, line_search):
     p = l1_problem(kind, 1)
     trace = solve_l1(p, SolverConfig(rule=rule, use_line_search=line_search,
                                      max_iters=STEPS, tol=1e-14, seed=3))
-    assert len(kept["moves"]) > 10
+    assert len(audit.moves) > 10
     # the exact rules check every step, uniform every n
     every = p.n if rule is Rule.UNIFORM else 1
-    assert len(kept["checks"]) == -(-trace.n_steps // every) \
-        + (trace.status == "tol")
+    assert len(audit.checks) == checks_of(trace, every)
 
 
-def test_kept_offsets_fresh_under_hashing_engine(kept):
+def test_kept_offsets_fresh_under_hashing_engine(audit, monkeypatch):
+    monkeypatch.setattr(objectives, "RESIDUAL_REFRESH_EVERY", 100)
     p = l1_problem("lasso", 2)
     trace = solve_l1(p, SolverConfig(engine="smips",
                                      backend=HyperplaneLsh(3, 10, seed=0),
                                      max_iters=2 * STEPS, tol=1e-14))
-    assert len(kept["moves"]) > 10
-    assert len(kept["checks"]) == -(-trace.n_steps // p.n) \
-        + (trace.status == "tol")
+    assert len(audit.checks) == checks_of(trace, p.n)
+    # it keeps no gradient, so the residual's refreshes count its moves
+    assert sum(aj != a for aj, a, _ in audit.moves) >= 300
 
 
 @pytest.mark.parametrize("kind", ["lasso", "elasticnet"])
-def test_kept_offsets_fresh_from_a_mid_solve_state(kept, kind):
+def test_kept_offsets_fresh_from_a_mid_solve_state(audit, kind):
     p = l1_problem(kind, 3)
     start = solve_l1(p, SolverConfig(rule=Rule.UNIFORM, max_iters=200,
                                      tol=0.0)).final_state
     zero = start.alpha == 0
     assert 0 < zero.sum() < p.n  # not from zero
     start.alpha[zero] = -0.0  # moves from -0.0
-    kept["moves"].clear()
+    audit.moves.clear()
     trace = solver._solve(p, SolverConfig(max_iters=STEPS, tol=1e-14),
                           start=start)
     assert trace.n_steps > 10
     assert any(aj == 0 and _bits(aj) == _bits(-0.0) and a != 0
-               for aj, a, _ in kept["moves"])
+               for aj, a, _ in audit.moves)
 
 
 @pytest.mark.parametrize("rule", [Rule.GSS, Rule.UNIFORM])
-def test_kept_offsets_fresh_past_refreshes(kept, monkeypatch, rule):
+def test_kept_offsets_fresh_past_refreshes(audit, monkeypatch, rule):
     monkeypatch.setattr(objectives, "RESIDUAL_REFRESH_EVERY", 100)
     p = l1_problem("lasso", 4)
     solve_l1(p, SolverConfig(rule=rule, max_iters=STEPS, tol=1e-14,
                              seed=5))
-    assert kept["moves"][-1][2] > 3  # past more than three refreshes
-    assert kept["checks"][-1] > 3
+    assert audit.moves[-1][2] > 3  # past more than three refreshes
+    assert audit.checks[-1] > 3
     # moves that truncated alpha_j to 0 were among them
-    assert any(aj != 0 and a == 0 for aj, a, _ in kept["moves"])
+    assert any(aj != 0 and a == 0 for aj, a, _ in audit.moves)
 
 
 @pytest.mark.parametrize("kind", ["lasso", "elasticnet", "logistic"])
-def test_kept_offsets_through_zeros_and_sign_flips(kept, kind):
+def test_kept_offsets_through_zeros_and_sign_flips(audit, kind):
     p = l1_problem(kind, 5)
     s = IterateState.zeros(p)
     s.alpha[[2, 5]] = -0.0
     steps = solver._steps_for(p, SolverConfig(), s)
-    assert_fresh(steps, p, s)
     for j in (2, 5, 7):
         # from -0.0 or 0, a flip of sign, truncation to 0, and back
         for value in (0.75, -0.75, 0.0, -2.0**-1074, 2.0**-1074, 0.0):
             steps.move(p, s, j, float(s.alpha[j]), value)  # the move is ours
             assert s.alpha[j] == value
             steps.steepest(p, s)
-    assert len(kept["moves"]) == len(kept["checks"]) == 18
+    assert len(audit.moves) == len(audit.checks) == 18
 
 
 def random_case(rng, n, lam, lam2):
@@ -164,7 +133,8 @@ def random_grad(rng, n, lam, nan):
 @pytest.mark.parametrize("nan", [False, True])
 @pytest.mark.parametrize("lam2", [None, 0.1])
 @pytest.mark.parametrize("lam", [0.0, 0.25, 1.0])
-def test_select_over_kept_offsets_matches_the_score_argmax(lam, lam2, nan):
+def test_select_over_kept_offsets_matches_the_score_argmax(audit, lam, lam2,
+                                                           nan):
     rng = np.random.default_rng(int(lam * 4) + 7 * (lam2 is None) + 31 * nan)
     checked = 0
     for n in (1, 2, 5, 17, 40):
@@ -174,7 +144,6 @@ def test_select_over_kept_offsets_matches_the_score_argmax(lam, lam2, nan):
             aj = float(s.alpha[j])
             new = rng.choice([0.0, -aj, 0.5, -1.5, 2.0**-1074])
             steps.move(p, s, j, aj, float(new))
-            assert_fresh(steps, p, s)
             g = random_grad(rng, n, lam, nan)
             got = select_gss_l1(p, s, grad=g, offsets=steps.offsets)
             fresh = select_gss_l1(p, s, grad=g)

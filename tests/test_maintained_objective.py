@@ -1,14 +1,15 @@
-"""The maintained objective against objective_value: over long solves,
-after each move of apply_coord_delta, at a refresh, and on a move the unit
-box refuses.
+"""The maintained objective against objective_value: over solves, after
+each move of apply_coord_delta, at a refresh, and on a move the unit box
+refuses.
 
 solve_l1 and solve_box keep F(alpha) current by adding each step's change,
 read off supp(A_j), and reset it with the residual every
-RESIDUAL_REFRESH_EVERY steps. The long cases run past four refreshes
-against oracles.reference_solve, which recomputes F after every step: the
-coordinates must be the same, every recorded value must agree with the
-recomputed one to 1e-12 (1 + |F|), and so must every refresh (max_f_drift).
-test_differential.py covers every rule and layout on shorter runs.
+RESIDUAL_REFRESH_EVERY steps. The solves run past at least three refreshes
+under the audit fixture (conftest), which holds the kept F to
+1e-12 (1 + |F|) against objective_value after every move, so every
+recorded value is held too; the last record must be recomputed exactly,
+and every refresh must move F by at most that much (max_f_drift).
+test_differential.py covers every rule and layout.
 """
 
 import numpy as np
@@ -18,41 +19,40 @@ from conftest import l1_problem, random_problem, random_state, svm_problem
 from greedycd import objectives
 from greedycd.objectives import IterateState, apply_coord_delta, \
     objective_value
-from greedycd.oracles import reference_solve
-from greedycd.solver import SolverConfig, solve_box, solve_l1
+from greedycd.solver import SolverConfig, _solve
 
-STEPS = 4200  # four refreshes at RESIDUAL_REFRESH_EVERY = 1000
+STEPS = 500  # five refreshes at RESIDUAL_REFRESH_EVERY = 100
 
 
-def assert_tracks_objective(p, trace, ref):
-    np.testing.assert_array_equal(trace.columns["coord"],
-                                  ref.columns["coord"])
-    got, want = trace.f_values, ref.f_values
-    scale = 1.0 + np.abs(want)
-    assert np.all(np.abs(got - want) <= 1e-12 * scale)
-    # the last record is recomputed exactly, from the solve's own state
-    assert got[-1] == objective_value(p, trace.final_state)
-    assert 0.0 <= trace.counters["max_f_drift"] <= 1e-12 * scale.max()
+@pytest.fixture
+def audited(audit, monkeypatch):
+    """Solves STEPS steps under the audit at RESIDUAL_REFRESH_EVERY = 100:
+    each passes at least three refreshes, each refresh moves the kept F by
+    round-off, and the last record is F recomputed."""
+    monkeypatch.setattr(objectives, "RESIDUAL_REFRESH_EVERY", 100)
+
+    def solving(p, line_search=False):
+        trace = _solve(p, SolverConfig(max_iters=STEPS, tol=0.0,
+                                       use_line_search=line_search))
+        assert audit.moves[-1][2] == trace.counters["grad_refreshes"] >= 3
+        f = trace.f_values
+        # the last record is recomputed exactly, from the solve's own state
+        assert f[-1] == objective_value(p, trace.final_state)
+        assert 0.0 <= trace.counters["max_f_drift"] \
+            <= 1e-12 * (1.0 + np.abs(f).max())
+
+    return solving
 
 
 @pytest.mark.parametrize("kind,line_search", [
     ("lasso", False), ("elasticnet", False),
     ("logistic", False), ("logistic", True)])
-def test_l1_objective_matches_recomputed(kind, line_search):
-    p = l1_problem(kind, 5)
-    cfg = SolverConfig(max_iters=STEPS, tol=0.0,
-                       use_line_search=line_search)
-    trace = solve_l1(p, cfg)
-    assert trace.counters["grad_refreshes"] > 3
-    assert_tracks_objective(p, trace, reference_solve(p, cfg))
+def test_l1_objective_matches_recomputed(audited, kind, line_search):
+    audited(l1_problem(kind, 5), line_search)
 
 
-def test_svm_dual_objective_matches_recomputed():
-    p = svm_problem(7)
-    cfg = SolverConfig(max_iters=STEPS, tol=0.0)
-    trace = solve_box(p, cfg)
-    assert trace.counters["grad_refreshes"] > 3
-    assert_tracks_objective(p, trace, reference_solve(p, cfg))
+def test_svm_dual_objective_matches_recomputed(audited):
+    audited(svm_problem(7))
 
 
 @pytest.mark.parametrize("kind", ["lasso", "elasticnet", "logistic", "svm"])

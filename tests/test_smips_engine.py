@@ -5,7 +5,9 @@ steepest-subgradient (GS-s) argmax, so the solvers run an exact engine as
 GS-s: at every step of a GS-s solve the exact scan over the points must
 pick GS-s's coordinate with GS-s's score, and every form of an exact engine
 must give GS-s's trace bit for bit. HyperplaneLsh.fit buckets the points
-with one sort per table; its tables must equal the per-point loop's.
+with one sort per table; its tables must equal the per-point loop's. Each
+solve restarts a hashing engine's fallback draws, so every solve by one
+prebuilt engine must give a fresh engine's trace bit for bit.
 """
 
 import numpy as np
@@ -89,6 +91,19 @@ def test_exact_engine_solves_are_gss_solves(kind, line_search, tol):
                             ("smips", sm.Exact())):
         got = solve(p, SolverConfig(engine=engine, backend=backend, **base))
         assert trace_key(got) == want
+
+
+@pytest.mark.parametrize("kind", ["lasso", "svm"])
+def test_each_solve_restarts_the_fallback_draws(kind):
+    p, solve = problem(kind)
+    base = dict(max_iters=300, tol=0.0)
+    fresh = solve(p, SolverConfig(
+        engine="smips", backend=sm.HyperplaneLsh(24, 1, seed=2), **base))
+    assert fresh.counters["fallback"] > 100  # mostly drawn picks
+    engine = SmipsEngine(p, backend=sm.HyperplaneLsh(24, 1, seed=2))
+    for _ in range(2):
+        again = solve(p, SolverConfig(engine=engine, **base))
+        assert trace_key(again) == trace_key(fresh)
 
 
 @pytest.mark.parametrize("kind", ["lasso", "svm"])

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import time
 import types
 
@@ -423,6 +424,16 @@ class TestConfigValidation:
             solve_l1(p, SolverConfig(max_iters=0))
         with pytest.raises(ValueError):
             solve_l1(p, SolverConfig(engine="magic"))
+
+    def test_unknown_rule_refused_by_name(self, rng):
+        # refused before any step: a check that stops the solve first
+        # would otherwise never reach the pick that fails
+        p = random_problem("lasso", rng)
+        for rule in ("gs-r", None, "uniform"):
+            with pytest.raises(ValueError, match=re.escape(
+                    "rule must be a Rule member (GSS, GSR, GSQ, UNIFORM), "
+                    "got %r" % (rule,))):
+                solve_l1(p, SolverConfig(rule=rule, tol=1e3))
 
     def test_seed_must_be_a_nonnegative_integer(self):
         for seed in (0, 7, np.int64(3), np.uint32(5)):

@@ -1,16 +1,17 @@
-"""The box check's score buffer, the column read a step shares with its
-move, and the SVM gap read off the gradient, each against the expression it
-replaces.
+"""The box steps' kept state and check, the column read a step shares with
+its move, and the SVM gap read off the gradient, each against the
+expression it replaces.
 
-- The box steps' check must give select_gss_box's outcome over
-  ActiveSet.from_state, and uniform must draw from from_state's set, at
-  every check, for every rule, with and without line search, under the
-  hashing engine (a check every n steps) and in a solve to round-off from
-  a mid-solve state, over runs past several refreshes, when a move leaves
-  alpha_j one ulp off a bound, and at the buffer's edge cases: an empty
-  set, a zero best, a NaN, ties and signed zeros.
-- After every move, what the box steps keep must equal fresh values: the
-  bound state and |g| bitwise, the SVM gap's sums to 1e-12.
+- Under the audit fixture (conftest), which holds the kept bound state,
+  |g| and gap sums against fresh values after every move and the check
+  against select_gss_box over ActiveSet.from_state at every check: SVM
+  solves for gs-s, gs-q and uniform, with and without line search, with
+  the gap sums kept and without, under the hashing engine (a check every n
+  steps), to round-off from a mid-solve state, past at least three
+  refreshes, and moves that leave alpha_j one ulp off a bound.
+- The check at the buffer's edge cases, against select_gss_box over
+  from_state's set: an empty set, a zero best, a NaN, ties and signed
+  zeros.
 - duality_gap must match the hinge primal less the dual from a fresh
   matvec, and the benchmark's own certificate at solves' final states.
 - The objective change read off a step's column must equal the one computed
@@ -24,86 +25,96 @@ import os
 import numpy as np
 import pytest
 
-from conftest import random_problem, random_state, svm_problem
+from conftest import assert_checked, random_problem, random_state, \
+    svm_problem
 from greedycd import objectives, solver
 from greedycd.data_io import RandomSvm, SynthSpec, fold_labels, gen_synthetic
 from greedycd.objectives import (Box, CompositeProblem, ElasticNetL1,
                                  IterateState, L1, Logistic,
                                  apply_coord_delta, coord_grad, duality_gap,
                                  make_svm_dual)
-from greedycd.selection import ActiveSet, Rule, select_gss_box
+from greedycd.selection import Rule
 from greedycd.smips import HyperplaneLsh
 from greedycd.solver import SolverConfig, solve_box
 
-STEPS = 4200  # four refreshes at RESIDUAL_REFRESH_EVERY = 1000
+STEPS = 500
+EVERY = 100  # RESIDUAL_REFRESH_EVERY here: five refreshes in STEPS moves
 
 
-def assert_checked(steps, p, s, out):
-    """The check's outcome and uniform's set are select_gss_box's and
-    from_state's on the same state, bitwise."""
-    ref_set = ActiveSet.from_state(s.alpha, s.grad)
-    ref = select_gss_box(p, s, active=ref_set)
-    if ref is None:
-        assert out is None
-    else:
-        # NaN equals NaN here, and 0.0 does not equal -0.0
-        np.testing.assert_equal((out.coord, out.score), (ref.coord, ref.score))
-    np.testing.assert_array_equal(steps.members, ref_set.membership)
+def audited(monkeypatch, p, cfg, start=None):
+    """The trace of a solve from start (alpha = 0 when None) at
+    RESIDUAL_REFRESH_EVERY = EVERY, which must pass at least three
+    refreshes; the test's audit fixture checks every move and check."""
+    monkeypatch.setattr(objectives, "RESIDUAL_REFRESH_EVERY", EVERY)
+    trace = solver._solve(p, cfg, start=start)
+    assert trace.counters["grad_refreshes"] >= 3
+    return trace
 
 
-@pytest.fixture
-def checked(monkeypatch):
-    """Counts the box steps' checks after checking each against
-    select_gss_box over ActiveSet.from_state."""
-    calls = []
-    steepest = solver._BoxSteps.steepest
-
-    def checking(steps, p, s):
-        out = steepest(steps, p, s)
-        assert_checked(steps, p, s, out)
-        calls.append(s.grad_refreshes)
-        return out
-
-    monkeypatch.setattr(solver._BoxSteps, "steepest", checking)
-    return calls
+def mid_solve_state(p):
+    """The state after 300 uniform steps: some, not all, alpha_i nonzero."""
+    start = solve_box(p, SolverConfig(rule=Rule.UNIFORM, max_iters=300,
+                                      tol=0.0)).final_state
+    assert 0 < np.count_nonzero(start.alpha) < p.n
+    return start
 
 
 @pytest.mark.parametrize("line_search", [False, True])
 @pytest.mark.parametrize("rule", [Rule.GSS, Rule.GSQ, Rule.UNIFORM])
-def test_kept_active_set_matches_from_state(checked, rule, line_search):
-    p = svm_problem(0)
-    trace = solve_box(p, SolverConfig(rule=rule, use_line_search=line_search,
-                                      max_iters=STEPS, tol=0.0, seed=3))
-    assert trace.n_steps == STEPS
-    assert len(checked) == STEPS
-    assert checked[-1] > 3  # checked past more than three refreshes
+def test_kept_active_set_matches_from_state(audit, monkeypatch, rule,
+                                            line_search):
+    trace = audited(monkeypatch, svm_problem(0), SolverConfig(
+        rule=rule, use_line_search=line_search, max_iters=STEPS, tol=0.0,
+        seed=3))
+    assert trace.n_steps == len(audit.checks) == STEPS
 
 
-def test_kept_active_set_under_hashing_engine(checked):
+@pytest.mark.parametrize("line_search", [False, True])
+@pytest.mark.parametrize("rule", [Rule.GSS, Rule.GSQ, Rule.UNIFORM])
+def test_kept_state_fresh_after_every_move(audit, monkeypatch, rule,
+                                           line_search):
+    trace = audited(monkeypatch, svm_problem(5), SolverConfig(
+        rule=rule, use_line_search=line_search, max_iters=STEPS, tol=0.0,
+        record_gap=True, seed=3))
+    assert trace.n_steps == len(audit.moves) == STEPS
+
+
+def assert_hashed(audit, monkeypatch, record_gap):
+    """A solve by the hashing engine, whose picks often move nothing: a
+    check every n steps, and every move in between audited."""
     p = svm_problem(1)
-    steps = 2 * STEPS  # many hashed picks move nothing
-    trace = solve_box(p, SolverConfig(engine="smips",
-                                      backend=HyperplaneLsh(3, 10, seed=0),
-                                      max_iters=steps, tol=0.0))
-    assert trace.n_steps == steps
-    # a check every n steps, with the moves in between re-read
-    assert len(checked) == -(-steps // p.n)
-    assert checked[-1] > 3
+    steps = 10 * EVERY
+    trace = audited(monkeypatch, p, SolverConfig(
+        engine="smips", backend=HyperplaneLsh(3, 10, seed=0), max_iters=steps,
+        tol=0.0, record_gap=record_gap))
+    assert trace.n_steps == len(audit.moves) == steps
+    assert len(audit.checks) == -(-steps // p.n)
 
 
-def test_kept_active_set_in_polish(checked):
+def test_kept_active_set_under_hashing_engine(audit, monkeypatch):
+    assert_hashed(audit, monkeypatch, record_gap=False)
+
+
+def test_kept_state_fresh_under_hashing_engine(audit, monkeypatch):
+    assert_hashed(audit, monkeypatch, record_gap=True)
+
+
+def test_kept_active_set_in_polish(audit, monkeypatch):
     p = svm_problem(2)
-    start = solve_box(p, SolverConfig(rule=Rule.UNIFORM, max_iters=300,
-                                      tol=0.0)).final_state
-    assert 0 < np.count_nonzero(start.alpha) < p.n  # not from zero
-    solver._solve(p, SolverConfig(max_iters=STEPS, tol=1e-14), start=start)
-    assert len(checked) >= STEPS
-    assert checked[-1] > 3
+    audited(monkeypatch, p, SolverConfig(max_iters=STEPS, tol=1e-14),
+            start=mid_solve_state(p))
+
+
+def test_kept_state_fresh_from_a_mid_solve_state(audit, monkeypatch):
+    p = svm_problem(7)
+    audited(monkeypatch, p, SolverConfig(max_iters=STEPS, tol=1e-14,
+                                         record_gap=True),
+            start=mid_solve_state(p))
 
 
 @pytest.mark.parametrize("target", [1.0 - 2.0**-53, 1.0 + 2.0**-52, 1.0,
                                     2.0**-1074, 0.0, 0.5])
-def test_kept_active_set_one_ulp_off_a_bound(checked, target):
+def test_kept_active_set_one_ulp_off_a_bound(audit, target):
     p = svm_problem(3, n=30, d=8)
     s = IterateState.zeros(p)
     steps = solver._steps_for(p, SolverConfig(), s)
@@ -113,65 +124,7 @@ def test_kept_active_set_one_ulp_off_a_bound(checked, target):
             steps.move(p, s, j, float(s.alpha[j]), value)  # the move is ours
             assert s.alpha[j] == value
             steps.steepest(p, s)
-    assert len(checked) == 7
-
-
-@pytest.fixture
-def moved(monkeypatch):
-    """Counts the box steps' moves after checking that what they keep is
-    fresh: the bound state and |g| bitwise, the SVM gap's sums to 1e-12."""
-    calls = []
-    move = solver._BoxSteps.move
-
-    def checking(steps, p, s, j, aj, new):
-        read = move(steps, p, s, j, aj, new)
-        alpha, g = s.alpha, s.grad
-        np.testing.assert_array_equal(steps.interior,
-                                      (alpha > 0) & (alpha < 1))
-        assert steps.sign.tobytes() == \
-            ((alpha == 1).astype(float) - (alpha == 0)).tobytes()
-        assert steps.abs_g.tobytes() == np.abs(g).tobytes()
-        a, total = steps.sums
-        assert abs(a - float(alpha @ g)) <= 1e-12
-        assert abs(total - float(g.sum())) <= 1e-12
-        calls.append(s.grad_refreshes)
-        return read
-
-    monkeypatch.setattr(solver._BoxSteps, "move", checking)
-    return calls
-
-
-@pytest.mark.parametrize("line_search", [False, True])
-@pytest.mark.parametrize("rule", [Rule.GSS, Rule.GSQ, Rule.UNIFORM])
-def test_kept_state_fresh_after_every_move(moved, rule, line_search):
-    p = svm_problem(5)
-    trace = solve_box(p, SolverConfig(rule=rule, use_line_search=line_search,
-                                      max_iters=STEPS, tol=0.0,
-                                      record_gap=True, seed=3))
-    assert len(moved) == trace.n_steps == STEPS
-    assert moved[-1] > 3  # past more than three refreshes
-
-
-def test_kept_state_fresh_under_hashing_engine(moved):
-    p = svm_problem(6)
-    trace = solve_box(p, SolverConfig(engine="smips",
-                                      backend=HyperplaneLsh(3, 10, seed=0),
-                                      max_iters=2 * STEPS, tol=0.0,
-                                      record_gap=True))
-    assert len(moved) == trace.n_steps == 2 * STEPS
-    assert moved[-1] > 3
-
-
-def test_kept_state_fresh_from_a_mid_solve_state(moved):
-    p = svm_problem(7)
-    start = solve_box(p, SolverConfig(rule=Rule.UNIFORM, max_iters=300,
-                                      tol=0.0, record_gap=True)).final_state
-    assert 0 < np.count_nonzero(start.alpha) < p.n  # not from zero
-    moved.clear()
-    trace = solver._solve(p, SolverConfig(max_iters=STEPS, tol=1e-14,
-                                          record_gap=True), start=start)
-    assert len(moved) == trace.n_steps == STEPS
-    assert moved[-1] > 3
+    assert len(audit.moves) == 6 and len(audit.checks) == 7
 
 
 def box_state(alpha, grad):

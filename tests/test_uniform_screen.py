@@ -5,7 +5,8 @@ that leave alpha as it is. A selector that replays the same stream of draws
 takes every step through the scalar step, so the two solves must agree bit
 for bit: the records, the step counts, the final alpha and the residual.
 The screen's bound is remade after every move that refreshes the kept
-gradient, from the state at that moment.
+gradient, from the state at that moment: the audit fixture (conftest)
+holds it against a fresh one there.
 """
 
 import struct
@@ -145,30 +146,16 @@ def test_steps_decide_the_screen(cfg, screens):
     assert (solver._solve(p, cfg).counters["screened"] > 0) == screens
 
 
-def test_bound_remade_at_each_refresh(monkeypatch):
+def test_bound_remade_at_each_refresh(audit, monkeypatch):
     """After every move that refreshes the kept gradient, the screen's
-    bound is lam less the margin read from the state at that moment."""
+    bound is lam less the margin read from the state at that moment, which
+    the audit holds against oracles.FRESH."""
     monkeypatch.setattr(objectives, "RESIDUAL_REFRESH_EVERY", 200)
-    bounds = []
-    move = solver._Steps.move
-
-    def checking(steps, p, s, j, aj, new):
-        refreshes = s.grad_refreshes
-        read = move(steps, p, s, j, aj, new)
-        if s.grad_refreshes != refreshes:
-            lam = p.reg.lam
-            margin = max(
-                solver.SCREEN_MARGIN * max(lam, float(np.abs(s.grad).max())),
-                solver.SCREEN_DRIFT_MULTIPLE * s.max_grad_drift)
-            assert steps.bound == lam - margin
-            bounds.append(steps.bound)
-        return read
-
-    monkeypatch.setattr(solver._Steps, "move", checking)
     p = random_problem("lasso", np.random.default_rng(3), n=60, d=20,
                        lam=0.5)
     trace = solve_l1(p, SolverConfig(rule=Rule.UNIFORM, max_iters=2503,
                                      tol=0.0, seed=5))
     assert trace.counters["screened"] > 1000
+    bounds = [kept["bound"] for kept in audit.refreshed]
     assert len(bounds) == trace.counters["grad_refreshes"] >= 3
     assert len(set(bounds)) > 1  # a stale bound would be told apart
