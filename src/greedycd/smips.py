@@ -173,33 +173,16 @@ def point_to_coordinate(ps, pid):
     return j, ps.tags[k]
 
 
-def _pack_bits(bits):
-    return np.packbits(bits, axis=-1).tobytes()
-
-
-def _buckets(keys):
-    """{key bytes: ascending point ids} from one row of packed bits per point.
-
-    A stable sort on the key bytes keeps the ids ascending within each run
-    of equal keys; each run is a bucket, keyed as _pack_bits keys that
-    point's bits.
-    """
-    order = np.lexsort(keys.T)
-    ranked = keys[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    starts = np.flatnonzero(first)
-    width = keys.shape[1]
-    packed = ranked[starts].tobytes()  # the buckets' keys, back to back
-    bounds = np.append(starts, len(order)).tolist()
-    return {packed[width * b:width * (b + 1)]: order[bounds[b]:bounds[b + 1]]
-            for b in range(len(starts))}
+# points per plane product in fit, which bounds the product's temporary
+FIT_CHUNK_ROWS = 512
 
 
 @dataclass
 class HyperplaneLsh:
     """Sign-random-projection hashing: n_tables tables of bits_per_table bits.
 
+    One product with all the planes hashes a point or query into every
+    table. Each table keeps its points' integer keys sorted, with their ids.
     Candidates are gathered from the query's buckets and filtered by the
     mask afterwards (masks change every iteration, so tables are static).
     When none survives, a query falls back to a random live point, drawn
@@ -210,23 +193,44 @@ class HyperplaneLsh:
     n_tables: int
     seed: int = 0
 
-    _planes: list = field(default=None, repr=False)
-    _tables: list = field(default=None, repr=False)
+    _planes: np.ndarray = field(default=None, repr=False)
+    _keys: np.ndarray = field(default=None, repr=False)
+    _ids: np.ndarray = field(default=None, repr=False)
     _fitted_for: object = field(default=None, repr=False)
     _rng: object = field(default=None, repr=False)
+    _key_bytes: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.bits_per_table < 1 or self.n_tables < 1:
             raise ValueError("need at least one bit and one table")
+        if self.bits_per_table > 64:
+            raise ValueError("bits_per_table must be at most 64, the widest "
+                             "integer key, got %d" % self.bits_per_table)
+        self._key_bytes = next(n for n in (1, 2, 4, 8)
+                               if 8 * n >= self.bits_per_table)
+
+    def _hash(self, signs):
+        """Keys (rows, n_tables) of signs (rows, n_tables * bits): each
+        table's bits left-padded to whole key bytes, read big-endian."""
+        rows, bits = len(signs), self.bits_per_table
+        width = 8 * self._key_bytes
+        padded = np.zeros((rows, self.n_tables, width), dtype=bool)
+        padded[:, :, width - bits:] = signs.reshape(rows, self.n_tables, bits)
+        return np.packbits(padded.reshape(rows, -1), axis=-1).view(
+            ">u%d" % self._key_bytes)
 
     def fit(self, ps):
         rng = np.random.default_rng(self.seed)
-        self._planes, self._tables = [], []
-        for _ in range(self.n_tables):
-            planes = rng.standard_normal((self.bits_per_table, ps.dim))
-            sigs = ps.points @ planes.T >= 0
-            self._planes.append(planes)
-            self._tables.append(_buckets(np.packbits(sigs, axis=-1)))
+        self._planes = rng.standard_normal(
+            (self.n_tables * self.bits_per_table, ps.dim))
+        keys = np.empty((self.n_tables, ps.n_points),
+                        dtype="u%d" % self._key_bytes)
+        for lo in range(0, ps.n_points, FIT_CHUNK_ROWS):
+            signs = ps.points[lo:lo + FIT_CHUNK_ROWS] @ self._planes.T >= 0
+            keys[:, lo:lo + len(signs)] = self._hash(signs).T
+        # a stable sort keeps each key's ids ascending
+        self._ids = np.argsort(keys, axis=1, kind="stable")
+        self._keys = np.take_along_axis(keys, self._ids, axis=1)
         self._fitted_for = ps
         self.restart()
 
@@ -235,15 +239,10 @@ class HyperplaneLsh:
         self._rng = np.random.default_rng(self.seed + 1)
 
     def candidates(self, q):
-        found = []
-        for planes, buckets in zip(self._planes, self._tables):
-            key = _pack_bits(planes @ q >= 0)
-            hit = buckets.get(key)
-            if hit is not None:
-                found.append(hit)
-        if not found:
-            return np.zeros(0, dtype=np.int64)
-        return np.unique(np.concatenate(found))
+        found = self._hash((self._planes @ q >= 0)[None])[0]
+        return np.unique(np.concatenate([
+            ids[keys.searchsorted(k):keys.searchsorted(k, "right")]
+            for keys, ids, k in zip(self._keys, self._ids, found)]))
 
 
 def smips_query(ps, q, m, backend):
@@ -253,7 +252,7 @@ def smips_query(ps, q, m, backend):
     the LSH backend unions its buckets, filters by the mask, and falls back
     to a random included point when no candidate survives.
     """
-    if m.count < 1:
+    if not m.included.any():
         raise ValueError("empty candidate mask")
     if len(q) != ps.dim:
         raise ValueError("query dimension %d != point dimension %d"

@@ -148,11 +148,16 @@ class SparseColMatrix:
     @classmethod
     def from_dense(cls, arr):
         arr = np.asarray(arr, dtype=np.float64)
-        # the transpose's nonzeros come column by column, rows ascending
-        cols, rows = np.nonzero(arr.T)
-        starts = np.zeros(arr.shape[1] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cols, minlength=arr.shape[1]), out=starts[1:])
-        return cls(arr.shape[0], starts, rows, arr[rows, cols])
+        d, n = arr.shape
+        # entry k of the contiguous transpose is row k % d of column k // d,
+        # so its nonzeros come column by column, rows ascending; NaN is one
+        flat = np.ascontiguousarray(arr.T).ravel()
+        ids = np.flatnonzero(flat != 0)
+        starts = np.searchsorted(ids, np.arange(n + 1) * d)
+        values = flat[ids]
+        # row ids overwrite the positions, which saves an allocation
+        rows = np.remainder(ids, max(d, 1), out=ids)
+        return cls(d, starts, rows, values)
 
     def col_ids(self):
         """The column of every stored entry, in storage order."""

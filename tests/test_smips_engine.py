@@ -4,8 +4,9 @@ Over the live augmented points an exact inner-product search is the
 steepest-subgradient (GS-s) argmax, so the solvers run an exact engine as
 GS-s: at every step of a GS-s solve the exact scan over the points must
 pick GS-s's coordinate with GS-s's score, and every form of an exact engine
-must give GS-s's trace bit for bit. HyperplaneLsh.fit buckets the points
-with one sort per table; its tables must equal the per-point loop's. Each
+must give GS-s's trace bit for bit. HyperplaneLsh hashes the points into
+all its tables with one plane product and keeps each table's integer keys
+sorted; its tables and candidate sets must equal the per-table loop's. Each
 solve restarts a hashing engine's fallback draws, so every solve by one
 prebuilt engine must give a fresh engine's trace bit for bit.
 """
@@ -162,7 +163,8 @@ def test_box_stops_on_a_zero_score_over_a_live_active_set():
 
 
 def loop_tables(ps, bits, n_tables, seed):
-    """The planes and the per-point bucketing loop HyperplaneLsh.fit once ran."""
+    """The planes and the per-point bucketing loop HyperplaneLsh.fit once
+    ran: per table, {packed sign bytes: ascending point ids}."""
     rng = np.random.default_rng(seed)
     all_planes, tables = [], []
     for _ in range(n_tables):
@@ -170,29 +172,85 @@ def loop_tables(ps, bits, n_tables, seed):
         sigs = np.asarray(ps.points @ planes.T) >= 0
         buckets = {}
         for pid in range(ps.n_points):
-            buckets.setdefault(sm._pack_bits(sigs[pid]), []).append(pid)
+            buckets.setdefault(np.packbits(sigs[pid]).tobytes(),
+                               []).append(pid)
         all_planes.append(planes)
         tables.append({k: np.array(v) for k, v in buckets.items()})
     return all_planes, tables
 
 
-@pytest.mark.parametrize("mapping", ["l1", "box"])
-@pytest.mark.parametrize("bits", [3, 8, 11, 16])
-def test_lsh_tables_match_the_loop(mapping, bits, rng):
+def loop_candidates(planes, tables, q):
+    """The union the per-table lookups HyperplaneLsh.candidates once made."""
+    found = []
+    for p, t in zip(planes, tables):
+        key = np.packbits(p @ q >= 0).tobytes()
+        if key in t:
+            found.append(t[key])
+    if not found:
+        return np.zeros(0, dtype=np.int64)
+    return np.unique(np.concatenate(found))
+
+
+def hashed_points(mapping, rng):
     if mapping == "l1":
         p = random_problem("lasso", rng, n=150, d=20)
-        ps = sm.build_l1_points(p.matrix, p.linear_term, 0.5)
-    else:
-        p = random_problem("svm", rng, n=150, d=20)
-        ps = sm.build_box_points(p.matrix, p.linear_term, 0.5)
+        return sm.build_l1_points(p.matrix, p.linear_term, 0.5)
+    p = random_problem("svm", rng, n=150, d=20)
+    return sm.build_box_points(p.matrix, p.linear_term, 0.5)
+
+
+LSH_BITS = [1, 3, 8, 11, 16, 24, 64]
+
+
+@pytest.mark.parametrize("mapping", ["l1", "box"])
+@pytest.mark.parametrize("bits", LSH_BITS)
+def test_lsh_tables_match_the_loop(mapping, bits, rng):
+    # a table keeps the loop's buckets as sorted integer keys, each the
+    # big-endian integer of the loop's packed bytes less their zero padding,
+    # with the bucket's ascending ids in key order
+    ps = hashed_points(mapping, rng)
     lsh = sm.HyperplaneLsh(bits, 3, seed=4)
     lsh.fit(ps)
     planes, tables = loop_tables(ps, bits, 3, seed=4)
-    for got, want in zip(lsh._planes, planes):
+    np.testing.assert_array_equal(lsh._planes, np.concatenate(planes))
+    width = next(w for w in (8, 16, 32, 64) if w >= bits)
+    assert lsh._keys.dtype == np.dtype("u%d" % (width // 8))
+    assert lsh._keys.shape == lsh._ids.shape == (3, ps.n_points)
+    for keys, ids, want in zip(lsh._keys, lsh._ids, tables):
+        ints = {int.from_bytes(k, "big") >> (8 * len(k) - bits): v
+                for k, v in want.items()}
+        order = sorted(ints)
+        np.testing.assert_array_equal(keys, np.array(
+            [k for k in order for _ in ints[k]], dtype=np.uint64))
+        want_ids = np.concatenate([ints[k] for k in order])
+        assert ids.dtype == want_ids.dtype
+        np.testing.assert_array_equal(ids, want_ids)
+
+
+@pytest.mark.parametrize("mapping", ["l1", "box"])
+@pytest.mark.parametrize("bits", LSH_BITS)
+def test_lsh_candidates_match_the_loop(mapping, bits, rng):
+    ps = hashed_points(mapping, rng)
+    lsh = sm.HyperplaneLsh(bits, 3, seed=4)
+    lsh.fit(ps)
+    planes, tables = loop_tables(ps, bits, 3, seed=4)
+    queries = [rng.standard_normal(ps.dim) * 10.0 ** rng.integers(-3, 4)
+               for _ in range(200)]
+    queries += list(ps.points[::7]) + [np.zeros(ps.dim)]
+    misses = 0
+    for q in queries:
+        got, want = lsh.candidates(q), loop_candidates(planes, tables, q)
+        assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
-    assert len(lsh._tables) == len(tables)
-    for got, want in zip(lsh._tables, tables):
-        assert got.keys() == want.keys()
-        for key, ids in want.items():
-            assert got[key].dtype == ids.dtype
-            np.testing.assert_array_equal(got[key], ids)
+        misses += len(want) == 0
+    # not every lookup misses, so some unions were compared
+    assert misses < len(queries)
+
+
+def test_lsh_refuses_tables_without_an_integer_key():
+    sm.HyperplaneLsh(64, 1)
+    with pytest.raises(ValueError, match="at most 64"):
+        sm.HyperplaneLsh(65, 2)
+    for bits, tables in ((0, 2), (8, 0)):
+        with pytest.raises(ValueError, match="at least one bit"):
+            sm.HyperplaneLsh(bits, tables)

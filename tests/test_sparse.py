@@ -233,6 +233,26 @@ class TestVectorizedAgainstLoops:
         np.testing.assert_array_equal(dense, loop_to_dense(M))
         np.testing.assert_array_equal(dense, A)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_from_dense_edge_cases_identical_arrays(self, rng):
+        # NaN and +-inf are stored, -0.0 is not, whatever the input's dtype,
+        # memory order or strides, and a shape with no rows or no columns
+        # divides by nothing
+        A = rng.standard_normal((7, 9)) * (rng.random((7, 9)) < 0.6)
+        A[0, 0], A[3, 0], A[6, 4] = np.nan, np.inf, -np.inf
+        A[2, 2], A[5, 8] = -0.0, np.nan
+        big = rng.standard_normal((12, 20))
+        big[::3, ::4] = 0.0
+        cases = [A, np.asfortranarray(A), A[::2, 1::3], big[1::2, ::3],
+                 np.arange(-6, 6).reshape(3, 4),
+                 np.zeros((0, 5)), np.zeros((4, 0)), np.zeros((0, 0)),
+                 np.full((2, 3), -0.0)]
+        for arr in cases:
+            M = SparseColMatrix.from_dense(arr)
+            assert_same_arrays(M, loop_from_dense(arr))
+        assert SparseColMatrix.from_dense(np.full((2, 3), -0.0)).nnz == 0
+        assert SparseColMatrix.from_dense(A).nnz == np.count_nonzero(A)
+
     @pytest.mark.parametrize("d,n,density", SHAPES)
     def test_matvec_bitwise_equals_column_loop(self, rng, d, n, density):
         M, _ = random_sparse(rng, d, n, density)
