@@ -26,6 +26,7 @@ from .objectives import (Box, DualSVM, ElasticNetL1, IterateState, L1,
                          coord_grad, duality_gap, full_grad, objective_value)
 from .selection import (ActiveSet, Rule, select_gsq, select_gsr,
                         select_gss_box, select_gss_l1)
+from .smips import build_box_mask, build_l1_mask
 from .solver import (COLUMNS, KIND_CODE, KINDS, SCREEN_DRIFT_MULTIPLE,
                      SCREEN_MARGIN, UNIFORM_BLOCK, Trace, _make_engine,
                      classify_step_box, classify_step_l1, line_search_1d)
@@ -234,7 +235,8 @@ FRESH = {
                shift=lambda p, f, s: np.sign(f.alpha) * p.reg.lam,
                zero_lam=lambda p, f, s: np.where(f.alpha == 0.0, p.reg.lam,
                                                  0.0),
-               bound=_screen_bound),
+               bound=_screen_bound,
+               mask=lambda p, f, s: build_l1_mask(f.alpha).included),
     "box": dict(_FRESH_BOTH,
                 interior=lambda p, f, s: (f.alpha > 0) & (f.alpha < 1),
                 sign=lambda p, f, s: ((f.alpha == 1).astype(float)
@@ -242,7 +244,8 @@ FRESH = {
                 abs_g=lambda p, f, s: np.abs(s.grad),
                 sums=lambda p, f, s: [float(f.alpha @ f.grad),
                                       float(f.grad.sum())],
-                gap=lambda p, f, s: duality_gap(p, f)),
+                gap=lambda p, f, s: duality_gap(p, f),
+                mask=lambda p, f, s: build_box_mask(f.alpha).included),
 }
 
 

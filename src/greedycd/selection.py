@@ -35,7 +35,6 @@ class Rule(Enum):
 class SelectionOutcome:
     coord: int
     score: float
-    fell_back: bool = False
 
 
 @dataclass

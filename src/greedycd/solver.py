@@ -1,16 +1,17 @@
 """Coordinate descent for composite problems: steepest descent on
 L1-regularized problems with a sign-preserving post-processed update, and
 steepest descent over the active set of box-constrained problems. Both run
-one step loop that classifies every step (good / bad / cross), records a
-trace, and supports the exact rules, a custom selector hook, and the
-inner-product-search engine. The exact engine's answer is the steepest
-rule's argmax, so an exact engine runs as that rule; only the hashing
-backend has a select path of its own. Each regularizer's steps supply its
-steepest score, stop check, uniform draw, step, gap read and move, the one
-call that applies a step. They own all that derives from the iterate, the
-kept gradient included, and the loop keeps only its trace. On L1 problems
-the uniform rule's screen settles in bulk, from the kept gradient, the
-draws that provably leave alpha as it is, without a coordinate read.
+one step loop that classifies every step (good / bad / cross) and records a
+trace. Each regularizer's steps supply its steepest score, stop check,
+step, gap read and move, the one call that applies a step, and the one pick
+of the config, bound when the steps are made: the hashing engine's query,
+the custom selector hook, or the rule's pick. The loop calls the pick once
+a step, after the stop check; an exact engine's answer is the steepest
+rule's argmax, so an exact engine runs as that rule. The steps own all that
+derives from the iterate, the kept gradient included, and the loop keeps
+only its trace. On L1 problems the uniform rule's screen settles in bulk,
+from the kept gradient, the draws that provably leave alpha as it is,
+without a coordinate read.
 """
 
 import math
@@ -251,10 +252,10 @@ class SmipsEngine:
         return sm.build_box_query(gl, self.c_value, self.beta)
 
     def select(self, p, s):
-        pid, val, fb = sm.smips_query(self.points, self.query(p, s),
-                                      self.mask, self.backend)
-        j, _ = sm.point_to_coordinate(self.points, pid)
-        return SelectionOutcome(coord=j, score=val, fell_back=fb)
+        """(coordinate, whether the query fell back to a random point)."""
+        pid, _, fb = sm.smips_query(self.points, self.query(p, s),
+                                    self.mask, self.backend)
+        return sm.point_to_coordinate(self.points, pid)[0], fb
 
     def note_step(self, j, new_val):
         sm.update_mask_after_step(self.mask, j, new_val)
@@ -263,9 +264,9 @@ class SmipsEngine:
 class _Steps:
     """What one regularizer's loop does differently, for one solve from the
     state s: its steepest score and stop check, its uniform draw, its step,
-    its gap read and its move. What they keep of the iterate, F and the
-    gradient that s keeps included, is made here from s and changed only
-    by move, which applies a step and then calls
+    its gap read and its move, and the config's pick. What they keep of
+    the iterate, F and the gradient that s keeps included, is made here
+    from s and changed only by move, which applies a step and then calls
     the kind's two hooks: update, for what a move changes, and refresh,
     for what a refresh of the kept gradient remakes. `check_every` and
     `checks` set the stop-check cadence; `check_gap` says whether the loop
@@ -273,9 +274,17 @@ class _Steps:
     gradient current; `engine` is the hashing engine, whose mask they keep,
     or None; `screen`, when not None, settles the uniform draws that leave
     alpha as it is; `gap` reads the duality gap once per iterate; `kept`
-    names what they keep, for tests to hold against fresh values."""
+    names what they keep, for tests to hold against fresh values.
+
+    `pick(p, s, out)` is the coordinate of the next step, `out` the answer
+    of the last stop check: the hashing engine's query when there is an
+    engine, else the selector, else the rule's pick (out's coordinate for
+    gs-s, which checks every step). The rule picks read select_gsr and
+    select_gsq by name at each call. `fell_back` says whether the last pick
+    fell back to a random point."""
 
     check_gap = screen = None
+    fell_back = False
     max_gap_drift = 0.0
     _gap = None  # the gap of the iterate as it is, once read
 
@@ -288,17 +297,27 @@ class _Steps:
         if engine is not None:
             engine.reset_mask(s.alpha)
             engine.backend.restart()  # no solve's picks depend on another's
+            self.pick = self._hashed
+        elif cfg.selector is not None:
+            self.pick = lambda p, s, out: int(cfg.selector(p, s))
+        else:
+            self.pick = {Rule.GSS: lambda p, s, out: out.coord,
+                         Rule.GSR: lambda p, s, out: select_gsr(p, s).coord,
+                         Rule.GSQ: lambda p, s, out: select_gsq(p, s).coord,
+                         Rule.UNIFORM: self.uniform}[cfg.rule]
         if self.keeps_grad and s.grad is None:
             s.track_gradient(p)
         s.track_objective(p)
 
     def kept(self, p, s):
         """What the steps keep of the iterate, by name: F and, when kept,
-        the gradient. Each must equal its value made afresh from alpha
-        after every move."""
+        the gradient and the hashing engine's candidate mask. Each must
+        equal its value made afresh from alpha after every move."""
         kept = {"objective": s.objective}
         if self.keeps_grad:
             kept["grad"] = s.grad
+        if self.engine is not None:
+            kept["mask"] = self.engine.mask.included
         return kept
 
     def move(self, p, s, j, aj, new):
@@ -315,6 +334,10 @@ class _Steps:
             if s.grad_refreshes != refreshes:
                 self.refresh(p, s)
         return read
+
+    def _hashed(self, p, s, out):
+        j, self.fell_back = self.engine.select(p, s)
+        return j
 
     def update(self, p, s, j, aj, read):
         """Bring what the steps keep up to date with the move of alpha_j
@@ -406,7 +429,7 @@ class _L1Steps(_Steps):
         self.draws = self.block.tolist()
         self.drawn = 0
 
-    def uniform(self, p):
+    def uniform(self, p, s, out):
         if self.drawn == len(self.draws):
             self._refill(p)
         self.drawn += 1
@@ -559,7 +582,7 @@ class _BoxSteps(_Steps):
             return SelectionOutcome(coord=j, score=m)
         return select_gss_box(p, s, active=ActiveSet(self.members), grad=g)
 
-    def uniform(self, p):
+    def uniform(self, p, s, out):
         ids = self.members.nonzero()[0]
         return int(ids[self.rng.integers(len(ids))])
 
@@ -595,10 +618,12 @@ def _make_engine(p, cfg):
 def _descend(p, s, steps, cfg, records, t_last=0):
     """The step loop, which _solve alone enters.
 
-    Takes at most cfg.max_iters steps from s by the steps' hashing engine,
-    cfg.selector or cfg.rule, with the stop checks, steps and moves of
-    `steps`, and records in `records` a step every cfg.trace_every steps
-    and the last step. Returns (status, counters, time of the last record).
+    Takes at most cfg.max_iters steps from s with the stop checks, picks,
+    steps and moves of `steps`, and records in `records` a step every
+    cfg.trace_every steps and the last step. Each step runs the stop check
+    when one is due, then the screen, then the steps' one pick, from the
+    last check's answer. Returns (status, counters, time of the last
+    record).
 
     Uniform draws that the steps' screen settles from the kept gradient
     are booked in bulk as good steps that move nothing, in runs that end
@@ -607,26 +632,22 @@ def _descend(p, s, steps, cfg, records, t_last=0):
     """
     counters = {GOOD: 0, BAD: 0, CROSS: 0, "fallback": 0, "screened": 0}
     # loop-invariant lookups, hoisted: uniform steps cost a few microseconds
-    tol, rule, selector = cfg.tol, cfg.rule, cfg.selector
+    tol, record_gap, max_iters = cfg.tol, cfg.record_gap, cfg.max_iters
     record_theta, trace_every = cfg.record_theta, cfg.trace_every
-    record_gap, max_iters = cfg.record_gap, cfg.max_iters
-    steepest, step, uniform = steps.steepest, steps.step, steps.uniform
-    move, engine = steps.move, steps.engine
+    steepest, pick = steps.steepest, steps.pick
+    step, move = steps.step, steps.move
     checks, check_every = steps.checks, steps.check_every
     check_gap, gap, screen = steps.check_gap, steps.gap, steps.screen
     clock = time.perf_counter_ns
     add_row = records.rows.append
     status = "max_iters"
     pending = None  # the last step's row, while it is not recorded
+    out = None  # the last check's answer
     t = 0
     while t < max_iters:
         if check_gap and gap(p, s) <= tol:
             status = "tol"
             break
-        fell_back = False
-        if engine is not None:
-            found = engine.select(p, s)
-            fell_back = found.fell_back
         if checks and t % check_every == 0:
             out = steepest(p, s)
             if out is None:
@@ -660,19 +681,8 @@ def _descend(p, s, steps, cfg, records, t_last=0):
                 t += k
                 if t == end:
                     continue  # a stop check or the end comes first
-        if engine is not None:
-            j = found.coord
-        elif selector is not None:
-            j = int(selector(p, s))
-        elif rule is Rule.GSS:
-            j = out.coord  # the exact rules check every step
-        elif rule is Rule.GSR:
-            j = select_gsr(p, s).coord
-        elif rule is Rule.GSQ:
-            j = select_gsq(p, s).coord
-        else:  # validate admits no other rule
-            j = uniform(p)
-
+        j = pick(p, s, out)
+        fell_back = steps.fell_back
         theta = measure_theta(j, p, s) if record_theta else 1.0
         aj = float(s.alpha[j])
         kind, new = step(p, s, j, aj)

@@ -5,8 +5,9 @@ behaves, and callers read its methods. A type check on these classes may
 remain only where a public entry point refuses the wrong problem kind.
 The oracles module is exempt: it recomputes everything from first
 principles, independently of the objects it checks. Likewise one method,
-_Steps.move, applies a solver's moves, and every quantity a kind's steps
-keep has a fresh value in oracles.FRESH for the audit to hold it against.
+_Steps.move, applies a solver's moves, the step loop picks through the one
+pick the steps bind for the config, and every quantity a kind's steps keep
+has a fresh value in oracles.FRESH for the audit to hold it against.
 """
 
 import ast
@@ -16,6 +17,7 @@ import numpy as np
 
 from conftest import random_problem
 from greedycd import objectives, oracles, solver
+from greedycd import smips as sm
 from greedycd.selection import Rule
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -119,9 +121,44 @@ def test_one_move():
     assert defines == ["solver.py:_Steps"]
 
 
+def names_in(path, function):
+    """Every name, attribute and argument the module-level function reads
+    or binds."""
+    tree = ast.parse(open(path).read(), path)
+    [node] = [n for n in tree.body
+              if isinstance(n, ast.FunctionDef) and n.name == function]
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.arg):
+            names.add(n.arg)
+    return names
+
+
+def test_one_pick():
+    """The step loop picks through the steps' one pick, bound when they
+    are made: it branches on no rule, selector or engine."""
+    names = names_in(os.path.join(SRC, "solver.py"), "_descend")
+    assert "pick" in names
+    assert not names & {"rule", "Rule", "selector", "engine"}
+
+
+def test_guard_sees_a_pick_switch(tmp_path):
+    path = tmp_path / "loop.py"
+    path.write_text("def _descend(p, s, steps, cfg):\n"
+                    "    if cfg.selector is not None:\n"
+                    "        return steps.engine\n")
+    assert {"selector", "engine"} <= names_in(str(path), "_descend")
+
+
 def test_every_kept_quantity_has_a_fresh_value():
     """With each optional entry kept (the L1 screen bound, the box's gap
-    sums and gap), a kind's kept() names are FRESH's names for it."""
+    sums and gap, and under a hashing engine its candidate mask), the
+    names a kind's kept() returns over its configs are FRESH's names for
+    it."""
     rng = np.random.default_rng(0)
     made = {"l1": (random_problem("lasso", rng),
                    solver.SolverConfig(rule=Rule.UNIFORM)),
@@ -129,7 +166,14 @@ def test_every_kept_quantity_has_a_fresh_value():
                     solver.SolverConfig(record_gap=True))}
     assert set(made) == set(oracles.FRESH)
     for kind, (p, cfg) in made.items():
-        s = objectives.IterateState.zeros(p)
-        steps = solver._steps_for(p, cfg, s)
-        assert steps.kind == kind
-        assert sorted(steps.kept(p, s)) == sorted(oracles.FRESH[kind])
+        engine = solver.SmipsEngine(p, backend=sm.HyperplaneLsh(3, 2))
+        hashing = solver.SolverConfig(engine=engine,
+                                      record_gap=cfg.record_gap)
+        names = set()
+        for cfg, engine in ((cfg, None), (hashing, engine)):
+            s = objectives.IterateState.zeros(p)
+            steps = solver._steps_for(p, cfg, s, engine)
+            assert steps.kind == kind
+            names.update(steps.kept(p, s))
+        assert "mask" in names
+        assert sorted(names) == sorted(oracles.FRESH[kind])

@@ -8,7 +8,9 @@ must give GS-s's trace bit for bit. HyperplaneLsh hashes the points into
 all its tables with one plane product and keeps each table's integer keys
 sorted; its tables and candidate sets must equal the per-table loop's. Each
 solve restarts a hashing engine's fallback draws, so every solve by one
-prebuilt engine must give a fresh engine's trace bit for bit.
+prebuilt engine must give a fresh engine's trace bit for bit. The hashing
+pick runs after the stop check, so a solve queries the engine once for each
+step it takes and for no check that stops it.
 """
 
 import numpy as np
@@ -105,6 +107,36 @@ def test_each_solve_restarts_the_fallback_draws(kind):
     for _ in range(2):
         again = solve(p, SolverConfig(engine=engine, **base))
         assert trace_key(again) == trace_key(fresh)
+
+
+@pytest.fixture
+def queries(monkeypatch):
+    """The calls a test makes to smips_query, one entry each."""
+    calls, query = [], sm.smips_query
+
+    def counting(*args):
+        calls.append(1)
+        return query(*args)
+
+    monkeypatch.setattr(sm, "smips_query", counting)
+    return calls
+
+
+def test_a_stop_at_the_first_check_makes_no_query(queries):
+    tr = solve_box(svm_problem(0), SolverConfig(
+        engine="smips", backend=sm.HyperplaneLsh(3, 4, seed=0), tol=0.5))
+    assert (tr.status, tr.n_steps) == ("tol", 0)
+    assert queries == []
+
+
+@pytest.mark.parametrize("kind", ["lasso", "svm"])
+@pytest.mark.parametrize("tol", [0.0, 1e-3])
+def test_hashing_queries_once_per_step(kind, tol, queries):
+    p, solve = problem(kind)
+    tr = solve(p, SolverConfig(engine="smips", tol=tol, max_iters=500,
+                               backend=sm.HyperplaneLsh(3, 4, seed=0)))
+    assert tr.n_steps > 0
+    assert len(queries) == tr.n_steps
 
 
 @pytest.mark.parametrize("kind", ["lasso", "svm"])
