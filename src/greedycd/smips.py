@@ -24,7 +24,7 @@ __all__ = [
     "build_l1_points", "build_l1_query", "build_l1_mask",
     "build_box_points", "build_box_query", "build_box_mask",
     "update_mask_after_step", "smips_query", "point_to_coordinate",
-    "require_beta", "require_uniform_linear_term",
+    "require_beta", "require_uniform_linear_term", "BUILDERS",
 ]
 
 # per-coordinate point tags, in storage order
@@ -55,10 +55,6 @@ class AugmentedPointSet:
 class SubsetMask:
     included: np.ndarray
     kind: str
-
-    @property
-    def count(self):
-        return int(self.included.sum())
 
 
 @dataclass(frozen=True)
@@ -151,6 +147,11 @@ def build_box_mask(alpha):
     inc[0::2] = alpha > 0
     inc[1::2] = alpha < 1
     return SubsetMask(included=inc, kind="box")
+
+
+# each regularizer kind's (points, query, mask) builders
+BUILDERS = {"l1": (build_l1_points, build_l1_query, build_l1_mask),
+            "box": (build_box_points, build_box_query, build_box_mask)}
 
 
 def update_mask_after_step(m, j, new_val):

@@ -221,8 +221,11 @@ class SmipsEngine:
                             "box regularizers, not %r" % (p.reg,))
         sm.require_beta(self.beta)
         self.kind = p.reg.kind
-        if self.kind == "box":
-            self.c_value = sm.require_uniform_linear_term(p.linear_term)
+        self._build_points, self._build_query, self._build_mask = \
+            sm.BUILDERS[self.kind]
+        # the query's first slot: lam on L1, the box's uniform linear term
+        self._term = p.reg.lam if self.kind == "l1" \
+            else sm.require_uniform_linear_term(p.linear_term)
         self._matrix, self._linear_term = p.matrix, p.linear_term
         if isinstance(self.backend, sm.HyperplaneLsh):
             self.backend.fit(self.points)
@@ -232,13 +235,10 @@ class SmipsEngine:
     def points(self):
         """The augmented point set: the hashing backend and the scans of
         adaptivity_report read it, an exact solve never does."""
-        build = sm.build_l1_points if self.kind == "l1" \
-            else sm.build_box_points
-        return build(self._matrix, self._linear_term, self.beta)
+        return self._build_points(self._matrix, self._linear_term, self.beta)
 
     def reset_mask(self, alpha):
-        build = sm.build_l1_mask if self.kind == "l1" else sm.build_box_mask
-        self.mask = build(alpha)
+        self.mask = self._build_mask(alpha)
 
     @property
     def is_exact(self):
@@ -246,10 +246,7 @@ class SmipsEngine:
 
     def query(self, p, s):
         """The augmented query vector at the state's residual."""
-        gl = grad_l(p, s)
-        if self.kind == "l1":
-            return sm.build_l1_query(gl, p.reg.lam, self.beta)
-        return sm.build_box_query(gl, self.c_value, self.beta)
+        return self._build_query(grad_l(p, s), self._term, self.beta)
 
     def select(self, p, s):
         """(coordinate, whether the query fell back to a random point)."""
@@ -391,9 +388,8 @@ class _L1Steps(_Steps):
         # the exact rules read every score anyway, so they also stop at a
         # zero score when tol is 0
         self.checks = not cheap or cfg.tol > 0
-        if not (cfg.rule is Rule.UNIFORM and cfg.selector is None
-                and not cfg.record_theta and self.keeps_grad):
-            self.screen = None  # theta records and a selector step each draw
+        if self.pick != self.uniform or cfg.record_theta:
+            self.screen = None  # a theta record steps each draw
         # the current block of coordinates, as an array for the screen and
         # as a list for the scalar draw
         self.block, self.draws, self.drawn = None, [], 0
@@ -634,9 +630,8 @@ def _descend(p, s, steps, cfg, records, t_last=0):
     # loop-invariant lookups, hoisted: uniform steps cost a few microseconds
     tol, record_gap, max_iters = cfg.tol, cfg.record_gap, cfg.max_iters
     record_theta, trace_every = cfg.record_theta, cfg.trace_every
-    steepest, pick = steps.steepest, steps.pick
-    step, move = steps.step, steps.move
-    checks, check_every = steps.checks, steps.check_every
+    steepest, pick, step = steps.steepest, steps.pick, steps.step
+    move, checks, check_every = steps.move, steps.checks, steps.check_every
     check_gap, gap, screen = steps.check_gap, steps.gap, steps.screen
     clock = time.perf_counter_ns
     add_row = records.rows.append
@@ -682,21 +677,20 @@ def _descend(p, s, steps, cfg, records, t_last=0):
                 if t == end:
                     continue  # a stop check or the end comes first
         j = pick(p, s, out)
-        fell_back = steps.fell_back
         theta = measure_theta(j, p, s) if record_theta else 1.0
         aj = float(s.alpha[j])
         kind, new = step(p, s, j, aj)
         move(p, s, j, aj, new)
 
         counters[kind] += 1
-        counters["fallback"] += int(fell_back)
+        counters["fallback"] += steps.fell_back
         if t % trace_every:
             pending = (1, t, j, KIND_CODE[kind], s.objective, theta,
-                       fell_back, 0, s.nnz)
+                       steps.fell_back, 0, s.nnz)
         else:
             now = clock()
-            row = (1, t, j, KIND_CODE[kind], s.objective, theta, fell_back,
-                   now - t_last, s.nnz)
+            row = (1, t, j, KIND_CODE[kind], s.objective, theta,
+                   steps.fell_back, now - t_last, s.nnz)
             add_row(row + (gap(p, s),) if record_gap else row)
             t_last, pending = now, None
         t += 1
