@@ -239,6 +239,10 @@ class HyperplaneLsh:
         """Start the fallback draws over, as fit leaves them."""
         self._rng = np.random.default_rng(self.seed + 1)
 
+    def fallback(self, m):
+        """The next fallback draw: a random included point's id."""
+        return int(self._rng.choice(np.nonzero(m.included)[0]))
+
     def candidates(self, q):
         found = self._hash((self._planes @ q >= 0)[None])[0]
         return np.unique(np.concatenate([
@@ -266,7 +270,7 @@ def smips_query(ps, q, m, backend):
         ids = backend.candidates(q)
         ids = ids[m.included[ids]]
         if len(ids) == 0:
-            pid = int(backend._rng.choice(np.nonzero(m.included)[0]))
+            pid = backend.fallback(m)
             return pid, float(ps.dots(np.array([pid]), q)[0]), True
     else:
         raise TypeError("unknown backend: %r" % (backend,))

@@ -248,10 +248,14 @@ class SmipsEngine:
         """The augmented query vector at the state's residual."""
         return self._build_query(grad_l(p, s), self._term, self.beta)
 
-    def select(self, p, s):
-        """(coordinate, whether the query fell back to a random point)."""
-        pid, _, fb = sm.smips_query(self.points, self.query(p, s),
-                                    self.mask, self.backend)
+    def select(self, p, s, query=True):
+        """(coordinate, whether the answer fell back to a random point):
+        the query's answer, or with query False a fallback draw."""
+        if query:
+            pid, _, fb = sm.smips_query(self.points, self.query(p, s),
+                                        self.mask, self.backend)
+        else:
+            pid, fb = self.backend.fallback(self.mask), True
         return sm.point_to_coordinate(self.points, pid)[0], fb
 
     def note_step(self, j, new_val):
@@ -278,10 +282,12 @@ class _Steps:
     engine, else the selector, else the rule's pick (out's coordinate for
     gs-s, which checks every step). The rule picks read select_gsr and
     select_gsq by name at each call. `fell_back` says whether the last pick
-    fell back to a random point."""
+    fell back to a random point. A step that moves nothing leaves the
+    hashing engine's query as it was, and its answer with it, so the pick
+    after one is a fallback draw over the live points."""
 
     check_gap = screen = None
-    fell_back = False
+    fell_back, moved = False, True
     max_gap_drift = 0.0
     _gap = None  # the gap of the iterate as it is, once read
 
@@ -319,21 +325,21 @@ class _Steps:
 
     def move(self, p, s, j, aj, new):
         """alpha_j goes from aj to new; then update takes the move and, if
-        the move refreshed the kept gradient, refresh follows. Returns the
-        column read the move used, or None when nothing moved."""
+        the move refreshed the kept gradient, refresh follows. `moved`
+        says whether alpha_j changed."""
         self._gap = None
         refreshes = s.grad_refreshes
         read = apply_coord_delta(p, s, j, new - aj)
+        self.moved = read is not None
         if self.engine is not None:
             self.engine.note_step(j, new)
         if read is not None:
             self.update(p, s, j, aj, read)
             if s.grad_refreshes != refreshes:
                 self.refresh(p, s)
-        return read
 
     def _hashed(self, p, s, out):
-        j, self.fell_back = self.engine.select(p, s)
+        j, self.fell_back = self.engine.select(p, s, self.moved)
         return j
 
     def update(self, p, s, j, aj, read):
@@ -712,6 +718,7 @@ def _solve(p, cfg, start=None):
     f0 = s.objective
     records = _Records(cfg.trace_every)
     status, counters, t_last = _descend(p, s, steps, cfg, records, t_last)
+    steps.pick = None  # a pick bound to the steps holds them in a cycle
     # the last record's objective is recomputed exactly, and it takes the
     # time since the previous record, the stop check included
     cols, f_drift = records.columns(), s.max_f_drift

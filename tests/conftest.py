@@ -160,13 +160,12 @@ def audit(monkeypatch):
 
     def moving(steps, p, s, j, aj, new):
         refreshes = s.grad_refreshes
-        read = move(steps, p, s, j, aj, new)
+        move(steps, p, s, j, aj, new)
         refreshed = s.grad_refreshes != refreshes
         kept = assert_kept_fresh(steps, p, s, refreshed)
         if refreshed:
             seen.refreshed.append(kept)
         seen.moves.append((aj, float(s.alpha[j]), s.grad_refreshes))
-        return read
 
     monkeypatch.setattr(solver._Steps, "move", moving)
     for kind in (solver._L1Steps, solver._BoxSteps):

@@ -10,15 +10,19 @@ sorted; its tables and candidate sets must equal the per-table loop's. Each
 solve restarts a hashing engine's fallback draws, so every solve by one
 prebuilt engine must give a fresh engine's trace bit for bit. The hashing
 pick runs after the stop check, so a solve queries the engine once for each
-step it takes and for no check that stops it.
+step it takes and for no check that stops it. A step that moves nothing
+leaves the query as it was, so the pick after it is a fallback draw, not
+the same answer again.
 """
 
 import numpy as np
 import pytest
 
 from conftest import l1_problem, random_problem, svm_problem
+from greedycd import harness
 from greedycd import smips as sm
 from greedycd import solver
+from greedycd.data_io import CorrelatedLasso, SynthSpec
 from greedycd.objectives import (Box, CompositeProblem, SquaredResidual,
                                  full_grad, make_lasso, make_logistic)
 from greedycd.selection import Rule
@@ -131,12 +135,38 @@ def test_a_stop_at_the_first_check_makes_no_query(queries):
 
 @pytest.mark.parametrize("kind", ["lasso", "svm"])
 @pytest.mark.parametrize("tol", [0.0, 1e-3])
-def test_hashing_queries_once_per_step(kind, tol, queries):
-    p, solve = problem(kind)
-    tr = solve(p, SolverConfig(engine="smips", tol=tol, max_iters=500,
-                               backend=sm.HyperplaneLsh(3, 4, seed=0)))
-    assert tr.n_steps > 0
-    assert len(queries) == tr.n_steps
+@pytest.mark.parametrize("line_search", [False, True])
+def test_hashing_queries_once_per_step(kind, tol, line_search, queries,
+                                       audit):
+    """Each step queries the engine but one that follows a step that moved
+    nothing, which draws instead; that draw is a fallback."""
+    p, solve = (svm_problem(0, n=80, d=12), solve_box) if kind == "svm" \
+        else problem(kind)
+    tr = solve(p, SolverConfig(engine="smips", tol=tol, max_iters=300,
+                               use_line_search=line_search,
+                               backend=sm.HyperplaneLsh(4, 3, seed=0)))
+    still = np.array([aj == after for aj, after, _ in audit.moves[:-1]],
+                     dtype=bool)
+    assert tr.n_steps == len(audit.moves) > 0
+    assert len(queries) == tr.n_steps - still.sum()
+    assert tr.columns["fell_back"][1:][still].all()
+    if line_search:  # a repeated pick moves nothing
+        assert still.any()
+
+
+def test_a_stalled_hashed_pick_is_not_repeated():
+    """The correlated lasso whose hashed pick moved nothing from step 52 on
+    and repeated it to the step budget, F fixed at its step-52 value."""
+    cfg = harness.ExperimentConfig(
+        problem="lasso", data=SynthSpec(CorrelatedLasso(200, 40), seed=0),
+        runs=[harness.RunSpec("run")])
+    p, _ = harness.build_problem(cfg)
+    tr = solve_l1(p, SolverConfig(engine="smips", max_iters=3000, tol=1e-6,
+                                  backend=sm.HyperplaneLsh(4, 4)))
+    f = tr.columns["f_value"]
+    assert f[-1] < f[100]
+    assert tr.counters["fallback"] > 0
+    assert len(set(tr.columns["coord"][100:].tolist())) > 1
 
 
 @pytest.mark.parametrize("kind", ["lasso", "svm"])
