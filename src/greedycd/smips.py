@@ -244,10 +244,12 @@ class HyperplaneLsh:
         return int(self._rng.choice(np.nonzero(m.included)[0]))
 
     def candidates(self, q):
+        """Ids of the points in q's bucket of any table, ascending."""
         found = self._hash((self._planes @ q >= 0)[None])[0]
-        return np.unique(np.concatenate([
-            ids[keys.searchsorted(k):keys.searchsorted(k, "right")]
-            for keys, ids, k in zip(self._keys, self._ids, found)]))
+        hit = np.zeros(self._ids.shape[1], dtype=bool)
+        for keys, ids, k in zip(self._keys, self._ids, found):
+            hit[ids[keys.searchsorted(k):keys.searchsorted(k, "right")]] = True
+        return np.flatnonzero(hit)
 
 
 def smips_query(ps, q, m, backend):

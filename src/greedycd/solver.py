@@ -282,12 +282,14 @@ class _Steps:
     engine, else the selector, else the rule's pick (out's coordinate for
     gs-s, which checks every step). The rule picks read select_gsr and
     select_gsq by name at each call. `fell_back` says whether the last pick
-    fell back to a random point. A step that moves nothing leaves the
-    hashing engine's query as it was, and its answer with it, so the pick
-    after one is a fallback draw over the live points."""
+    fell back to a random point. A step that does not lower the kept F
+    moves alpha_j by nothing or by round-off, which the same answer to the
+    hashing engine's query would undo, so the hashing pick after one is a
+    fallback draw over the live points."""
 
     check_gap = screen = None
-    fell_back, moved = False, True
+    fell_back = False
+    _f_picked = math.inf  # the kept F at the last hashing pick
     max_gap_drift = 0.0
     _gap = None  # the gap of the iterate as it is, once read
 
@@ -325,12 +327,10 @@ class _Steps:
 
     def move(self, p, s, j, aj, new):
         """alpha_j goes from aj to new; then update takes the move and, if
-        the move refreshed the kept gradient, refresh follows. `moved`
-        says whether alpha_j changed."""
+        the move refreshed the kept gradient, refresh follows."""
         self._gap = None
         refreshes = s.grad_refreshes
         read = apply_coord_delta(p, s, j, new - aj)
-        self.moved = read is not None
         if self.engine is not None:
             self.engine.note_step(j, new)
         if read is not None:
@@ -339,7 +339,9 @@ class _Steps:
                 self.refresh(p, s)
 
     def _hashed(self, p, s, out):
-        j, self.fell_back = self.engine.select(p, s, self.moved)
+        f = s.objective
+        j, self.fell_back = self.engine.select(p, s, f < self._f_picked)
+        self._f_picked = f
         return j
 
     def update(self, p, s, j, aj, read):

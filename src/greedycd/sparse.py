@@ -6,6 +6,13 @@ matrix keeps what is derived from it for as long as it lives: a row-major
 copy for products over a few rows, the Gram columns and row plans of the
 gradient updates, and the Gram matrix's row sums, built on first use and
 shared by every solve of it.
+
+A matrix that stores every entry holds A^T in C order as its values, since
+each column then lists rows 0..d-1 in turn. It keeps that as a zero-copy
+(n, d) view, and its transposed products (A^T v, the Gram columns and the
+dense copy) read the view through BLAS rather than scipy's scalar loop.
+A x stays on scipy on every matrix: its sums, in column order, are what a
+residual refresh must reproduce bit for bit.
 Matrices are immutable after construction.
 """
 
@@ -67,7 +74,8 @@ class SparseColMatrix:
                              % (n_rows,))
         if col_starts.ndim != 1 or len(col_starts) < 1:
             raise ValueError("col_starts must be a 1-d array of length n_cols+1")
-        if col_starts[0] != 0 or np.any(np.diff(col_starts) < 0):
+        counts = np.diff(col_starts)
+        if col_starts[0] != 0 or np.any(counts < 0):
             raise ValueError("col_starts must start at 0 and be non-decreasing")
         if col_starts[-1] != len(values) or len(values) != len(row_indices):
             raise ValueError("col_starts[-1] must equal the number of stored values")
@@ -88,21 +96,29 @@ class SparseColMatrix:
         self.col_starts = col_starts
         self.row_indices = row_indices
         self.values = values
-        # a column with entries above about 1.3e154 reads inf, which
-        # CompositeProblem refuses by name and normalize_columns measures
-        # safely
-        with np.errstate(over="ignore"):
-            self.col_sq_norms = np.add.reduceat(
-                np.append(values**2, 0.0), col_starts[:-1]
-            ) if len(col_starts) > 1 else np.zeros(0)
-        # reduceat yields garbage for empty trailing columns; fix empties to 0
-        empty = np.diff(col_starts) == 0
-        if empty.any():
-            self.col_sq_norms[empty] = 0.0
+        # the nonempty columns lie back to back in storage, so reducing from
+        # each one's start sums exactly its entries; empty ones stay 0. The
+        # last column has always been summed with one zero after it, which
+        # sets its rounding, so it still is. A column with entries above
+        # about 1.3e154 reads inf, which CompositeProblem refuses by name
+        # and normalize_columns measures safely
+        self.col_sq_norms = np.zeros(self.n_cols)
+        nonempty = np.flatnonzero(counts)
+        if len(nonempty):
+            with np.errstate(over="ignore"):
+                sq = values**2
+                self.col_sq_norms[nonempty] = np.add.reduceat(
+                    sq, col_starts[nonempty])
+                if counts[-1]:
+                    self.col_sq_norms[-1] = np.add.reduceat(
+                        np.append(sq[col_starts[-2]:], 0.0), [0])[0]
 
         for arr in (self.col_starts, self.row_indices, self.values,
                     self.col_sq_norms):
             arr.setflags(write=False)
+        # with every entry stored, A^T as a read-only view of the values
+        self._dense_T = values.reshape(self.n_cols, self.n_rows) \
+            if nnz == self.n_rows * self.n_cols else None
         # scipy views of the storage, built on the first product that needs
         # one, and the row-major copy, built on the first call for it
         self._scipy_csc = None
@@ -164,6 +180,8 @@ class SparseColMatrix:
         return np.repeat(np.arange(self.n_cols), np.diff(self.col_starts))
 
     def to_dense(self):
+        if self._dense_T is not None:
+            return self._dense_T.T.copy()
         out = np.zeros((self.n_rows, self.n_cols))
         out[self.row_indices, self.col_ids()] = self.values
         return out
@@ -236,6 +254,8 @@ class SparseColMatrix:
         return self._product_T(v)
 
     def _product_T(self, v):
+        if self._dense_T is not None:
+            return self._dense_T @ v
         # the column-major arrays of A are the row-major arrays of A^T
         if self._scipy_T is None:
             self._scipy_T = self._scipy(sps.csr_matrix,
@@ -292,7 +312,9 @@ class SparseColMatrix:
         fits."""
         col = self._gram.get(j)
         if col is None:
-            col = self.row_product(*self.col(j))
+            At = self._dense_T
+            col = At @ At[j] if At is not None \
+                else self.row_product(*self.col(j))
             if self._keep(col.nbytes):
                 col.setflags(write=False)
                 self._gram[j] = col

@@ -3,14 +3,17 @@ alpha and recomputes the residual, the gradient, every score, F and the gap
 at every step.
 
 One parametrized test runs _solve and reference_solve on lasso, elastic
-net, L1-logistic and the SVM dual, each on a dense matrix and on a sparse
-one whose columns touch under GATHER_MAX_ROW_FRACTION of the rows (so Gram
-columns gather and the logistic gradient moves by row plans), under every
-rule with and without line search, and from a mid-solve state on lasso and
-the SVM. RESIDUAL_REFRESH_EVERY is lowered so that every run passes at
-least three refreshes of the kept gradient. The lasso's weight puts many
-uniform draws near the screen's bound; the elastic net's smaller one has
-gs-r and gs-q part from gs-s where a step changes sign.
+net, L1-logistic and the SVM dual, each on a matrix that stores every entry
+(so its transposed products and Gram columns take BLAS through the dense
+view), on a dense one with a few entries missing (so they take scipy) and
+on a sparse one whose columns touch under GATHER_MAX_ROW_FRACTION of the
+rows (so Gram columns gather and the logistic gradient moves by row
+plans), under every rule with and without line search, and from a
+mid-solve state on lasso and the SVM. RESIDUAL_REFRESH_EVERY is lowered so
+that every run passes at least three refreshes of the kept gradient. The
+lasso's weight puts many uniform draws near the screen's bound; the
+elastic net's smaller one has gs-r and gs-q part from gs-s where a step
+changes sign.
 
 Every run, the mid-solve start's included, takes the audit fixture, so
 what the steps keep is held against fresh values after every move and the
@@ -37,10 +40,14 @@ from greedycd.selection import Rule
 from greedycd.solver import SolverConfig, _solve
 
 
+LAYOUTS = {"full": (40, 1.0), "dense": (40, 0.7), "sparse": (400, 0.03)}
+
+
 def problem(kind, layout):
-    """A problem of the kind on a dense matrix, or on a sparse one whose
-    columns touch about 3% of the rows."""
-    d, density = (400, 0.03) if layout == "sparse" else (40, 0.7)
+    """A problem of the kind on a matrix that stores every entry, on a
+    dense one, or on a sparse one whose columns touch about 3% of the
+    rows."""
+    d, density = LAYOUTS[layout]
     if kind == "svm":
         return svm_problem(0, d=d // 2, density=density)
     rng = np.random.default_rng(0)
@@ -58,7 +65,7 @@ def problem(kind, layout):
 CASES = [pytest.param(layout, kind, rule, ls, False,
                       id="-".join([layout, kind, rule.value] + ["ls"] * ls))
          for layout, kind, rule, ls in itertools.product(
-             ["dense", "sparse"], ["lasso", "elasticnet", "logistic", "svm"],
+             list(LAYOUTS), ["lasso", "elasticnet", "logistic", "svm"],
              list(Rule), [False, True])]
 CASES += [pytest.param("dense", kind, Rule.GSS, False, True,
                        id="dense-%s-gs-s-mid" % kind)
@@ -70,6 +77,7 @@ def test_solve_matches_reference(audit, monkeypatch, layout, kind, rule,
                                  line_search, mid):
     monkeypatch.setattr(objectives, "RESIDUAL_REFRESH_EVERY", 40)
     p = problem(kind, layout)
+    assert (p.matrix._dense_T is not None) == (layout == "full")
     start = None
     if mid:
         start = _solve(p, SolverConfig(rule=Rule.UNIFORM, max_iters=300,

@@ -11,13 +11,24 @@
   bytes across several solves of one matrix.
 - While it fits, a column's Gram is computed once, and its rows are planned
   once, however many solves move it.
+- A matrix that stores every entry keeps A^T as a read-only view of its
+  values, and only then; its Gram columns and transposed products from
+  that view agree with scipy's to 1e-13 of the terms' magnitudes, and a
+  benchmark-shaped lasso takes the same coordinates with bitwise F with
+  the view and without it. The view's products read the same at one
+  BLAS thread and at two.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import random_matrix, sparse_logistic, svm_problem
 from greedycd import sparse
+from greedycd.data_io import CorrelatedLasso, SynthSpec, gen_synthetic
 from greedycd.objectives import make_lasso
 from greedycd.selection import Rule
 from greedycd.solver import SolverConfig, _solve, solve_box, solve_l1
@@ -165,3 +176,86 @@ def test_rows_planned_on_a_columns_second_move():
     M.add_rows(g, 5, w)
     assert M._kept_bytes == M._plans[5].nbytes > 0
     np.testing.assert_array_equal(g, 2 * M.row_product(rows, w))
+
+
+def test_full_matrix_keeps_a_transposed_view(rng):
+    A = rng.standard_normal((30, 45))
+    M = SparseColMatrix.from_dense(A)
+    At = M._dense_T
+    assert At.shape == (45, 30) and np.shares_memory(At, M.values)
+    assert not At.flags.writeable
+    np.testing.assert_array_equal(At, A.T)
+    # the transpose stores every entry too
+    np.testing.assert_array_equal(M.transpose()._dense_T, A)
+    A[7, 11] = 0.0
+    assert SparseColMatrix.from_dense(A)._dense_T is None
+    assert random_matrix(rng, 30, 45)._dense_T is None
+
+
+def without_view(M):
+    """A copy of M whose products take scipy's path."""
+    U = SparseColMatrix(M.n_rows, M.col_starts, M.row_indices, M.values)
+    U._dense_T = None
+    return U
+
+
+@pytest.mark.parametrize("d,n", [(100, 1000), (40, 800), (7, 3)])
+def test_view_products_match_scipy(rng, d, n):
+    A = rng.standard_normal((d, n))
+    M = SparseColMatrix.from_dense(A)
+    U = without_view(M)
+    # a round-off bound for each entry: 1e-13 of its terms' magnitudes
+    scale = np.abs(A).T @ np.abs(A)
+    for j in rng.choice(n, 3, replace=False):
+        got, want = M.gram_column(j), U.gram_column(j)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale[:, j])
+    v = rng.standard_normal(d)
+    got, want = M.matvec_T(v), U.matvec_T(v)
+    assert np.all(np.abs(got - want) <= 1e-13 * (np.abs(A).T @ np.abs(v)))
+    assert M._gram and U._scipy_T is not None and M._scipy_T is None
+
+
+def bench_lasso(view):
+    """The benchmark's lasso instance, its products through the view or,
+    with view False, through scipy."""
+    ds = gen_synthetic(SynthSpec(CorrelatedLasso(n=1000, d=100,
+                                                 density=0.05), 0))
+    M = ds.matrix if view else without_view(ds.matrix)
+    assert (M._dense_T is not None) == view
+    return make_lasso(M, ds.labels, 0.5)
+
+
+@pytest.mark.parametrize("rule", ["gs-s", "gs-q", "uniform"])
+def test_view_leaves_the_bench_solve_as_it_was(rule):
+    cfg = SolverConfig(rule=Rule(rule), max_iters=100_000, tol=1e-4)
+    got, want = solve_l1(bench_lasso(True), cfg), \
+        solve_l1(bench_lasso(False), cfg)
+    assert got.status == want.status == "tol"
+    for name in ("coord", "step_kind", "f_value"):
+        assert got.columns[name].tobytes() == want.columns[name].tobytes()
+
+
+PRODUCTS = """
+import hashlib, sys
+import numpy as np
+sys.path[:0] = sys.argv[1:]
+from greedycd.sparse import SparseColMatrix
+rng = np.random.default_rng(0)
+M = SparseColMatrix.from_dense(rng.standard_normal((100, 1000)))
+h = hashlib.sha256(M.matvec_T(rng.standard_normal(100)).tobytes())
+for j in range(0, 1000, 97):
+    h.update(M.gram_column(j).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_view_products_do_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(sparse.__file__))
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", PRODUCTS, src], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(out.stdout)
+    assert len(digests) == 1

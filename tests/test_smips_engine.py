@@ -10,9 +10,11 @@ sorted; its tables and candidate sets must equal the per-table loop's. Each
 solve restarts a hashing engine's fallback draws, so every solve by one
 prebuilt engine must give a fresh engine's trace bit for bit. The hashing
 pick runs after the stop check, so a solve queries the engine once for each
-step it takes and for no check that stops it. A step that moves nothing
-leaves the query as it was, so the pick after it is a fallback draw, not
-the same answer again.
+step it takes and for no check that stops it. A step that does not lower
+the kept F leaves the query as it was, or moves alpha_j by an ulp or two
+that the same answer takes back, so the pick after it is a fallback draw,
+not the same answer again. The candidate ids are np.unique's of the
+query's buckets.
 """
 
 import numpy as np
@@ -36,6 +38,12 @@ def problem(kind, seed=0):
     if kind == "svm":
         return svm_problem(seed), solve_box
     return l1_problem(kind, seed), solve_l1
+
+
+def not_lowered(tr):
+    """Per step but the last, whether it left the kept F no lower."""
+    f = np.concatenate(([tr.f_initial], tr.columns["f_value"][:-1]))
+    return ~(f[1:] < f[:-1])
 
 
 def scan(engine, p, s):
@@ -138,20 +146,24 @@ def test_a_stop_at_the_first_check_makes_no_query(queries):
 @pytest.mark.parametrize("line_search", [False, True])
 def test_hashing_queries_once_per_step(kind, tol, line_search, queries,
                                        audit):
-    """Each step queries the engine but one that follows a step that moved
-    nothing, which draws instead; that draw is a fallback."""
+    """Each step queries the engine but one that follows a step that did
+    not lower the kept F, which draws instead; that draw is a fallback. A
+    step that moved nothing is one of them."""
     p, solve = (svm_problem(0, n=80, d=12), solve_box) if kind == "svm" \
         else problem(kind)
     tr = solve(p, SolverConfig(engine="smips", tol=tol, max_iters=300,
                                use_line_search=line_search,
                                backend=sm.HyperplaneLsh(4, 3, seed=0)))
-    still = np.array([aj == after for aj, after, _ in audit.moves[:-1]],
-                     dtype=bool)
+    still = not_lowered(tr)
+    moved_nothing = np.array([aj == after
+                              for aj, after, _ in audit.moves[:-1]],
+                             dtype=bool)
+    assert not (moved_nothing & ~still).any()
     assert tr.n_steps == len(audit.moves) > 0
     assert len(queries) == tr.n_steps - still.sum()
     assert tr.columns["fell_back"][1:][still].all()
     if line_search:  # a repeated pick moves nothing
-        assert still.any()
+        assert moved_nothing.any()
 
 
 def test_a_stalled_hashed_pick_is_not_repeated():
@@ -167,6 +179,46 @@ def test_a_stalled_hashed_pick_is_not_repeated():
     assert f[-1] < f[100]
     assert tr.counters["fallback"] > 0
     assert len(set(tr.columns["coord"][100:].tolist())) > 1
+
+
+def test_an_ulp_move_is_not_repeated():
+    """Each pick from step 32 on took coordinate 30, which the prox step
+    moved by two ulps back and forth with F unchanged."""
+    tr = solve_l1(l1_problem("lasso", 0), SolverConfig(
+        engine="smips", max_iters=600, tol=1e-6,
+        backend=sm.HyperplaneLsh(4, 3, seed=0)))
+    coord, f = tr.columns["coord"], tr.columns["f_value"]
+    assert f[-1] < f[100]
+    # no coordinate is picked on more than 30 steps in a row
+    runs = np.diff(np.flatnonzero(np.diff(coord, prepend=-1, append=-1)))
+    assert runs.max() <= 30
+    # after each step that did not lower F, a fallback draw
+    still = not_lowered(tr)
+    assert still.any() and tr.columns["fell_back"][1:][still].all()
+
+
+def test_lsh_candidates_are_unique_bucket_ids():
+    """On the lasso-dense benchmark's points, with its 10 tables of 8 bits,
+    the candidates of a few hundred queries are np.unique's of their
+    buckets' ids."""
+    cfg = harness.ExperimentConfig(
+        problem="lasso", runs=[harness.RunSpec("run")],
+        data=SynthSpec(CorrelatedLasso(1000, 100, density=0.05), seed=0))
+    p, _ = harness.build_problem(cfg)
+    ps = sm.build_l1_points(p.matrix, p.linear_term, 50.0 / np.sqrt(p.n))
+    lsh = sm.HyperplaneLsh(8, 10, seed=0)
+    lsh.fit(ps)
+    rng = np.random.default_rng(0)
+    queries = [sm.build_l1_query(rng.standard_normal(p.d), 0.5, ps.beta)
+               for _ in range(200)] + list(ps.points[::40])
+    for q in queries:
+        keys = lsh._hash((lsh._planes @ q >= 0)[None])[0]
+        want = np.unique(np.concatenate([
+            ids[table.searchsorted(k):table.searchsorted(k, "right")]
+            for table, ids, k in zip(lsh._keys, lsh._ids, keys)]))
+        got = lsh.candidates(q)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("kind", ["lasso", "svm"])

@@ -60,6 +60,17 @@ def loop_product(M, x):
     return v
 
 
+def appended_reduceat_norms(M):
+    """The squared column norms as SparseColMatrix once summed them: one
+    reduceat over the squares with a zero appended, empty columns set to 0
+    afterwards."""
+    sq = np.append(M.values**2, 0.0)
+    norms = np.add.reduceat(sq, M.col_starts[:-1]) if M.n_cols \
+        else np.zeros(0)
+    norms[np.diff(M.col_starts) == 0] = 0.0
+    return norms
+
+
 def assert_same_arrays(got, ref):
     assert got.n_rows == ref.n_rows
     for name in ("col_starts", "row_indices", "values", "col_sq_norms"):
@@ -232,6 +243,37 @@ class TestVectorizedAgainstLoops:
         assert dense.dtype == np.float64
         np.testing.assert_array_equal(dense, loop_to_dense(M))
         np.testing.assert_array_equal(dense, A)
+
+    @pytest.mark.parametrize("empty", ["none", "leading", "middle",
+                                       "trailing", "all"])
+    def test_col_sq_norms_bitwise_equal_appended_reduceat(self, rng, empty):
+        # columns of 20 to 40 entries, where the trailing zero the last
+        # column was once summed with changes its rounding
+        cols = {"none": [], "leading": [0, 1], "middle": [3, 4, 7],
+                "trailing": [10, 11], "all": list(range(12))}[empty]
+        plain_differs = False
+        for _ in range(60):
+            A = rng.standard_normal((40, 12)) * (rng.random((40, 12)) < 0.7)
+            A[:, cols] = 0.0
+            M = SparseColMatrix.from_dense(A)
+            assert M.col_sq_norms.tobytes() == \
+                appended_reduceat_norms(M).tobytes()
+            assert not M.col_sq_norms[cols].any()
+            if M.n_cols - 1 not in cols:
+                lo = M.col_starts[-2]
+                plain = np.add.reduceat(M.values[lo:]**2, [0])[0]
+                plain_differs |= plain != M.col_sq_norms[-1]
+        # the draws include a last column whose plain sum rounds otherwise
+        assert plain_differs == (empty not in ("trailing", "all"))
+
+    def test_full_matrix_to_dense_is_a_fresh_copy(self, rng):
+        A = rng.standard_normal((6, 9))
+        M = SparseColMatrix.from_dense(A)
+        dense = M.to_dense()
+        np.testing.assert_array_equal(dense, A)
+        np.testing.assert_array_equal(dense, loop_to_dense(M))
+        assert dense.flags.c_contiguous and dense.flags.writeable
+        assert not np.shares_memory(dense, M.values)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_from_dense_edge_cases_identical_arrays(self, rng):
