@@ -119,10 +119,12 @@ class SparseColMatrix:
         # with every entry stored, A^T as a read-only view of the values
         self._dense_T = values.reshape(self.n_cols, self.n_rows) \
             if nnz == self.n_rows * self.n_cols else None
-        # scipy views of the storage, built on the first product that needs
-        # one, and the row-major copy, built on the first call for it
+        # the operands of A x and A^T v: scipy views of the storage, built
+        # on the first product that needs one, but the dense view for A^T
+        # where there is one; and the row-major copy, built on the first
+        # call for it
         self._scipy_csc = None
-        self._scipy_T = None
+        self._T = self._dense_T
         self._row_major = None
         # the kept Gram columns; per column, None after its first row update,
         # then its RowPlan, or False when it has none; the bytes of both
@@ -254,13 +256,10 @@ class SparseColMatrix:
         return self._product_T(v)
 
     def _product_T(self, v):
-        if self._dense_T is not None:
-            return self._dense_T @ v
         # the column-major arrays of A are the row-major arrays of A^T
-        if self._scipy_T is None:
-            self._scipy_T = self._scipy(sps.csr_matrix,
-                                        (self.n_cols, self.n_rows))
-        return self._scipy_T @ v
+        if self._T is None:
+            self._T = self._scipy(sps.csr_matrix, (self.n_cols, self.n_rows))
+        return self._T @ v
 
     def _gather(self, rows):
         """(counts, column ids, values) of the given rows' stored entries."""
@@ -312,9 +311,7 @@ class SparseColMatrix:
         fits."""
         col = self._gram.get(j)
         if col is None:
-            At = self._dense_T
-            col = At @ At[j] if At is not None \
-                else self.row_product(*self.col(j))
+            col = self.row_product(*self.col(j))
             if self._keep(col.nbytes):
                 col.setflags(write=False)
                 self._gram[j] = col

@@ -15,8 +15,8 @@
   values, and only then; its Gram columns and transposed products from
   that view agree with scipy's to 1e-13 of the terms' magnitudes, and a
   benchmark-shaped lasso takes the same coordinates with bitwise F with
-  the view and without it. The view's products read the same at one
-  BLAS thread and at two.
+  the view and without it. The view's products, and a short solve
+  through them, read the same at one BLAS thread and at two.
 """
 
 import os
@@ -25,6 +25,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from conftest import random_matrix, sparse_logistic, svm_problem
 from greedycd import sparse
@@ -195,7 +196,7 @@ def test_full_matrix_keeps_a_transposed_view(rng):
 def without_view(M):
     """A copy of M whose products take scipy's path."""
     U = SparseColMatrix(M.n_rows, M.col_starts, M.row_indices, M.values)
-    U._dense_T = None
+    U._dense_T = U._T = None
     return U
 
 
@@ -212,7 +213,7 @@ def test_view_products_match_scipy(rng, d, n):
     v = rng.standard_normal(d)
     got, want = M.matvec_T(v), U.matvec_T(v)
     assert np.all(np.abs(got - want) <= 1e-13 * (np.abs(A).T @ np.abs(v)))
-    assert M._gram and U._scipy_T is not None and M._scipy_T is None
+    assert M._gram and M._T is M._dense_T and sps.issparse(U._T)
 
 
 def bench_lasso(view):
@@ -239,12 +240,19 @@ PRODUCTS = """
 import hashlib, sys
 import numpy as np
 sys.path[:0] = sys.argv[1:]
+from greedycd.objectives import make_lasso
+from greedycd.solver import SolverConfig, solve_l1
 from greedycd.sparse import SparseColMatrix
 rng = np.random.default_rng(0)
 M = SparseColMatrix.from_dense(rng.standard_normal((100, 1000)))
 h = hashlib.sha256(M.matvec_T(rng.standard_normal(100)).tobytes())
 for j in range(0, 1000, 97):
     h.update(M.gram_column(j).tobytes())
+tr = solve_l1(make_lasso(M, rng.standard_normal(100), 0.5),
+              SolverConfig(max_iters=300, tol=0.0))
+for name in ("coord", "f_value"):
+    h.update(tr.columns[name].tobytes())
+h.update(tr.final_state.alpha.tobytes())
 print(h.hexdigest())
 """
 

@@ -13,8 +13,7 @@ pick runs after the stop check, so a solve queries the engine once for each
 step it takes and for no check that stops it. A step that does not lower
 the kept F leaves the query as it was, or moves alpha_j by an ulp or two
 that the same answer takes back, so the pick after it is a fallback draw,
-not the same answer again. The candidate ids are np.unique's of the
-query's buckets.
+not the same answer again.
 """
 
 import numpy as np
@@ -197,30 +196,6 @@ def test_an_ulp_move_is_not_repeated():
     assert still.any() and tr.columns["fell_back"][1:][still].all()
 
 
-def test_lsh_candidates_are_unique_bucket_ids():
-    """On the lasso-dense benchmark's points, with its 10 tables of 8 bits,
-    the candidates of a few hundred queries are np.unique's of their
-    buckets' ids."""
-    cfg = harness.ExperimentConfig(
-        problem="lasso", runs=[harness.RunSpec("run")],
-        data=SynthSpec(CorrelatedLasso(1000, 100, density=0.05), seed=0))
-    p, _ = harness.build_problem(cfg)
-    ps = sm.build_l1_points(p.matrix, p.linear_term, 50.0 / np.sqrt(p.n))
-    lsh = sm.HyperplaneLsh(8, 10, seed=0)
-    lsh.fit(ps)
-    rng = np.random.default_rng(0)
-    queries = [sm.build_l1_query(rng.standard_normal(p.d), 0.5, ps.beta)
-               for _ in range(200)] + list(ps.points[::40])
-    for q in queries:
-        keys = lsh._hash((lsh._planes @ q >= 0)[None])[0]
-        want = np.unique(np.concatenate([
-            ids[table.searchsorted(k):table.searchsorted(k, "right")]
-            for table, ids, k in zip(lsh._keys, lsh._ids, keys)]))
-        got = lsh.candidates(q)
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
-
-
 @pytest.mark.parametrize("kind", ["lasso", "svm"])
 def test_points_are_built_on_first_read(kind):
     p, solve = problem(kind)
@@ -306,6 +281,12 @@ def loop_candidates(planes, tables, q):
 
 
 def hashed_points(mapping, rng):
+    if mapping == "lasso-dense":  # the benchmark's points
+        cfg = harness.ExperimentConfig(
+            problem="lasso", runs=[harness.RunSpec("run")],
+            data=SynthSpec(CorrelatedLasso(1000, 100, density=0.05), seed=0))
+        p, _ = harness.build_problem(cfg)
+        return sm.build_l1_points(p.matrix, p.linear_term, 50.0 / np.sqrt(p.n))
     if mapping == "l1":
         p = random_problem("lasso", rng, n=150, d=20)
         return sm.build_l1_points(p.matrix, p.linear_term, 0.5)
@@ -341,13 +322,15 @@ def test_lsh_tables_match_the_loop(mapping, bits, rng):
         np.testing.assert_array_equal(ids, want_ids)
 
 
-@pytest.mark.parametrize("mapping", ["l1", "box"])
-@pytest.mark.parametrize("bits", LSH_BITS)
-def test_lsh_candidates_match_the_loop(mapping, bits, rng):
+@pytest.mark.parametrize("mapping,bits,n_tables", [
+    pytest.param(m, b, 3, id="%d-%s" % (b, m))
+    for b in LSH_BITS for m in ("box", "l1")] + [
+    pytest.param("lasso-dense", 8, 10, id="8x10-lasso-dense")])
+def test_lsh_candidates_match_the_loop(mapping, bits, n_tables, rng):
     ps = hashed_points(mapping, rng)
-    lsh = sm.HyperplaneLsh(bits, 3, seed=4)
+    lsh = sm.HyperplaneLsh(bits, n_tables, seed=4)
     lsh.fit(ps)
-    planes, tables = loop_tables(ps, bits, 3, seed=4)
+    planes, tables = loop_tables(ps, bits, n_tables, seed=4)
     queries = [rng.standard_normal(ps.dim) * 10.0 ** rng.integers(-3, 4)
                for _ in range(200)]
     queries += list(ps.points[::7]) + [np.zeros(ps.dim)]
