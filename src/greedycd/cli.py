@@ -123,7 +123,8 @@ def _build_parser():
                     "gap= is the certificate")
     ap.add_argument("--seed", type=int)
     ap.add_argument("--normalize", type=_yes_no, nargs="?", const=True)
-    ap.add_argument("--out", help="output path prefix for CSV/JSON")
+    ap.add_argument("--out", help="output path prefix for CSV/JSON, in a "
+                    "directory that exists")
     ap.add_argument("--adaptivity", type=_yes_no, nargs="?", const=True,
                     help="emit the four-way search-quality report instead "
                     "of the plain metrics run")
@@ -219,8 +220,7 @@ def main(argv=None):
             print("run failure in %s: %s" % (name, msg), file=sys.stderr)
         return 2
     if plot_x is not None:
-        emit_plot_csv(summary["rows"], x_axis=plot_x,
-                      stream=cfg.out + "_plot.csv")
+        emit_plot_csv(summary, x_axis=plot_x, stream=cfg.out + "_plot.csv")
     return 0
 
 

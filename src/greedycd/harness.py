@@ -6,8 +6,8 @@ report for the hashing engine, and plot-ready wide CSVs.
 
 import csv
 import io
-import itertools
 import json
+import os
 import time
 from dataclasses import dataclass, replace
 
@@ -37,8 +37,8 @@ CSV_HEADER = ["run", "iter", "wall_ns", "f_value", "suboptimality", "nnz",
 
 SUBOPT_FLOOR = 1e-16
 MAX_PLOT_POINTS = 2000
-# rows a CSV writer formats at once: its cells are transients beside the
-# summary rows, so a whole column at once would raise the peak memory
+# rows a CSV writer formats at once: its cells are transients, so a whole
+# column at once would raise the peak memory
 CSV_CHUNK_ROWS = 1024
 # KINDS as an array that a step_kind column indexes
 _KIND_NAMES = np.array(KINDS, dtype=object)
@@ -87,6 +87,9 @@ class ExperimentConfig:
         if self.workers != 1:
             raise ValueError("workers must be 1: runs execute one after "
                              "another, got %r" % (self.workers,))
+        if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
+            raise ValueError("out %r: directory %r does not exist"
+                             % (self.out, os.path.dirname(self.out)))
         SolverConfig(max_iters=self.max_iters, tol=self.tol,
                      seed=self.seed).validate()
 
@@ -226,7 +229,9 @@ def run_experiment(cfg):
     `build_seconds`. The summary's `seconds` runs from the call to the CSV
     written, and takes in `load_seconds`, the index builds, the solves,
     `certify_seconds` (the gaps and the F* interval) and `csv_seconds`
-    (the rows and the CSV write).
+    (the CSV write). The returned summary is the JSON's, plus `traces`:
+    each completed run's name to its Trace, whose columns the metrics CSV
+    and emit_plot_csv read.
 
     After the solves, each run's duality gap at its final state bounds
     F*: f_lower is the largest final F less its gap (or the lowest F
@@ -260,7 +265,6 @@ def run_experiment(cfg):
                       max(finals[name] - gaps[name] for name in results))
 
     t_csv = time.perf_counter()
-    rows = []
     summary = {"problem": cfg.problem, "n": p.n, "d": p.d,
                "f_lower": f_lower, "f_upper": f_upper,
                "load_seconds": info["load_seconds"],
@@ -274,26 +278,14 @@ def run_experiment(cfg):
         trace, engine = results[run.name]
         c = trace.columns
         f = c["f_value"]
-        sub, kinds = f - f_lower, _KIND_NAMES[c["step_kind"]]
-        fell_back, gap = c["fell_back"].view(np.int8), c.get("gap")
         accuracy = [None] * len(f)
         if len(f):
             accuracy[-1] = _test_accuracy(p, trace.final_state, info["test"],
                                           cfg.problem)
-        rows += [{"run": run.name, "iter": i, "wall_ns": w, "f_value": v,
-                  "suboptimality": s, "nnz": z, "step_kind": kind,
-                  "coord": j, "theta": th, "gap": g, "test_accuracy": a,
-                  "fell_back": fb}
-                 for i, w, v, s, z, kind, j, th, g, a, fb in zip(
-                     c["iter"].tolist(), c["wall_ns"].tolist(), f.tolist(),
-                     sub.tolist(), c["nnz"].tolist(), kinds.tolist(),
-                     c["coord"].tolist(), c["theta"].tolist(),
-                     itertools.repeat(None) if gap is None else gap.tolist(),
-                     accuracy, fell_back.tolist())]
         parts.append((len(f), [
-            run.name, c["iter"], c["wall_ns"], f, sub, c["nnz"], kinds,
-            c["coord"], c["theta"], "" if gap is None else gap, accuracy,
-            fell_back]))
+            run.name, c["iter"], c["wall_ns"], f, f - f_lower, c["nnz"],
+            _KIND_NAMES[c["step_kind"]], c["coord"], c["theta"],
+            c.get("gap", ""), accuracy, c["fell_back"].view(np.int8)]))
         total = max(1, trace.n_steps)
         summary["runs"][run.name] = {
             "status": trace.status,
@@ -315,7 +307,7 @@ def run_experiment(cfg):
     if cfg.out:
         with open(cfg.out + ".json", "w") as fh:
             json.dump(summary, fh, indent=2, default=str)
-    summary["rows"] = rows
+    summary["traces"] = {name: trace for name, (trace, _) in results.items()}
     return summary
 
 
@@ -389,30 +381,28 @@ def _downsample(k):
     return np.unique(idx)
 
 
-def emit_plot_csv(rows, x_axis="iter", stream=None):
-    """Wide plot CSV: per run, an x column and a floored suboptimality column.
+def emit_plot_csv(summary, x_axis="iter", stream=None):
+    """Wide plot CSV of a run_experiment summary: per run, an x column and
+    a floored suboptimality column, read off the run's trace columns.
 
-    x is the iteration count or the cumulative wall time in seconds. Series
-    are downsampled to at most MAX_PLOT_POINTS keeping both endpoints.
+    x is the iteration count or the cumulative wall time in seconds; the
+    suboptimality is max(f - f_lower, SUBOPT_FLOOR), f - f_lower being the
+    metrics CSV's. Series are downsampled to at most MAX_PLOT_POINTS
+    keeping both endpoints; a run with no recorded step leaves its
+    columns empty.
     """
-    if not rows:
-        raise ValueError("no metric rows to plot")
+    if not summary["traces"]:
+        raise ValueError("no runs to plot")
     if x_axis not in ("iter", "wall"):
         raise ValueError("x_axis must be 'iter' or 'wall'")
-    series = {}
-    for row in rows:
-        series.setdefault(row["run"], []).append(row)
     header, columns = [], []
-    for name, recs in series.items():
-        if x_axis == "iter":
-            xs = [r["iter"] for r in recs]
-        else:
-            xs = (np.cumsum([r["wall_ns"] for r in recs]) / 1e9).tolist()
-        ys = [max(float(r["suboptimality"] or 0.0), SUBOPT_FLOOR)
-              for r in recs]
-        keep = _downsample(len(recs))
+    for name, trace in summary["traces"].items():
+        c = trace.columns
+        xs = c["iter"] if x_axis == "iter" else np.cumsum(c["wall_ns"]) / 1e9
+        ys = np.maximum(c["f_value"] - summary["f_lower"], SUBOPT_FLOOR)
+        keep = _downsample(len(xs))
         header += ["%s_%s" % (name, x_axis), "%s_suboptimality" % name]
-        columns += [[xs[i] for i in keep], [ys[i] for i in keep]]
+        columns += [xs[keep].tolist(), ys[keep].tolist()]
     n = max(map(len, columns))
     buf = io.StringIO()
     _write_columns(buf, header, [(n, [c + [None] * (n - len(c))

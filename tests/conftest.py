@@ -1,5 +1,5 @@
-"""Shared builders for random problems and iterate states, and the audit
-of what a solve's steps keep.
+"""Shared builders for random problems and iterate states, the rows an
+experiment's files stand for, and the audit of what a solve's steps keep.
 
 The `audit` fixture holds every value a kind's steps keep (`kept()`)
 against the one oracles.FRESH makes from alpha, right after the steps are
@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from greedycd import oracles, solver
+from greedycd import harness, oracles, solver
 from greedycd.objectives import (IterateState, make_elastic_net, make_lasso,
                                  make_logistic, make_svm_dual)
 from greedycd.selection import ActiveSet, select_gss_box, select_gss_l1
@@ -70,6 +70,42 @@ def sparse_logistic(seed=0):
     """Columns on about 12 of 400 rows, so row products gather."""
     rng = np.random.default_rng(seed)
     return make_logistic(random_matrix(rng, 400, 150, density=0.03), 0.01)
+
+
+def metric_rows(cfg, summary):
+    """The metrics CSV's rows as dicts in CSV_HEADER order, one per record
+    of each trace in run_experiment's summary: the suboptimality is f less
+    f_lower, and each run's last row carries its held-out accuracy."""
+    p, info = harness.build_problem(cfg)
+    rows = []
+    for name, trace in summary["traces"].items():
+        rows += [{"run": name, "iter": r.iter, "wall_ns": r.wall_ns,
+                  "f_value": r.f_value,
+                  "suboptimality": r.f_value - summary["f_lower"],
+                  "nnz": r.nnz, "step_kind": r.step_kind, "coord": r.coord,
+                  "theta": r.theta, "gap": r.gap, "test_accuracy": None,
+                  "fell_back": int(r.fell_back)} for r in trace.records]
+        if trace.records:
+            rows[-1]["test_accuracy"] = harness._test_accuracy(
+                p, trace.final_state, info["test"], cfg.problem)
+    return rows
+
+
+def plot_summary(rows, empty=()):
+    """A summary for emit_plot_csv holding the dict rows: f_lower is 0 and
+    each run's trace has the rows' iter, wall_ns and suboptimality (as
+    f_value) columns, runs in order of first row; each name in `empty` adds
+    a run with no record after them."""
+    series = {}
+    for row in rows:
+        series.setdefault(row["run"], []).append(row)
+    series.update((name, []) for name in empty)
+    return {"f_lower": 0.0, "traces": {name: solver.Trace(
+        0.0, {"iter": np.array([r["iter"] for r in recs], np.int64),
+              "wall_ns": np.array([r["wall_ns"] for r in recs], np.int64),
+              "f_value": np.array([r["suboptimality"] for r in recs],
+                                  float)},
+        {}, None, "max_iters", "l1") for name, recs in series.items()}}
 
 
 def random_state(p, rng, box=False, zero_frac=0.4):

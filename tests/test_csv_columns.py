@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import metric_rows, plot_summary
 from greedycd import harness
 from greedycd.data_io import CorrelatedLasso, RandomSvm, SynthSpec
 from greedycd.harness import (CSV_CHUNK_ROWS, CSV_HEADER, ExperimentConfig,
@@ -135,7 +136,7 @@ def _experiment(tmp_path, problem, data, names, **kw):
 def test_metrics_csv_is_csv_writer_over_the_rows(tmp_path, names, problem,
                                                  data, kw):
     cfg, summary = _experiment(tmp_path, problem, data, names, **kw)
-    rows = summary["rows"]
+    rows = metric_rows(cfg, summary)
     # more rows than a chunk, and uniform runs of equal floats among them
     assert len(rows) > CSV_CHUNK_ROWS
     with open(cfg.out + ".csv", newline="") as fh:
@@ -164,11 +165,15 @@ def reference_plot(rows, x_axis):
 @pytest.mark.parametrize("x_axis", ["iter", "wall"])
 def test_plot_csv_is_csv_writer_over_padded_columns(x_axis):
     rng = np.random.default_rng(5)
+    subs = [0.0, -0.0, float("nan"), 1e-20, 0.5, 0.5, 3.0]
     rows = [{"run": run, "iter": i, "wall_ns": int(rng.integers(0, 3000)),
-             "suboptimality": float(rng.choice([0.0, 1e-20, 0.5, 0.5, 3.0]))}
-            for run, k in (("a,b", 2500), ("short", 7), ("", 1))
+             "suboptimality": float(rng.choice(subs))}
+            for run, k in (("a,b", 2500), ("short", 7), ("", 1),
+                           ('"q"', 2001))
             for i in range(k)]
-    text = emit_plot_csv(rows, x_axis=x_axis)
+    assert {str(r["suboptimality"]) for r in rows} == \
+        {"0.0", "-0.0", "nan", "1e-20", "0.5", "3.0"}
+    text = emit_plot_csv(plot_summary(rows), x_axis=x_axis)
     assert text == reference_plot(rows, x_axis)
     assert text.endswith("\n") and "\r" not in text
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
+from conftest import metric_rows, plot_summary
 from greedycd import cli, harness, solver, sparse
 from greedycd.cli import main, parse_config_file, parse_synthetic
 from greedycd.data_io import (CorrelatedLasso, Dataset, DiagQuadratic,
@@ -95,7 +96,7 @@ class TestRunExperiment:
             runs=[RunSpec("gs-s"), RunSpec("uniform", rule="uniform")],
             lam=1.0, max_iters=300, tol=1e-8, test_split=0.25,
             out=str(tmp_path / "rows"))
-        rows = run_experiment(cfg)["rows"]
+        rows = metric_rows(cfg, run_experiment(cfg))
         # plain Python values, which the writer prints as repr does
         assert {type(v) for row in rows for v in row.values()} == \
             {str, int, float, type(None)}
@@ -130,9 +131,9 @@ class TestRunExperiment:
     def test_suboptimality_nonneg_and_monotone(self, tmp_path):
         cfg = small_lasso_cfg(tmp_path)
         summary = run_experiment(cfg)
+        rows = metric_rows(cfg, summary)
         for name in summary["runs"]:
-            sub = [r["suboptimality"] for r in summary["rows"]
-                   if r["run"] == name]
+            sub = [r["suboptimality"] for r in rows if r["run"] == name]
             assert all(x >= 0 for x in sub)
             assert all(b <= a + 1e-12 for a, b in zip(sub, sub[1:]))
 
@@ -142,15 +143,14 @@ class TestRunExperiment:
         r2 = run_experiment(cfg)
         strip = lambda rows: [{k: v for k, v in row.items()
                                if k != "wall_ns"} for row in rows]
-        assert strip(r1["rows"]) == strip(r2["rows"])
+        assert strip(metric_rows(cfg, r1)) == strip(metric_rows(cfg, r2))
 
     def test_svm_rows_report_nonneg_gap(self, tmp_path):
         cfg = ExperimentConfig(
             problem="svm", data=SynthSpec(RandomSvm(20, 5, 0.4), seed=2),
             runs=[RunSpec("gs-s")], lam=1.0, max_iters=100, tol=1e-10,
             out=str(tmp_path / "svm"))
-        summary = run_experiment(cfg)
-        gaps = [r["gap"] for r in summary["rows"]]
+        gaps = [r["gap"] for r in metric_rows(cfg, run_experiment(cfg))]
         assert gaps and all(g is not None and g >= -1e-10 for g in gaps)
 
     def test_failing_run_does_not_abort_siblings(self, tmp_path):
@@ -262,9 +262,10 @@ class TestRunExperiment:
             problem="svm", data=SynthSpec(RandomSvm(40, 5, 0.5), seed=4),
             runs=[RunSpec("gs-s")], lam=1.0, max_iters=300, tol=1e-8,
             test_split=0.25, out=str(tmp_path / "acc"))
-        summary = run_experiment(cfg)
-        accs = [r["test_accuracy"] for r in summary["rows"]
-                if r["test_accuracy"] is not None]
+        run_experiment(cfg)
+        accs = [float(r["test_accuracy"])
+                for r in csv.DictReader(open(cfg.out + ".csv"))
+                if r["test_accuracy"]]
         assert len(accs) == 1 and 0.5 <= accs[0] <= 1.0
 
 
@@ -316,9 +317,10 @@ class TestLibsvmFile:
         p = make_logistic(fold_labels(train).transpose(), cfg.lam)
         assert p.n == 12 and p.d == 44
         traces = self.assert_runs_match(summary, p, cfg)
+        rows = list(csv.DictReader(open(cfg.out + ".csv")))
         for rule, trace in traces.items():
-            acc = [r["test_accuracy"] for r in summary["rows"]
-                   if r["run"] == rule][-1]
+            acc = float([r["test_accuracy"] for r in rows
+                         if r["run"] == rule][-1])
             margins = fold_labels(test).matvec_T(trace.final_state.alpha)
             assert acc == float(np.mean(margins > 0))
 
@@ -444,7 +446,7 @@ class TestPlotCsv:
                  "suboptimality": 10.0 / (i + 1)} for i in range(n)]
 
     def test_small_series_kept_whole(self):
-        text = emit_plot_csv(self._rows(10))
+        text = emit_plot_csv(plot_summary(self._rows(10)))
         lines = text.strip().splitlines()
         assert lines[0] == "r1_iter,r1_suboptimality"
         assert len(lines) == 11
@@ -452,11 +454,11 @@ class TestPlotCsv:
     def test_zero_floored(self):
         rows = self._rows(3)
         rows[-1]["suboptimality"] = 0.0
-        text = emit_plot_csv(rows)
+        text = emit_plot_csv(plot_summary(rows))
         assert "1e-16" in text
 
     def test_downsampling_keeps_endpoints(self):
-        text = emit_plot_csv(self._rows(5000))
+        text = emit_plot_csv(plot_summary(self._rows(5000)))
         lines = text.strip().splitlines()[1:]
         assert len(lines) <= 2000
         assert lines[0].startswith("0,")
@@ -464,11 +466,19 @@ class TestPlotCsv:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            emit_plot_csv([])
+            emit_plot_csv(plot_summary([]))
+
+    def test_run_without_records_leaves_its_cells_empty(self):
+        text = emit_plot_csv(plot_summary(self._rows(2), empty=["r0"]))
+        assert text.splitlines() == [
+            "r1_iter,r1_suboptimality,r0_iter,r0_suboptimality",
+            "0,10.0,,", "1,5.0,,"]
+        text = emit_plot_csv(plot_summary([], empty=["a", "b"]), "wall")
+        assert text == "a_wall,a_suboptimality,b_wall,b_suboptimality\n"
 
     def test_wall_axis(self):
         rows = self._rows(4) + self._rows(2, run="r2")
-        text = emit_plot_csv(rows, x_axis="wall")
+        text = emit_plot_csv(plot_summary(rows), x_axis="wall")
         header, *lines = text.splitlines()
         assert header == "r1_wall,r1_suboptimality,r2_wall,r2_suboptimality"
         cells = [line.split(",") for line in lines]
@@ -583,6 +593,41 @@ class TestCli:
         assert lines.pop() == "" and len(lines) == 30
         assert all(float(x) >= 0 for line in lines for x in line.split(","))
 
+    @pytest.mark.parametrize("argv", [
+        ["--problem", "lasso", "--synthetic", "diag:4,2,1", "--lambda", "100",
+         "--rule", "gs-s,uniform", "--plot-x", "iter"],
+        ["--problem", "logistic", "--synthetic", "svm:n=50,d=10",
+         "--lambda", "1e6", "--plot-x", "wall"]])
+    def test_plot_x_after_runs_without_steps(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "z")
+        assert main(argv + ["--out", out]) == 0
+        summary = json.load(open(out + ".json"))
+        assert [info["steps"] for info in summary["runs"].values()] == \
+            [0] * len(summary["runs"])
+        axis = argv[-1]
+        with open(out + "_plot.csv", newline="") as fh:
+            assert fh.read() == ",".join(
+                "%s_%s,%s_suboptimality" % (name, axis, name)
+                for name in summary["runs"]) + "\n"
+
+    @pytest.mark.parametrize("adaptivity", [[], ["--engine", "smips",
+                                                 "--backend", "lsh",
+                                                 "--adaptivity"]])
+    def test_out_in_a_missing_directory_refused_before_the_load(
+            self, tmp_path, capsys, monkeypatch, adaptivity):
+        builds = []
+        monkeypatch.setattr(harness, "build_problem", builds.append)
+        out = str(tmp_path / "nodir" / "x")
+        assert main(["--problem", "lasso", "--synthetic",
+                     "correlated:n=200,d=40", "--max-iters", "2000",
+                     "--out", out] + adaptivity) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out %r" % out)
+        assert builds == [] and not os.path.exists(str(tmp_path / "nodir"))
+        with pytest.raises(ValueError, match="does not exist"):
+            harness.run_experiment(small_lasso_cfg(tmp_path, out=out))
+        assert builds == []
+
     @pytest.mark.parametrize("problem", ["lasso", "elasticnet"])
     def test_test_split_refused_for_regression(self, capsys, problem):
         code = main(["--problem", problem, "--synthetic", "diag:4,2,1",
@@ -596,7 +641,7 @@ class TestCli:
 
         def fake_run(cfg):
             seen.append(cfg)
-            return {"runs": {}, "errors": {}, "rows": []}
+            return {"runs": {}, "errors": {}, "traces": {}}
 
         monkeypatch.setattr(cli, "run_experiment", fake_run)
         assert main(argv) == 0

@@ -13,11 +13,11 @@ import types
 import numpy as np
 import pytest
 
-from conftest import random_problem
+from conftest import metric_rows, random_problem
 from greedycd import solver
 from greedycd.data_io import CorrelatedLasso, RandomSvm, SynthSpec
 from greedycd.harness import (CSV_HEADER, ExperimentConfig, RunSpec,
-                              run_experiment)
+                              emit_plot_csv, run_experiment)
 from greedycd.objectives import CompositeProblem, duality_gap, make_lasso
 from greedycd.selection import Rule
 from greedycd.solver import (COLUMNS, StepRecord, SolverConfig, _Records,
@@ -223,7 +223,7 @@ def test_metrics_csv_reads_back_as_the_rows(tmp_path, problem, data):
         runs=[RunSpec("gs-s"), RunSpec("uniform", rule="uniform")],
         out=str(tmp_path / "m"))
     summary = run_experiment(cfg)
-    rows = summary["rows"]
+    rows = metric_rows(cfg, summary)
     assert len(rows) == sum(r["steps"] for r in summary["runs"].values())
     assert all(list(row) == CSV_HEADER for row in rows)
     with open(cfg.out + ".csv", newline="") as fh:
@@ -231,3 +231,20 @@ def test_metrics_csv_reads_back_as_the_rows(tmp_path, problem, data):
     assert header == CSV_HEADER and len(cells) == len(rows)
     for line, row in zip(cells, rows):
         assert line == ["" if v is None else str(v) for v in row.values()]
+
+
+def test_experiment_files_build_no_records(tmp_path):
+    """The metrics CSV, the JSON and both plot axes read the trace
+    columns: no StepRecord is built, and the summary holds no rows."""
+    cfg = ExperimentConfig(
+        problem="svm", data=SynthSpec(RandomSvm(30, 5, 0.5), seed=2),
+        lam=0.5, max_iters=300, tol=0.0, test_split=0.25,
+        runs=[RunSpec("gs-s"), RunSpec("uniform", rule="uniform")],
+        out=str(tmp_path / "m"))
+    summary = run_experiment(cfg)
+    for axis in ("iter", "wall"):
+        emit_plot_csv(summary, x_axis=axis, stream=cfg.out + "_plot.csv")
+    assert "rows" not in summary
+    assert list(summary["traces"]) == ["gs-s", "uniform"]
+    for trace in summary["traces"].values():
+        assert trace.n_steps == 300 and "records" not in vars(trace)
