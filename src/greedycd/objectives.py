@@ -42,7 +42,7 @@ class _QuadraticLoss:
         """l(v + delta A_j) - l(v) from the column read at v: delta times
         <A_j, nabla l(v)> plus the exact quadratic term."""
         return delta * read[4] + 0.5 * (1.0 / p.loss_scale) * delta * delta \
-            * float(p.matrix.col_sq_norms[j])
+            * p.matrix.col_sq_norms.item(j)
 
     def update_grad(self, p, s, delta, read):
         """Move the kept gradient after the residual moved by delta * A_j:
@@ -51,9 +51,9 @@ class _QuadraticLoss:
             * p.matrix.gram_column(read[0])
 
     def line_search(self, p, s, j):
-        aj = float(s.alpha[j])
+        aj = s.alpha.item(j)
         reg = p.reg
-        h = float(p.matrix.col_sq_norms[j]) / p.loss_scale + reg.lam2
+        h = p.matrix.col_sq_norms.item(j) / p.loss_scale + reg.lam2
         g = coord_grad(p, s, j)
         if h == 0.0:
             if abs(g) <= reg.lam:
@@ -156,8 +156,8 @@ class Logistic:
         return 4.0  # nabla^2 l <= I / 4
 
     def change(self, p, s, j, delta, read):
-        ridx, vals = read[1:3]
-        z = -s.residual[ridx]  # the new residual negates to z - delta*vals
+        rows, vals = read[1:3]
+        z = -s.residual[rows]  # the new residual negates to z - delta*vals
         return float(np.sum(np.logaddexp(0.0, z - delta * vals)
                             - np.logaddexp(0.0, z)))
 
@@ -165,22 +165,22 @@ class Logistic:
         """Move the kept gradient after the residual moved by delta * A_j,
         by a row product over supp(A_j); the read's nabla l there is the
         value before the move."""
-        j, ridx, before = read[0], read[1], read[3]
+        j, rows, before = read[0], read[1], read[3]
         p.matrix.add_rows(s.grad, j,
-                          self.grad(p, s.residual[ridx], ridx) - before)
+                          self.grad(p, s.residual[rows], rows) - before)
 
     def line_search(self, p, s, j, tol=1e-10, max_iters=100):
         """Bisect the min-norm subgradient of F along coordinate j, which is
         monotone, within the regularizer's domain."""
-        ridx, vals = p.matrix.col(j)
-        aj = float(s.alpha[j])
-        if len(vals) == 0 and p.linear_term[j] == 0.0:
+        rows, vals = p.matrix.col_view(j)
+        aj, c = s.alpha.item(j), p.linear_term.item(j)
+        if len(vals) == 0 and c == 0.0:
             return aj
-        vseg = s.residual[ridx]
-        reg, c = p.reg, p.linear_term[j]
+        vseg = s.residual[rows]  # the residual does not move in the search
+        reg = p.reg
 
         def slope(x):
-            g = float(vals @ self.grad(p, vseg + (x - aj) * vals, ridx)) + c
+            g = float(vals @ self.grad(p, vseg + (x - aj) * vals, rows)) + c
             if reg.lam2:
                 g += reg.lam2 * x
             return reg.subgrad(x, g)
@@ -407,7 +407,8 @@ class IterateState:
     _f_since: float = field(default=0.0, init=False, repr=False)
     _steps_since_refresh: int = field(default=0, repr=False)
     # the last column read at the current residual, by coord_grad, until the
-    # residual moves: (j, row ids, values, nabla l on them, <A_j, nabla l>)
+    # residual moves: (j, rows, values, nabla l on them, <A_j, nabla l>),
+    # rows as SparseColMatrix.col_view gives them
     _read: tuple = field(default=None, init=False, repr=False,
                          compare=False)
 
@@ -466,16 +467,18 @@ def grad_l(p, s):
 def coord_grad(p, s, j):
     """nabla_j f(alpha) = <A_j, grad_l(v)> + c_j + lam2*alpha_j.
 
-    nabla l is evaluated on supp(A_j) only. The column read stays on the
-    state, so a move of coordinate j that follows reads supp(A_j) no more.
+    nabla l is evaluated on supp(A_j) only, with no gather on a matrix that
+    stores every entry. The column read stays on the state, so a move of
+    coordinate j that follows reads supp(A_j) no more. Returns a Python
+    float.
     """
-    ridx, vals = p.matrix.col(j)
-    gl = p.loss.grad(p, s.residual[ridx], ridx)
+    rows, vals = p.matrix.col_view(j)
+    gl = p.loss.grad(p, s.residual[rows], rows)
     dot = float(vals @ gl)
-    s._read = (j, ridx, vals, gl, dot)
-    g = dot + p.linear_term[j]
+    s._read = (j, rows, vals, gl, dot)
+    g = dot + p.linear_term.item(j)
     if p.reg.lam2:
-        g += p.reg.lam2 * s.alpha[j]
+        g += p.reg.lam2 * s.alpha.item(j)
     return g
 
 
@@ -518,9 +521,10 @@ def _objective_change(p, s, j, delta, read):
 
     Raises the unit-box error when the move leaves the box.
     """
-    a = float(s.alpha[j])
+    a = s.alpha.item(j)
     new = a + delta  # the value alpha_j takes, rounded the same way
-    change = p.loss.change(p, s, j, delta, read) + p.linear_term[j] * delta
+    change = p.loss.change(p, s, j, delta, read) \
+        + p.linear_term.item(j) * delta
     reg = p.reg
     penalty = reg.change(a, new)
     if reg.lam2:
@@ -532,8 +536,9 @@ def _objective_change(p, s, j, delta, read):
 def apply_coord_delta(p, s, j, delta):
     """alpha_j += delta, maintaining residual and nonzero count in O(nnz(A_j)),
     and the gradient and objective when the state keeps them. Returns the
-    column read the move used, (j, row ids, values, nabla l on them before
-    the move, <A_j, nabla l>), or None when delta is 0."""
+    column read the move used, (j, rows, values, nabla l on them before
+    the move, <A_j, nabla l>), or None when delta is 0; the residual moves
+    in place, on a matrix that stores every entry with no scatter."""
     if delta == 0.0:
         return None
     if s._read is None or s._read[0] != j:
@@ -541,11 +546,12 @@ def apply_coord_delta(p, s, j, delta):
     read = s._read
     if s._f_refreshed is not None:
         s._f_since += _objective_change(p, s, j, delta, read)
-    was_zero = s.alpha[j] == 0.0
-    s.alpha[j] += delta
-    if was_zero and s.alpha[j] != 0.0:
+    a = s.alpha.item(j)
+    new = a + delta
+    s.alpha[j] = new
+    if a == 0.0 and new != 0.0:
         s.nnz += 1
-    elif not was_zero and s.alpha[j] == 0.0:
+    elif a != 0.0 and new == 0.0:
         s.nnz -= 1
     s._read = None  # the residual moves
     s.residual[read[1]] += delta * read[2]

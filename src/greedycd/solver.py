@@ -78,10 +78,11 @@ class SolverConfig:
                 ", ".join(r.name for r in Rule), self.rule))
         if not self.tol >= 0:  # NaN too
             raise ValueError("tol must be nonnegative")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.trace_every < 1:
-            raise ValueError("trace_every must be at least 1")
+        for name in ("max_iters", "trace_every"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError("%s must be an integer of at least 1, got "
+                                 "%r" % (name, value))
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer, got %r"
                              % (self.seed,))
@@ -531,6 +532,7 @@ class _BoxSteps(_Steps):
         self.interior = (alpha > 0) & (alpha < 1)
         self.sign = (alpha == 1).astype(float) - (alpha == 0)
         self.scores, self.abs_g = np.empty(p.n), np.abs(s.grad)
+        self._draw_buf = np.empty(p.n, dtype=bool)  # uniform's scratch
         if self.check_gap or cfg.record_gap:
             duality_gap(p, s)  # refuses all but the SVM dual's gap
             self.sums = self._fresh_sums(s)
@@ -549,15 +551,15 @@ class _BoxSteps(_Steps):
         return [float(s.alpha @ g), float(g.sum())]
 
     def update(self, p, s, j, aj, read):
-        a, g = float(s.alpha[j]), s.grad
+        a, g = s.alpha.item(j), s.grad
         self.interior[j] = 0 < a < 1
         self.sign[j] = float(a == 1) - float(a == 0)
         np.abs(g, out=self.abs_g)
         sums = self.sums
         if sums is not None:
             delta = a - aj  # the change alpha_j took
-            sums[0] += delta * read[4] + delta * float(g[j])
-            sums[1] += delta * (1.0 / p.loss_scale) * float(self.gram_sums[j])
+            sums[0] += delta * read[4] + delta * g.item(j)
+            sums[1] += delta * (1.0 / p.loss_scale) * self.gram_sums.item(j)
 
     def refresh(self, p, s):
         sums = self.sums
@@ -569,7 +571,8 @@ class _BoxSteps(_Steps):
 
     def read_gap(self, p, s):
         a, total = self.sums
-        return a - 0.5 * (total - float(self.abs_g.sum()))
+        # ndarray.sum's own pairwise reduction, without its method layers
+        return a - 0.5 * (total - float(np.add.reduce(self.abs_g)))
 
     @property
     def members(self):
@@ -581,14 +584,17 @@ class _BoxSteps(_Steps):
         np.multiply(self.sign, g, out=buf)
         np.putmask(buf, self.interior, self.abs_g)
         j = int(buf.argmax())  # argmax returns the first maximizer
-        m = float(buf[j])
+        m = buf.item(j)
         if m > 0.0:
             return SelectionOutcome(coord=j, score=m)
         return select_gss_box(p, s, active=ActiveSet(self.members), grad=g)
 
     def uniform(self, p, s, out):
-        ids = self.members.nonzero()[0]
-        return int(ids[self.rng.integers(len(ids))])
+        # the members mask, written into a scratch buffer, not a new array
+        buf = np.greater(self.scores, 0, out=self._draw_buf)
+        buf |= self.interior
+        ids = buf.nonzero()[0]
+        return ids.item(self.rng.integers(len(ids)))
 
     def step(self, p, s, j, aj):
         """(class, new alpha_j), classified against the pre-clip target."""
@@ -686,7 +692,7 @@ def _descend(p, s, steps, cfg, records, t_last=0):
                     continue  # a stop check or the end comes first
         j = pick(p, s, out)
         theta = measure_theta(j, p, s) if record_theta else 1.0
-        aj = float(s.alpha[j])
+        aj = s.alpha.item(j)
         kind, new = step(p, s, j, aj)
         move(p, s, j, aj, new)
 

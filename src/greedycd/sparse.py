@@ -10,7 +10,9 @@ shared by every solve of it.
 A matrix that stores every entry holds A^T in C order as its values, since
 each column then lists rows 0..d-1 in turn. It keeps that as a zero-copy
 (n, d) view, and its transposed products (A^T v, the Gram columns and the
-dense copy) read the view through BLAS rather than scipy's scalar loop.
+dense copy) read the view through BLAS rather than scipy's scalar loop,
+and its column reads (col_view) select all of a d-vector as slice(None),
+which takes no gather.
 A x stays on scipy on every matrix: its sums, in column order, are what a
 residual refresh must reproduce bit for bit.
 Matrices are immutable after construction.
@@ -45,7 +47,9 @@ def shrink(x, lam):
     if lam < 0:
         raise ValueError("shrink threshold must be nonnegative, got %r" % lam)
     if abs(x) >= lam:
-        return x - np.sign(x) * lam
+        # x - sign(x) * lam with no numpy scalar: x - (-lam) is x + lam,
+        # and at x = +-0, which only lam = 0 lets through, x - 0 is x
+        return x - lam if x > 0 else x + lam if x < 0 else x
     return 0.0
 
 
@@ -116,9 +120,11 @@ class SparseColMatrix:
         for arr in (self.col_starts, self.row_indices, self.values,
                     self.col_sq_norms):
             arr.setflags(write=False)
-        # with every entry stored, A^T as a read-only view of the values
+        # with every entry stored, A^T as a read-only view of the values,
+        # and the row selector of every column, which takes no gather
         self._dense_T = values.reshape(self.n_cols, self.n_rows) \
             if nnz == self.n_rows * self.n_cols else None
+        self._all_rows = None if self._dense_T is None else slice(None)
         # the operands of A x and A^T v: scipy views of the storage, built
         # on the first product that needs one, but the dense view for A^T
         # where there is one; and the row-major copy, built on the first
@@ -146,6 +152,17 @@ class SparseColMatrix:
             raise IndexError("column %d out of range [0, %d)" % (j, self.n_cols))
         lo, hi = self.col_starts[j], self.col_starts[j + 1]
         return self.row_indices[lo:hi], self.values[lo:hi]
+
+    def col_view(self, j):
+        """(rows, values) of column j, where v[rows] reads a d-vector v on
+        the column's rows: its row ids, or slice(None) on a matrix that
+        stores every entry, which reads all of v with no gather."""
+        rows = self._all_rows
+        if rows is None:
+            return self.col(j)
+        if not 0 <= j < self.n_cols:
+            raise IndexError("column %d out of range [0, %d)" % (j, self.n_cols))
+        return rows, self._dense_T[j]
 
     @classmethod
     def from_columns(cls, n_rows, columns):

@@ -13,10 +13,13 @@
   once, however many solves move it.
 - A matrix that stores every entry keeps A^T as a read-only view of its
   values, and only then; its Gram columns and transposed products from
-  that view agree with scipy's to 1e-13 of the terms' magnitudes, and a
-  benchmark-shaped lasso takes the same coordinates with bitwise F with
-  the view and without it. The view's products, and a short solve
-  through them, read the same at one BLAS thread and at two.
+  that view agree with scipy's to 1e-13 of the terms' magnitudes. On the
+  benchmark's lasso and SVM dual, the gather-free column reads of such a
+  matrix leave every step's coordinate, kind, F and gap and the counters
+  bitwise as row-id gathers give them, and scipy's products in place of
+  the view leave the coordinates, kinds and F bitwise. The view's
+  products, and a short solve through them, read the same at one BLAS
+  thread and at two.
 """
 
 import os
@@ -29,8 +32,9 @@ import scipy.sparse as sps
 
 from conftest import random_matrix, sparse_logistic, svm_problem
 from greedycd import sparse
-from greedycd.data_io import CorrelatedLasso, SynthSpec, gen_synthetic
-from greedycd.objectives import make_lasso
+from greedycd.data_io import (CorrelatedLasso, RandomSvm, SynthSpec,
+                              fold_labels, gen_synthetic)
+from greedycd.objectives import CompositeProblem, make_lasso, make_svm_dual
 from greedycd.selection import Rule
 from greedycd.solver import SolverConfig, _solve, solve_box, solve_l1
 from greedycd.sparse import SparseColMatrix
@@ -193,10 +197,13 @@ def test_full_matrix_keeps_a_transposed_view(rng):
     assert random_matrix(rng, 30, 45)._dense_T is None
 
 
-def without_view(M):
-    """A copy of M whose products take scipy's path."""
+def without_view(M, products=True):
+    """A copy of M whose column reads gather by row ids and, with products
+    True, whose products take scipy's path."""
     U = SparseColMatrix(M.n_rows, M.col_starts, M.row_indices, M.values)
-    U._dense_T = U._T = None
+    U._all_rows = None
+    if products:
+        U._dense_T = U._T = None
     return U
 
 
@@ -216,24 +223,51 @@ def test_view_products_match_scipy(rng, d, n):
     assert M._gram and M._T is M._dense_T and sps.issparse(U._T)
 
 
-def bench_lasso(view):
-    """The benchmark's lasso instance, its products through the view or,
-    with view False, through scipy."""
+def bench_lasso():
+    """The benchmark's lasso instance and its tol."""
     ds = gen_synthetic(SynthSpec(CorrelatedLasso(n=1000, d=100,
                                                  density=0.05), 0))
-    M = ds.matrix if view else without_view(ds.matrix)
-    assert (M._dense_T is not None) == view
-    return make_lasso(M, ds.labels, 0.5)
+    return make_lasso(ds.matrix, ds.labels, 0.5), 1e-4
 
 
-@pytest.mark.parametrize("rule", ["gs-s", "gs-q", "uniform"])
-def test_view_leaves_the_bench_solve_as_it_was(rule):
-    cfg = SolverConfig(rule=Rule(rule), max_iters=100_000, tol=1e-4)
-    got, want = solve_l1(bench_lasso(True), cfg), \
-        solve_l1(bench_lasso(False), cfg)
-    assert got.status == want.status == "tol"
+def bench_svm():
+    """The benchmark's SVM dual and its tol."""
+    ds = gen_synthetic(SynthSpec(RandomSvm(n=800, d=40, margin=0.1), 0))
+    return make_svm_dual(fold_labels(ds), 0.05), 1e-5
+
+
+@pytest.mark.parametrize("make,rule,extras", [
+    (bench_lasso, "gs-s", False), (bench_lasso, "gs-q", False),
+    (bench_lasso, "uniform", False), (bench_svm, "gs-s", False),
+    (bench_svm, "gs-q", False), (bench_svm, "uniform", False),
+    (bench_lasso, "gs-s", True), (bench_svm, "uniform", True)],
+    ids=["gs-s", "gs-q", "uniform", "svm-gs-s", "svm-gs-q", "svm-uniform",
+         "gs-s-gap-line-search", "svm-uniform-gap-line-search"])
+def test_view_leaves_the_bench_solve_as_it_was(make, rule, extras):
+    """The solve through the view and its gather-free column reads, against
+    the same solve with the column reads gathering, and against scipy's
+    products; extras records the gap and takes the line search."""
+    p, tol = make()
+    cfg = SolverConfig(rule=Rule(rule), max_iters=100_000, tol=tol,
+                       record_gap=extras, use_line_search=extras)
+    traces = []
+    for M in (p.matrix, without_view(p.matrix, products=False),
+              without_view(p.matrix)):
+        assert isinstance(M.col_view(3)[0], slice) == (M is p.matrix)
+        traces.append(_solve(CompositeProblem(M, p.linear_term, p.loss,
+                                              p.reg), cfg))
+    fast, gathered, scipy_products = traces
+    # the gather-free reads change no bit
+    assert fast.status == gathered.status == "tol"
+    assert fast.counters == gathered.counters
+    for name in ["coord", "step_kind", "f_value"] + ["gap"] * extras:
+        assert fast.columns[name].tobytes() == \
+            gathered.columns[name].tobytes(), name
+    # the view's products change the kept gradient's round-off only
+    assert scipy_products.status == "tol"
     for name in ("coord", "step_kind", "f_value"):
-        assert got.columns[name].tobytes() == want.columns[name].tobytes()
+        assert fast.columns[name].tobytes() == \
+            scipy_products.columns[name].tobytes(), name
 
 
 PRODUCTS = """

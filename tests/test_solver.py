@@ -442,6 +442,23 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="seed must be a nonneg"):
                 SolverConfig(seed=seed).validate()
 
+    def test_step_counts_must_be_integers_of_at_least_one(self):
+        # a NaN budget took no step and a fractional one rounded up; a
+        # fractional trace_every failed only when the records were read
+        from greedycd.harness import ExperimentConfig, RunSpec
+        for name in ("max_iters", "trace_every"):
+            for value in (1, 7, np.int64(3), np.uint32(5)):
+                SolverConfig(**{name: value}).validate()
+            for value in (0, -1, 2.5, 3.0, float("nan"), "5", None,
+                          np.int64(0)):
+                with pytest.raises(ValueError, match="%s must be an integer"
+                                   % name):
+                    SolverConfig(**{name: value}).validate()
+        spec = SynthSpec(CorrelatedLasso(n=8, d=5), 0)
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            ExperimentConfig(problem="lasso", data=spec, runs=[RunSpec("a")],
+                             max_iters=2.5).validate()
+
     def test_engine_takes_no_other_rule_or_selector(self, rng):
         # the engine selects by gs-s; another rule or a selector would be
         # ignored, so the config is refused

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -100,6 +102,21 @@ class TestShrink:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             shrink(1.0, -0.1)
+
+    def test_python_floats_as_the_sign_formula(self):
+        """A Python float in, a Python float out, with the bits of
+        x - sign(x) * lam where |x| >= lam (NaN for NaN), else 0."""
+        tiny = 5e-324
+        for lam in (0.0, 1.0, np.inf):
+            xs = [0.0, lam, np.nextafter(lam, 0.0), np.nextafter(lam, np.inf),
+                  tiny, 1e-310, np.inf, np.nan]
+            for x in map(float, xs + [-x for x in xs]):
+                got = shrink(x, lam)
+                with np.errstate(invalid="ignore"):  # inf - inf
+                    want = x - np.sign(x) * lam if abs(x) >= lam else 0.0
+                assert type(got) is float, (x, lam)
+                assert struct.pack("<d", got) == struct.pack("<d", want) \
+                    or got != got and want != want, (x, lam, got, want)
 
     @given(st.floats(-1e6, 1e6), st.floats(0.0, 1e6))
     def test_magnitude_never_grows(self, x, lam):

@@ -16,6 +16,8 @@ expression it replaces.
   matvec, and the benchmark's own certificate at solves' final states.
 - The objective change read off a step's column must equal the one computed
   from the column afresh, bitwise, for every loss and regularizer.
+- A step's new alpha_j is a Python float, for every loss, with and without
+  line search, on sparse and fully stored matrices.
 """
 
 import copy
@@ -36,6 +38,7 @@ from greedycd.objectives import (Box, CompositeProblem, ElasticNetL1,
 from greedycd.selection import Rule
 from greedycd.smips import HyperplaneLsh
 from greedycd.solver import SolverConfig, solve_box
+from greedycd.sparse import SparseColMatrix
 
 STEPS = 500
 EVERY = 100  # RESIDUAL_REFRESH_EVERY here: five refreshes in STEPS moves
@@ -315,3 +318,25 @@ def test_move_without_a_matching_read(rng):
     np.testing.assert_array_equal(s.residual, twin.residual)
     np.testing.assert_array_equal(s.grad, twin.grad)
     assert s.objective == twin.objective
+
+
+@pytest.mark.parametrize("line_search", [False, True])
+@pytest.mark.parametrize("kind", ["lasso", "elasticnet", "logistic", "svm"])
+def test_steps_take_python_floats(kind, line_search, rng, monkeypatch):
+    base = random_problem(kind, rng)
+    full = SparseColMatrix.from_dense(rng.standard_normal((base.d, base.n)))
+    steps_cls = solver._BoxSteps if kind == "svm" else solver._L1Steps
+    news = []
+
+    def stepping(steps, p, s, j, aj, step=steps_cls.step):
+        label, new = step(steps, p, s, j, aj)
+        news.append(new)
+        return label, new
+
+    monkeypatch.setattr(steps_cls, "step", stepping)
+    for M in (base.matrix, full):
+        p = CompositeProblem(M, base.linear_term, base.loss, base.reg)
+        solver._solve(p, SolverConfig(max_iters=5, tol=0.0,
+                                      use_line_search=line_search))
+    assert len(news) == 10
+    assert all(type(new) is float for new in news), news
