@@ -7,7 +7,8 @@ lam2/2 ||alpha||^2 counts as smooth for every loss: a regularizer's lam2
 (0 unless elastic net) enters L, the gradients and F here. The iterate
 carries the residual v = A alpha so coordinate gradients cost O(nnz(A_j)),
 and, on request, the full gradient and the objective value, updated after
-each step instead of recomputed.
+each step instead of recomputed. A move queues its residual change, which
+the next read of the residual applies.
 """
 
 import math
@@ -37,6 +38,9 @@ class _QuadraticLoss:
     is the regularizer's prox at the column's own curvature."""
 
     has_gap = False  # whether the box loop stops on the duality gap
+    # a kept gradient gives the step its g_j: a move reads nabla l on
+    # supp(A_j) nowhere, only <A_j, nabla l(v)>, which g_j gives too
+    reads_kept_grad = True
 
     def change(self, p, s, j, delta, read):
         """l(v + delta A_j) - l(v) from the column read at v: delta times
@@ -133,6 +137,9 @@ class Logistic:
     gradient moves by a row product over supp(A_j), and the 1-d minimizer
     is bisected."""
     has_gap = False  # whether the box loop stops on the duality gap
+    # change and update_grad read nabla l on supp(A_j), so a step reads the
+    # column even where the gradient is kept
+    reads_kept_grad = False
 
     def check(self, M):
         pass
@@ -381,6 +388,27 @@ class CompositeProblem:
         return self.reg.lam
 
 
+class _Residual:
+    """IterateState.residual, v = A alpha. A move queues (rows, values,
+    delta) in the state's `_moves` list instead of adding delta A_j to v; a
+    read applies the queue first, in order, so it gives the bits the moves
+    would have written one by one, and leaves `_moves` None. Setting v
+    drops the queue."""
+
+    def __get__(self, s, owner=None):
+        if s is None:  # read on the class: the dataclass takes no default
+            raise AttributeError("residual")
+        v = s._v
+        if s._moves is not None:
+            for rows, vals, delta in s._moves:
+                v[rows] += delta * vals
+            s._moves = None
+        return v
+
+    def __set__(self, s, v):
+        s._v, s._moves = v, None
+
+
 @dataclass
 class IterateState:
     """Single-owner mutable solver state: alpha, residual v = A alpha, and,
@@ -391,10 +419,13 @@ class IterateState:
     from alpha every RESIDUAL_REFRESH_EVERY steps; each gradient refresh
     counts in grad_refreshes and its largest entrywise change in
     max_grad_drift, and the largest change a refresh made to the objective
-    is max_f_drift.
+    is max_f_drift. Moves reach the residual when it is next read (see
+    _Residual), and a refresh remakes it from alpha and drops the moves
+    queued: a step on a kept gradient of a quadratic loss reads no
+    residual, so such a solve adds only the moves after its last refresh.
     """
     alpha: np.ndarray
-    residual: np.ndarray
+    residual: np.ndarray = _Residual()
     nnz: int
     # maintained gradient, read-only to callers; set by track_gradient
     grad: np.ndarray = field(default=None, init=False)
@@ -406,9 +437,9 @@ class IterateState:
     _f_refreshed: float = field(default=None, init=False, repr=False)
     _f_since: float = field(default=0.0, init=False, repr=False)
     _steps_since_refresh: int = field(default=0, repr=False)
-    # the last column read at the current residual, by coord_grad, until the
-    # residual moves: (j, rows, values, nabla l on them, <A_j, nabla l>),
-    # rows as SparseColMatrix.col_view gives them
+    # the last column read, by coord_grad, until a move or a refresh:
+    # (j, rows, values, nabla l on them or None when read off the kept
+    # gradient, <A_j, nabla l>), rows as SparseColMatrix.col_view gives them
     _read: tuple = field(default=None, init=False, repr=False,
                          compare=False)
 
@@ -442,7 +473,7 @@ class IterateState:
     def recompute_residual(self, problem):
         # one product over all columns: a zero alpha_j adds exact zeros, so
         # each entry sums the nonzero columns' terms in column order, as a
-        # loop of col_axpy over them would
+        # loop of col_axpy over them would; the queued moves are dropped
         self.residual = problem.matrix.matvec(self.alpha)
         self._read = None
         self._steps_since_refresh = 0
@@ -467,18 +498,28 @@ def grad_l(p, s):
 def coord_grad(p, s, j):
     """nabla_j f(alpha) = <A_j, grad_l(v)> + c_j + lam2*alpha_j.
 
-    nabla l is evaluated on supp(A_j) only, with no gather on a matrix that
-    stores every entry. The column read stays on the state, so a move of
-    coordinate j that follows reads supp(A_j) no more. Returns a Python
-    float.
+    A state that keeps the gradient gives it as g_j on a loss that
+    reads_kept_grad, and <A_j, grad_l(v)> as g_j - c_j - lam2*alpha_j,
+    with no column dot. Otherwise nabla l is evaluated on supp(A_j) only,
+    with no gather on a matrix that stores every entry. The column read
+    stays on the state, so a move of coordinate j that follows reads
+    supp(A_j) no more. Returns a Python float.
     """
     rows, vals = p.matrix.col_view(j)
+    c, lam2 = p.linear_term.item(j), p.reg.lam2
+    if s.grad is not None and p.loss.reads_kept_grad:
+        g = s.grad.item(j)
+        dot = g - c
+        if lam2:
+            dot -= lam2 * s.alpha.item(j)
+        s._read = (j, rows, vals, None, dot)
+        return g
     gl = p.loss.grad(p, s.residual[rows], rows)
     dot = float(vals @ gl)
     s._read = (j, rows, vals, gl, dot)
-    g = dot + p.linear_term.item(j)
-    if p.reg.lam2:
-        g += p.reg.lam2 * s.alpha.item(j)
+    g = dot + c
+    if lam2:
+        g += lam2 * s.alpha.item(j)
     return g
 
 
@@ -536,9 +577,9 @@ def _objective_change(p, s, j, delta, read):
 def apply_coord_delta(p, s, j, delta):
     """alpha_j += delta, maintaining residual and nonzero count in O(nnz(A_j)),
     and the gradient and objective when the state keeps them. Returns the
-    column read the move used, (j, rows, values, nabla l on them before
-    the move, <A_j, nabla l>), or None when delta is 0; the residual moves
-    in place, on a matrix that stores every entry with no scatter."""
+    column read the move used (see coord_grad), or None when delta is 0.
+    The residual's change is queued for its next read, which adds it in
+    place, on a matrix that stores every entry with no scatter."""
     if delta == 0.0:
         return None
     if s._read is None or s._read[0] != j:
@@ -553,8 +594,11 @@ def apply_coord_delta(p, s, j, delta):
         s.nnz += 1
     elif a != 0.0 and new == 0.0:
         s.nnz -= 1
-    s._read = None  # the residual moves
-    s.residual[read[1]] += delta * read[2]
+    s._read = None  # the residual and the gradient move
+    if s._moves is None:
+        s._moves = [(read[1], read[2], delta)]
+    else:
+        s._moves.append((read[1], read[2], delta))
     if s.grad is not None:
         p.loss.update_grad(p, s, delta, read)
         if p.reg.lam2:

@@ -215,7 +215,7 @@ def _fresh(p, alpha):
                         int(np.count_nonzero(alpha)))
 
 
-def _screen_bound(p, f, s):
+def _screen_bound(p, f, s, kept):
     """lam less the uniform screen's margin at the fresh gradient and the
     solve's largest refresh drift: the kept bound right after a refresh."""
     lam = p.reg.lam
@@ -224,37 +224,43 @@ def _screen_bound(p, f, s):
     return lam - margin
 
 
-# name -> (p, f, s) -> the value of what a solve's steps keep under that
-# name (their kept()), made afresh, per regularizer kind: f is a state at
-# s.alpha from _fresh with its gradient computed once. Two entries read the
-# solve's state s too: the screen bound its drift, and |g| its kept g.
-_FRESH_BOTH = dict(grad=lambda p, f, s: f.grad,
-                   objective=lambda p, f, s: objective_value(p, f))
+# name -> (p, f, s, kept) -> the value of what a solve's steps keep under
+# that name (their kept()), made afresh, per regularizer kind: f is a state
+# at s.alpha from _fresh with its gradient computed once. Three entries
+# read the solve's state s or the steps' other kept values too: the screen
+# bound its drift, |g| its kept g, and the screen limits the kept bound.
+_FRESH_BOTH = dict(grad=lambda p, f, s, kept: f.grad,
+                   objective=lambda p, f, s, kept: objective_value(p, f),
+                   residual=lambda p, f, s, kept: f.residual)
 FRESH = {
     "l1": dict(_FRESH_BOTH,
-               shift=lambda p, f, s: np.sign(f.alpha) * p.reg.lam,
-               zero_lam=lambda p, f, s: np.where(f.alpha == 0.0, p.reg.lam,
-                                                 0.0),
+               shift=lambda p, f, s, kept: np.sign(f.alpha) * p.reg.lam,
+               zero_lam=lambda p, f, s, kept: np.where(f.alpha == 0.0,
+                                                       p.reg.lam, 0.0),
                bound=_screen_bound,
-               mask=lambda p, f, s: build_l1_mask(f.alpha).included),
+               limits=lambda p, f, s, kept: np.where(
+                   f.alpha == 0.0, kept["bound"], -np.inf),
+               mask=lambda p, f, s, kept: build_l1_mask(f.alpha).included),
     "box": dict(_FRESH_BOTH,
-                interior=lambda p, f, s: (f.alpha > 0) & (f.alpha < 1),
-                sign=lambda p, f, s: ((f.alpha == 1).astype(float)
-                                      - (f.alpha == 0)),
-                abs_g=lambda p, f, s: np.abs(s.grad),
-                sums=lambda p, f, s: [float(f.alpha @ f.grad),
-                                      float(f.grad.sum())],
-                gap=lambda p, f, s: duality_gap(p, f),
-                mask=lambda p, f, s: build_box_mask(f.alpha).included),
+                interior=lambda p, f, s, kept: (f.alpha > 0) & (f.alpha < 1),
+                sign=lambda p, f, s, kept: ((f.alpha == 1).astype(float)
+                                            - (f.alpha == 0)),
+                abs_g=lambda p, f, s, kept: np.abs(s.grad),
+                sums=lambda p, f, s, kept: [float(f.alpha @ f.grad),
+                                            float(f.grad.sum())],
+                gap=lambda p, f, s, kept: duality_gap(p, f),
+                mask=lambda p, f, s, kept: build_box_mask(
+                    f.alpha).included),
 }
 
 
-def fresh_kept(p, s, names):
-    """name -> FRESH's value at the solve's state s, for each of names."""
+def fresh_kept(p, s, names, kept):
+    """name -> FRESH's value at the solve's state s, for each of names;
+    kept is what the solve's steps keep."""
     f = _fresh(p, s.alpha.copy())
     f.grad = full_grad(p, f)
     table = FRESH[p.reg.kind]
-    return {name: table[name](p, f, s) for name in names}
+    return {name: table[name](p, f, s, kept) for name in names}
 
 
 def reference_solve(p, cfg, start=None):

@@ -78,12 +78,15 @@ class SolverConfig:
                 ", ".join(r.name for r in Rule), self.rule))
         if not self.tol >= 0:  # NaN too
             raise ValueError("tol must be nonnegative")
+        # a bool is an int, but True is no step count or seed
         for name in ("max_iters", "trace_every"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if not isinstance(value, (int, np.integer)) \
+                    or isinstance(value, bool) or value < 1:
                 raise ValueError("%s must be an integer of at least 1, got "
                                  "%r" % (name, value))
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not isinstance(self.seed, (int, np.integer)) \
+                or isinstance(self.seed, bool) or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer, got %r"
                              % (self.seed,))
         if self.engine != "exact" and (self.rule is not Rule.GSS
@@ -316,10 +319,11 @@ class _Steps:
         s.track_objective(p)
 
     def kept(self, p, s):
-        """What the steps keep of the iterate, by name: F and, when kept,
-        the gradient and the hashing engine's candidate mask. Each must
-        equal its value made afresh from alpha after every move."""
-        kept = {"objective": s.objective}
+        """What the steps keep of the iterate, by name: F, the residual as
+        a read gives it and, when kept, the gradient and the hashing
+        engine's candidate mask. Each must equal its value made afresh from
+        alpha after every move."""
+        kept = {"objective": s.objective, "residual": s.residual}
         if self.keeps_grad:
             kept["grad"] = s.grad
         if self.engine is not None:
@@ -372,11 +376,14 @@ class _L1Steps(_Steps):
     |g_j| <= lam, so a draw with alpha_j = 0 and a kept |g_j| below
     `bound` = lam - margin moves nothing. The margin is SCREEN_MARGIN times
     max(lam, max |g|) at the last refresh, and at least
-    SCREEN_DRIFT_MULTIPLE times the largest drift a refresh has found, so
-    the kept g_j and the step's own coordinate gradient fall on the same
-    side of lam; a draw inside the margin takes the scalar step. Refresh
-    alone remakes the bound, at the start and after each refresh of the
-    gradient.
+    SCREEN_DRIFT_MULTIPLE times the largest drift a refresh has found. On
+    the quadratic losses the step reads that same kept g_j; on logistic it
+    takes g_j from a column read, and the margin puts both on the same side
+    of lam. A draw inside the margin takes the scalar step. Refresh alone
+    remakes the bound, at the start and after each refresh of the
+    gradient. The screen reads one limit per coordinate, `limits`: the
+    bound where alpha_i = 0 and -inf elsewhere, which no |g_i| is below.
+    Refresh remakes them with the bound, and update rewrites entry j.
 
     The steps also keep the steepest score's offsets, l1_offsets of alpha:
     shift = sign(alpha) lam, zero_lam = lam where alpha_i = 0 and 0
@@ -410,7 +417,7 @@ class _L1Steps(_Steps):
         shift, zero_lam, _ = self.offsets
         kept = dict(super().kept(p, s), shift=shift, zero_lam=zero_lam)
         if self.screen is not None:
-            kept["bound"] = self.bound
+            kept.update(bound=self.bound, limits=self.limits)
         return kept
 
     def update(self, p, s, j, aj, read):
@@ -418,6 +425,8 @@ class _L1Steps(_Steps):
         shift, zero_lam, _ = self.offsets
         shift[j] = lam if a > 0.0 else -lam if a < 0.0 else 0.0
         zero_lam[j] = lam if a == 0.0 else 0.0
+        if self.screen is not None:
+            self.limits[j] = self.bound if a == 0.0 else -math.inf
 
     def refresh(self, p, s):
         if self.screen is not None:
@@ -425,6 +434,7 @@ class _L1Steps(_Steps):
             margin = max(SCREEN_MARGIN * max(lam, top),
                          SCREEN_DRIFT_MULTIPLE * s.max_grad_drift)
             self.bound = lam - margin
+            self.limits = np.where(s.alpha == 0.0, self.bound, -math.inf)
 
     def steepest(self, p, s):
         return select_gss_l1(p, s, offsets=self.offsets)
@@ -445,13 +455,13 @@ class _L1Steps(_Steps):
         limit, that each leave alpha as it is, as a slice of the drawn
         block (joined when the run crosses a refill); it stops before the
         first draw that may move."""
-        g, alpha, bound = s.grad, s.alpha, self.bound
+        g, limits = s.grad, self.limits
         if self.drawn == len(self.draws):
             self._refill(p)
         start = self.drawn
         j = self.draws[start]
-        # most steps that move fail here, on one scalar read
-        if alpha[j] != 0.0 or not abs(g[j]) < bound:
+        # most steps that move fail here, on two scalar reads
+        if not abs(g.item(j)) < limits.item(j):
             return self.block[start:start]
         pieces, settled, window = [], 0, SCREEN_WINDOW
         while settled < limit:
@@ -462,8 +472,7 @@ class _L1Steps(_Steps):
             lo = self.drawn
             hi = min(len(self.draws), lo + window, lo + limit - settled)
             ids = self.block[lo:hi]
-            null = np.abs(g[ids]) < bound  # False on a NaN
-            null &= alpha[ids] == 0.0
+            null = np.abs(g[ids]) < limits[ids]  # False on a NaN
             k = int(null.argmin())
             if null[k]:  # the whole window passed
                 k = hi - lo

@@ -97,6 +97,7 @@ class SparseColMatrix:
                 raise ValueError("row indices in column %d not strictly increasing" % j)
 
         self.n_rows = int(n_rows)
+        self.n_cols = len(col_starts) - 1
         self.col_starts = col_starts
         self.row_indices = row_indices
         self.values = values
@@ -139,10 +140,6 @@ class SparseColMatrix:
         self._gram_sums = None
 
     @property
-    def n_cols(self):
-        return len(self.col_starts) - 1
-
-    @property
     def nnz(self):
         return len(self.values)
 
@@ -150,7 +147,9 @@ class SparseColMatrix:
         """Row ids and values of column j as (views into) the storage."""
         if not 0 <= j < self.n_cols:
             raise IndexError("column %d out of range [0, %d)" % (j, self.n_cols))
-        lo, hi = self.col_starts[j], self.col_starts[j + 1]
+        # Python-int bounds slice faster than numpy scalars
+        starts = self.col_starts
+        lo, hi = starts.item(j), starts.item(j + 1)
         return self.row_indices[lo:hi], self.values[lo:hi]
 
     def col_view(self, j):

@@ -139,6 +139,8 @@ CLOSE = {
     "grad": lambda got, want: float(np.abs(got - want).max())
     <= 1e-9 * (1.0 + float(np.abs(want).max())),
     "objective": _relative(1e-12),
+    "residual": lambda got, want: float(np.abs(got - want).max())
+    <= 1e-12 * (1.0 + float(np.abs(want).max())),
     "sums": lambda got, want: all(map(_relative(1e-12), got, want)),
     "gap": lambda got, want: abs(got - want) <= 1e-12,
 }
@@ -155,7 +157,7 @@ def assert_kept_fresh(steps, p, s, refreshed=True):
     remakes is compared only when refreshed. Returns what they keep."""
     kept = steps.kept(p, s)
     names = [name for name in kept if refreshed or name not in AT_REFRESH]
-    for name, want in oracles.fresh_kept(p, s, names).items():
+    for name, want in oracles.fresh_kept(p, s, names, kept).items():
         got, close = kept[name], CLOSE.get(name)
         assert close(got, want) if close else _bits(got) == _bits(want), \
             "kept %s is not fresh: %r, fresh %r" % (name, got, want)

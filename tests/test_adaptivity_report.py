@@ -21,7 +21,9 @@ from greedycd.solver import SmipsEngine
 
 def four_way_reference(cfg):
     """The report's rows from a loop of its own: query, log, stop at tol,
-    step to the exact live-subset coordinate, repair the mask."""
+    step to the exact live-subset coordinate, repair the mask. Its state
+    keeps the gradient, as the report's exact-engine solve does, so the
+    steps read the same g_j."""
     [run] = [r for r in cfg.runs if r.backend == "lsh"]
     p, _ = harness.build_problem(cfg)
     scfg = harness._solver_config(p, cfg, run)
@@ -30,6 +32,7 @@ def four_way_reference(cfg):
     all_mask = sm.SubsetMask(included=np.ones(points.n_points, dtype=bool),
                              kind=engine.kind)
     s = IterateState.zeros(p)
+    s.track_gradient(p)
     steps = solver._steps_for(p, scfg, s, engine)
     rows = []
     for t in range(cfg.max_iters):

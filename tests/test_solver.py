@@ -438,7 +438,8 @@ class TestConfigValidation:
     def test_seed_must_be_a_nonnegative_integer(self):
         for seed in (0, 7, np.int64(3), np.uint32(5)):
             SolverConfig(seed=seed).validate()
-        for seed in (-1, 1.5, "0", None, np.int64(-2)):
+        for seed in (-1, 1.5, "0", None, np.int64(-2), True, False,
+                     np.bool_(True)):
             with pytest.raises(ValueError, match="seed must be a nonneg"):
                 SolverConfig(seed=seed).validate()
 
@@ -450,14 +451,17 @@ class TestConfigValidation:
             for value in (1, 7, np.int64(3), np.uint32(5)):
                 SolverConfig(**{name: value}).validate()
             for value in (0, -1, 2.5, 3.0, float("nan"), "5", None,
-                          np.int64(0)):
+                          np.int64(0), True, False, np.bool_(True)):
                 with pytest.raises(ValueError, match="%s must be an integer"
                                    % name):
                     SolverConfig(**{name: value}).validate()
         spec = SynthSpec(CorrelatedLasso(n=8, d=5), 0)
-        with pytest.raises(ValueError, match="max_iters must be an integer"):
-            ExperimentConfig(problem="lasso", data=spec, runs=[RunSpec("a")],
-                             max_iters=2.5).validate()
+        for value in (2.5, True):
+            with pytest.raises(ValueError,
+                               match="max_iters must be an integer"):
+                ExperimentConfig(problem="lasso", data=spec,
+                                 runs=[RunSpec("a")],
+                                 max_iters=value).validate()
 
     def test_engine_takes_no_other_rule_or_selector(self, rng):
         # the engine selects by gs-s; another rule or a selector would be

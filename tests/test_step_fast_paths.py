@@ -18,6 +18,12 @@ expression it replaces.
   from the column afresh, bitwise, for every loss and regularizer.
 - A step's new alpha_j is a Python float, for every loss, with and without
   line search, on sparse and fully stored matrices.
+- A step that reads g_j off the kept gradient takes the steps of the column
+  dot it replaces, on the benchmark's SVM dual and a lasso of lasso-dense's
+  shape: the same coordinates, kinds, status and counters but the drifts,
+  and F and the gap to round-off.
+- The residual moves a solve queues stay invisible: reading the residual
+  after every move leaves the trace and the final state bitwise.
 """
 
 import copy
@@ -30,11 +36,12 @@ import pytest
 from conftest import assert_checked, random_problem, random_state, \
     svm_problem
 from greedycd import objectives, solver
-from greedycd.data_io import RandomSvm, SynthSpec, fold_labels, gen_synthetic
+from greedycd.data_io import (CorrelatedLasso, RandomSvm, SynthSpec,
+                              fold_labels, gen_synthetic)
 from greedycd.objectives import (Box, CompositeProblem, ElasticNetL1,
                                  IterateState, L1, Logistic,
                                  apply_coord_delta, coord_grad, duality_gap,
-                                 make_svm_dual)
+                                 make_lasso, make_svm_dual)
 from greedycd.selection import Rule
 from greedycd.smips import HyperplaneLsh
 from greedycd.solver import SolverConfig, solve_box
@@ -340,3 +347,102 @@ def test_steps_take_python_floats(kind, line_search, rng, monkeypatch):
                                       use_line_search=line_search))
     assert len(news) == 10
     assert all(type(new) is float for new in news), news
+
+
+def column_dot_coord_grad(p, s, j):
+    """coord_grad as it was before a kept gradient gave g_j: the column dot
+    <A_j, nabla l> on supp(A_j), plus c_j and lam2 alpha_j, always."""
+    rows, vals = p.matrix.col_view(j)
+    gl = p.loss.grad(p, s.residual[rows], rows)
+    dot = float(vals @ gl)
+    s._read = (j, rows, vals, gl, dot)
+    g = dot + p.linear_term.item(j)
+    if p.reg.lam2:
+        g += p.reg.lam2 * s.alpha.item(j)
+    return g
+
+
+def bench_shaped(kind):
+    """The benchmark's SVM dual, or a lasso of lasso-dense's shape, with
+    the tol the benchmark solves it to."""
+    if kind == "svm":
+        ds = gen_synthetic(SynthSpec(RandomSvm(n=800, d=40, margin=0.1), 0))
+        return make_svm_dual(fold_labels(ds), 0.05), 1e-5
+    ds = gen_synthetic(SynthSpec(CorrelatedLasso(n=1000, d=100,
+                                                 density=0.05), 0))
+    return make_lasso(ds.matrix, ds.labels, 0.5), 1e-4
+
+
+DRIFTS = {"max_grad_drift", "max_f_drift", "max_gap_drift"}
+
+
+@pytest.mark.parametrize("line_search", [False, True])
+@pytest.mark.parametrize("rule", [Rule.GSS, Rule.GSQ, Rule.UNIFORM])
+@pytest.mark.parametrize("kind", ["lasso", "svm"])
+def test_kept_gradient_step_takes_the_column_dots_steps(kind, rule,
+                                                         line_search,
+                                                         monkeypatch):
+    """A step that reads g_j off the kept gradient takes the steps the
+    column dot takes: the same coordinates, kinds, status and counters,
+    F and the gap to round-off."""
+    p, tol = bench_shaped(kind)
+    cfg = SolverConfig(rule=rule, use_line_search=line_search, tol=tol,
+                       max_iters=100_000, record_gap=kind == "svm")
+    kept = solver._solve(p, cfg)
+    monkeypatch.setattr(objectives, "coord_grad", column_dot_coord_grad)
+    monkeypatch.setattr(solver, "coord_grad", column_dot_coord_grad)
+    dot = solver._solve(p, cfg)
+    assert kept.status == dot.status == "tol"
+    for name in ("coord", "step_kind"):
+        assert kept.columns[name].tobytes() == dot.columns[name].tobytes()
+    assert {k: v for k, v in kept.counters.items() if k not in DRIFTS} \
+        == {k: v for k, v in dot.counters.items() if k not in DRIFTS}
+    f = dot.columns["f_value"]
+    assert np.all(np.abs(kept.columns["f_value"] - f) <= 1e-12 * (1 + abs(f)))
+    if cfg.record_gap:
+        assert np.all(np.abs(kept.columns["gap"] - dot.columns["gap"])
+                      <= 1e-12)
+
+
+# kind, rule, record_gap, and the most moves queued after a move: a
+# quadratic loss on a kept gradient queues them till a refresh, unless an
+# L1 gap record reads the residual; logistic's move reads it
+@pytest.mark.parametrize("kind,rule,record_gap,most", [
+    ("lasso", Rule.UNIFORM, False, EVERY - 1), ("lasso", Rule.GSS, True, 1),
+    ("elasticnet", Rule.GSQ, False, EVERY - 1),
+    ("logistic", Rule.UNIFORM, False, 0), ("svm", Rule.GSS, True, EVERY - 1),
+    ("svm", Rule.UNIFORM, False, EVERY - 1)])
+def test_residual_reads_leave_the_solve_as_it_was(kind, rule, record_gap,
+                                                  most, monkeypatch):
+    """A read of the residual after every move applies each queued move at
+    once; the trace, the final alpha and the residual keep every bit."""
+    monkeypatch.setattr(objectives, "RESIDUAL_REFRESH_EVERY", EVERY)
+    p = random_problem(kind, np.random.default_rng(8), n=60, d=20, lam=0.1)
+    cfg = SolverConfig(rule=rule, max_iters=STEPS, tol=0.0,
+                       record_gap=record_gap)
+    move = solver._Steps.move
+    queued = []  # per move of the first solve, the moves then queued
+
+    def moving(steps, p, s, j, aj, new):
+        move(steps, p, s, j, aj, new)
+        if len(traces) == 0:
+            queued.append(len(s._moves or ()))
+        else:
+            s.residual  # which applies the one move queued
+            assert s._moves is None
+
+    monkeypatch.setattr(solver._Steps, "move", moving)
+    traces = []
+    for _ in range(2):
+        traces.append(solver._solve(p, cfg))
+    assert max(queued) == most
+    queued, read = traces
+    assert queued.status == read.status
+    assert queued.counters == read.counters
+    assert queued.counters["grad_refreshes"] >= 3
+    assert queued.columns.keys() == read.columns.keys()
+    for name in queued.columns.keys() - {"wall_ns"}:
+        assert queued.columns[name].tobytes() == read.columns[name].tobytes()
+    for name in ("alpha", "residual"):
+        assert getattr(queued.final_state, name).tobytes() \
+            == getattr(read.final_state, name).tobytes()
