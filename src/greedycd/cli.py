@@ -182,6 +182,9 @@ def main(argv=None):
         plot_x = opts.pop("plot_x", None)
         if plot_x is not None and not opts.get("out"):
             raise ValueError("--plot-x needs --out")
+        if plot_x is not None and adaptivity:
+            raise ValueError("--plot-x takes no --adaptivity: the "
+                             "adaptivity report has no plot CSV")
         cfg = _experiment_config(opts)
         cfg.validate()
     except SystemExit as exc:

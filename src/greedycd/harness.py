@@ -84,6 +84,9 @@ class ExperimentConfig:
             raise ValueError("test_split applies to svm and logistic problems "
                              "only and lies in (0, 1), got %r for %s"
                              % (self.test_split, self.problem))
+        if self.lam2 != 0 and self.problem != "elasticnet":  # NaN too
+            raise ValueError("lam2 applies to elasticnet problems only, got "
+                             "%r for %s" % (self.lam2, self.problem))
         if self.workers != 1:
             raise ValueError("workers must be 1: runs execute one after "
                              "another, got %r" % (self.workers,))

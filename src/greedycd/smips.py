@@ -202,6 +202,13 @@ class HyperplaneLsh:
     _key_bytes: int = field(init=False, repr=False)
 
     def __post_init__(self):
+        # a bool is an int, but True is no table size or seed
+        for name in ("bits_per_table", "n_tables", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) \
+                    or isinstance(value, bool) or value < 0:
+                raise ValueError("%s must be a nonnegative integer, got %r"
+                                 % (name, value))
         if self.bits_per_table < 1 or self.n_tables < 1:
             raise ValueError("need at least one bit and one table")
         if self.bits_per_table > 64:

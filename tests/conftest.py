@@ -2,10 +2,10 @@
 experiment's files stand for, and the audit of what a solve's steps keep.
 
 The `audit` fixture holds every value a kind's steps keep (`kept()`)
-against the one oracles.FRESH makes from alpha, right after the steps are
-made and after every move, and every steepest check against the one made
-without kept state. A new kept quantity needs a `kept` entry, a FRESH
-entry and, unless it is bitwise, a CLOSE entry.
+against the one reference_oracles.KEPT makes from alpha, right after the
+steps are made and after every move, and every steepest check against the
+one made without kept state. A new kept quantity needs a `kept` entry and
+one KEPT entry.
 """
 
 import struct
@@ -14,11 +14,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from greedycd import harness, oracles, solver
+from greedycd import harness, solver
 from greedycd.objectives import (IterateState, make_elastic_net, make_lasso,
                                  make_logistic, make_svm_dual)
 from greedycd.selection import ActiveSet, select_gss_box, select_gss_l1
 from greedycd.sparse import SparseColMatrix
+from reference_oracles import KEPT, fresh_kept
 
 
 def random_matrix(rng, d, n, density=0.7, normalize=False):
@@ -129,38 +130,15 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def _relative(tol):
-    return lambda got, want: abs(got - want) <= tol * (1.0 + abs(want))
-
-
-# name -> (kept, fresh) -> whether they are close enough; a kept value of
-# any other name must have the fresh value's dtype, shape and bits
-CLOSE = {
-    "grad": lambda got, want: float(np.abs(got - want).max())
-    <= 1e-9 * (1.0 + float(np.abs(want).max())),
-    "objective": _relative(1e-12),
-    "residual": lambda got, want: float(np.abs(got - want).max())
-    <= 1e-12 * (1.0 + float(np.abs(want).max())),
-    "sums": lambda got, want: all(map(_relative(1e-12), got, want)),
-    "gap": lambda got, want: abs(got - want) <= 1e-12,
-}
-AT_REFRESH = {"bound"}  # kept from the last refresh, remade only there
-
-
-def _bits(value):
-    value = np.asarray(value)
-    return value.dtype, value.shape, value.tobytes()
-
-
 def assert_kept_fresh(steps, p, s, refreshed=True):
     """Each value the steps keep is the fresh one; one that only a refresh
     remakes is compared only when refreshed. Returns what they keep."""
-    kept = steps.kept(p, s)
-    names = [name for name in kept if refreshed or name not in AT_REFRESH]
-    for name, want in oracles.fresh_kept(p, s, names, kept).items():
-        got, close = kept[name], CLOSE.get(name)
-        assert close(got, want) if close else _bits(got) == _bits(want), \
-            "kept %s is not fresh: %r, fresh %r" % (name, got, want)
+    kept, table = steps.kept(p, s), KEPT[p.reg.kind]
+    names = [name for name in kept
+             if refreshed or not table[name].at_refresh]
+    for name, want in fresh_kept(p, s, names, kept).items():
+        assert table[name].close(kept[name], want), \
+            "kept %s is not fresh: %r, fresh %r" % (name, kept[name], want)
     return kept
 
 

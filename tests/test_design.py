@@ -6,8 +6,10 @@ remain only where a public entry point refuses the wrong problem kind.
 The oracles module is exempt: it recomputes everything from first
 principles, independently of the objects it checks. Likewise one method,
 _Steps.move, applies a solver's moves, the step loop picks through the one
-pick the steps bind for the config, and every quantity a kind's steps keep
-has a fresh value in oracles.FRESH for the audit to hold it against.
+pick the steps bind for the config, every quantity a kind's steps keep has
+an entry in reference_oracles.KEPT for the audit to hold it against, and
+the package carries no test support: greedycd.oracles holds only what the
+acceptance suite imports, and no package module imports it or tests/.
 """
 
 import ast
@@ -19,9 +21,10 @@ from conftest import random_problem
 from greedycd import objectives, oracles, solver
 from greedycd import smips as sm
 from greedycd.selection import Rule
+from reference_oracles import KEPT
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-    __file__))), "src", "greedycd")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src", "greedycd")
 EXEMPT = {"oracles.py"}
 LOSSES = ("SquaredResidual", "DualSVM", "Logistic")
 REGULARIZERS = ("L1", "ElasticNetL1", "Box")
@@ -157,14 +160,14 @@ def test_guard_sees_a_pick_switch(tmp_path):
 def test_every_kept_quantity_has_a_fresh_value():
     """With each optional entry kept (the L1 screen bound, the box's gap
     sums and gap, and under a hashing engine its candidate mask), the
-    names a kind's kept() returns over its configs are FRESH's names for
+    names a kind's kept() returns over its configs are KEPT's names for
     it."""
     rng = np.random.default_rng(0)
     made = {"l1": (random_problem("lasso", rng),
                    solver.SolverConfig(rule=Rule.UNIFORM)),
             "box": (random_problem("svm", rng),
                     solver.SolverConfig(record_gap=True))}
-    assert set(made) == set(oracles.FRESH)
+    assert set(made) == set(KEPT)
     for kind, (p, cfg) in made.items():
         engine = solver.SmipsEngine(p, backend=sm.HyperplaneLsh(3, 2))
         hashing = solver.SolverConfig(engine=engine,
@@ -176,4 +179,53 @@ def test_every_kept_quantity_has_a_fresh_value():
             assert steps.kind == kind
             names.update(steps.kept(p, s))
         assert "mask" in names
-        assert sorted(names) == sorted(oracles.FRESH[kind])
+        assert sorted(names) == sorted(KEPT[kind])
+
+
+def imported_names(path):
+    """Every dotted part of every module the file imports, and every name
+    it imports from one."""
+    names = set()
+    for node in ast.walk(ast.parse(open(path).read(), path)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def defined_names(path):
+    """The public names the file's top level defines or assigns."""
+    names = set()
+    for node in ast.parse(open(path).read(), path).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets
+                         if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_no_test_support_in_the_package():
+    """greedycd.oracles exports the three names the acceptance suite
+    imports from it and the dense_smooth_value that fd_gradient reads; no
+    package module imports it or a module under tests/, nor defines a name
+    that the tests' reference_oracles defines."""
+    path = os.path.join(TESTS, "test_acceptance.py")
+    wanted = {alias.name for node in ast.walk(ast.parse(open(path).read()))
+              if isinstance(node, ast.ImportFrom)
+              and node.module == "greedycd.oracles" for alias in node.names}
+    assert len(wanted) == 3
+    assert sorted(oracles.__all__) == sorted(wanted | {"dense_smooth_value"})
+    tests = {name[:-3] for name in os.listdir(TESTS) if name.endswith(".py")}
+    support = defined_names(os.path.join(TESTS, "reference_oracles.py"))
+    stray = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            path = os.path.join(SRC, name)
+            found = imported_names(path) & ({"oracles"} | tests) \
+                | defined_names(path) & support
+            stray += ["%s: %s" % (name, sorted(found))] if found else []
+    assert not stray, "test support in the package:\n" + "\n".join(stray)

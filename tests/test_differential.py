@@ -1,6 +1,6 @@
-"""The fast solve against oracles.reference_solve, which keeps nothing but
-alpha and recomputes the residual, the gradient, every score, F and the gap
-at every step.
+"""The fast solve against reference_oracles.reference_solve, which keeps
+nothing but alpha and recomputes the residual, the gradient, every score,
+F and the gap at every step.
 
 One parametrized test runs _solve and reference_solve on lasso, elastic
 net, L1-logistic and the SVM dual, each on a matrix that stores every entry
@@ -32,12 +32,13 @@ import itertools
 import numpy as np
 import pytest
 
+import reference_oracles
 from conftest import random_matrix, svm_problem
-from greedycd import objectives, oracles
+from greedycd import objectives
 from greedycd.objectives import make_elastic_net, make_lasso, make_logistic
-from greedycd.oracles import reference_solve
 from greedycd.selection import Rule
 from greedycd.solver import SolverConfig, _solve
+from reference_oracles import reference_solve
 
 
 LAYOUTS = {"full": (40, 1.0), "dense": (40, 0.7), "sparse": (400, 0.03)}
@@ -96,7 +97,7 @@ def test_solve_matches_reference(audit, monkeypatch, layout, kind, rule,
         live.append(top > 1e-9 * (1.0 + float(np.abs(g).max())))
         return g
 
-    monkeypatch.setattr(oracles, "full_grad", scoring)
+    monkeypatch.setattr(reference_oracles, "full_grad", scoring)
     ref = reference_solve(p, cfg, start=start)
     assert fast.counters["grad_refreshes"] >= 3
     assert audit.moves[-1][2] == fast.counters["grad_refreshes"]

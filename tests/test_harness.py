@@ -582,6 +582,19 @@ class TestCli:
         assert code == 1
         assert "--plot-x" in capsys.readouterr().err
 
+    def test_plot_x_refused_with_adaptivity(self, tmp_path, capsys,
+                                            monkeypatch):
+        builds = []
+        monkeypatch.setattr(harness, "build_problem", builds.append)
+        out = str(tmp_path / "a")
+        code = main(["--problem", "lasso", "--synthetic", "diag:4,2,1",
+                     "--engine", "smips", "--backend", "lsh",
+                     "--adaptivity", "--plot-x", "iter", "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: --plot-x takes no --adaptivity")
+        assert builds == [] and os.listdir(tmp_path) == []
+
     def test_plot_x_writes_the_plot_csv(self, tmp_path, capsys):
         out = str(tmp_path / "p")
         code = main(["--problem", "lasso", "--synthetic", "diag:4,2,1",
@@ -634,6 +647,18 @@ class TestCli:
                      "--test-split", "0.3"])
         assert code == 1
         assert "test_split" in capsys.readouterr().err
+
+    def test_lambda2_refused_off_elasticnet_before_the_load(
+            self, capsys, monkeypatch):
+        # a valid weight too: the logistic loss would leave it unused
+        builds = []
+        monkeypatch.setattr(harness, "build_problem", builds.append)
+        assert main(["--problem", "logistic", "--synthetic", "svm:n=50,d=10",
+                     "--lambda2", "0.5"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: lam2 applies to elasticnet problems only, got "
+            "0.5 for logistic")
+        assert builds == []
 
     def parsed(self, monkeypatch, argv):
         """The ExperimentConfig main hands to run_experiment."""
@@ -783,9 +808,13 @@ class TestCli:
          "finite, got -1.0"),
         (["svm", "--lambda", "nan"], "svm_lambda must be positive and "
          "finite, got nan"),
-        (["lasso", "--tol", "nan"], "tol must be nonnegative")],
+        (["lasso", "--tol", "nan"], "tol must be nonnegative"),
+        (["lasso", "--lambda2", "-1"], "lam2 applies to elasticnet problems "
+         "only, got -1.0 for lasso"),
+        (["svm", "--lambda2", "nan"], "lam2 applies to elasticnet problems "
+         "only, got nan for svm")],
         ids=["lambda-nan", "lambda-neg", "logistic-lambda-inf", "lambda2-neg",
-             "svm-lambda-nan", "tol-nan"])
+             "svm-lambda-nan", "tol-nan", "lasso-lambda2", "svm-lambda2-nan"])
     def test_bad_weight_or_tol_refused(self, capsys, tmp_path, args,
                                        message):
         problem, *flags = args

@@ -6,12 +6,12 @@ from greedycd.data_io import (DiagQuadratic, RandomSvm, SynthSpec,
                               fold_labels, gen_synthetic)
 from greedycd.objectives import (IterateState, full_grad, make_lasso,
                                  make_svm_dual, objective_value)
-from greedycd.oracles import (RateEnvelope, brute_force_rule, envelope_check,
-                              fd_gradient, reference_solve)
+from greedycd.oracles import RateEnvelope, envelope_check, fd_gradient
 from greedycd.selection import Rule, select_gss_box, select_gss_l1
 from greedycd.smips import HyperplaneLsh
 from greedycd.solver import SolverConfig, solve_box, solve_l1
 from greedycd.sparse import SparseColMatrix
+from reference_oracles import brute_force_rule, reference_solve
 
 
 class TestFdGradient:

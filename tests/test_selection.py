@@ -3,11 +3,11 @@ import pytest
 
 from conftest import random_problem, random_state
 from greedycd.objectives import IterateState, full_grad, make_lasso
-from greedycd.oracles import brute_force_rule
 from greedycd.selection import (ActiveSet, Rule, measure_theta,
                                 prox_step_lengths, select_gsq, select_gsr,
                                 select_gss_box, select_gss_l1, select_uniform)
 from greedycd.sparse import SparseColMatrix
+from reference_oracles import brute_force_rule
 
 
 class TestAgainstBruteForce:

@@ -220,3 +220,11 @@ class TestHyperplaneLsh:
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
             sm.HyperplaneLsh(0, 4)
+        # refused when built, by field name, not when an engine fits them
+        for args, kwargs, name in [
+                ((2.5, 3), {}, "bits_per_table"), ((3, 2.5), {}, "n_tables"),
+                ((True, True), {}, "bits_per_table"),
+                ((3, 2), {"seed": -1}, "seed"),
+                ((3, 2), {"seed": 2.5}, "seed")]:
+            with pytest.raises(ValueError, match="^%s must be" % name):
+                sm.HyperplaneLsh(*args, **kwargs)

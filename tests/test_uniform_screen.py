@@ -149,7 +149,7 @@ def test_steps_decide_the_screen(cfg, screens):
 def test_bound_remade_at_each_refresh(audit, monkeypatch):
     """After every move that refreshes the kept gradient, the screen's
     bound is lam less the margin read from the state at that moment, which
-    the audit holds against oracles.FRESH."""
+    the audit holds against reference_oracles.KEPT."""
     monkeypatch.setattr(objectives, "RESIDUAL_REFRESH_EVERY", 200)
     p = random_problem("lasso", np.random.default_rng(3), n=60, d=20,
                        lam=0.5)
