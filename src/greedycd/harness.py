@@ -18,10 +18,10 @@ from .data_io import (SynthSpec, fold_labels, gen_synthetic, normalize_columns,
                       parse_libsvm, regression_view, train_test_split)
 # apply_coord_delta, coord_grad, full_grad, objective_value and subgrad_score
 # stay importable from here: instrumentation wraps them by these names
-from .objectives import (apply_coord_delta, coord_grad, duality_gap,
-                         full_grad, make_elastic_net, make_lasso,
-                         make_logistic, make_svm_dual, objective_value,
-                         subgrad_score)
+from .objectives import (L1, DualSVM, ElasticNetL1, apply_coord_delta,
+                         coord_grad, duality_gap, full_grad, make_elastic_net,
+                         make_lasso, make_logistic, make_svm_dual,
+                         objective_value, subgrad_score)
 from .selection import Rule
 # _polish and adaptivity_report solve through _solve, not solve_l1/solve_box:
 # instrumentation counts each call of those as a solve
@@ -87,6 +87,14 @@ class ExperimentConfig:
         if self.lam2 != 0 and self.problem != "elasticnet":  # NaN too
             raise ValueError("lam2 applies to elasticnet problems only, got "
                              "%r for %s" % (self.lam2, self.problem))
+        # the objects the problem will take check its weights, before any
+        # load
+        if self.problem == "svm":
+            DualSVM(self.lam).check(None)
+        elif self.problem == "elasticnet":
+            ElasticNetL1(self.lam, self.lam2)
+        else:
+            L1(self.lam)
         if self.workers != 1:
             raise ValueError("workers must be 1: runs execute one after "
                              "another, got %r" % (self.workers,))
@@ -115,14 +123,13 @@ def build_problem(cfg):
     test = None
     if cfg.test_split > 0:
         ds, test = train_test_split(ds, 1.0 - cfg.test_split, seed=cfg.seed)
-    if cfg.problem == "lasso":
+    if cfg.problem in ("lasso", "elasticnet"):
+        # synthetic regression data holds features as columns, a file
+        # holds examples as columns
         M, b = (ds.matrix, ds.labels) if isinstance(cfg.data, SynthSpec) \
             else regression_view(ds)
-        p = make_lasso(M, b, cfg.lam)
-    elif cfg.problem == "elasticnet":
-        M, b = (ds.matrix, ds.labels) if isinstance(cfg.data, SynthSpec) \
-            else regression_view(ds)
-        p = make_elastic_net(M, b, cfg.lam, cfg.lam2)
+        p = make_lasso(M, b, cfg.lam) if cfg.problem == "lasso" \
+            else make_elastic_net(M, b, cfg.lam, cfg.lam2)
     elif cfg.problem == "svm":
         p = make_svm_dual(fold_labels(ds), cfg.lam)
     else:

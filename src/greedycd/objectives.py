@@ -37,7 +37,8 @@ class _QuadraticLoss:
     exact quadratic and the gradient by a Gram column, and the 1-d minimizer
     is the regularizer's prox at the column's own curvature."""
 
-    has_gap = False  # whether the box loop stops on the duality gap
+    # whether the box's duality gap is defined, so the box loop stops on it
+    has_gap = False
     # a kept gradient gives the step its g_j: a move reads nabla l on
     # supp(A_j) nowhere, only <A_j, nabla l(v)>, which g_j gives too
     reads_kept_grad = True
@@ -136,7 +137,7 @@ class Logistic:
     """l(v) = sum_i log(1 + exp(-v_i)), labels folded into the columns; the
     gradient moves by a row product over supp(A_j), and the 1-d minimizer
     is bisected."""
-    has_gap = False  # whether the box loop stops on the duality gap
+    has_gap = False  # as on _QuadraticLoss
     # change and update_grad read nabla l on supp(A_j), so a step reads the
     # column even where the gradient is kept
     reads_kept_grad = False
@@ -542,7 +543,7 @@ def subgrad_score(p, s, grad=None):
     Entry i is shrink(grad_i, lam) when alpha_i = 0 and
     grad_i + sign(alpha_i)*lam otherwise; zero exactly at optima.
     """
-    if not isinstance(p.reg, (L1, ElasticNetL1)):
+    if p.reg.kind != "l1":
         raise TypeError("score vector needs an L1-type regularizer")
     if grad is None:
         grad = current_grad(p, s)
@@ -627,7 +628,7 @@ def duality_gap(p, s):
     """
     reg = p.reg
     if reg.kind == "box":
-        if not isinstance(p.loss, DualSVM):
+        if not p.loss.has_gap:
             raise TypeError("the box's duality gap is defined for the SVM "
                             "dual only")
         if p.uniform_linear_term != -1.0 / p.n:

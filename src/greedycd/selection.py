@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 # full_grad stays importable from here: instrumentation wraps it by this name
-from .objectives import Box, current_grad, full_grad, subgrad_score
+from .objectives import current_grad, full_grad, subgrad_score
 
 __all__ = [
     "Rule", "SelectionOutcome", "ActiveSet", "l1_offsets",
@@ -101,7 +101,7 @@ def select_gss_l1(p, s, grad=None, offsets=None):
 
 def select_gss_box(p, s, active=None, grad=None):
     """argmax over the active set of |grad_i|; None certifies optimality."""
-    if not isinstance(p.reg, Box):
+    if p.reg.kind != "box":
         raise TypeError("box selection needs a box-constrained problem")
     if grad is None:
         grad = current_grad(p, s)

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .sparse import require_count
+
 __all__ = [
     "AugmentedPointSet", "SubsetMask", "Exact", "HyperplaneLsh",
     "build_l1_points", "build_l1_query", "build_l1_mask",
@@ -105,11 +107,28 @@ def _l1_live(inc, alpha):
     inc[3::4] = alpha < 0
 
 
+def _box_live(inc, alpha):
+    """Write into inc each coordinate's live points among BOX_TAGS for its
+    value in alpha, an array or one number: +A off the lower bound, -A off
+    the upper one, so 1 or 2, or none for a NaN."""
+    inc[0::2] = alpha > 0
+    inc[1::2] = alpha < 1
+
+
+# each mask kind's live-point rule and its points per coordinate: a mask
+# is built and repaired by the one rule
+LIVE = {"l1": (_l1_live, len(L1_TAGS)), "box": (_box_live, len(BOX_TAGS))}
+
+
+def _build_mask(kind, alpha):
+    live, k = LIVE[kind]
+    inc = np.empty(k * len(alpha), dtype=bool)
+    live(inc, np.asarray(alpha))
+    return SubsetMask(included=inc, kind=kind)
+
+
 def build_l1_mask(alpha):
-    alpha = np.asarray(alpha)
-    inc = np.empty(4 * len(alpha), dtype=bool)
-    _l1_live(inc, alpha)
-    return SubsetMask(included=inc, kind="l1")
+    return _build_mask("l1", alpha)
 
 
 def build_box_points(A, c, beta):
@@ -142,11 +161,7 @@ def build_box_query(gl, c_value, beta):
 
 
 def build_box_mask(alpha):
-    alpha = np.asarray(alpha)
-    inc = np.empty(2 * len(alpha), dtype=bool)
-    inc[0::2] = alpha > 0
-    inc[1::2] = alpha < 1
-    return SubsetMask(included=inc, kind="box")
+    return _build_mask("box", alpha)
 
 
 # each regularizer kind's (points, query, mask) builders
@@ -155,15 +170,12 @@ BUILDERS = {"l1": (build_l1_points, build_l1_query, build_l1_mask),
 
 
 def update_mask_after_step(m, j, new_val):
-    """Rewrite the (at most 4) mask bits of coordinate j after a step, as a
-    mask built from the new iterate has them; L1 takes build_l1_mask's rule."""
-    if m.kind == "l1":
-        _l1_live(m.included[4 * j:4 * j + 4], new_val)
-    elif m.kind == "box":
-        m.included[2 * j] = new_val > 0
-        m.included[2 * j + 1] = new_val < 1
-    else:
+    """Rewrite the (at most 4) mask bits of coordinate j after a step by the
+    live-point rule its kind's masks are built with."""
+    if m.kind not in LIVE:
         raise ValueError("no mask maintenance for kind %r" % m.kind)
+    live, k = LIVE[m.kind]
+    live(m.included[k * j:k * j + k], new_val)
 
 
 def point_to_coordinate(ps, pid):
@@ -202,13 +214,8 @@ class HyperplaneLsh:
     _key_bytes: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        # a bool is an int, but True is no table size or seed
         for name in ("bits_per_table", "n_tables", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) \
-                    or isinstance(value, bool) or value < 0:
-                raise ValueError("%s must be a nonnegative integer, got %r"
-                                 % (name, value))
+            require_count(name, getattr(self, name))
         if self.bits_per_table < 1 or self.n_tables < 1:
             raise ValueError("need at least one bit and one table")
         if self.bits_per_table > 64:

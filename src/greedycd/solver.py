@@ -24,12 +24,13 @@ import numpy as np
 from . import smips as sm
 # full_grad, subgrad_score and select_uniform stay importable from here:
 # instrumentation wraps them by these names
-from .objectives import (Box, ElasticNetL1, IterateState, L1,
-                         apply_coord_delta, coord_grad, duality_gap,
-                         full_grad, grad_l, objective_value, subgrad_score)
+from .objectives import (IterateState, apply_coord_delta, coord_grad,
+                         duality_gap, full_grad, grad_l, objective_value,
+                         subgrad_score)
 from .selection import (ActiveSet, Rule, SelectionOutcome, l1_offsets,
                         measure_theta, select_gsq, select_gsr,
                         select_gss_box, select_gss_l1, select_uniform)
+from .sparse import require_count
 
 __all__ = [
     "SolverConfig", "StepRecord", "Trace", "SmipsEngine",
@@ -78,17 +79,9 @@ class SolverConfig:
                 ", ".join(r.name for r in Rule), self.rule))
         if not self.tol >= 0:  # NaN too
             raise ValueError("tol must be nonnegative")
-        # a bool is an int, but True is no step count or seed
-        for name in ("max_iters", "trace_every"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) \
-                    or isinstance(value, bool) or value < 1:
-                raise ValueError("%s must be an integer of at least 1, got "
-                                 "%r" % (name, value))
-        if not isinstance(self.seed, (int, np.integer)) \
-                or isinstance(self.seed, bool) or self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer, got %r"
-                             % (self.seed,))
+        require_count("max_iters", self.max_iters, least=1)
+        require_count("trace_every", self.trace_every, least=1)
+        require_count("seed", self.seed)
         if self.engine != "exact" and (self.rule is not Rule.GSS
                                        or self.selector is not None):
             raise ValueError("an inner-product engine selects by gs-s only; "
@@ -220,7 +213,7 @@ class SmipsEngine:
         self.backend = backend if backend is not None else sm.Exact()
         self.beta = beta if beta is not None else 50.0 / math.sqrt(p.n)
         t0 = time.perf_counter()
-        if not isinstance(p.reg, (L1, Box)):
+        if p.reg.lam2:
             raise TypeError("inner-product selection supports plain L1 and "
                             "box regularizers, not %r" % (p.reg,))
         sm.require_beta(self.beta)
@@ -758,7 +751,7 @@ def solve_l1(p, cfg):
     against the pre-truncation value, and truncates sign-crossing updates
     to zero. Stops when the steepest-subgradient norm reaches cfg.tol.
     """
-    if not isinstance(p.reg, (L1, ElasticNetL1)):
+    if p.reg.kind != "l1":
         raise TypeError("solve_l1 needs an L1-type regularizer")
     return _solve(p, cfg)
 
@@ -772,7 +765,7 @@ def solve_box(p, cfg):
     SVM-dual problems, that the duality gap did, whichever came first; so
     a "tol" stop does not by itself mean gap <= cfg.tol.
     """
-    if not isinstance(p.reg, Box):
+    if p.reg.kind != "box":
         raise TypeError("solve_box needs a box regularizer")
     return _solve(p, cfg)
 

@@ -42,6 +42,16 @@ def _ranges(starts, ids):
     return counts, pos
 
 
+def require_count(name, value, least=0):
+    """Refuse a value that is not an integer of at least `least`, by name:
+    a bool is an int, but True is no count or seed."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) \
+            or value < least:
+        raise ValueError("%s must be %s, got %r" % (
+            name, "an integer of at least %d" % least if least
+            else "a nonnegative integer", value))
+
+
 def shrink(x, lam):
     """Soft-threshold x by lam: x - sign(x)*lam if |x| >= lam, else 0."""
     if lam < 0:
@@ -73,9 +83,7 @@ class SparseColMatrix:
         row_indices = np.asarray(row_indices, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
 
-        if not isinstance(n_rows, (int, np.integer)) or n_rows < 0:
-            raise ValueError("n_rows must be a nonnegative integer, got %r"
-                             % (n_rows,))
+        require_count("n_rows", n_rows)
         if col_starts.ndim != 1 or len(col_starts) < 1:
             raise ValueError("col_starts must be a 1-d array of length n_cols+1")
         counts = np.diff(col_starts)

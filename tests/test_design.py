@@ -1,8 +1,9 @@
 """Design guard: losses and regularizers are objects, not type switches.
 
 Each loss and regularizer class is the one place that knows how it
-behaves, and callers read its methods. A type check on these classes may
-remain only where a public entry point refuses the wrong problem kind.
+behaves, and callers read its methods and attributes: an entry point that
+refuses the wrong problem kind reads the regularizer's kind and lam2 or
+the loss's has_gap, so no module makes a type check on these classes.
 The oracles module is exempt: it recomputes everything from first
 principles, independently of the objects it checks. Likewise one method,
 _Steps.move, applies a solver's moves, the step loop picks through the one
@@ -28,12 +29,9 @@ SRC = os.path.join(os.path.dirname(TESTS), "src", "greedycd")
 EXEMPT = {"oracles.py"}
 LOSSES = ("SquaredResidual", "DualSVM", "Logistic")
 REGULARIZERS = ("L1", "ElasticNetL1", "Box")
-# the entry points that refuse a problem kind: one check each
-ENTRY_POINTS = {
-    "solver.py": {"solve_l1", "solve_box", "SmipsEngine.__init__"},
-    "objectives.py": {"subgrad_score", "duality_gap"},
-    "selection.py": {"select_gss_box"},
-}
+# functions allowed one type check each, by module: none, since every entry
+# point reads the problem kind off the objects
+ENTRY_POINTS = {}
 
 
 def _class_names():

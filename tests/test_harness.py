@@ -354,6 +354,23 @@ class TestLibsvmFile:
         self.assert_runs_match(summary, p, cfg)
 
 
+def test_normalize_scales_the_loaded_columns(tmp_path):
+    """--normalize unit-norms the loaded dataset's columns. A libsvm file
+    holds its examples as columns, which a lasso takes as its rows; a
+    synthetic lasso spec holds its features as columns, the lasso's."""
+    path = str(tmp_path / "data.svm")
+    write_libsvm(gen_synthetic(SynthSpec(RandomSvm(30, 5), seed=1)), path)
+    spec = SynthSpec(CorrelatedLasso(n=5, d=30), seed=1)
+    for data, unit_axis in ((path, 1), (spec, 0)):
+        p, _ = harness.build_problem(ExperimentConfig(
+            problem="lasso", data=data, runs=[RunSpec("run")],
+            normalize=True))
+        norms = [np.linalg.norm(p.matrix.to_dense(), axis=axis)
+                 for axis in (0, 1)]
+        np.testing.assert_allclose(norms[unit_axis], 1.0)
+        assert not np.allclose(norms[1 - unit_axis], 1.0)
+
+
 class TestAdaptivityReport:
     def test_four_way_series_invariants(self, tmp_path):
         cfg = small_lasso_cfg(
@@ -517,10 +534,11 @@ class TestCli:
         assert not os.path.exists(out + ".json")
 
     def test_run_failure_exit_two(self, tmp_path, capsys):
-        # the inner-product engine rejects elastic net, failing the run
+        # the inner-product engine rejects an elastic net with lam2 > 0,
+        # failing the run
         code = main(["--problem", "elasticnet", "--synthetic", "diag:4,2,1",
-                     "--engine", "smips", "--max-iters", "10",
-                     "--out", str(tmp_path / "fail")])
+                     "--lambda2", "0.1", "--engine", "smips",
+                     "--max-iters", "10", "--out", str(tmp_path / "fail")])
         assert code == 2
 
     def test_engine_with_another_rule_fails_that_run(self, tmp_path,
@@ -808,15 +826,22 @@ class TestCli:
          "finite, got -1.0"),
         (["svm", "--lambda", "nan"], "svm_lambda must be positive and "
          "finite, got nan"),
+        (["svm", "--lambda", "-1"], "svm_lambda must be positive and "
+         "finite, got -1.0"),
         (["lasso", "--tol", "nan"], "tol must be nonnegative"),
         (["lasso", "--lambda2", "-1"], "lam2 applies to elasticnet problems "
          "only, got -1.0 for lasso"),
         (["svm", "--lambda2", "nan"], "lam2 applies to elasticnet problems "
          "only, got nan for svm")],
         ids=["lambda-nan", "lambda-neg", "logistic-lambda-inf", "lambda2-neg",
-             "svm-lambda-nan", "tol-nan", "lasso-lambda2", "svm-lambda2-nan"])
-    def test_bad_weight_or_tol_refused(self, capsys, tmp_path, args,
-                                       message):
+             "svm-lambda-nan", "svm-lambda-neg", "tol-nan", "lasso-lambda2",
+             "svm-lambda2-nan"])
+    def test_bad_weight_or_tol_refused(self, capsys, tmp_path, monkeypatch,
+                                       args, message):
+        # refused before the load: the objects the problem would take check
+        # its weights in validate
+        builds = []
+        monkeypatch.setattr(harness, "build_problem", builds.append)
         problem, *flags = args
         data = "svm:n=50,d=10" if problem in ("svm", "logistic") \
             else "correlated:n=50,d=10"
@@ -826,6 +851,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
         assert not os.path.exists(out + ".csv")
+        assert builds == []
 
     @pytest.mark.parametrize("libsvm", [False, True])
     def test_negative_seed_refused_before_the_load(self, capsys, tmp_path,

@@ -211,9 +211,10 @@ class TestMatrix:
         with pytest.raises(ValueError, match="nonnegative integer, got -3"):
             SparseColMatrix(-3, [0, 0], [], [])
 
-    @pytest.mark.parametrize("n_rows", [2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("n_rows", [2.5, 3.0, "3", None, True])
     def test_validation_non_integral_n_rows(self, n_rows):
-        # 2.5 would pass the range check of row id 2 and be stored as 2
+        # 2.5 would pass the range check of row id 2 and be stored as 2;
+        # a bool is an int, but True is no row count
         with pytest.raises(ValueError, match="n_rows must be a nonnegative"):
             SparseColMatrix(n_rows, [0, 1], [2], [1.0])
 
